@@ -164,10 +164,11 @@ def _certify(P, variant, H):
     return False, None
 
 
-def _iii_chunk(chunk, smooth, sset, H):
+def _iii_chunk(chunk, budget, smooth, sset, H):
     us = set()
     n = len(smooth)
     for i in chunk:
+        budget.check()
         a = smooth[i]
         for jdx in range(i, n):
             b = smooth[jdx]
@@ -179,11 +180,12 @@ def _iii_chunk(chunk, smooth, sset, H):
     return us
 
 
-def _pair_chunk(chunk, acands, smooth, primes):
+def _pair_chunk(chunk, budget, acands, smooth, primes):
     """Shared inner loop for inf-2-inf and 3-2-inf: test B = -A - C for the
     square-times-smooth shape for both signs of C."""
     us = set()
     for i in chunk:
+        budget.check()
         a = acands[i]
         for c in smooth:
             if gcd(a, c) != 1:
@@ -207,15 +209,18 @@ def _pair_chunk(chunk, acands, smooth, primes):
 
 
 def _run_chunked(worker, nitems, workers, budget, *args):
-    """Deterministic union over index chunks, serial or via a process pool."""
+    """Deterministic union over index chunks, serial or via a process pool.
+
+    The worker checks the budget once per index, in every process.
+    """
     budget.check()
     if workers <= 1 or nitems < 64:
-        return worker(range(nitems), *args)
+        return worker(range(nitems), budget, *args)
     import multiprocessing as mp
 
     chunks = [range(i, nitems, workers) for i in range(workers)]
     with mp.get_context("fork").Pool(workers) as pool:
-        parts = pool.starmap(worker, [(c,) + args for c in chunks])
+        parts = pool.starmap(worker, [(c, budget) + args for c in chunks])
     us = set()
     for part in parts:
         us |= part

@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", help="restrict to one partition, e.g. '2^15 1'")
     p.add_argument("--max-size", type=int)
     p.add_argument("--enumerate", action="store_true")
-    p.add_argument("--count-only", action="store_true",
-                   help="explicit counting mode (the default)")
     p.add_argument("--limit", type=int, default=10 ** 6,
                    help="refusal bound for enumeration streams")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

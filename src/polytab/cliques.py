@@ -229,7 +229,8 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     else:
         chunks = [list(range(i, n, workers)) for i in range(workers)]
         raw = {}
-        for part in _map_workers(chunks, g.lesser, degunit, max_size, workers):
+        for part in _map_workers(chunks, g.lesser, degunit, max_size, workers,
+                                 budget):
             for k, v in part.items():
                 raw[k] = raw.get(k, 0) + v
     table = PartitionTable(f)
@@ -239,16 +240,12 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     return table
 
 
-def _map_workers(chunks, lesser, degunit, max_size, workers):
+def _map_workers(chunks, lesser, degunit, max_size, workers, budget):
     import multiprocessing as mp
 
-    args = [(chunk, lesser, degunit, max_size) for chunk in chunks]
+    args = [(chunk, lesser, degunit, budget, max_size) for chunk in chunks]
     with mp.get_context("fork").Pool(workers) as pool:
-        return pool.starmap(_worker_entry, args)
-
-
-def _worker_entry(chunk, lesser, degunit, max_size):
-    return _count_cliques_from(chunk, lesser, degunit, Budget(), max_size)
+        return pool.starmap(_count_cliques_from, args)
 
 
 def _tabulate_filtered(g: CompatGraph, kappa: tuple, budget: Budget):
@@ -381,9 +378,6 @@ def count_u_nu(g: CompatGraph, nu: tuple, workers: int = 1,
     blocks = nu[:-3]
     if not blocks:
         return 1  # only the empty tuple
-    fmax = max(g.degrees, default=1)
-    if max(blocks) < fmax:
-        pass  # vertices of larger degree simply never fit a block
     table = tabulate(g, max_size=sum(blocks), workers=workers, budget=budget)
     total = 0
     for expts, cnt in table.counts.items():
@@ -429,10 +423,6 @@ def reduction_bound(p: int, f: int) -> int:
 
 def _triple_to_matrix(p, q, r):
     """The unique map sending (p, q, r) to (0, 1, inf), as an integer matrix."""
-    def lin(x):
-        # returns (a, b) meaning a*z + b, with inf handled by the caller
-        return x
-
     if p == INF:
         a, b, c, d = 0, q - r, 1, -r
     elif q == INF:

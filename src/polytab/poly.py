@@ -116,10 +116,6 @@ def resultant_coeffs(f, g) -> int:
     return sign * (g[0] ** df // h ** (df - 1))
 
 
-def _res_11(f, g):
-    return f[1] * g[0] - f[0] * g[1]
-
-
 def _res_22(f, g):
     a0, a1, a2 = f
     b0, b1, b2 = g
@@ -171,6 +167,9 @@ class NormalizedPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("NormalizedPoly is immutable")
+
+    def __reduce__(self):
+        return (NormalizedPoly, (self.coeffs,))
 
     @property
     def degree(self) -> int:
@@ -527,12 +526,12 @@ def _divisors(n: int) -> list:
 
 
 def rational_roots(coeffs) -> list:
-    """All rational roots (with multiplicity) of an integer polynomial.
+    """All rational roots (with multiplicity, sorted) of an integer polynomial.
 
-    Divisor grid on the constant/leading coefficients when those are easy to
-    factor, otherwise roots modulo one large prime followed by rational
-    reconstruction and exact verification -- sound and complete either way,
-    and the modular route never factors the coefficients.
+    Candidates are the roots modulo one large prime, lifted by rational
+    reconstruction; each is confirmed and divided out by exact integer
+    division by its primitive linear factor.  Sound and complete for every
+    input, and no coefficient is ever factored.
     """
     c = _trim(list(coeffs))
     if not c:
@@ -545,28 +544,15 @@ def rational_roots(coeffs) -> list:
         return roots
     g = _content(c)
     c = [x // g for x in c]
-    if max(abs(c[0]), abs(c[-1])) <= 10 ** 10:
-        cand = _root_candidates_divisors(c)
-    else:
-        cand = _root_candidates_modular(c)
-    for r in sorted(cand):
-        while len(c) > 1 and poly_eval(c, r) == 0:
-            roots.append(r)
-            c = _deflate(c, r)
+    for n, d in _root_candidates_modular(c):
+        while len(c) > 1:
+            q = _poly_divmod_exact(c, [-n, d])
+            if q is None:
+                break
+            roots.append(Fraction(n, d))
+            c = q
     roots.sort()
     return roots
-
-
-def _root_candidates_divisors(c):
-    # Cauchy bound keeps the divisor grid small when coefficients are smooth
-    bound = Fraction(max(abs(x) for x in c[:-1]), abs(c[-1])) + 1
-    cand = set()
-    for q in _divisors(c[-1]):
-        for p in _divisors(c[0]):
-            if gcd(p, q) == 1 and Fraction(p, q) <= bound:
-                cand.add(Fraction(p, q))
-                cand.add(Fraction(-p, q))
-    return cand
 
 
 # --- modular rational root extraction ---------------------------------------
@@ -699,7 +685,10 @@ def _poly_quot_mod(a, b, p):
 
 
 def _rational_reconstruct(a: int, p: int, bound: int):
-    """x = n/d with x = a mod p, |n|, d <= bound, if it exists."""
+    """(n, d) with n/d = a mod p, |n|, d <= bound and d > 0, if it exists.
+
+    The pair is already in lowest terms: gcd(n, d) divides p and d < p.
+    """
     r0, r1 = p, a % p
     t0, t1 = 0, 1
     while r1 > bound:
@@ -708,8 +697,7 @@ def _rational_reconstruct(a: int, p: int, bound: int):
         t0, t1 = t1, t0 - q * t1
     if t1 == 0 or abs(t1) > bound:
         return None
-    # exact evaluation downstream is the gate; reduction is harmless here
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 _FILTER_PRIMES = (1000003, 10000019)
@@ -717,6 +705,14 @@ _PRIME_CACHE: dict = {}
 
 
 def _root_candidates_modular(c):
+    """A set of (n, d) holding every rational root n/d of the primitive c.
+
+    With c(0) != 0, n divides c(0) and d the leading coefficient, so both
+    are at most B = max(|c(0)|, |lead|).  Modulo a prime p > 2B^2 that does
+    not divide the lead, n/d is a root of c and the only fraction of that
+    size in its residue class.  Non-roots may slip in; the caller's exact
+    division rejects them.
+    """
     # cheap necessary test: a rational root survives reduction mod any prime
     # not dividing the leading coefficient, so "no roots mod q" is a proof
     for q in _FILTER_PRIMES:
@@ -732,27 +728,9 @@ def _root_candidates_modular(c):
     cand = set()
     for r in _roots_mod_p(c, p):
         x = _rational_reconstruct(r, p, bound)
-        if x is not None and poly_eval(c, x) == 0:
+        if x is not None:
             cand.add(x)
     return cand
-
-
-def _deflate(c, root: Fraction):
-    """Exact division by the root's linear factor, primitive integer output."""
-    n = len(c) - 1
-    out = [Fraction(0)] * n  # quotient of c by (t - root), constant first
-    acc = Fraction(0)
-    for i in range(n - 1, -1, -1):
-        acc = acc * root + c[i + 1]
-        out[i] = acc
-    # Gauss: quotient = root.denominator * (primitive integer cofactor)
-    ints = []
-    for f in out:
-        if f.denominator != 1:
-            raise ValueError("deflation by a non-root")
-        ints.append(f.numerator)
-    g = _content(ints)
-    return [x // g for x in ints]
 
 
 def _root_bound(c) -> int:
@@ -760,47 +738,38 @@ def _root_bound(c) -> int:
     return 1 + max(abs(x) for x in c[:-1]) // abs(c[-1]) + 1
 
 
-def _try_quadratic_split(c):
-    """Split an integer polynomial (deg >= 4) off an integer quadratic factor."""
-    lead, const = c[-1], c[0]
-    bound = _root_bound(c)
-    for a in _divisors(lead):
-        bmax = 2 * a * bound  # |b/a| <= sum of the factor's two root magnitudes
-        for f0 in _divisors(const):
-            for f0s in (f0, -f0):
-                for b in range(-bmax, bmax + 1):
-                    q = _poly_divmod_exact(c, [f0s, b, a])
-                    if q is not None:
-                        return [f0s, b, a], q
-    return None
-
-
 def _poly_divmod_exact(c, d):
-    """Quotient of c by d over Q if the division is exact, else None."""
-    c = [Fraction(x) for x in c]
+    """Quotient of c by d in Z[t] if d divides c there, else None.
+
+    For a primitive d this is also divisibility over Q (Gauss's lemma), so
+    the first quotient coefficient that is not an integer settles it.
+    """
+    r = list(c)
     dd = len(d) - 1
     lead = d[-1]
-    q = [Fraction(0)] * (len(c) - dd)
-    for top in range(len(c) - 1, dd - 1, -1):
-        f = c[top] / lead
+    q = [0] * (len(r) - dd)
+    for top in range(len(r) - 1, dd - 1, -1):
+        f, rem = divmod(r[top], lead)
+        if rem:
+            return None
         q[top - dd] = f
         if f:
-            for i in range(dd + 1):
-                c[top - dd + i] -= f * d[i]
-    if any(c[:dd]):
+            for i in range(dd):
+                r[top - dd + i] -= f * d[i]
+    if any(r[:dd]):
         return None
-    den = 1
-    for f in q:
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(f * den) for f in q]
+    return q
 
 
 def _try_split_generic(c, k):
     """Search an integer degree-k factor of c by bounded coefficient scan.
 
-    Interior coefficients of a factor are elementary symmetric functions of
-    at most k roots of c, so each is bounded by lead * C(k,i) * R^i with R
-    the Cauchy root bound.  Only reached for degree >= 6 inputs.
+    The factor's leading and constant coefficients run over the divisors of
+    those of c; its interior coefficients are lead times elementary symmetric
+    functions of k roots of c, so each is bounded by lead * C(k,i) * R^i with
+    R the Cauchy root bound.  Returns (factor, quotient) for the first factor
+    found in that order, or None.  factor_small scans every k with
+    2k <= deg(c).
     """
     R = _root_bound(c)
     binom = [1]
@@ -831,16 +800,20 @@ def _try_split_generic(c, k):
 def factor_small(s: NormalizedPoly) -> list:
     """Irreducible factorization over Q, factors normalized, with multiplicity.
 
-    Rational roots come off first by divisor tests; what remains (degree <= 8)
-    is split by searching bounded integer quadratic factors, falling back to a
-    generic scan for cubic/quartic factors.  Sufficient for every vertex degree
-    in this package; larger inputs are refused.
+    Rational roots come off first by exact division by their linear factors.
+    What remains (degree <= 8) has no linear factor, so it is either
+    irreducible or has a factor of degree k with 2 <= k <= deg/2, found by
+    the bounded coefficient scan of _try_split_generic.  Sufficient for
+    every vertex degree in this package; larger inputs are refused.
     """
     factors = []
     c = list(s.coeffs)
     for r in rational_roots(c):
-        factors.append(normalize([-r.numerator, r.denominator])[0])
-        c = _deflate(c, r)
+        lin = [-r.numerator, r.denominator]
+        factors.append(NormalizedPoly(lin))
+        c = _poly_divmod_exact(c, lin)
+        if c is None:
+            raise ValueError("deflation by a non-root")
     deg = len(c) - 1
     if deg == 0:
         return sorted(factors, key=lambda f: f.sort_key())
@@ -849,22 +822,15 @@ def factor_small(s: NormalizedPoly) -> list:
     stack = [c]
     while stack:
         c = stack.pop()
-        deg = len(c) - 1
-        if deg <= 3:
-            # no rational roots at this point, so deg <= 3 means irreducible
-            factors.append(normalize(c)[0])
-            continue
-        split = _try_quadratic_split(c)
-        if split is None and deg >= 6:
-            split = _try_split_generic(c, 3)
-        if split is None and deg == 8:
-            split = _try_split_generic(c, 4)
+        split = None
+        for k in range(2, (len(c) - 1) // 2 + 1):
+            split = _try_split_generic(c, k)
+            if split is not None:
+                break
         if split is None:
             factors.append(normalize(c)[0])
         else:
-            fac, quot = split
-            stack.append(fac)
-            stack.append(quot)
+            stack.extend(split)
     return sorted(factors, key=lambda f: f.sort_key())
 
 

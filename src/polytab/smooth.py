@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 
 class ZeroValueError(ValueError):
@@ -52,6 +52,9 @@ class PrimeSet:
 
     def __setattr__(self, name, value):
         raise AttributeError("PrimeSet is immutable")
+
+    def __reduce__(self):
+        return (PrimeSet, (self.primes,))
 
     def __iter__(self):
         return iter(self.primes)
@@ -250,7 +253,3 @@ def smooth_numbers_up_to(P: PrimeSet, H: int) -> list:
         out = nxt
     out.sort()
     return out
-
-
-def coprime(a: int, b: int) -> bool:
-    return gcd(a, b) == 1

@@ -334,8 +334,10 @@ class IngestReport:
 def ingest_units(candidates, P: PrimeSet):
     """Verify candidate polynomials and expand them into full vertex orbits.
 
-    Every candidate is re-checked for irreducibility and membership, so bad
-    rows in a candidate file are reported and skipped, never admitted.
+    Every candidate is re-checked for membership and then irreducibility, so
+    bad rows in a candidate file are reported and skipped, never admitted.
+    Membership goes first because it is cheap, while the irreducibility scan
+    grows with the coefficients and would stall on a large non-member.
     Returns ({degree: [Vertex]}, IngestReport).
     """
     report = IngestReport()
@@ -348,11 +350,11 @@ def ingest_units(candidates, P: PrimeSet):
         if s.degree < 1:
             report.rejected.append((s.coeffs, "constant"))
             continue
-        if not is_irreducible(s):
-            report.rejected.append((s.coeffs, "reducible"))
-            continue
         if not check_membership(s, P).ok:
             report.rejected.append((s.coeffs, "membership"))
+            continue
+        if not is_irreducible(s):
+            report.rejected.append((s.coeffs, "reducible"))
             continue
         report.accepted += 1
         for t in s3_orbit(s):

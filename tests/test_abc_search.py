@@ -96,6 +96,15 @@ def test_budget_refusal():
         search_abc(P235, VARIANT_I2I, 10 ** 6, budget=Budget(seconds=1e-9))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_budget_stops_running_search(workers):
+    # unbudgeted, this search takes seconds; the deadline must stop it inside
+    # the candidate loop, in worker processes too
+    with pytest.raises(BudgetExceededError):
+        search_abc(P23, VARIANT_32I, 10 ** 11, budget=Budget(seconds=0.3),
+                   classify=False, workers=workers)
+
+
 def test_delta_classes_single_point():
     points, _ = search_abc(P23, VARIANT_I2I, 10)
     by_u = {pt.u: pt for pt in points}

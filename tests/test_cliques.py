@@ -116,6 +116,11 @@ def test_enumeration_limit_refusal(graph2):
         list(enumerate_cliques(graph2.value, limit=5))
 
 
+def test_tabulate_workers_honour_budget(graph2):
+    with pytest.raises(BudgetExceededError):
+        tabulate(graph2.value, workers=2, budget=Budget(seconds=1e-9))
+
+
 def test_tabulate_worker_determinism(graph2):
     t1 = tabulate(graph2.value, workers=1)
     t4 = tabulate(graph2.value, workers=4)

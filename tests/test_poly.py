@@ -25,9 +25,11 @@ from polytab.poly import (
     s3_transform,
     special_values,
 )
+from polytab.poly import _poly_divmod_exact
 from polytab.smooth import PrimeSet, ZeroValueError
+from polytab.vertices import TABLE5_REPRESENTATIVES
 
-from oracles import resultant_sylvester
+from oracles import rational_roots_naive, resultant_sylvester
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -250,6 +252,81 @@ def test_rational_roots():
     assert rational_roots((1, 0, 1)) == []
     assert rational_roots(from_roots([Fraction(1, 2), Fraction(1, 2), -3]).coeffs) \
         == [Fraction(-3), Fraction(1, 2), Fraction(1, 2)]
+
+
+# irreducible over Q: negative-discriminant quadratics, Eisenstein at 2
+IRREDUCIBLE_COFACTORS = [(1,), (1, 0, 1), (-2, 0, 1), (3, 1, 2),
+                         (-2, 0, 0, 1), (2, -4, 0, 0, 0, 1)]
+BIG_PRIMES = (10007, 65537, 100003)
+
+
+def test_rational_roots_against_oracle():
+    rng = random.Random(7)
+
+    def part():
+        n = rng.randint(1, 12)
+        return n * rng.choice(BIG_PRIMES) if rng.random() < 0.4 else n
+
+    seen = set()
+    for _ in range(80):
+        roots = []
+        for _ in range(rng.randint(0, 4)):
+            if roots and rng.random() < 0.3:
+                roots.append(rng.choice(roots))
+                seen.add("repeated")
+            else:
+                roots.append(Fraction(rng.choice((1, -1)) * part(), part()))
+        c = list(rng.choice(IRREDUCIBLE_COFACTORS))
+        for r in roots:
+            c = poly_mul(c, [-r.numerator, r.denominator])
+        zeros = rng.choice((0, 0, 0, 1, 2))
+        scalar = rng.choice((1, 1, -1)) * rng.choice((1, 1, 6, 10))
+        c = [0] * zeros + [scalar * x for x in c]
+        if zeros:
+            seen.add("zero")
+        if abs(scalar) > 1:
+            seen.add("content")
+        if c[-1] < 0:
+            seen.add("negative lead")
+        big = max(abs(c[zeros]), abs(c[-1])) // abs(scalar) > 10 ** 10
+        seen.add("above 1e10" if big else "below 1e10")
+        want = sorted(roots + [Fraction(0)] * zeros)
+        assert rational_roots(c) == want == rational_roots_naive(c), c
+    assert seen == {"repeated", "zero", "content", "negative lead",
+                    "above 1e10", "below 1e10"}
+
+
+def test_poly_divmod_exact():
+    assert _poly_divmod_exact(poly_mul([3, 1, 2], [-5, 7]), [-5, 7]) == [3, 1, 2]
+    # t^2 + 1 is divisible neither by t + 1 (nonzero remainder) nor by 2t + 1
+    # (the first quotient coefficient is 1/2)
+    assert _poly_divmod_exact([1, 0, 1], [1, 1]) is None
+    assert _poly_divmod_exact([1, 0, 1], [1, 2]) is None
+    # t + 1 = (2t + 2) / 2 divides over Q only: the divisor is not primitive
+    assert _poly_divmod_exact([1, 1], [2, 2]) is None
+
+
+def test_factor_small_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(16)
+    cases = [NP(*c) for reps in TABLE5_REPRESENTATIVES.values() for c in reps]
+    cases.append(product_poly([(-2, 0, 0, 1), (1, 1, 0, 1)]))  # cubic x cubic
+    while len(cases) < 80:
+        prod = [1]
+        for _ in range(rng.randint(1, 3)):
+            d = rng.randint(1, 3)
+            prod = poly_mul(prod, [rng.randint(-5, 5) for _ in range(d)]
+                            + [rng.randint(1, 3)])
+        if any(prod) and len(prod) - 1 <= 5:
+            cases.append(normalize(prod)[0])
+    for s in cases:
+        _, facs = sympy.factor_list(sympy.Poly(list(reversed(s.coeffs)), t))
+        want = []
+        for f, mult in facs:
+            coeffs = [int(x) for x in reversed(f.all_coeffs())]
+            want += [normalize(coeffs)[0].coeffs] * mult
+        assert sorted(f.coeffs for f in factor_small(s)) == sorted(want), s
 
 
 def test_check_membership():

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -150,6 +151,19 @@ def test_ingest_rejects():
     assert not ingested and report.rejected[0][1] == "membership"
     ingested, report = ingest_units([(1, 0, -6, 0, 1)], P2)  # splits
     assert not ingested and report.rejected[0][1] == "reducible"
+    # s(1) = 1000013 is no unit; the irreducibility scan alone would take
+    # minutes on these coefficients
+    ingested, report = ingest_units([(1, 1000003, 3, 5, 1)], P2)
+    assert not ingested and report.rejected[0][1] == "membership"
+
+
+def test_value_types_pickle(vs2):
+    points, _ = search_abc(P2, VARIANT_III, 10)
+    s = NormalizedPoly((2, -2, 1))
+    s.discriminant()
+    for obj in (P2, s, vs2.value.degree_slice(4)[0], points[0]):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert pickle.loads(pickle.dumps(s)).discriminant() == -4
 
 
 def test_ingest_idempotent_on_orbits(vs2):
