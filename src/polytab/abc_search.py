@@ -307,15 +307,15 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
     points.sort(key=AbcPoint.sort_key)
 
     if variant == VARIANT_32I and classify:
-        points = _attach_cubic_classes(points)
+        points = _attach_cubic_classes(points, budget)
 
     complete, citation = _certify(P, variant, H)
     return points, SearchCertificate(P.primes, variant, H, complete, citation)
 
 
-def _attach_cubic_classes(points):
+def _attach_cubic_classes(points, budget):
     irreducible = [pt for pt in points if pt.class_datum == "3"]
-    classes = cubic_classes(irreducible)
+    classes = cubic_classes(irreducible, budget=budget)
     label = {}
     for rep, members in classes.items():
         for pt in members:
@@ -343,12 +343,14 @@ def delta_classes(points) -> dict:
     return out
 
 
-def cubic_classes(points) -> dict:
+def cubic_classes(points, budget: Budget | None = None) -> dict:
     """Group 3-2-inf points with irreducible reference cubic into classes.
 
     j ~ k when the resolvent F(j,k,y) has a root in Q union {inf}; the map is
-    keyed by the class representative of minimal (height, u).
+    keyed by the class representative of minimal (height, u).  The budget is
+    checked once per row of the pairwise resolvent tests.
     """
+    budget = budget or Budget.from_env()
     pts = list(points)
     for pt in pts:
         if reference_cubic_partition(pt.u) != (3,):
@@ -366,6 +368,7 @@ def cubic_classes(points) -> dict:
     dclass = [squarefree_class(Fraction(reference_cubic(pt.u).discriminant()))
               for pt in pts]
     for i in range(len(pts)):
+        budget.check()
         for k in range(i + 1, len(pts)):
             if dclass[i] == dclass[k] and find(i) != find(k) \
                     and has_rational_root_F(pts[i].u, pts[k].u):
@@ -410,21 +413,31 @@ def write_points(path, points, cert: SearchCertificate) -> None:
 
 
 def read_points(path):
+    """Points and certificate of a point-set file; ValueError if malformed."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != POINTS_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != POINTS_SCHEMA:
         raise ValueError(f"not a point-set file: {path}")
-    variant = payload["variant"]
-    points = []
-    for rec in payload["points"]:
-        num, den = rec["u"].split("/")
-        u = Fraction(int(num), int(den))
-        datum = rec.get("class")
-        if variant == VARIANT_I2I and datum is not None:
-            datum = int(datum)
-        points.append(AbcPoint(variant, int(rec["A"]), int(rec["B"]),
-                               int(rec["C"]), u, datum))
-    cert = SearchCertificate(
-        tuple(payload["primes"]), variant, int(payload["height_bound"]),
-        payload["complete"], payload.get("citation"))
+    try:
+        variant = payload["variant"]
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        points = []
+        for rec in payload["points"]:
+            num, den = rec["u"].split("/")
+            u = Fraction(int(num), int(den))
+            datum = rec.get("class")
+            if variant == VARIANT_I2I and datum is not None:
+                datum = int(datum)
+            pt = AbcPoint(variant, int(rec["A"]), int(rec["B"]),
+                          int(rec["C"]), u, datum)
+            if (pt.A, pt.B, pt.C) != canonical_triple(u):
+                raise ValueError(f"triple ({pt.A}, {pt.B}, {pt.C}) is not "
+                                 f"the triple of u = {u}")
+            points.append(pt)
+        cert = SearchCertificate(
+            tuple(payload["primes"]), variant, int(payload["height_bound"]),
+            payload["complete"], payload.get("citation"))
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed point-set file {path}: {exc!r}") from exc
     return points, cert

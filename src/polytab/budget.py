@@ -13,7 +13,6 @@ import time
 ENV_BUDGET_SECS = "POLYTAB_BUDGET_SECS"
 
 DEFAULT_MAX_HEIGHT = 10 ** 12
-DEFAULT_MAX_CLIQUE_STREAM = 10 ** 8
 
 
 class BudgetExceededError(RuntimeError):

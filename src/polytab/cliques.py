@@ -131,14 +131,6 @@ class PartitionTable:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def grid(self, row_degrees: tuple, col_degree: int):
-        """Regroup counts: {(row exponents): {col exponent: count}}."""
-        out = {}
-        for expts, cnt in self.counts.items():
-            rows = tuple(expts[d - 1] for d in row_degrees)
-            out.setdefault(rows, {})[expts[col_degree - 1]] = cnt
-        return out
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

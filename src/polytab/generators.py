@@ -15,8 +15,9 @@ from fractions import Fraction
 from .budget import Budget, BudgetExceededError
 from .poly import (
     NormalizedPoly,
+    _poly_gcd,
+    _radical,
     check_membership,
-    derivative_coeffs,
     normalize,
     poly_mul,
     resultant_coeffs,
@@ -82,47 +83,6 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
 
 # ---------------------------------------------------------------------------
 # recursive three-point covers
-
-
-def _radical(coeffs):
-    """Primitive polynomial with the same roots, multiplicities dropped."""
-    c = list(coeffs)
-    d = derivative_coeffs(c)
-    if not any(d):
-        return normalize(c)[0].coeffs
-    g = _poly_gcd(c, d)
-    if len(g) == 1:
-        return normalize(c)[0].coeffs
-    q = _exact_div(c, g)
-    return normalize(q)[0].coeffs
-
-
-def _poly_gcd(a, b):
-    """gcd of integer polynomials, primitive, by fraction-free remainders."""
-    from .poly import _content, _prem, _trim
-
-    a = _trim(list(a))
-    b = _trim(list(b))
-    while b:
-        r = _prem(a, b)
-        a, b = b, r
-        if b:
-            g = _content(b)
-            b = [x // g for x in b]
-    g = _content(a)
-    a = [x // g for x in a]
-    if a[-1] < 0:
-        a = [-x for x in a]
-    return a
-
-
-def _exact_div(a, b):
-    from .poly import _poly_divmod_exact
-
-    q = _poly_divmod_exact(a, b)
-    if q is None:
-        raise ValueError("inexact polynomial division")
-    return q
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .smooth import PrimeSet, SmoothFactorization, ZeroValueError, factor_over
+from .smooth import (
+    PrimeSet,
+    SmoothFactorization,
+    ZeroValueError,
+    _is_prime,
+    factor_over,
+)
 
 
 class FactorSearchError(ValueError):
@@ -211,11 +217,6 @@ class NormalizedPoly:
     def eval(self, x):
         return poly_eval(self.coeffs, x)
 
-    def monic_coeffs(self) -> tuple:
-        """Coefficients of s(t)/s(inf) as Fractions (the monic variant)."""
-        lead = self.coeffs[-1]
-        return tuple(Fraction(c, lead) for c in self.coeffs)
-
     def discriminant(self) -> int:
         if self._disc is None:
             object.__setattr__(self, "_disc", discriminant(self))
@@ -276,45 +277,6 @@ def discriminant(s: NormalizedPoly) -> int:
     if k % 4 in (2, 3):
         r = -r
     return r // s.coeffs[-1]
-
-
-class MonicPoly:
-    """Monic polynomial with rational coefficients whose denominators are
-    smooth over an ambient prime set (the monic variant of a member)."""
-
-    __slots__ = ("coeffs", "P")
-
-    def __init__(self, coeffs, P):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if not coeffs or coeffs[-1] != 1:
-            raise ValueError("leading coefficient must be 1")
-        from .smooth import is_smooth
-
-        for c in coeffs:
-            if c.denominator != 1 and not is_smooth(c.denominator, P):
-                raise ValueError(f"denominator of {c} is not smooth over {P}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "P", P)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonicPoly is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, MonicPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_normalized(cls, s: NormalizedPoly, P) -> "MonicPoly":
-        return cls(s.monic_coeffs(), P)
-
-    def normalized(self) -> NormalizedPoly:
-        return normalize(self.coeffs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +361,6 @@ def s3_orbit(s: NormalizedPoly) -> frozenset:
     return frozenset(s3_transform(s, g) for g in S3_ELEMENTS)
 
 
-def orbit_representative(s: NormalizedPoly) -> NormalizedPoly:
-    """Canonical orbit member: lexicographically smallest coefficient vector."""
-    return min(s3_orbit(s), key=lambda p: p.coeffs)
-
-
 def mobius_on_point(mat, x):
     """Apply (a t + b)/(c t + d) to x in Q union {inf}."""
     a, b, c, d = mat
@@ -468,30 +425,6 @@ def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
 # small-degree factorization over Q
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def _factorize(n: int) -> dict:
     """Prime factorization by trial division; refuses opaque hard cofactors."""
     n = abs(n)
@@ -507,11 +440,11 @@ def _factorize(n: int) -> dict:
             n //= d
         d += 2
     if n > 1:
-        if _is_probable_prime(n):
+        if _is_prime(n):
             out[n] = out.get(n, 0) + 1
         else:
             r = isqrt(n)
-            if r * r == n and _is_probable_prime(r):
+            if r * r == n and _is_prime(r):
                 out[r] = out.get(r, 0) + 2
             else:
                 raise FactorSearchError(f"cannot factor constant {n}")
@@ -528,10 +461,11 @@ def _divisors(n: int) -> list:
 def rational_roots(coeffs) -> list:
     """All rational roots (with multiplicity, sorted) of an integer polynomial.
 
-    Candidates are the roots modulo one large prime, lifted by rational
-    reconstruction; each is confirmed and divided out by exact integer
-    division by its primitive linear factor.  Sound and complete for every
-    input, and no coefficient is ever factored.
+    Candidates are the simple roots of the square-free part modulo a small
+    prime, Hensel-lifted and turned into fractions by rational
+    reconstruction; each is confirmed and divided out of c by exact integer
+    division by its linear factor, which also yields the multiplicities.
+    Sound and complete for every input, and no coefficient is ever factored.
     """
     c = _trim(list(coeffs))
     if not c:
@@ -542,9 +476,8 @@ def rational_roots(coeffs) -> list:
         c = c[1:]
     if len(c) <= 1:
         return roots
-    g = _content(c)
-    c = [x // g for x in c]
-    for n, d in _root_candidates_modular(c):
+    c = _primitive(c)
+    for n, d in _root_candidates(c):
         while len(c) > 1:
             q = _poly_divmod_exact(c, [-n, d])
             if q is None:
@@ -555,141 +488,44 @@ def rational_roots(coeffs) -> list:
     return roots
 
 
-# --- modular rational root extraction ---------------------------------------
+# --- rational root candidates by Hensel lifting -----------------------------
 
 
-def _next_prime_above(n: int) -> int:
-    n += 1
-    if n <= 2:
-        return 2
-    if n % 2 == 0:
-        n += 1
-    while not _is_probable_prime(n):
-        n += 2
-    return n
+def _primitive(c):
+    """c divided by its content, with positive leading coefficient."""
+    g = _content(c)
+    if c[-1] < 0:
+        g = -g
+    return [x // g for x in c]
 
 
-def _polymod_mul(a, b, f, p):
-    """a*b mod (f, p) for dense coefficient lists, f monic mod p."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    d = len(f) - 1
-    for top in range(len(prod) - 1, d - 1, -1):
-        coef = prod[top]
-        if coef:
-            prod[top] = 0
-            for i in range(d):
-                prod[top - d + i] = (prod[top - d + i] - coef * f[i]) % p
-    while len(prod) > d:
-        prod.pop()
-    return prod
+def _poly_gcd(a, b):
+    """gcd of integer polynomials, primitive, by fraction-free remainders."""
+    a = _trim(list(a))
+    b = _trim(list(b))
+    while b:
+        a, b = b, _prem(a, b)
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
 
 
-def _gcd_mod(a, b, p):
-    a = [x % p for x in a]
-    b = [x % p for x in b]
-    while True:
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        inv = pow(b[-1], p - 2, p)
-        b = [x * inv % p for x in b]
-        db = len(b) - 1
-        for top in range(len(a) - 1, db - 1, -1):
-            coef = a[top]
-            a[top] = 0
-            if coef:
-                for i in range(db):
-                    a[top - db + i] = (a[top - db + i] - coef * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return a
+def _radical(c):
+    """Primitive square-free part c / gcd(c, c'): the same roots, each once."""
+    g = _poly_gcd(c, derivative_coeffs(c))
+    if len(g) > 1:
+        c = _poly_divmod_exact(c, g)
+    return _primitive(c)
 
 
-def _monicize_mod(c, p):
-    inv = pow(c[-1] % p, p - 2, p)
-    out = [x * inv % p for x in c]
-    out[-1] = 1
-    return out
+def _rational_reconstruct(a: int, m: int, bound: int):
+    """(n, d) with n/d = a mod m, |n|, d <= bound and d > 0, if it exists.
 
-
-def _powmod_poly(base, e, f, p):
-    acc = [1]
-    base = [x % p for x in base]
-    while e:
-        if e & 1:
-            acc = _polymod_mul(acc, base, f, p)
-        base = _polymod_mul(base, base, f, p)
-        e >>= 1
-    return acc
-
-
-def _roots_mod_p(c, p, rng_seed=0x5EED):
-    """Distinct roots of c modulo the (large) prime p, by equal-degree splitting."""
-    import random as _random
-
-    f = _monicize_mod(c, p)
-    d = len(f) - 1
-    if d == 1:
-        return [(-f[0]) % p]
-    # gcd(x^p - x, f) = product of the distinct linear factors of f
-    xp = _powmod_poly([0, 1], p, f, p)
-    xp = list(xp) + [0] * (d - len(xp))
-    xp[1] = (xp[1] - 1) % p
-    g = _gcd_mod(f, xp, p)
-    roots = []
-    rng = _random.Random(rng_seed)
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        deg = len(h) - 1
-        if deg <= 0:
-            continue
-        if deg == 1:
-            roots.append((-h[0]) % p)
-            continue
-        while True:
-            a = rng.randrange(p)
-            acc = _powmod_poly([a, 1], (p - 1) // 2, h, p)
-            acc = list(acc) + [0] * ((len(h) - 1) - len(acc))
-            acc[0] = (acc[0] - 1) % p
-            part = _gcd_mod(h, acc, p)
-            if 0 < len(part) - 1 < deg:
-                stack.append(part)
-                stack.append(_poly_quot_mod(h, part, p))
-                break
-    return roots
-
-
-def _poly_quot_mod(a, b, p):
-    """Quotient of a by b mod p (b divides a exactly in our use)."""
-    a = [x % p for x in a]
-    bm = _monicize_mod(b, p)
-    db = len(bm) - 1
-    q = [0] * (len(a) - db)
-    for top in range(len(a) - 1, db - 1, -1):
-        coef = a[top]
-        q[top - db] = coef
-        if coef:
-            for i in range(db):
-                a[top - db + i] = (a[top - db + i] - coef * bm[i]) % p
-        a[top] = 0
-    while len(q) > 1 and q[-1] == 0:
-        q.pop()
-    return q
-
-
-def _rational_reconstruct(a: int, p: int, bound: int):
-    """(n, d) with n/d = a mod p, |n|, d <= bound and d > 0, if it exists.
-
-    The pair is already in lowest terms: gcd(n, d) divides p and d < p.
+    Runs Euclid on (m, a) to the first remainder <= bound.  When m > 2 bound^2
+    every pair (n, d) of that size with n = a d mod m is an integer multiple
+    of the row found, so a lowest-terms pair, if one exists, is that row.
     """
-    r0, r1 = p, a % p
+    r0, r1 = m, a % m
     t0, t1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -700,36 +536,41 @@ def _rational_reconstruct(a: int, p: int, bound: int):
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-_FILTER_PRIMES = (1000003, 10000019)
-_PRIME_CACHE: dict = {}
+def _root_candidates(c):
+    """A list of (n, d) holding every rational root n/d of the primitive c.
 
-
-def _root_candidates_modular(c):
-    """A set of (n, d) holding every rational root n/d of the primitive c.
-
-    With c(0) != 0, n divides c(0) and d the leading coefficient, so both
-    are at most B = max(|c(0)|, |lead|).  Modulo a prime p > 2B^2 that does
-    not divide the lead, n/d is a root of c and the only fraction of that
-    size in its residue class.  Non-roots may slip in; the caller's exact
-    division rejects them.
+    With c(0) != 0 and r the square-free part of c, a root n/d in lowest terms
+    has n | r(0) and d | lead(r), so |n|, d <= B = max(|r(0)|, |lead r|), and
+    d is a unit modulo every prime q not dividing lead(r).  Modulo such a q
+    the root reduces to a root of r; no root mod q proves there is none.  If
+    every root mod q is simple (r' != 0 there, which fails only for the
+    finitely many q dividing disc(r), since r is square-free), each lifts by
+    Newton's iteration to a unique root modulo q^(2^i) > 2 B^2, and n/d is
+    the rational reconstruction of the lift of its own residue.  Non-roots
+    may slip in; the caller's exact division rejects them.
     """
-    # cheap necessary test: a rational root survives reduction mod any prime
-    # not dividing the leading coefficient, so "no roots mod q" is a proof
-    for q in _FILTER_PRIMES:
-        if c[-1] % q and not _roots_mod_p(c, q):
-            return set()
-    bound = max(abs(c[0]), abs(c[-1]))
-    bits = (2 * bound * bound + 1).bit_length()
-    p = _PRIME_CACHE.get(bits)
-    if p is None:
-        p = _PRIME_CACHE[bits] = _next_prime_above(1 << bits)
-    while c[-1] % p == 0:
-        p = _next_prime_above(p)
-    cand = set()
-    for r in _roots_mod_p(c, p):
-        x = _rational_reconstruct(r, p, bound)
+    r = _radical(c)
+    dr = derivative_coeffs(r)
+    bound = max(abs(r[0]), r[-1])
+    limit = 2 * bound * bound
+    q = 1
+    while True:
+        q += 1
+        if r[-1] % q == 0 or not _is_prime(q):
+            continue
+        rq = [x % q for x in r]
+        roots = [x for x in range(q) if poly_eval(rq, x) % q == 0]
+        if all(poly_eval(dr, x) % q for x in roots):
+            break
+    cand = []
+    for a in roots:
+        m = q
+        while m <= limit:
+            m *= m
+            a = (a - poly_eval(r, a) * pow(poly_eval(dr, a), -1, m)) % m
+        x = _rational_reconstruct(a, m, bound)
         if x is not None:
-            cand.add(x)
+            cand.append(x)
     return cand
 
 

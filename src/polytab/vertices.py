@@ -75,6 +75,9 @@ class VertexSet:
     P: PrimeSet
     by_degree: dict = field(default_factory=dict)   # degree -> sorted [Vertex]
     certificates: dict = field(default_factory=dict)  # degree -> status str
+    # degree-2 members with square discriminant: products of two linear
+    # members, so not vertices, but counted by the per-class tables
+    split_degree2: list = field(default_factory=list)  # sorted [NormalizedPoly]
 
     def add_degree(self, degree: int, vertices, certificate: str) -> None:
         vs = sorted(set(vertices), key=Vertex.sort_key)
@@ -331,18 +334,21 @@ class IngestReport:
     rejected: list = field(default_factory=list)   # (coeffs, reason)
 
 
-def ingest_units(candidates, P: PrimeSet):
+def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
     """Verify candidate polynomials and expand them into full vertex orbits.
 
     Every candidate is re-checked for membership and then irreducibility, so
     bad rows in a candidate file are reported and skipped, never admitted.
     Membership goes first because it is cheap, while the irreducibility scan
-    grows with the coefficients and would stall on a large non-member.
+    grows with the coefficients and would stall on a large non-member.  The
+    budget is checked once per candidate.
     Returns ({degree: [Vertex]}, IngestReport).
     """
+    budget = budget or Budget.from_env()
     report = IngestReport()
     out = {}
     for cand in candidates:
+        budget.check()
         if isinstance(cand, NormalizedPoly):
             s = cand
         else:
@@ -444,8 +450,12 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
         if 2 in P and 3 in P:
             pts, cert = get_points(VARIANT_32I)
             irr = [pt for pt in pts if reference_cubic_partition(pt.u) == (3,)]
-            classes = cubic_classes(irr)
-            vs.add_degree(3, build_degree3(P, classes),
+            verts = []
+            # one class at a time, so the budget is checked between classes
+            for rep, members in cubic_classes(irr, budget=budget).items():
+                budget.check()
+                verts += build_degree3(P, {rep: members})
+            vs.add_degree(3, verts,
                           "complete" if cert.complete else "search-bounded")
         else:
             vs.add_degree(3, [], "unsupported: needs 2 and 3 in prime set")
@@ -454,7 +464,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
             candidates = [c for d, cs in TABLE5_REPRESENTATIVES.items()
                           for c in cs if d >= 4]
         if candidates:
-            ingested, _ = ingest_units(candidates, P)
+            ingested, _ = ingest_units(candidates, P, budget=budget)
             for d, verts in ingested.items():
                 if 4 <= d <= max_degree:
                     vs.add_degree(d, verts, "conditional (ingested)")
@@ -484,6 +494,7 @@ def write_vertex_set(path, vs: VertexSet) -> None:
             }
             for d, verts in sorted(vs.by_degree.items())
         },
+        "split_degree2": [[str(c) for c in s.coeffs] for s in vs.split_degree2],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
@@ -491,19 +502,30 @@ def write_vertex_set(path, vs: VertexSet) -> None:
 
 
 def read_vertex_set(path) -> VertexSet:
+    """The vertex set of a vertex-set file; ValueError if malformed."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("schema") != VERTEX_SCHEMA:
+    if not isinstance(payload, dict) or payload.get("schema") != VERTEX_SCHEMA:
         raise ValueError(f"not a vertex-set file: {path}")
-    vs = VertexSet(PrimeSet(payload["primes"]))
-    for d_str, block in payload["degrees"].items():
-        verts = []
-        for rec in block["vertices"]:
-            poly = NormalizedPoly(tuple(int(c) for c in rec["coeffs"]))
-            datum = rec.get("class")
-            if datum is not None and datum.lstrip("-").isdigit():
-                datum = int(datum)
-            verts.append(Vertex(poly, class_datum=datum,
-                                provenance=rec.get("provenance", "built")))
-        vs.add_degree(int(d_str), verts, block.get("certificate", ""))
+    try:
+        vs = VertexSet(PrimeSet(payload["primes"]))
+        for d_str, block in payload["degrees"].items():
+            d = int(d_str)
+            if d < 1:
+                raise ValueError(f"vertex degree {d} is below 1")
+            verts = []
+            for rec in block["vertices"]:
+                poly = NormalizedPoly(tuple(int(c) for c in rec["coeffs"]))
+                if poly.degree != d:
+                    raise ValueError(f"{poly} listed under degree {d}")
+                datum = rec.get("class")
+                if datum is not None and datum.lstrip("-").isdigit():
+                    datum = int(datum)
+                verts.append(Vertex(poly, class_datum=datum,
+                                    provenance=rec.get("provenance", "built")))
+            vs.add_degree(d, verts, block.get("certificate", ""))
+        vs.split_degree2 = [NormalizedPoly(tuple(int(c) for c in coeffs))
+                            for coeffs in payload.get("split_degree2", [])]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed vertex-set file {path}: {exc!r}") from exc
     return vs

@@ -46,6 +46,7 @@ from polytab.poly import (
     is_irreducible,
     normalize,
     poly_mul,
+    rational_roots,
     resultant_coeffs,
     s3_compose,
     s3_orbit,
@@ -419,6 +420,9 @@ def test_c13_packets(graph2357):
     cliques9 = list(enumerate_cliques(g, kappa=(9,)))
     roots = [[uvals[i] for i in c] for c in cliques9]
     polys = [from_roots(rr) for rr in roots]
+    # the roots of every split nonic are known from its clique
+    assert all(rational_roots(s.coeffs) == sorted(rr)
+               for s, rr in zip(polys, roots))
     packets, mass = pgl2_packets(polys, roots=roots)
     labels = Counter(p.stabilizer_label for p in packets)
     ok = len(packets) == 13

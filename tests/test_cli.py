@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polytab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 
@@ -148,3 +149,100 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# --- malformed point and vertex-set files -----------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+
+VALID_POINTS = {
+    "schema": "polytab.points/1", "variant": "inf-inf-inf", "primes": [2],
+    "height_bound": "2", "complete": False, "citation": None,
+    "points": [{"A": "1", "B": "1", "C": "-2", "u": "1/2", "class": None}],
+}
+VALID_VERTICES = {
+    "schema": "polytab.vertices/1", "primes": [2], "max_degree": 2,
+    "degrees": {
+        "1": {"certificate": "complete",
+              "vertices": [{"coeffs": ["1", "1"], "class": None,
+                            "provenance": "built"}]},
+        "2": {"certificate": "complete",
+              "vertices": [{"coeffs": ["1", "0", "1"], "class": "-1",
+                            "provenance": "built"}]},
+    },
+    "split_degree2": [["-2", "-1", "1"]],
+}
+
+
+def _read_commands(path, out):
+    """One CLI call per reader: read_points and read_vertex_set."""
+    return (["vertices", "--primes", "2", "--max-degree", "1",
+             "--points-iii", path, "--out", out],
+            ["tabulate", "--vertices", path])
+
+
+def _run_on_payload(tmp_path_factory, payload):
+    d = tmp_path_factory.mktemp("fuzz")
+    path = d / "in.json"
+    path.write_text(json.dumps(payload))
+    return [run(argv) for argv in _read_commands(path, d / "out.json")]
+
+
+def _paths(x, prefix=()):
+    """The key path of every node of a JSON value."""
+    yield prefix
+    if isinstance(x, dict):
+        items = x.items()
+    elif isinstance(x, list):
+        items = enumerate(x)
+    else:
+        return
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+def _replaced(payload, path, value):
+    if not path:
+        return value
+    out = json.loads(json.dumps(payload))
+    node = out
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return out
+
+
+def test_valid_fuzz_bases(tmp_path_factory):
+    assert _run_on_payload(tmp_path_factory, VALID_POINTS)[0] == EXIT_OK
+    assert _run_on_payload(tmp_path_factory, VALID_VERTICES)[1] == EXIT_OK
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(payload=JSON_VALUES)
+@example(payload=[])
+@example(payload={**VALID_VERTICES, "degrees": []})
+@example(payload={**VALID_POINTS,
+                  "points": [{**VALID_POINTS["points"][0], "u": "1/0"}]})
+@example(payload={**VALID_POINTS,
+                  "points": [{**VALID_POINTS["points"][0], "u": "0/1"}]})
+def test_malformed_files_exit_2(tmp_path_factory, payload):
+    """Arbitrary JSON is never a valid point or vertex-set file."""
+    assert _run_on_payload(tmp_path_factory, payload) \
+        == [EXIT_VALIDATION, EXIT_VALIDATION]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_damaged_files_never_crash(tmp_path_factory, data):
+    """One node of a valid file replaced by arbitrary JSON: the reader
+    accepts the result or refuses it with exit 2, never a traceback."""
+    base = data.draw(st.sampled_from((VALID_POINTS, VALID_VERTICES)))
+    path = data.draw(st.sampled_from(list(_paths(base))))
+    payload = _replaced(base, path, data.draw(JSON_VALUES))
+    for code in _run_on_payload(tmp_path_factory, payload):
+        assert code in (EXIT_OK, EXIT_VALIDATION)

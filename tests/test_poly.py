@@ -12,7 +12,6 @@ from polytab.poly import (
     from_roots,
     is_irreducible,
     normalize,
-    orbit_representative,
     partition_of,
     poly_mul,
     rational_roots,
@@ -191,7 +190,6 @@ def test_s3_orbits():
     assert len(s3_orbit(NP(1, -1, 1))) == 1
     # generic cubic vertex has orbit size six
     assert len(s3_orbit(NP(2, -6, 6, 1))) == 6
-    assert orbit_representative(NP(-2, 1)).coeffs == (-2, 1)
 
 
 def test_s3_group_law():
@@ -252,6 +250,20 @@ def test_rational_roots():
     assert rational_roots((1, 0, 1)) == []
     assert rational_roots(from_roots([Fraction(1, 2), Fraction(1, 2), -3]).coeffs) \
         == [Fraction(-3), Fraction(1, 2), Fraction(1, 2)]
+    # lead 30030 = 2*3*5*7*11*13: the Hensel prime must skip all six
+    assert rational_roots(poly_mul((-1, 30030), (1, 0, 1))) == [Fraction(1, 30030)]
+    # 1, 211 and 421 agree mod 2, 3, 5 and 7, so the square-free part has a
+    # repeated root modulo each of those primes and they are skipped too
+    assert rational_roots(from_roots([1, 211, 421]).coeffs) == [1, 211, 421]
+    # multiplicity 6, beside an irreducible quadratic
+    sextic = poly_mul(from_roots([Fraction(-5, 3)] * 6).coeffs, (1, 1, 1))
+    assert rational_roots(sextic) == [Fraction(-5, 3)] * 6
+    # B about 1e200: lifted far beyond any single machine word
+    big = Fraction(10 ** 200 + 7, 10 ** 199 + 3)
+    assert rational_roots(poly_mul(from_roots([big, -1]).coeffs, (-2, 0, 1))) \
+        == [-1, big]
+    # t^2 + t + 1 has no root mod 2
+    assert rational_roots((1, 1, 1)) == []
 
 
 # irreducible over Q: negative-discriminant quadratics, Eisenstein at 2

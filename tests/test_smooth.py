@@ -31,6 +31,11 @@ def test_primeset_validation():
         PrimeSet([2, 9])
     assert PrimeSet([5, 3, 2]).primes == (2, 3, 5)
     assert PrimeSet([]).primes == ()
+    # a prime set read from a file may name a huge prime: no trial division
+    assert PrimeSet([2 ** 64 - 59]).primes == (2 ** 64 - 59,)
+    for composite in (561, 3215031751, (2 ** 31 - 1) * (2 ** 61 - 1)):
+        with pytest.raises(ValueError):
+            PrimeSet([composite])
 
 
 def test_first_good_prime():

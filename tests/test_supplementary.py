@@ -1,13 +1,11 @@
-"""Cross-cutting checks: monic variant, per-class table resolution, the
+"""Cross-cutting checks: per-class table resolution, the
 degree-3 discriminant closed form, and worker determinism of the searches."""
 
 from collections import Counter
 from fractions import Fraction
 
-import pytest
-
 from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
-from polytab.poly import INF, MonicPoly, NormalizedPoly
+from polytab.poly import INF, NormalizedPoly
 from polytab.smooth import PrimeSet, squarefree_class
 from polytab.vertices import candidate_grid
 from polytab.cli import main as cli_main
@@ -15,17 +13,6 @@ from polytab.cli import main as cli_main
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
 P235 = PrimeSet([2, 3, 5])
-
-
-def test_monic_poly():
-    s = NormalizedPoly((-2187, -810, 3125))
-    m = MonicPoly.from_normalized(s, P235)
-    assert m.coeffs[-1] == 1
-    assert m.normalized() == s
-    with pytest.raises(ValueError):
-        MonicPoly((Fraction(1, 7), 1), P235)
-    with pytest.raises(ValueError):
-        MonicPoly((Fraction(1, 2), 2), P235)
 
 
 def test_delta_class_sizes_235(search_i2i_235):

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from polytab.abc_search import search_abc, VARIANT_I2I, VARIANT_III
+from polytab.abc_search import search_abc, VARIANT_32I, VARIANT_I2I, VARIANT_III
+from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import (
     NormalizedPoly,
     check_membership,
@@ -207,6 +208,27 @@ def test_vertex_set_roundtrip(tmp_path, vs2):
     for d in back.by_degree:
         assert [v.poly.coeffs for v in back.degree_slice(d)] == \
             [v.poly.coeffs for v in vs2.value.degree_slice(d)]
+
+
+def test_vertex_set_roundtrip_split_degree2(tmp_path, vs235):
+    assert len(vs235.value.split_degree2) == 1020
+    path = tmp_path / "v235.json"
+    write_vertex_set(path, vs235.value)
+    assert read_vertex_set(path).split_degree2 == vs235.value.split_degree2
+    assert VertexSet(P2).split_degree2 == []
+
+
+def test_vertex_build_polls_budget_after_searches(search_32i_23):
+    """With every point set given, no search polls the budget; the cubic
+    classes and the per-class degree-3 builds must."""
+    points = {VARIANT_III: search_abc(P23, VARIANT_III, 10 ** 3),
+              VARIANT_I2I: search_abc(P23, VARIANT_I2I, 10 ** 3),
+              VARIANT_32I: search_32i_23.value}
+    with pytest.raises(BudgetExceededError):
+        build_vertex_set(P23, 3, points_by_variant=points,
+                         budget=Budget(seconds=1e-9))
+    with pytest.raises(BudgetExceededError):
+        ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
 
 
 def test_parse_candidate_file(tmp_path):
