@@ -412,6 +412,23 @@ def write_points(path, points, cert: SearchCertificate) -> None:
         fh.write("\n")
 
 
+def _json_int(x) -> int:
+    """An integer field of a JSON file: a JSON integer or a decimal string.
+
+    Floats and booleans are refused, where int() would truncate them.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"not an integer: {x!r}")
+    return int(x)
+
+
+def _json_ints(xs) -> tuple:
+    """A JSON list of integer fields, as a tuple of ints."""
+    if not isinstance(xs, list):
+        raise ValueError(f"not a list of integers: {xs!r}")
+    return tuple(_json_int(x) for x in xs)
+
+
 def read_points(path):
     """Points and certificate of a point-set file; ValueError if malformed."""
     with open(path, encoding="utf-8") as fh:
@@ -422,22 +439,26 @@ def read_points(path):
         variant = payload["variant"]
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        complete = payload["complete"]
+        if not isinstance(complete, bool):
+            raise ValueError(f"'complete' is not a boolean: {complete!r}")
         points = []
         for rec in payload["points"]:
             num, den = rec["u"].split("/")
             u = Fraction(int(num), int(den))
             datum = rec.get("class")
             if variant == VARIANT_I2I and datum is not None:
-                datum = int(datum)
-            pt = AbcPoint(variant, int(rec["A"]), int(rec["B"]),
-                          int(rec["C"]), u, datum)
+                datum = _json_int(datum)
+            pt = AbcPoint(variant, _json_int(rec["A"]), _json_int(rec["B"]),
+                          _json_int(rec["C"]), u, datum)
             if (pt.A, pt.B, pt.C) != canonical_triple(u):
                 raise ValueError(f"triple ({pt.A}, {pt.B}, {pt.C}) is not "
                                  f"the triple of u = {u}")
             points.append(pt)
         cert = SearchCertificate(
-            tuple(payload["primes"]), variant, int(payload["height_bound"]),
-            payload["complete"], payload.get("citation"))
+            _json_ints(payload["primes"]), variant,
+            _json_int(payload["height_bound"]), complete,
+            payload.get("citation"))
     except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed point-set file {path}: {exc!r}") from exc
     return points, cert

@@ -254,16 +254,6 @@ def builtin_covers() -> dict:
     return covers
 
 
-BAD_REDUCTION = {
-    "identity": (), "s3:(01)": (), "s3:(0inf)": (),
-    "s3:(1inf)": (), "s3:(01inf)": (), "s3:(0inf1)": (),
-    "power:2": (2,), "power:3": (3,), "power:5": (5,), "power:7": (7,),
-    "trinomial:2": (2,), "trinomial:3": (2, 3), "trinomial:4": (2, 3),
-    "trinomial:5": (2, 5),
-    "quartic-fractal": (2,),
-}
-
-
 # ---------------------------------------------------------------------------
 # the fractal family over {2}
 

@@ -2,9 +2,10 @@
 
 Coefficient lists are always constant-term first.  The central class is
 NormalizedPoly: a primitive integer polynomial with positive leading
-coefficient.  Resultants use the subresultant pseudo-remainder sequence
-(exact, no modular arithmetic) with the sign fixed to the Sylvester
-determinant convention, so that e.g. disc(t^2 - 2) = 8.
+coefficient.  Resultants use closed forms up to degree 3 x 3 and the
+subresultant pseudo-remainder sequence above that (exact, no modular
+arithmetic), with the sign fixed to the Sylvester determinant convention,
+so that e.g. disc(t^2 - 2) = 8.
 """
 
 from __future__ import annotations
@@ -140,8 +141,47 @@ def _res_1k(f, g):
     return acc
 
 
+def _res_33(f, g):
+    # det of the Bezout matrix of two length-4 coefficient lists, built from
+    # the Pluecker minors m_ij = a_i b_j - a_j b_i (see resultant_fast)
+    a0, a1, a2, a3 = f
+    b0, b1, b2, b3 = g
+    m01 = a0 * b1 - a1 * b0
+    m02 = a0 * b2 - a2 * b0
+    m03 = a0 * b3 - a3 * b0
+    m12 = a1 * b2 - a2 * b1
+    m13 = a1 * b3 - a3 * b1
+    m23 = a2 * b3 - a3 * b2
+    mid = m03 + m12
+    return (m01 * (mid * m23 - m13 * m13) - m02 * (m02 * m23 - m13 * m03)
+            + m03 * (m02 * m13 - mid * m03))
+
+
 def resultant_fast(f, g) -> int:
-    """resultant_coeffs with closed forms for the tiny degrees hit in bulk."""
+    """resultant_coeffs with closed forms for the tiny degrees hit in bulk.
+
+    f and g are trimmed integer coefficient lists (nonzero leading
+    coefficient), constant term first; the result has the Sylvester sign.
+
+    - deg f = 1: Res(f1 t + f0, g) = sum_i g_i (-f0)^i f1^(deg g - i).
+    - 2 x 2: (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1).
+    - 3 x 3, 3 x 2, 2 x 3: pad both to four coefficients a_i, b_i and take
+      the Bezout matrix of the minors m_ij = a_i b_j - a_j b_i,
+          B = [[m01, m02,       m03],
+               [m02, m03 + m12, m13],
+               [m03, m13,       m23]].
+      For two cubics det B = Res(f, g) with the Sylvester sign, and for a
+      quadratic f (a3 = 0) and a cubic g, det B = -b3 Res(f, g); both are
+      polynomial identities in the a_i, b_i (checked symbolically).  The
+      cubic-quadratic case follows: swapping f and g negates every m_ij
+      and hence det B, while Res(g, f) = (-1)^(deg f deg g) Res(f, g)
+      = Res(f, g) for degrees 3 and 2, so with b3 = 0, det B = a3 Res(f, g).
+      The mixed pairs therefore divide det B exactly by the cubic's
+      leading coefficient.
+
+    Degree 1 in g is served by the first case and that same sign rule; every
+    other pair goes to resultant_coeffs.
+    """
     df, dg = len(f) - 1, len(g) - 1
     if df == 1:
         return _res_1k(f, g)
@@ -150,6 +190,13 @@ def resultant_fast(f, g) -> int:
         return s * _res_1k(g, f)
     if df == 2 and dg == 2:
         return _res_22(f, g)
+    if df == 3:
+        if dg == 3:
+            return _res_33(f, g)
+        if dg == 2:
+            return _res_33(f, (*g, 0)) // f[3]
+    elif df == 2 and dg == 3:
+        return -_res_33((*f, 0), g) // g[3]
     return resultant_coeffs(f, g)
 
 

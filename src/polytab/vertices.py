@@ -27,6 +27,7 @@ from .abc_search import (
     VARIANT_32I,
     VARIANT_I2I,
     VARIANT_III,
+    _json_ints,
     cubic_classes,
     delta_classes,
     reference_cubic_partition,
@@ -121,7 +122,7 @@ def build_degree1(points, P: PrimeSet):
         s = NormalizedPoly((-u.numerator, u.denominator))
         rep = check_membership(s, P)
         if not rep.ok:
-            raise AssertionError(f"search produced a non-member point {u}")
+            raise ValueError(f"non-member point u = {u} over {P}")
         vertices.append(Vertex(s))
     return sorted(set(vertices), key=Vertex.sort_key)
 
@@ -159,8 +160,9 @@ def build_degree2(P: PrimeSet, points):
             for w1 in ws:
                 root = _sqrt_exact(w0 * w1 * (1 - w0) * (1 - w1))
                 if root is None:
-                    raise AssertionError(
-                        f"class {delta} is not closed under the triple relation")
+                    raise ValueError(
+                        f"class {delta} is not closed under the triple "
+                        f"relation over {P}: a point is not a member")
                 base = w0 + w1 - 2 * w0 * w1
                 for winf in {base + 2 * root, base - 2 * root}:
                     if winf == 0 or winf not in wset:
@@ -172,8 +174,9 @@ def build_degree2(P: PrimeSet, points):
                         continue
                     rep = check_membership(s, P)
                     if not rep.ok:
-                        raise AssertionError(
-                            f"triple ({w0},{w1},{winf}) produced non-member {s}")
+                        raise ValueError(
+                            f"triple ({w0},{w1},{winf}) produced non-member "
+                            f"{s} over {P}")
                     d = s.discriminant()
                     r = isqrt(abs(d))
                     if d > 0 and r * r == d:
@@ -183,14 +186,6 @@ def build_degree2(P: PrimeSet, points):
     vertices = sorted(irreducible.values(), key=Vertex.sort_key)
     split_polys = sorted(split.values(), key=NormalizedPoly.sort_key)
     return vertices, split_polys, stats
-
-
-def recovered_w_triple(s: NormalizedPoly):
-    """(w0, w1, winf) = -disc/(4 u0 u1 uinf) * (u0, u1, uinf) for degree 2."""
-    u0, u1, uinf = (Fraction(v) for v in special_values(s))
-    disc = Fraction(s.discriminant())
-    scale = -disc / (4 * u0 * u1 * uinf)
-    return (scale * u0, scale * u1, scale * uinf)
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +220,6 @@ def _smn_coeffs(j: Fraction, m, n):
     out[0] += (j - 1) * j * m ** 3 * n ** 3
     den = (m - n) ** 3
     return [x / den for x in out]
-
-
-def candidate_grid(j: Fraction, j0: Fraction, j1: Fraction):
-    """The (m, n) candidate polynomials for one invariant triple (j0, j1, j).
-
-    Yields (m, n, candidate) with m != n, candidates normalized; inseparable
-    or degree-degenerate entries come through so callers can report them.
-    """
-    ms = sorted(set(roots_of_F(j, j0)), key=lambda r: (r == INF, r))
-    ns = sorted(set(roots_of_F(j, j1)), key=lambda r: (r == INF, r))
-    for m in ms:
-        for n in ns:
-            if m == n:
-                continue
-            coeffs = _smn_coeffs(j, m, n)
-            yield m, n, normalize(coeffs)[0]
 
 
 def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
@@ -508,14 +487,14 @@ def read_vertex_set(path) -> VertexSet:
     if not isinstance(payload, dict) or payload.get("schema") != VERTEX_SCHEMA:
         raise ValueError(f"not a vertex-set file: {path}")
     try:
-        vs = VertexSet(PrimeSet(payload["primes"]))
+        vs = VertexSet(PrimeSet(_json_ints(payload["primes"])))
         for d_str, block in payload["degrees"].items():
             d = int(d_str)
             if d < 1:
                 raise ValueError(f"vertex degree {d} is below 1")
             verts = []
             for rec in block["vertices"]:
-                poly = NormalizedPoly(tuple(int(c) for c in rec["coeffs"]))
+                poly = NormalizedPoly(_json_ints(rec["coeffs"]))
                 if poly.degree != d:
                     raise ValueError(f"{poly} listed under degree {d}")
                 datum = rec.get("class")
@@ -524,7 +503,7 @@ def read_vertex_set(path) -> VertexSet:
                 verts.append(Vertex(poly, class_datum=datum,
                                     provenance=rec.get("provenance", "built")))
             vs.add_degree(d, verts, block.get("certificate", ""))
-        vs.split_degree2 = [NormalizedPoly(tuple(int(c) for c in coeffs))
+        vs.split_degree2 = [NormalizedPoly(_json_ints(coeffs))
                             for coeffs in payload.get("split_degree2", [])]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed vertex-set file {path}: {exc!r}") from exc

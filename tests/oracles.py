@@ -8,6 +8,9 @@ via naive trial-division filters, searches via brute-force double loops.
 from fractions import Fraction
 from math import gcd
 
+from polytab.poly import INF, normalize, special_values
+from polytab.vertices import _smn_coeffs, roots_of_F
+
 
 def sylvester_matrix(f, g):
     """Sylvester matrix of two integer polynomials (constant-first lists)."""
@@ -194,3 +197,44 @@ def rational_roots_naive(coeffs):
             roots.append(x)
             c = deflate(c, x)
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers.  Unlike the oracles above they are built on package
+# internals; they live here because only the tests call them.
+
+
+# Primes of bad reduction of each built-in cover: validate_cover needs them
+# in the prime set to accept the cover.
+BAD_REDUCTION = {
+    "identity": (), "s3:(01)": (), "s3:(0inf)": (),
+    "s3:(1inf)": (), "s3:(01inf)": (), "s3:(0inf1)": (),
+    "power:2": (2,), "power:3": (3,), "power:5": (5,), "power:7": (7,),
+    "trinomial:2": (2,), "trinomial:3": (2, 3), "trinomial:4": (2, 3),
+    "trinomial:5": (2, 5),
+    "quartic-fractal": (2,),
+}
+
+
+def recovered_w_triple(s):
+    """(w0, w1, winf) = -disc/(4 u0 u1 uinf) * (u0, u1, uinf) for degree 2."""
+    u0, u1, uinf = (Fraction(v) for v in special_values(s))
+    disc = Fraction(s.discriminant())
+    scale = -disc / (4 * u0 * u1 * uinf)
+    return (scale * u0, scale * u1, scale * uinf)
+
+
+def candidate_grid(j, j0, j1):
+    """The (m, n) candidate polynomials for one invariant triple (j0, j1, j).
+
+    Yields (m, n, candidate) with m != n, candidates normalized; inseparable
+    or degree-degenerate entries come through so callers can report them.
+    """
+    ms = sorted(set(roots_of_F(j, j0)), key=lambda r: (r == INF, r))
+    ns = sorted(set(roots_of_F(j, j1)), key=lambda r: (r == INF, r))
+    for m in ms:
+        for n in ns:
+            if m == n:
+                continue
+            coeffs = _smn_coeffs(j, m, n)
+            yield m, n, normalize(coeffs)[0]

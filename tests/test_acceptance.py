@@ -53,7 +53,9 @@ from polytab.poly import (
     s3_transform,
 )
 from polytab.smooth import PrimeSet, is_smooth
-from polytab.vertices import candidate_grid, poly_height
+from polytab.vertices import poly_height
+
+from oracles import candidate_grid
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])

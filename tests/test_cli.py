@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polytab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from polytab.vertices import TABLE5_REPRESENTATIVES
 
 
 def run(argv):
@@ -230,6 +231,13 @@ def test_valid_fuzz_bases(tmp_path_factory):
                   "points": [{**VALID_POINTS["points"][0], "u": "1/0"}]})
 @example(payload={**VALID_POINTS,
                   "points": [{**VALID_POINTS["points"][0], "u": "0/1"}]})
+@example(payload=_replaced(VALID_VERTICES,
+                           ("degrees", "1", "vertices", 0, "coeffs"), [1.9, 1]))
+@example(payload={**VALID_VERTICES, "primes": [2.5]})
+@example(payload={**VALID_POINTS, "complete": "false"})
+@example(payload={**VALID_POINTS, "height_bound": 2.0})
+@example(payload={**VALID_POINTS,
+                  "points": [{**VALID_POINTS["points"][0], "A": True}]})
 def test_malformed_files_exit_2(tmp_path_factory, payload):
     """Arbitrary JSON is never a valid point or vertex-set file."""
     assert _run_on_payload(tmp_path_factory, payload) \
@@ -246,3 +254,48 @@ def test_damaged_files_never_crash(tmp_path_factory, data):
     payload = _replaced(base, path, data.draw(JSON_VALUES))
     for code in _run_on_payload(tmp_path_factory, payload):
         assert code in (EXIT_OK, EXIT_VALIDATION)
+
+
+def test_non_member_points_exit_2(tmp_path):
+    """A well-shaped point file whose point is not a member over the primes
+    (u = 1/3 over {2}) is refused, not taken for an internal error."""
+    path = tmp_path / "iii.json"
+    path.write_text(json.dumps({
+        **VALID_POINTS,
+        "points": [{"A": "1", "B": "2", "C": "-3", "u": "1/3", "class": None}],
+    }))
+    assert run(["vertices", "--primes", "2", "--max-degree", "1",
+                "--points-iii", path, "--out", tmp_path / "v.json"]) \
+        == EXIT_VALIDATION
+
+
+# --- candidate files ---------------------------------------------------------
+
+# every line holds at most 7 tokens, so a candidate has degree at most 6
+INT_TOKENS = st.integers(-3, 3) | st.integers(-10 ** 6, 10 ** 6)
+JUNK_TOKENS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"),
+                  blacklist_characters=","), max_size=4)
+CANDIDATE_LINES = st.one_of(
+    st.lists(INT_TOKENS, max_size=7).map(lambda cs: " ".join(map(str, cs))),
+    st.lists(INT_TOKENS, max_size=7).map(lambda cs: ", ".join(map(str, cs))),
+    st.sampled_from([" ".join(map(str, c)) for c in TABLE5_REPRESENTATIVES[4]]),
+    st.sampled_from(["", "# comment", "1 1  # t + 1", "+1 -0 1", "1.5 1",
+                     "1e3 1", "0x1f 1", "1_0 1", "x"]),
+    st.lists(JUNK_TOKENS, max_size=3).map(" ".join),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(lines=st.lists(CANDIDATE_LINES, max_size=6))
+@example(lines=["1 0 0 0 1", "# a comment", "1, 4, -26, 4, 1", "", "5"])
+@example(lines=["0"])
+def test_candidate_files_never_crash(tmp_path_factory, lines):
+    """Arbitrary candidate files are ingested or refused (exit 0, 2 or 3),
+    never with a traceback."""
+    d = tmp_path_factory.mktemp("cands")
+    path = d / "cands.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert run(["vertices", "--primes", "2", "--max-degree", "4",
+                "--candidates", path, "--out", d / "v.json"]) \
+        in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET)

@@ -4,7 +4,6 @@ import pytest
 
 from polytab.budget import Budget, BudgetExceededError
 from polytab.generators import (
-    BAD_REDUCTION,
     CoverValidationError,
     FRACTAL_SEEDS,
     NAMED_REGISTRY,
@@ -18,6 +17,8 @@ from polytab.generators import (
 )
 from polytab.poly import NormalizedPoly, check_membership, poly_mul, s3_orbit
 from polytab.smooth import PrimeSet
+
+from oracles import BAD_REDUCTION
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])

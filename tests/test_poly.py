@@ -112,6 +112,49 @@ def test_resultant_matches_sylvester_oracle():
         assert resultant_fast(f, g) == resultant_sylvester(f, g)
 
 
+def test_resultant_closed_forms():
+    """The 3x3, 3x2 and 2x3 closed forms against the Sylvester determinant."""
+    rng = random.Random(13)
+
+    def coeff(big):
+        if big:
+            return rng.randint(-10 ** 20, 10 ** 20)
+        return rng.randint(-9, 9)
+
+    def rand_poly(d, big):
+        lead = 0
+        while lead == 0:
+            lead = coeff(big)
+        c = [coeff(big) for _ in range(d)] + [lead]
+        if rng.random() < 0.2:
+            c[0] = 0
+        return c
+
+    seen = {"zero_const": 0, "neg_lead": 0, "nonunit_lead": 0, "shared": 0,
+            "big": 0}
+    for df, dg in ((3, 3), (3, 2), (2, 3)):
+        for k in range(600):
+            big = k % 4 == 0
+            f, g = rand_poly(df, big), rand_poly(dg, big)
+            if k % 5 == 1:
+                # a shared factor: both are products with one common linear
+                # or quadratic polynomial
+                h = rand_poly(rng.randint(1, 2), big)
+                f = poly_mul(h, rand_poly(df - len(h) + 1, big))
+                g = poly_mul(h, rand_poly(dg - len(h) + 1, big))
+                seen["shared"] += 1
+            r = resultant_fast(f, g)
+            assert r == resultant_sylvester(f, g), (f, g)
+            assert r == (-1) ** (df * dg) * resultant_fast(g, f), (f, g)
+            if k % 5 == 1:
+                assert r == 0
+            seen["zero_const"] += f[0] == 0 or g[0] == 0
+            seen["neg_lead"] += f[-1] < 0 or g[-1] < 0
+            seen["nonunit_lead"] += abs(f[-1]) > 1 and abs(g[-1]) > 1
+            seen["big"] += max(map(abs, f + g)) > 10 ** 19
+    assert min(seen.values()) >= 50, seen
+
+
 def test_resultant_antisymmetry_and_multiplicativity():
     rng = random.Random(12)
     for _ in range(120):

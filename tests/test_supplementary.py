@@ -7,8 +7,9 @@ from fractions import Fraction
 from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
 from polytab.poly import INF, NormalizedPoly
 from polytab.smooth import PrimeSet, squarefree_class
-from polytab.vertices import candidate_grid
 from polytab.cli import main as cli_main
+
+from oracles import candidate_grid
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])

@@ -25,9 +25,10 @@ from polytab.vertices import (
     parse_candidate_file,
     poly_height,
     read_vertex_set,
-    recovered_w_triple,
     write_vertex_set,
 )
+
+from oracles import recovered_w_triple
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
