@@ -127,8 +127,7 @@ def cmd_tabulate(args) -> int:
                 stream.close()
         print(f"{count} cliques enumerated", file=sys.stderr)
         return EXIT_OK
-    table = tabulate(g, max_size=args.max_size, kappa=kappa,
-                     workers=args.threads)
+    table = tabulate(g, max_size=args.max_size, kappa=kappa)
     if args.format == "json":
         payload = table.to_json_payload(g.P)
         text = json.dumps(payload, indent=1) + "\n"
@@ -145,7 +144,7 @@ def cmd_tabulate(args) -> int:
 def cmd_unu(args) -> int:
     g = _graph_from_file(args.vertices)
     nu = tuple(int(x) for x in args.nu.replace(",", " ").split())
-    print(count_u_nu(g, nu, workers=args.threads))
+    print(count_u_nu(g, nu))
     return EXIT_OK
 
 
@@ -253,13 +252,13 @@ def cmd_seed_tables(args) -> int:
 
     if "v235" in wanted:
         vs235 = build_vertex_set(PrimeSet([2, 3, 5]), 2, budget=budget)
-        t235 = tabulate(build_graph(vs235), workers=args.threads)
+        t235 = tabulate(build_graph(vs235))
         emit("polys-2b1a-over-235.csv",
              _grid_csv_rows_b_cols_a(t235, bmax=15, amax=5))
 
     if "v23" in wanted:
         vs23 = build_vertex_set(PrimeSet([2, 3]), 3, budget=budget)
-        t23 = tabulate(build_graph(vs23), workers=args.threads)
+        t23 = tabulate(build_graph(vs23))
         emit("polys-3c2b1a-over-23.csv", _grid_csv_v23(t23))
 
     if "v2" in wanted:
@@ -339,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=10 ** 6,
                    help="refusal bound for enumeration streams")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_tabulate)
 
     p = sub.add_parser("unu", help="count specialization tuples for a composition")
     p.add_argument("--vertices", required=True)
     p.add_argument("--nu", required=True, help="e.g. 2,1,1,1")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_unu)
 
     p = sub.add_parser("series", help="cyclotomic-product generating function")
@@ -376,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seed-tables", help="regenerate every reference table")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--only", help="comma-separated subset of "
                                   + ",".join(SEED_TABLE_NAMES))
     p.set_defaults(func=cmd_seed_tables)

@@ -1,11 +1,16 @@
 """Compatibility graph, clique tabulation, specialization counts, packets.
 
-Two vertices are adjacent when their resultant is smooth.  Cliques are
-enumerated by the lesser-neighbor recursion: every clique has a unique
-maximal vertex in the fixed total order, so walking candidate sets
-restricted to lesser-neighbor masks counts each clique exactly once.
-Neighbor sets are bitmasks (Python ints), which makes the intersection in
-the inner loop a single AND even for a few thousand vertices.
+Two vertices are adjacent when their resultant is smooth.  Every clique has
+a unique largest vertex in the fixed total order, so with lesser-neighbor
+bitmasks (Python ints) each clique is reached once: `enumerate_cliques`
+yields them one by one, and `tabulate` counts them by partition as one
+polynomial.  A clique with e_d members of degree d is the monomial
+prod x_d^e_d, and cnt(S) = 1 + sum over i in S of x_deg(i) cnt(S & lesser[i])
+costs one shift-and-add per member of each distinct candidate set S, not
+one update per clique.  The memo on S is scoped to one top vertex and its
+renumbered neighborhood.  The polynomial is one int (Kronecker packing):
+x^e sits in the cell at sum e_d stride_d of a mixed radix, with radix and
+cell width proved from the graph (see `tabulate`).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, gcd
 
 from .budget import Budget, BudgetExceededError
@@ -40,18 +46,6 @@ class CompatGraph:
     degrees: list             # per-vertex degree
     lesser: list              # per-vertex bitmask of neighbors with lower index
     P: PrimeSet
-
-    def neighbor_counts(self, idx: int) -> dict:
-        """Full-neighborhood degree profile of one vertex."""
-        out = {}
-        for jdx in range(len(self.vertices)):
-            if jdx == idx:
-                continue
-            lo, hi = min(idx, jdx), max(idx, jdx)
-            if (self.lesser[hi] >> lo) & 1:
-                d = self.degrees[jdx]
-                out[d] = out.get(d, 0) + 1
-        return out
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.lesser)
@@ -154,50 +148,61 @@ class PartitionTable:
         }
 
 
-_FIELD_BITS = 24  # per-degree exponent field inside the packed key
+def _clique_poly(lesser, S, shift, r):
+    """Packed counts of the cliques of at most r members inside S.
 
-
-def _count_cliques_from(start_indices, lesser, degunit, budget,
-                        max_size=None):
-    """Clique counts keyed by packed degree-exponent vectors.
-
-    start_indices chunks the work by the clique's maximal vertex, which is
-    what makes worker partitions merge deterministically by plain addition.
+    S is renumbered into local bits 0..k-1, by shift and then by most lesser
+    neighbors in S; the memo lives for this call only.  A cap r >= k is no
+    cap: it becomes 2k, stays >= k all the way down, and the memo keys on
+    the subset alone.
     """
-    table = {}
-    check = budget.check
-
-    def rec(P, key, depth):
-        Q = P
+    members = []
+    Q = S
+    while Q:
+        b = Q & -Q
+        Q ^= b
+        members.append(b.bit_length() - 1)
+    if r <= 1:                # r = 0: the empty clique only; r = 1: no pairs
+        return 1 + sum(1 << shift[x] for x in members if r)
+    members.sort(key=lambda x: (shift[x], -(lesser[x] & S).bit_count(), x))
+    k = len(members)
+    pos = {x: a for a, x in enumerate(members)}
+    loc = [0] * k             # local lesser-neighbor masks
+    for a, x in enumerate(members):
+        Q = lesser[x] & S
         while Q:
             b = Q & -Q
             Q ^= b
-            v = b.bit_length() - 1
-            k2 = key + degunit[v]
-            if k2 in table:
-                table[k2] += 1
+            c = pos[b.bit_length() - 1]
+            if c < a:
+                loc[a] |= 1 << c
             else:
-                table[k2] = 1
-            if depth + 1 != max_size:
-                S = P & lesser[v]
-                if S:
-                    rec(S, k2, depth + 1)
+                loc[c] |= 1 << a
+    sh = [shift[x] for x in members]
+    memo = {}
 
-    for i in start_indices:
-        check()
-        k = degunit[i]
-        if k in table:
-            table[k] += 1
-        else:
-            table[k] = 1
-        if max_size != 1 and lesser[i]:
-            rec(lesser[i], k, 1)
-    return table
+    def cnt(T, r):
+        total = 1
+        r -= 1                # size left below the member chosen next
+        Q = T
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            i = b.bit_length() - 1
+            U = T & loc[i]
+            if U and r:
+                key = U if r >= k else U | min(r, U.bit_count()) << k
+                c = memo.get(key)
+                if c is None:
+                    c = memo[key] = cnt(U, r)
+                total += c << sh[i]
+            else:
+                total += 1 << sh[i]
+        return total
 
-
-def _decode_key(key: int, f: int) -> tuple:
-    return tuple((key >> (_FIELD_BITS * d)) & ((1 << _FIELD_BITS) - 1)
-                 for d in range(f))
+    out = cnt((1 << k) - 1, 2 * k if r >= k else r)
+    memo.clear()              # cnt refers to itself: free it before the GC would
+    return out
 
 
 def tabulate(g: CompatGraph, max_size: int | None = None,
@@ -205,49 +210,59 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
              budget: Budget | None = None) -> PartitionTable:
     """Count cliques of the graph grouped by factorization partition.
 
-    kappa restricts the output to one partition (with degree-aware pruning);
-    max_size caps the number of irreducible factors.  Counting never
-    materializes cliques.  The empty product contributes the '1' cell.
+    The table is 1 + sum over v of x_deg(v) cnt(lesser[v]), packed into one
+    int.  Radix: if w is the largest degree-d member of a clique, the other
+    degree-d members lie in lesser[w], so e_d <= 1 + |lesser[w] of degree d|
+    (and e_d <= max_size); the most populous degree gets stride 1.  Width:
+    the subtree of v holds at most 2^|lesser[v]| cliques, so no cell reaches
+    1 + sum_v 2^|lesser[v]|, and as every term is nonnegative no carry ever
+    crosses into the next cell.  The '1' cell is the empty product.
+
+    max_size caps the number of irreducible factors.  kappa returns the one
+    cell of that partition (present even when 0), counted on the degrees it
+    uses with the size capped at |kappa|.  The budget is checked once per top
+    vertex.  workers is accepted and ignored: the serial memo beats a pool.
     """
     budget = budget or Budget.from_env()
-    f = max(g.degrees, default=1)
-    degunit = [1 << (_FIELD_BITS * (d - 1)) for d in g.degrees]
-    n = len(g.vertices)
-    if kappa is not None:
-        return _tabulate_filtered(g, kappa, budget)
-
-    if workers <= 1 or n < 64:
-        raw = _count_cliques_from(range(n), g.lesser, degunit, budget, max_size)
-    else:
-        chunks = [list(range(i, n, workers)) for i in range(workers)]
-        raw = {}
-        for part in _map_workers(chunks, g.lesser, degunit, max_size, workers,
-                                 budget):
-            for k, v in part.items():
-                raw[k] = raw.get(k, 0) + v
+    degrees, lesser = g.degrees, g.lesser
+    f = max(degrees, default=1)
+    cap = len(degrees) if max_size is None else max_size
+    target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
+    if target is not None:
+        cap = min(cap, sum(target))
+    tops = [v for v, d in enumerate(degrees)
+            if cap > 0 and (target is None or target[d - 1])]
+    degmask = [0] * f
+    for v in tops:
+        degmask[degrees[v] - 1] |= 1 << v
+    allowed = sum(degmask)
+    radix = [1] * f
+    for v in tops:
+        d = degrees[v] - 1
+        radix[d] = max(radix[d],
+                       min(cap + 1, 2 + (lesser[v] & degmask[d]).bit_count()))
+    stride = [0] * f
+    step = 1
+    for d in sorted(range(f), key=lambda d: -degmask[d].bit_count()):
+        stride[d] = step
+        step *= radix[d]
+    nbytes = ((1 + sum(1 << (lesser[v] & allowed).bit_count() for v in tops)
+               ).bit_length() + 7) // 8
+    shift = [8 * nbytes * stride[d - 1] for d in degrees]
+    root = 1
+    for v in tops:
+        budget.check()
+        root += _clique_poly(lesser, lesser[v] & allowed, shift,
+                             cap - 1) << shift[v]
+    raw = root.to_bytes(nbytes * step, "little")
     table = PartitionTable(f)
-    table.counts[(0,) * f] = 1
-    for key, cnt in raw.items():
-        table.counts[_decode_key(key, f)] = cnt
-    return table
-
-
-def _map_workers(chunks, lesser, degunit, max_size, workers, budget):
-    import multiprocessing as mp
-
-    args = [(chunk, lesser, degunit, budget, max_size) for chunk in chunks]
-    with mp.get_context("fork").Pool(workers) as pool:
-        return pool.starmap(_count_cliques_from, args)
-
-
-def _tabulate_filtered(g: CompatGraph, kappa: tuple, budget: Budget):
-    f = max(g.degrees, default=1)
-    target = tuple(kappa) + (0,) * (f - len(kappa))
-    count = 0
-    for _ in enumerate_cliques(g, kappa=target, budget=budget):
-        count += 1
-    table = PartitionTable(f)
-    table.counts[target] = count
+    for e in product(*map(range, radix)):
+        at = nbytes * sum(x * s for x, s in zip(e, stride))
+        cell = int.from_bytes(raw[at:at + nbytes], "little")
+        if cell:
+            table.counts[e] = cell
+    if target is not None:
+        table.counts = {target: table.counts.get(target, 0)}
     return table
 
 
@@ -261,54 +276,39 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     exhausted degree classes prune the walk early.
     """
     budget = budget or Budget.from_env()
-    n = len(g.vertices)
-    degrees = g.degrees
-    lesser = g.lesser
-    f = max(degrees, default=1)
+    degrees, lesser = g.degrees, g.lesser
     remaining = None
     if kappa is not None:
-        remaining = list(kappa) + [0] * (f - len(kappa))
-        if all(e == 0 for e in remaining):
-            yield ()
+        remaining = list(kappa) + [0] * (max(degrees, default=1) - len(kappa))
+    if remaining is None or not any(remaining):
+        yield ()
+        if remaining is not None:
             return
-    produced = 0
-
-    def allowed(v):
-        return remaining is None or remaining[degrees[v] - 1] > 0
-
-    stack = []
 
     def rec(P, chosen):
-        nonlocal produced
         budget.check()
         Q = P
         while Q:
             b = Q & -Q
             Q ^= b
             v = b.bit_length() - 1
-            if not allowed(v):
+            d = degrees[v] - 1
+            if remaining is not None and remaining[d] <= 0:
                 continue
             chosen.append(v)
             if remaining is not None:
-                remaining[degrees[v] - 1] -= 1
-                if not any(remaining):
-                    yield tuple(sorted(chosen))
-                elif max_size is None or len(chosen) < max_size:
-                    yield from rec(P & lesser[v], chosen)
-            else:
+                remaining[d] -= 1
+            done = remaining is not None and not any(remaining)
+            if remaining is None or done:
                 yield tuple(sorted(chosen))
-                if max_size is None or len(chosen) < max_size:
-                    yield from rec(P & lesser[v], chosen)
+            if not done and (max_size is None or len(chosen) < max_size):
+                yield from rec(P & lesser[v], chosen)
             if remaining is not None:
-                remaining[degrees[v] - 1] += 1
+                remaining[d] += 1
             chosen.pop()
 
-    if kappa is None:
-        yield ()
-    full = (1 << n) - 1
-    for clique in rec(full, stack):
+    for produced, clique in enumerate(rec((1 << len(degrees)) - 1, []), 1):
         yield clique
-        produced += 1
         if limit is not None and produced >= limit:
             raise BudgetExceededError(f"clique stream exceeds limit {limit}")
 

@@ -28,6 +28,7 @@ from .abc_search import (
     VARIANT_I2I,
     VARIANT_III,
     _json_ints,
+    canonical_triple,
     cubic_classes,
     delta_classes,
     reference_cubic_partition,
@@ -45,7 +46,7 @@ from .poly import (
     s3_orbit,
     special_values,
 )
-from .smooth import PrimeSet
+from .smooth import PrimeSet, decompose_power, is_smooth
 
 VERTEX_SCHEMA = "polytab.vertices/1"
 
@@ -112,19 +113,33 @@ def poly_height(s: NormalizedPoly) -> int:
 # degree 1
 
 
+# the power k of each side of (A, B, C): a side is (smooth) * x^k
+_VARIANT_POWERS = {VARIANT_III: (1, 1, 1), VARIANT_I2I: (1, 2, 1),
+                   VARIANT_32I: (3, 2, 1)}
+
+
+def _require_members(points, variant, P: PrimeSet):
+    """ValueError unless every point is a variant point over P.
+
+    The builders take points from files, so a point of the wrong variant or
+    with a side of the wrong shape is refused, not skipped.
+    """
+    for pt in points:
+        if pt.variant != variant:
+            raise ValueError(f"expected {variant} points, got {pt.variant}")
+        for side, k in zip(canonical_triple(pt.u), _VARIANT_POWERS[variant]):
+            if not (is_smooth(side, P) if k == 1
+                    else decompose_power(side, k, P)):
+                raise ValueError(f"non-member {variant} point u = {pt.u} "
+                                 f"over {P}")
+
+
 def build_degree1(points, P: PrimeSet):
     """One normalized linear polynomial per inf-inf-inf point."""
-    vertices = []
-    for pt in points:
-        if pt.variant != VARIANT_III:
-            raise ValueError("degree-1 build expects inf-inf-inf points")
-        u = pt.u
-        s = NormalizedPoly((-u.numerator, u.denominator))
-        rep = check_membership(s, P)
-        if not rep.ok:
-            raise ValueError(f"non-member point u = {u} over {P}")
-        vertices.append(Vertex(s))
-    return sorted(set(vertices), key=Vertex.sort_key)
+    _require_members(points, VARIANT_III, P)
+    vertices = {Vertex(NormalizedPoly((-pt.u.numerator, pt.u.denominator)))
+                for pt in points}
+    return sorted(vertices, key=Vertex.sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +163,7 @@ def build_degree2(P: PrimeSet, points):
     """
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
+    _require_members(points, VARIANT_I2I, P)
     classes = delta_classes(points)
     one = Fraction(1)
     irreducible = {}
@@ -232,6 +248,8 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
     """
     if 2 not in P or 3 not in P:
         raise ValueError("degree-3 parametrization requires 2 and 3 in P")
+    for members in classes.values():
+        _require_members(members, VARIANT_32I, P)
     if stats is None:
         stats = {}
     stats.setdefault("candidates", 0)
@@ -330,6 +348,9 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
         budget.check()
         if isinstance(cand, NormalizedPoly):
             s = cand
+        elif not any(cand):
+            report.rejected.append((tuple(cand), "zero"))
+            continue
         else:
             s, _ = normalize(list(cand))
         if s.degree < 1:
@@ -428,6 +449,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     if max_degree >= 3:
         if 2 in P and 3 in P:
             pts, cert = get_points(VARIANT_32I)
+            _require_members(pts, VARIANT_32I, P)  # before the filter below
             irr = [pt for pt in pts if reference_cubic_partition(pt.u) == (3,)]
             verts = []
             # one class at a time, so the budget is checked between classes

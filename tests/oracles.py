@@ -199,6 +199,45 @@ def rational_roots_naive(coeffs):
     return sorted(roots)
 
 
+def cliques_by_partition_naive(degrees, lesser, max_size=None):
+    """Clique counts by partition from every vertex subset of a small graph.
+
+    Subsets are visited in increasing order: a subset is a clique when the
+    subset without its top vertex is one and lies among the top vertex's
+    lesser neighbors.  Keys are exponent vectors of length max(degrees),
+    the empty clique included.
+    """
+    f = max(degrees, default=1)
+    expts = [(0,) * f]            # per subset: its exponent vector, or None
+    for mask in range(1, 1 << len(degrees)):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        if expts[rest] is None or rest & ~lesser[top]:
+            expts.append(None)
+            continue
+        e = list(expts[rest])
+        e[degrees[top] - 1] += 1
+        expts.append(tuple(e))
+    counts = {}
+    for e in expts:
+        if e is not None and (max_size is None or sum(e) <= max_size):
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def neighbor_counts(g, idx):
+    """Full-neighborhood degree profile of one vertex, by pairwise tests."""
+    out = {}
+    for jdx in range(len(g.vertices)):
+        if jdx == idx:
+            continue
+        lo, hi = min(idx, jdx), max(idx, jdx)
+        if (g.lesser[hi] >> lo) & 1:
+            d = g.degrees[jdx]
+            out[d] = out.get(d, 0) + 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers.  Unlike the oracles above they are built on package
 # internals; they live here because only the tests call them.

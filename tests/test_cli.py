@@ -258,15 +258,23 @@ def test_damaged_files_never_crash(tmp_path_factory, data):
 
 def test_non_member_points_exit_2(tmp_path):
     """A well-shaped point file whose point is not a member over the primes
-    (u = 1/3 over {2}) is refused, not taken for an internal error."""
-    path = tmp_path / "iii.json"
-    path.write_text(json.dumps({
-        **VALID_POINTS,
-        "points": [{"A": "1", "B": "2", "C": "-3", "u": "1/3", "class": None}],
-    }))
-    assert run(["vertices", "--primes", "2", "--max-degree", "1",
-                "--points-iii", path, "--out", tmp_path / "v.json"]) \
-        == EXIT_VALIDATION
+    (u = 1/3 over {2}, u = 1/5 over {2, 3}) is refused, not taken for an
+    internal error or skipped without a word."""
+    cases = [
+        ("inf-inf-inf", "2", "1", "--points-iii", ("1", "2", "-3", "1/3")),
+        ("inf-2-inf", "2", "2", "--points-i2i", ("1", "2", "-3", "1/3")),
+        ("3-2-inf", "2,3", "3", "--points-32i", ("1", "4", "-5", "1/5")),
+    ]
+    for variant, primes, degree, flag, (A, B, C, u) in cases:
+        path = tmp_path / f"{variant}.json"
+        path.write_text(json.dumps({
+            **VALID_POINTS, "variant": variant,
+            "primes": [int(p) for p in primes.split(",")],
+            "points": [{"A": A, "B": B, "C": C, "u": u, "class": None}],
+        }))
+        assert run(["vertices", "--primes", primes, "--max-degree", degree,
+                    flag, path, "--out", tmp_path / "v.json"]) \
+            == EXIT_VALIDATION, variant
 
 
 # --- candidate files ---------------------------------------------------------
@@ -290,6 +298,7 @@ CANDIDATE_LINES = st.one_of(
 @given(lines=st.lists(CANDIDATE_LINES, max_size=6))
 @example(lines=["1 0 0 0 1", "# a comment", "1, 4, -26, 4, 1", "", "5"])
 @example(lines=["0"])
+@example(lines=["1 0 0 0 1", "0", "0 0 0", "5"])
 def test_candidate_files_never_crash(tmp_path_factory, lines):
     """Arbitrary candidate files are ingested or refused (exit 0, 2 or 3),
     never with a traceback."""
@@ -299,3 +308,14 @@ def test_candidate_files_never_crash(tmp_path_factory, lines):
     assert run(["vertices", "--primes", "2", "--max-degree", "4",
                 "--candidates", path, "--out", d / "v.json"]) \
         in (EXIT_OK, EXIT_VALIDATION, EXIT_BUDGET)
+
+
+def test_zero_candidate_row_is_skipped(tmp_path):
+    """A zero row is reported as rejected like a constant row, and the rest
+    of the file is still ingested."""
+    path = tmp_path / "cands.txt"
+    path.write_text("0\n1 0 0 0 1\n0 0\n", encoding="utf-8")
+    out = tmp_path / "v.json"
+    assert run(["vertices", "--primes", "2", "--max-degree", "4",
+                "--candidates", path, "--out", out]) == EXIT_OK
+    assert json.loads(out.read_text())["degrees"]["4"]["vertices"]

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
+    CompatGraph,
     build_graph,
     count_u_nu,
     enumerate_cliques,
@@ -17,6 +19,8 @@ from polytab.cliques import (
 from polytab.poly import NormalizedPoly, from_roots, poly_mul
 from polytab.smooth import PrimeSet
 from polytab.vertices import Vertex, VertexSet
+
+from oracles import cliques_by_partition_naive, neighbor_counts
 
 P2 = PrimeSet([2])
 
@@ -58,13 +62,13 @@ def test_neighbor_counts_published_row(graph2):
     g = graph2.value
     idx = next(i for i, v in enumerate(g.vertices)
                if v.poly.coeffs == (-1, -2, 1))   # t^2 - 2t - 1
-    counts = g.neighbor_counts(idx)
+    counts = neighbor_counts(g, idx)
     assert (counts.get(1, 0), counts.get(2, 0), counts.get(4, 0)) == (2, 2, 13)
 
 
 def test_handshake(graph2):
     g = graph2.value
-    total = sum(sum(g.neighbor_counts(i).values()) for i in range(len(g.vertices)))
+    total = sum(sum(neighbor_counts(g, i).values()) for i in range(len(g.vertices)))
     assert total == 2 * g.edge_count()
 
 
@@ -109,6 +113,61 @@ def test_kappa_filter_counts(graph2, table2):
         t = tabulate(graph2.value, kappa=kappa)
         want = table2.value.count(tuple(kappa) + (0,) * (4 - len(kappa)))
         assert t.total() == want
+
+
+def _random_graph(rng):
+    n = rng.randint(0, 14)
+    density = rng.uniform(0.1, 0.9)
+    degrees = [rng.randint(1, 4) for _ in range(n)]
+    lesser = [sum(1 << j for j in range(i) if rng.random() < density)
+              for i in range(n)]
+    return CompatGraph([None] * n, degrees, lesser, P2), density
+
+
+def test_tabulate_against_oracle():
+    """Full table, size caps 1-4 and every nonzero kappa cell agree with the
+    subset-enumeration oracle on seeded random graphs."""
+    densities, kappas = [], 0
+    for seed in range(150):
+        g, density = _random_graph(random.Random(seed))
+        densities.append(density)
+        full = cliques_by_partition_naive(g.degrees, g.lesser)
+        assert tabulate(g).counts == full
+        for m in (1, 2, 3, 4):
+            assert tabulate(g, max_size=m).counts == \
+                cliques_by_partition_naive(g.degrees, g.lesser, max_size=m)
+        for e, cnt in full.items():
+            assert tabulate(g, kappa=e).counts == {e: cnt}
+            kappas += 1
+        # a partition larger than the graph is present with count 0
+        too_big = (len(g.degrees) + 1,)
+        f = len(next(iter(full)))
+        assert tabulate(g, kappa=too_big).counts == {too_big + (0,) * (f - 1): 0}
+    assert min(densities) < 0.2 and max(densities) > 0.8 and kappas > 1000
+
+
+def test_tabulate_width_on_complete_graph():
+    """Every subset of a complete graph is a clique, so each cell is a product
+    of binomials.  2^72 cliques, with cells above 2^64, come out exactly."""
+    sizes = {1: 64, 2: 5, 3: 3}
+    degrees = [d for d, m in sizes.items() for _ in range(m)]
+    random.Random(0).shuffle(degrees)
+    n = len(degrees)
+    g = CompatGraph([None] * n, degrees, [(1 << i) - 1 for i in range(n)], P2)
+    want = {(a, b, c): comb(64, a) * comb(5, b) * comb(3, c)
+            for a in range(65) for b in range(6) for c in range(4)}
+    t = tabulate(g)
+    assert t.counts == want
+    assert t.total() == 2 ** n and max(want.values()) > 2 ** 64
+    capped = tabulate(g, max_size=40)
+    assert capped.counts == {e: c for e, c in want.items() if sum(e) <= 40}
+
+
+def test_serial_tabulate_and_unu_honour_budget(graph235):
+    with pytest.raises(BudgetExceededError):
+        tabulate(graph235.value, budget=Budget(seconds=1e-9))
+    with pytest.raises(BudgetExceededError):
+        count_u_nu(graph235.value, (2, 1, 1, 1), budget=Budget(seconds=1e-9))
 
 
 def test_enumeration_limit_refusal(graph2):

@@ -157,6 +157,9 @@ def test_ingest_rejects():
     # minutes on these coefficients
     ingested, report = ingest_units([(1, 1000003, 3, 5, 1)], P2)
     assert not ingested and report.rejected[0][1] == "membership"
+    ingested, report = ingest_units([(0,), (0, 0, 0), (5,)], P2)
+    assert not ingested and [r for _, r in report.rejected] == \
+        ["zero", "zero", "constant"]
 
 
 def test_value_types_pickle(vs2):
