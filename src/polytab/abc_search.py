@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .budget import Budget
 from .poly import NormalizedPoly, normalize, rational_roots
@@ -164,100 +164,86 @@ def _certify(P, variant, H):
     return False, None
 
 
-def _iii_chunk(chunk, budget, smooth, sset, H):
-    us = set()
-    n = len(smooth)
-    for i in chunk:
-        budget.check()
-        a = smooth[i]
-        for jdx in range(i, n):
-            b = smooth[jdx]
-            if a + b in sset and gcd(a, b) == 1:
-                c = a + b
-                for A, C in ((a, b), (b, a), (a, -c), (-c, a), (b, -c), (-c, b)):
-                    if max(abs(A), abs(C)) <= H:
-                        us.add(Fraction(-A, C))
-    return us
+def _by_support(xs, primes) -> dict:
+    """Map each prime-support bitmask (bit i set when primes[i] divides x) to
+    the x in xs with that support.  Two numbers are coprime exactly when their
+    masks are disjoint, so pair loops over disjoint buckets need no gcd.  A
+    cube candidate a = s x^3 has x coprime to P, so its mask is that of s."""
+    out = {}
+    for x in xs:
+        mask = 0
+        for i, p in enumerate(primes):
+            if x % p == 0:
+                mask |= 1 << i
+        out.setdefault(mask, []).append(x)
+    return out
 
 
-def _pair_chunk(chunk, budget, acands, smooth, primes):
-    """Shared inner loop for inf-2-inf and 3-2-inf: test B = -A - C for the
-    square-times-smooth shape for both signs of C."""
-    us = set()
-    for i in chunk:
-        budget.check()
-        a = acands[i]
-        for c in smooth:
-            if gcd(a, c) != 1:
-                continue
-            b = a + c
-            for p in primes:
-                while b % p == 0:
-                    b //= p
-            r = isqrt(b)
-            if r * r == b:
-                us.add(Fraction(-a, c))
-            if a != c:
-                b = abs(a - c)
-                for p in primes:
-                    while b % p == 0:
-                        b //= p
-                r = isqrt(b)
-                if r * r == b:
-                    us.add(Fraction(a, c))
-    return us
+def _search_iii(smooth, sset, primes, H: int, budget: Budget):
+    """Coprime smooth a, b with a + b in sset give the S3 orbit of -a/b.
 
-
-def _run_chunked(worker, nitems, workers, budget, *args):
-    """Deterministic union over index chunks, serial or via a process pool.
-
-    The worker checks the budget once per index, in every process.
+    a + b is coprime to both, so it needs only the lookup.  Each unordered
+    pair is visited once: masks ma < mb, plus (0, 0) for 1 + 1.
     """
-    budget.check()
-    if workers <= 1 or nitems < 64:
-        return worker(range(nitems), budget, *args)
-    import multiprocessing as mp
-
-    chunks = [range(i, nitems, workers) for i in range(workers)]
-    with mp.get_context("fork").Pool(workers) as pool:
-        parts = pool.starmap(worker, [(c, budget) + args for c in chunks])
+    buckets = _by_support(smooth, primes)
     us = set()
-    for part in parts:
-        us |= part
+    for ma, xs in buckets.items():
+        partners = [ys for mb, ys in buckets.items() if ma & mb == 0 and ma <= mb]
+        for a in xs:
+            budget.check()
+            for ys in partners:
+                for b in ys:
+                    c = a + b
+                    if c in sset:
+                        for A, C in ((a, b), (b, a), (a, -c), (-c, a), (b, -c), (-c, b)):
+                            if max(abs(A), abs(C)) <= H:
+                                us.add(Fraction(-A, C))
     return us
 
 
-def _search_iii(P: PrimeSet, H: int, budget: Budget, workers: int = 1):
-    smooth = smooth_numbers_up_to(P, H)
-    sset = set(smooth_numbers_up_to(P, 2 * H))
-    return _run_chunked(_iii_chunk, len(smooth), workers, budget,
-                        smooth, sset, H)
+def _pair_search(acands, smooth, primes, budget: Budget):
+    """Shared loop for inf-2-inf and 3-2-inf: for coprime a in acands and c in
+    smooth, test B = -A - C for the square-times-smooth shape for both signs
+    of C.  B is coprime to a and c, so only the primes outside both supports
+    are stripped from it."""
+    cbuckets = _by_support(smooth, primes)
+    us = set()
+    for ma, xs in _by_support(acands, primes).items():
+        partners = [([p for i, p in enumerate(primes) if not (ma | mc) >> i & 1], cs)
+                    for mc, cs in cbuckets.items() if ma & mc == 0]
+        for a in xs:
+            budget.check()
+            for free, cs in partners:
+                for c in cs:
+                    b = a + c
+                    for p in free:
+                        while b % p == 0:
+                            b //= p
+                    r = isqrt(b)
+                    if r * r == b:
+                        us.add(Fraction(-a, c))
+                    if a != c:
+                        b = abs(a - c)
+                        for p in free:
+                            while b % p == 0:
+                                b //= p
+                        r = isqrt(b)
+                        if r * r == b:
+                            us.add(Fraction(a, c))
+    return us
 
 
-def _search_i2i(P: PrimeSet, H: int, budget: Budget, workers: int = 1):
-    smooth = smooth_numbers_up_to(P, H)
-    return _run_chunked(_pair_chunk, len(smooth), workers, budget,
-                        smooth, smooth, P.primes)
-
-
-def _cube_candidates(P: PrimeSet, H: int) -> list:
+def _cube_candidates(smooth, primes, H: int) -> list:
     """All positive n <= H whose rough part is a perfect cube (n = a x^3)."""
     out = []
-    for s in smooth_numbers_up_to(P, H):
+    for s in smooth:
         lim = H // s
         x = 1
         while x * x * x <= lim:
-            if all(x % p for p in P.primes):
+            if all(x % p for p in primes):
                 out.append(s * x * x * x)
             x += 1
     return sorted(set(out))
-
-
-def _search_32i(P: PrimeSet, H: int, budget: Budget, workers: int = 1):
-    cands = _cube_candidates(P, H)
-    smooth = smooth_numbers_up_to(P, H)
-    return _run_chunked(_pair_chunk, len(cands), workers, budget,
-                        cands, smooth, P.primes)
 
 
 def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
@@ -272,6 +258,9 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
     classify=False skips the pairwise cubic-class resolution for 3-2-inf
     points (each class_datum is then just the reference-cubic partition);
     delta classes for inf-2-inf are cheap and always attached.
+
+    The searches are serial loops over coprime pairs, with the budget checked
+    once per outer candidate.  workers is accepted and ignored.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -287,12 +276,15 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         return _emptiness_certificate(
             P, variant, H, False, "unsupported: degree-2 parametrization needs 2 in P")
 
+    smooth = smooth_numbers_up_to(P, H)
     if variant == VARIANT_III:
-        us = _search_iii(P, H, budget, workers)
+        us = _search_iii(smooth, set(smooth_numbers_up_to(P, 2 * H)), P.primes,
+                         H, budget)
     elif variant == VARIANT_I2I:
-        us = _search_i2i(P, H, budget, workers)
+        us = _pair_search(smooth, smooth, P.primes, budget)
     else:
-        us = _search_32i(P, H, budget, workers)
+        us = _pair_search(_cube_candidates(smooth, P.primes, H), smooth,
+                          P.primes, budget)
 
     points = []
     for u in us:

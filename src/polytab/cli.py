@@ -74,8 +74,7 @@ def _out_stream(path):
 def cmd_search(args) -> int:
     P = _parse_primes(args.primes)
     H = _parse_height(args.height)
-    points, cert = search_abc(P, args.variant, H, classify=not args.no_classify,
-                              workers=args.threads)
+    points, cert = search_abc(P, args.variant, H, classify=not args.no_classify)
     write_points(args.out, points, cert)
     note = "" if cert.complete else " (search-bounded)"
     print(f"{len(points)} points -> {args.out}{note}")
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--no-classify", action="store_true",
                    help="skip cubic class resolution for 3-2-inf")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("vertices", help="build the vertex set up to a degree")

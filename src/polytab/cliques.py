@@ -273,7 +273,8 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     """Yield cliques as tuples of vertex indices (ascending).
 
     With kappa, only cliques of exactly that partition are yielded and
-    exhausted degree classes prune the walk early.
+    exhausted degree classes prune the walk early.  The budget is checked once
+    per top-level vertex.
     """
     budget = budget or Budget.from_env()
     degrees, lesser = g.degrees, g.lesser
@@ -286,9 +287,10 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
             return
 
     def rec(P, chosen):
-        budget.check()
         Q = P
         while Q:
+            if not chosen:
+                budget.check()
             b = Q & -Q
             Q ^= b
             v = b.bit_length() - 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .budget import Budget
 from .smooth import (
     PrimeSet,
     SmoothFactorization,
@@ -649,7 +650,7 @@ def _poly_divmod_exact(c, d):
     return q
 
 
-def _try_split_generic(c, k):
+def _try_split_generic(c, k, budget: Budget):
     """Search an integer degree-k factor of c by bounded coefficient scan.
 
     The factor's leading and constant coefficients run over the divisors of
@@ -657,7 +658,8 @@ def _try_split_generic(c, k):
     functions of k roots of c, so each is bounded by lead * C(k,i) * R^i with
     R the Cauchy root bound.  Returns (factor, quotient) for the first factor
     found in that order, or None.  factor_small scans every k with
-    2k <= deg(c).
+    2k <= deg(c).  The budget is checked once per value of every scanned
+    coefficient, so one trial division at most passes between checks.
     """
     R = _root_bound(c)
     binom = [1]
@@ -671,6 +673,7 @@ def _try_split_generic(c, k):
             return (prefix + [lead], q) if q is not None else None
         bound = lead * binom[k - depth] * R ** (k - depth)
         for v in range(-bound, bound + 1):
+            budget.check()
             got = rec(lead, prefix + [v])
             if got:
                 return got
@@ -685,7 +688,7 @@ def _try_split_generic(c, k):
     return None
 
 
-def factor_small(s: NormalizedPoly) -> list:
+def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
     """Irreducible factorization over Q, factors normalized, with multiplicity.
 
     Rational roots come off first by exact division by their linear factors.
@@ -694,6 +697,7 @@ def factor_small(s: NormalizedPoly) -> list:
     the bounded coefficient scan of _try_split_generic.  Sufficient for
     every vertex degree in this package; larger inputs are refused.
     """
+    budget = budget or Budget.from_env()
     factors = []
     c = list(s.coeffs)
     for r in rational_roots(c):
@@ -712,7 +716,7 @@ def factor_small(s: NormalizedPoly) -> list:
         c = stack.pop()
         split = None
         for k in range(2, (len(c) - 1) // 2 + 1):
-            split = _try_split_generic(c, k)
+            split = _try_split_generic(c, k, budget)
             if split is not None:
                 break
         if split is None:
@@ -722,7 +726,7 @@ def factor_small(s: NormalizedPoly) -> list:
     return sorted(factors, key=lambda f: f.sort_key())
 
 
-def is_irreducible(s: NormalizedPoly) -> bool:
+def is_irreducible(s: NormalizedPoly, budget: Budget | None = None) -> bool:
     if s.degree == 1:
         return True
     if s.degree == 2:
@@ -731,8 +735,7 @@ def is_irreducible(s: NormalizedPoly) -> bool:
         return d < 0 or r * r != d
     if s.degree == 3:
         return not rational_roots(s.coeffs)
-    fs = factor_small(s)
-    return len(fs) == 1
+    return len(factor_small(s, budget)) == 1
 
 
 def partition_of(s: NormalizedPoly) -> tuple:

@@ -338,7 +338,7 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
     bad rows in a candidate file are reported and skipped, never admitted.
     Membership goes first because it is cheap, while the irreducibility scan
     grows with the coefficients and would stall on a large non-member.  The
-    budget is checked once per candidate.
+    budget is checked once per candidate and inside the irreducibility scan.
     Returns ({degree: [Vertex]}, IngestReport).
     """
     budget = budget or Budget.from_env()
@@ -359,7 +359,7 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
         if not check_membership(s, P).ok:
             report.rejected.append((s.coeffs, "membership"))
             continue
-        if not is_irreducible(s):
+        if not is_irreducible(s, budget):
             report.rejected.append((s.coeffs, "reducible"))
             continue
         report.accepted += 1

@@ -130,6 +130,55 @@ def abc_brute_force(primes, variant, H):
     return us
 
 
+def abc_gcd_pair_search(primes, variant, H):
+    """All variant u-values with height <= H by the plain pair loops: every
+    (a, c) pair is visited and the non-coprime ones are rejected by gcd.
+
+    This is the search as it ran before support buckets.  Smooth numbers
+    come from a breadth-first closure under multiplication by P.
+    """
+    from math import isqrt
+
+    smooth, frontier = {1}, [1]
+    while frontier:
+        frontier = {s * p for s in frontier for p in primes
+                    if s * p <= 2 * H} - smooth
+        smooth.update(frontier)
+    sset = smooth
+    smooth = sorted(s for s in smooth if s <= H)
+
+    def square_times_smooth(b):
+        for p in primes:
+            while b % p == 0:
+                b //= p
+        return isqrt(b) ** 2 == b
+
+    us = set()
+    if variant == "iii":
+        for i, a in enumerate(smooth):
+            for b in smooth[i:]:
+                if a + b in sset and gcd(a, b) == 1:
+                    c = a + b
+                    for A, C in ((a, b), (b, a), (a, -c), (-c, a), (b, -c), (-c, b)):
+                        if max(abs(A), abs(C)) <= H:
+                            us.add(Fraction(-A, C))
+        return us
+    acands = smooth
+    if variant == "32i":
+        cube_roots = range(1, round(H ** (1 / 3)) + 2)
+        acands = sorted({s * x ** 3 for s in smooth for x in cube_roots
+                         if s * x ** 3 <= H and all(x % p for p in primes)})
+    for a in acands:
+        for c in smooth:
+            if gcd(a, c) != 1:
+                continue
+            if square_times_smooth(a + c):
+                us.add(Fraction(-a, c))
+            if a != c and square_times_smooth(abs(a - c)):
+                us.add(Fraction(a, c))
+    return us
+
+
 def smooth_count_exponent_loops(H):
     """|{2,3,5,7}-smooth numbers <= H| by explicit nested exponent loops."""
     count = 0

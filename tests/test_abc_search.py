@@ -6,6 +6,7 @@ from polytab.abc_search import (
     VARIANT_32I,
     VARIANT_I2I,
     VARIANT_III,
+    _pair_search,
     canonical_triple,
     cubic_classes,
     delta_classes,
@@ -18,9 +19,9 @@ from polytab.abc_search import (
 )
 from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import INF
-from polytab.smooth import PrimeSet, is_smooth, rough_part
+from polytab.smooth import PrimeSet, is_smooth, rough_part, smooth_numbers_up_to
 
-from oracles import abc_brute_force
+from oracles import abc_brute_force, abc_gcd_pair_search
 
 from math import gcd, isqrt
 
@@ -28,6 +29,7 @@ P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
 P235 = PrimeSet([2, 3, 5])
 P2357 = PrimeSet([2, 3, 5, 7])
+SHORT = {VARIANT_III: "iii", VARIANT_I2I: "i2i", VARIANT_32I: "32i"}
 
 
 def test_canonical_triple():
@@ -40,13 +42,26 @@ def test_canonical_triple():
 
 def test_small_search_matches_brute_force():
     H = 1000
-    for P in (P23, P235):
+    for P in (P23, P235, P2, PrimeSet([2, 5, 7]), PrimeSet([3, 5]),
+              PrimeSet([3, 7, 11]), P2357):
         for variant in (VARIANT_III, VARIANT_I2I, VARIANT_32I):
             points, cert = search_abc(P, variant, H, classify=False)
-            want = abc_brute_force(
-                P.primes,
-                {"inf-inf-inf": "iii", "inf-2-inf": "i2i", "3-2-inf": "32i"}[variant],
-                H)
+            want = abc_brute_force(P.primes, SHORT[variant], H)
+            if variant == VARIANT_I2I and 2 not in P:
+                # outside the search contract, but the pair loop is still exact
+                assert points == [] and not cert.complete
+                smooth = smooth_numbers_up_to(P, H)
+                assert _pair_search(smooth, smooth, P.primes, Budget()) == want
+                continue
+            assert {pt.u for pt in points} == want, (P, variant)
+
+
+def test_search_matches_gcd_pair_loop():
+    """The support-bucketed loops against every-pair loops with a gcd test."""
+    for P in (P23, P235, P2357):
+        for variant in (VARIANT_III, VARIANT_I2I, VARIANT_32I):
+            points, _ = search_abc(P, variant, 10 ** 6, classify=False)
+            want = abc_gcd_pair_search(P.primes, SHORT[variant], 10 ** 6)
             assert {pt.u for pt in points} == want, (P, variant)
 
 

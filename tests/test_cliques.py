@@ -175,6 +175,22 @@ def test_enumeration_limit_refusal(graph2):
         list(enumerate_cliques(graph2.value, limit=5))
 
 
+class _CountingBudget(Budget):
+    calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
+def test_enumerate_cliques_polls_budget_per_top_vertex(graph2357):
+    g = graph2357.value
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_cliques(g, kappa=(9,), budget=Budget(seconds=1e-9)))
+    budget = _CountingBudget()
+    assert sum(1 for _ in enumerate_cliques(g, kappa=(9,), budget=budget)) == 7425
+    assert 0 < budget.calls <= len(g.vertices)
+
+
 def test_tabulate_workers_honour_budget(graph2):
     with pytest.raises(BudgetExceededError):
         tabulate(graph2.value, workers=2, budget=Budget(seconds=1e-9))

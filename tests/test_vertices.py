@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,16 @@ def test_vertex_build_polls_budget_after_searches(search_32i_23):
                          budget=Budget(seconds=1e-9))
     with pytest.raises(BudgetExceededError):
         ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
+
+
+def test_ingest_budget_stops_irreducibility_scan():
+    # t^4 + 123200 passes membership over {2,...,13}; proving it irreducible
+    # by the coefficient scan takes minutes, so the budget must stop the scan
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        ingest_units([(123200, 0, 0, 0, 1)], PrimeSet([2, 3, 5, 7, 11, 13]),
+                     budget=Budget(seconds=1))
+    assert time.monotonic() - start < 5
 
 
 def test_parse_candidate_file(tmp_path):
