@@ -2,7 +2,9 @@
 
 Long-running operations take an optional Budget and refuse oversized requests
 up front rather than silently truncating.  The global time allowance can be
-set with the POLYTAB_BUDGET_SECS environment variable.
+set with the POLYTAB_BUDGET_SECS environment variable.  Only seconds=None (an
+unset or empty variable) means no limit; any other number of seconds counts
+from construction, so 0 or a negative value refuses at the first check().
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ class Budget:
     def __init__(self, seconds: float | None = None,
                  max_height: int = DEFAULT_MAX_HEIGHT):
         self.max_height = max_height
-        self.deadline = time.monotonic() + seconds if seconds else None
+        self.deadline = (None if seconds is None
+                         else time.monotonic() + seconds)
 
     @classmethod
     def from_env(cls) -> "Budget":
@@ -31,7 +34,7 @@ class Budget:
         return cls(seconds=float(raw) if raw else None)
 
     def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() >= self.deadline:
             raise BudgetExceededError(
                 f"wall-clock budget ({ENV_BUDGET_SECS}) exhausted")
 

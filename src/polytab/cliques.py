@@ -24,12 +24,7 @@ from itertools import product
 from math import comb, gcd
 
 from .budget import Budget, BudgetExceededError
-from .poly import (
-    INF,
-    mobius_on_point,
-    rational_roots,
-    resultant_fast,
-)
+from .poly import rational_roots, resultant_fast
 from .smooth import PrimeSet
 from .vertices import VertexSet
 
@@ -272,44 +267,68 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
                       limit: int | None = None):
     """Yield cliques as tuples of vertex indices (ascending).
 
-    With kappa, only cliques of exactly that partition are yielded and
-    exhausted degree classes prune the walk early.  The budget is checked once
-    per top-level vertex.
+    With kappa, only cliques of exactly that partition are yielded.  The walk
+    enters no candidate set that holds fewer vertices of some degree than the
+    clique still needs, and skips the members of a candidate set with too few
+    vertices of the set below them.  Only subtrees without a kappa clique are
+    cut, so the yield order is that of the full walk.  The budget is checked
+    once per top-level vertex.
     """
     budget = budget or Budget.from_env()
     degrees, lesser = g.degrees, g.lesser
     remaining = None
+    left = 0                  # members still needed, under kappa
     if kappa is not None:
         remaining = list(kappa) + [0] * (max(degrees, default=1) - len(kappa))
-    if remaining is None or not any(remaining):
+        if min(remaining) < 0:
+            raise ValueError(f"negative part count in kappa {kappa}")
+        left = sum(remaining)
+        degmask = [0] * len(remaining)
+        for v, d in enumerate(degrees):
+            degmask[d - 1] |= 1 << v
+        needed = [(degmask[d], d) for d, e in enumerate(remaining) if e]
+    if remaining is None or not left:
         yield ()
         if remaining is not None:
             return
 
-    def rec(P, chosen):
+    def rec(P, chosen, left):
+        """Cliques extending chosen by members of P; left members to go."""
         Q = P
+        for _ in range(left - 1):     # the next member has left - 1 below it
+            Q &= Q - 1
         while Q:
             if not chosen:
                 budget.check()
             b = Q & -Q
             Q ^= b
             v = b.bit_length() - 1
+            if remaining is None:
+                chosen.append(v)
+                yield tuple(sorted(chosen))
+                if max_size is None or len(chosen) < max_size:
+                    yield from rec(P & lesser[v], chosen, 0)
+                chosen.pop()
+                continue
             d = degrees[v] - 1
-            if remaining is not None and remaining[d] <= 0:
+            if remaining[d] <= 0:
                 continue
             chosen.append(v)
-            if remaining is not None:
-                remaining[d] -= 1
-            done = remaining is not None and not any(remaining)
-            if remaining is None or done:
+            remaining[d] -= 1
+            if left == 1:
                 yield tuple(sorted(chosen))
-            if not done and (max_size is None or len(chosen) < max_size):
-                yield from rec(P & lesser[v], chosen)
-            if remaining is not None:
-                remaining[d] += 1
+            elif max_size is None or len(chosen) < max_size:
+                child = P & lesser[v]
+                for mask, e in needed:
+                    if (child & mask).bit_count() < remaining[e]:
+                        break
+                else:
+                    yield from rec(child, chosen, left - 1)
+            remaining[d] += 1
             chosen.pop()
 
-    for produced, clique in enumerate(rec((1 << len(degrees)) - 1, []), 1):
+    walk = rec((1 << len(degrees)) - 1, [], left)
+    for produced, clique in enumerate(walk, 1):
         yield clique
         if limit is not None and produced >= limit:
             raise BudgetExceededError(f"clique stream exceeds limit {limit}")
@@ -416,25 +435,35 @@ def reduction_bound(p: int, f: int) -> int:
 
 
 def _triple_to_matrix(p, q, r):
-    """The unique map sending (p, q, r) to (0, 1, inf), as an integer matrix."""
-    if p == INF:
-        a, b, c, d = 0, q - r, 1, -r
-    elif q == INF:
-        a, b, c, d = 1, -p, 1, -r
-    elif r == INF:
-        a, b, c, d = 1, -p, 0, q - p
-    else:
-        a, b = q - r, -p * (q - r)
-        c, d = q - p, -r * (q - p)
-    den = 1
-    for x in (a, b, c, d):
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    mat = tuple(int(x * den) for x in (a, b, c, d))
-    g = 0
-    for x in mat:
-        g = gcd(g, x)
-    return tuple(x // g for x in mat)
+    """The primitive integer matrix (a, b, c, d) sending p, q, r to 0, 1, inf.
+
+    Points are primitive pairs (n, d) of P^1(Q), inf = (1, 0).  With
+    [x, y] = x0 y1 - x1 y0 the map is x -> ([q,r] [x,p] : [q,p] [x,r]): it
+    vanishes at p, has a pole at r and is 1 at q, and needs no case for
+    inf.  The forms [x,p] and [x,r] have coprime coefficients, so
+    gcd([q,r], [q,p]) is the content of the matrix.
+    """
+    qr = q[0] * r[1] - q[1] * r[0]
+    qp = q[0] * p[1] - q[1] * p[0]
+    g = gcd(qr, qp)
+    qr //= g
+    qp //= g
+    return qr * p[1], -qr * p[0], qp * r[1], -qp * r[0]
+
+
+def _image(mat, pts):
+    """The set of images of the points pts under mat, as primitive pairs
+    (n, d) with d > 0, or (1, 0)."""
+    a, b, c, d = mat
+    out = set()
+    for x0, x1 in pts:
+        n = a * x0 + b * x1
+        m = c * x0 + d * x1
+        g = gcd(n, m)
+        if m < 0 or (m == 0 and n < 0):
+            g = -g
+        out.add((n // g, m // g))
+    return frozenset(out)
 
 
 def _mat_mul(m1, m2):
@@ -485,17 +514,25 @@ class Packet:
     stabilizer_label: str
 
 
+_MARKED = frozenset({(0, 1), (1, 1), (1, 0)})   # 0, 1, inf
+
+
 def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     """Group fully split polynomials into fractional-linear packets.
 
     Each polynomial's root set together with the marked points 0, 1, inf is
     carried around the projective line by the maps sending ordered triples of
     the set to (0, 1, inf); polynomials landing on each other join a packet.
-    Returns (packets, mass) where mass = sum of 1/|stabilizer| and must equal
-    len(polys) / ((a+3)(a+2)(a+1)) with a the root count.
+    Points are primitive integer pairs (n, d), inf = (1, 0).  Returns
+    (packets, mass) where mass = sum of 1/|stabilizer| and must equal
+    len(polys) / ((a+3)(a+2)(a+1)) with a the root count.  roots, when
+    given, lists each polynomial's roots (ints or Fractions) in the same
+    order as polys.
     """
     budget = budget or Budget.from_env()
     polys = list(polys)
+    if not polys:
+        raise ValueError("no polynomials to group into packets")
     if roots is None:
         roots = []
         for s in polys:
@@ -503,12 +540,22 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
             if len(rr) != s.degree:
                 raise ValueError(f"{s} does not split into linear factors")
             roots.append(rr)
+    if len(roots) != len(polys):
+        raise ValueError(f"{len(roots)} root lists for {len(polys)} polynomials")
     a = len(roots[0])
     index = {}
+    canon = {}                # one tuple per distinct point, shared by keys
     for i, rr in enumerate(roots):
-        if len(set(rr)) != len(rr):
+        if len(rr) != a:
+            raise ValueError("every polynomial must have the same number "
+                             "of roots")
+        pts = set()
+        for r in rr:
+            x = (r.numerator, r.denominator)
+            pts.add(canon.setdefault(x, x))
+        if len(pts) != a:
             raise ValueError("split polynomials here must be separable")
-        key = frozenset(rr) | {Fraction(0), Fraction(1), INF}
+        key = frozenset(pts) | _MARKED
         if len(key) != a + 3:
             raise ValueError("roots must avoid the marked points")
         index[key] = i
@@ -522,23 +569,23 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         if i in seen:
             continue
         budget.check()
-        pts = sorted(key, key=lambda x: (x == INF, x))
         orbit = set()
         stab_mats = []
-        for p in pts:
-            for q in pts:
+        for p in key:
+            for q in key:
                 if q == p:
                     continue
-                for r in pts:
+                for r in key:
                     if r == p or r == q:
                         continue
                     mat = _triple_to_matrix(p, q, r)
-                    image = frozenset(mobius_on_point(mat, x) for x in key)
-                    if image not in index:
+                    image = _image(mat, key)
+                    j = index.get(image)
+                    if j is None:
                         raise AssertionError(
                             "packet image leaves the input set; input is not "
                             "closed under the marked-point maps")
-                    orbit.add(index[image])
+                    orbit.add(j)
                     if image == key:
                         stab_mats.append(_mat_mul(mat, _IDENT))
         size = len(orbit)
@@ -549,5 +596,7 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         packets.append(Packet(sorted(orbit), len(stab_mats),
                               _group_label(stab_mats)))
     mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
-    assert mass == Fraction(len(polys), denom)
+    if mass != Fraction(len(polys), denom):
+        raise AssertionError("packet mass differs from len(polys) / "
+                             f"{denom}")
     return packets, mass

@@ -293,12 +293,19 @@ def normalize(coeffs):
 
 
 def from_roots(roots) -> NormalizedPoly:
-    """Normalized polynomial with the given rational roots (multiset)."""
+    """Normalized polynomial with the given rational roots (multiset).
+
+    Roots are ints or Fractions.  The product of the linear forms d t - n,
+    each primitive since gcd(n, d) = 1, is primitive by Gauss's lemma, and its
+    leading coefficient is the product of the positive d: it is already
+    normalized.
+    """
     c = [1]
     for r in roots:
-        r = Fraction(r)
-        c = poly_mul(c, [-r.numerator, r.denominator])
-    return normalize(c)[0]
+        n, d = r.numerator, r.denominator
+        c = [-n * c[0], *(d * c[i - 1] - n * c[i] for i in range(1, len(c))),
+             d * c[-1]]
+    return NormalizedPoly(c)
 
 
 def special_values(s: NormalizedPoly):
@@ -407,19 +414,6 @@ def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
 
 def s3_orbit(s: NormalizedPoly) -> frozenset:
     return frozenset(s3_transform(s, g) for g in S3_ELEMENTS)
-
-
-def mobius_on_point(mat, x):
-    """Apply (a t + b)/(c t + d) to x in Q union {inf}."""
-    a, b, c, d = mat
-    if x == INF:
-        return Fraction(a, c) if c else INF
-    x = Fraction(x)
-    num = a * x + b
-    den = c * x + d
-    if den == 0:
-        return INF
-    return num / den
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ via naive trial-division filters, searches via brute-force double loops.
 from fractions import Fraction
 from math import gcd
 
+from polytab.cliques import _IDENT, Packet, _group_label, _mat_mul
 from polytab.poly import INF, normalize, special_values
 from polytab.vertices import _smn_coeffs, roots_of_F
 
@@ -272,6 +273,115 @@ def cliques_by_partition_naive(degrees, lesser, max_size=None):
         if e is not None and (max_size is None or sum(e) <= max_size):
             counts[e] = counts.get(e, 0) + 1
     return counts
+
+
+def enumerate_cliques_unguided(g, kappa=None, max_size=None):
+    """Cliques as ascending index tuples, by the walk that enters every
+    candidate set: with kappa it skips only vertices of an exhausted degree
+    class and yields the cliques of exactly that partition."""
+    degrees, lesser = g.degrees, g.lesser
+    remaining = None
+    if kappa is not None:
+        remaining = list(kappa) + [0] * (max(degrees, default=1) - len(kappa))
+    if remaining is None or not any(remaining):
+        yield ()
+        if remaining is not None:
+            return
+
+    def rec(P, chosen):
+        Q = P
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            v = b.bit_length() - 1
+            d = degrees[v] - 1
+            if remaining is not None and remaining[d] <= 0:
+                continue
+            chosen.append(v)
+            if remaining is not None:
+                remaining[d] -= 1
+            done = remaining is not None and not any(remaining)
+            if remaining is None or done:
+                yield tuple(sorted(chosen))
+            if not done and (max_size is None or len(chosen) < max_size):
+                yield from rec(P & lesser[v], chosen)
+            if remaining is not None:
+                remaining[d] += 1
+            chosen.pop()
+
+    yield from rec((1 << len(degrees)) - 1, [])
+
+
+def mobius_on_point(mat, x):
+    """Apply (a t + b)/(c t + d) to x in Q union {inf}, in Fractions."""
+    a, b, c, d = mat
+    if x == INF:
+        return Fraction(a, c) if c else INF
+    x = Fraction(x)
+    num = a * x + b
+    den = c * x + d
+    if den == 0:
+        return INF
+    return num / den
+
+
+def triple_to_matrix(p, q, r):
+    """The map sending (p, q, r) to (0, 1, inf), as a primitive integer
+    matrix, with a case for each position of inf."""
+    if p == INF:
+        a, b, c, d = 0, q - r, 1, -r
+    elif q == INF:
+        a, b, c, d = 1, -p, 1, -r
+    elif r == INF:
+        a, b, c, d = 1, -p, 0, q - p
+    else:
+        a, b = q - r, -p * (q - r)
+        c, d = q - p, -r * (q - p)
+    den = 1
+    for x in (a, b, c, d):
+        if isinstance(x, Fraction):
+            den = den * x.denominator // gcd(den, x.denominator)
+    mat = tuple(int(x * den) for x in (a, b, c, d))
+    g = 0
+    for x in mat:
+        g = gcd(g, x)
+    return tuple(x // g for x in mat)
+
+
+def pgl2_packets_fraction(polys, roots):
+    """Fractional-linear packets of split polynomials with points of P^1(Q)
+    as Fractions and INF: the orbit of each root set plus (0, 1, inf) under
+    the maps sending its ordered triples to (0, 1, inf).  Returns
+    (packets, mass) as `cliques.pgl2_packets` does."""
+    a = len(roots[0])
+    index = {}
+    for i, rr in enumerate(roots):
+        index[frozenset(Fraction(r) for r in rr)
+              | {Fraction(0), Fraction(1), INF}] = i
+    assert len(index) == len(polys)
+    packets = []
+    seen = set()
+    for key, i in index.items():
+        if i in seen:
+            continue
+        pts = sorted(key, key=lambda x: (x == INF, x))
+        orbit = set()
+        stab_mats = []
+        for p in pts:
+            for q in pts:
+                for r in pts:
+                    if len({p, q, r}) < 3:
+                        continue
+                    mat = triple_to_matrix(p, q, r)
+                    image = frozenset(mobius_on_point(mat, x) for x in key)
+                    orbit.add(index[image])
+                    if image == key:
+                        stab_mats.append(_mat_mul(mat, _IDENT))
+        seen |= orbit
+        packets.append(Packet(sorted(orbit), len(stab_mats),
+                              _group_label(stab_mats)))
+    mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
+    return packets, mass
 
 
 def neighbor_counts(g, idx):

@@ -4,9 +4,13 @@ from math import comb
 
 import pytest
 
+from polytab import cliques
 from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
     CompatGraph,
+    Packet,
+    _image,
+    _triple_to_matrix,
     build_graph,
     count_u_nu,
     enumerate_cliques,
@@ -16,11 +20,18 @@ from polytab.cliques import (
     reduction_bound,
     tabulate,
 )
-from polytab.poly import NormalizedPoly, from_roots, poly_mul
+from polytab.poly import INF, NormalizedPoly, from_roots, poly_mul
 from polytab.smooth import PrimeSet
 from polytab.vertices import Vertex, VertexSet
 
-from oracles import cliques_by_partition_naive, neighbor_counts
+from oracles import (
+    cliques_by_partition_naive,
+    enumerate_cliques_unguided,
+    mobius_on_point,
+    neighbor_counts,
+    pgl2_packets_fraction,
+    triple_to_matrix,
+)
 
 P2 = PrimeSet([2])
 
@@ -191,6 +202,20 @@ def test_enumerate_cliques_polls_budget_per_top_vertex(graph2357):
     assert 0 < budget.calls <= len(g.vertices)
 
 
+def test_enumerate_cliques_pruned_matches_unguided(graph2357, graph23):
+    g = graph2357.value
+    want = list(enumerate_cliques_unguided(g, kappa=(9,)))
+    assert len(want) == 7425
+    assert list(enumerate_cliques(g, kappa=(9,))) == want
+    g = graph23.value
+    for kappa in ((2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 1), (4, 1, 1)):
+        assert list(enumerate_cliques(g, kappa=kappa)) \
+            == list(enumerate_cliques_unguided(g, kappa=kappa))
+    assert list(enumerate_cliques(g, kappa=(1, 1, 1), max_size=2)) == []
+    with pytest.raises(ValueError, match="negative"):
+        list(enumerate_cliques(g, kappa=(2, -1, 1)))
+
+
 def test_tabulate_workers_honour_budget(graph2):
     with pytest.raises(BudgetExceededError):
         tabulate(graph2.value, workers=2, budget=Budget(seconds=1e-9))
@@ -241,3 +266,89 @@ def test_mass_identity_1squared(graph2357):
     packets, mass = pgl2_packets(polys, roots=roots)
     assert mass == Fraction(len(polys), 5 * 4 * 3)
     assert sum(5 * 4 * 3 // p.stabilizer_order for p in packets) == len(polys)
+
+
+def _split_cliques(g, a):
+    """Polynomials and root lists of the kappa = (a,) cliques of g."""
+    roots = [[Fraction(-g.vertices[i].poly.coeffs[0],
+                       g.vertices[i].poly.coeffs[1]) for i in c]
+             for c in enumerate_cliques(g, kappa=(a,))]
+    return [from_roots(rr) for rr in roots], roots
+
+
+def _packet_rows(packets):
+    return [(p.members, p.stabilizer_order, p.stabilizer_label)
+            for p in packets]
+
+
+def test_packets_match_fraction_oracle(graph23, graph235):
+    for g, sizes in ((graph23.value, (1, 2, 3)), (graph235.value, (2, 3, 5))):
+        for a in sizes:
+            polys, roots = _split_cliques(g, a)
+            assert polys
+            packets, mass = pgl2_packets(polys, roots=roots)
+            want, want_mass = pgl2_packets_fraction(polys, roots)
+            assert _packet_rows(packets) == _packet_rows(want)
+            assert mass == want_mass == Fraction(len(polys),
+                                                 (a + 3) * (a + 2) * (a + 1))
+
+
+def test_triple_map_matches_mobius_oracle():
+    rng = random.Random(3)
+
+    def point():
+        if rng.random() < 0.15:
+            return INF
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+
+    def pair(x):
+        return (1, 0) if x == INF else (x.numerator, x.denominator)
+
+    def unpair(x):
+        return INF if x == (1, 0) else Fraction(*x)
+
+    for _ in range(2000):
+        p, q, r, x = (point() for _ in range(4))
+        if len({p, q, r}) < 3:
+            continue
+        mat = _triple_to_matrix(pair(p), pair(q), pair(r))
+        want = triple_to_matrix(p, q, r)
+        assert cliques._mat_mul(mat, cliques._IDENT) \
+            == cliques._mat_mul(want, cliques._IDENT)
+        (got,) = _image(mat, [pair(x)])
+        assert unpair(got) == mobius_on_point(want, x)
+
+
+def test_packets_roots_none_matches_given_roots(graph235):
+    polys, roots = _split_cliques(graph235.value, 4)
+    assert len(polys) == 3570
+    with_roots = pgl2_packets(polys, roots=roots)
+    without = pgl2_packets(polys)
+    assert _packet_rows(without[0]) == _packet_rows(with_roots[0])
+    assert without[1] == with_roots[1]
+
+
+def test_packets_reject_malformed_input(graph2):
+    polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
+    roots = [[Fraction(-s.coeffs[0], s.coeffs[1])] for s in polys]
+    with pytest.raises(ValueError, match="no polynomials"):
+        pgl2_packets([])
+    with pytest.raises(ValueError, match="root lists for"):
+        pgl2_packets(polys, roots=roots[:-1])
+    with pytest.raises(ValueError, match="same number of roots"):
+        pgl2_packets(polys, roots=roots[:-1] + [[Fraction(3), Fraction(4)]])
+    with pytest.raises(ValueError, match="marked points"):
+        pgl2_packets(polys, roots=roots[:-1] + [[Fraction(1)]])
+
+
+def test_packets_mass_check_is_not_an_assert(graph2, monkeypatch):
+    # the mass identity follows from closure and orbit-stabilizer, so only a
+    # miscounted stabilizer can break it; the check must survive python -O
+    class Miscounted(Packet):
+        def __init__(self, members, stabilizer_order, stabilizer_label):
+            super().__init__(members, 2 * stabilizer_order, stabilizer_label)
+
+    monkeypatch.setattr(cliques, "Packet", Miscounted)
+    polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
+    with pytest.raises(AssertionError, match="packet mass"):
+        pgl2_packets(polys)

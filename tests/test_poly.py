@@ -287,6 +287,18 @@ def test_factor_small_random_products():
         assert sorted(p.coeffs for p in got) == sorted(p.coeffs for p in expect)
 
 
+def test_from_roots_matches_normalized_fraction_product():
+    rng = random.Random(7)
+    for _ in range(200):
+        roots = [rng.randint(-40, 40) if rng.random() < 0.3
+                 else Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+                 for _ in range(rng.randint(0, 9))]
+        c = [Fraction(1)]
+        for r in roots:
+            c = poly_mul(c, [-Fraction(r), 1])
+        assert from_roots(roots) == normalize(c)[0]
+
+
 def test_rational_roots():
     assert rational_roots((-2, 1)) == [Fraction(2)]
     assert rational_roots((6, -5, 1)) == [Fraction(2), Fraction(3)]
