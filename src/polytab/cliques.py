@@ -24,7 +24,7 @@ from itertools import product
 from math import comb, gcd
 
 from .budget import Budget, BudgetExceededError
-from .poly import rational_roots, resultant_fast
+from .poly import rational_roots, resultant_fast, s3_transform
 from .smooth import PrimeSet
 from .vertices import VertexSet
 
@@ -48,7 +48,30 @@ class CompatGraph:
 
 def build_graph(vs: VertexSet, P: PrimeSet | None = None,
                 budget: Budget | None = None) -> CompatGraph:
-    """Adjacency by resultant smoothness over the vertex set's primes."""
+    """Adjacency by resultant smoothness over P, one resultant per S3 orbit
+    of vertex pairs.
+
+    Lemma: adjacency is invariant under the marked-point action, for any
+    prime set P.  Each of the six elements acts by a matrix M in GL2(Z),
+    det M = +-1, on the binary forms F(x, y) = y^m s(x/y), and for forms of
+    degrees m and n, Res(F o M, G o M) = (det M)^(mn) Res(F, G).  F o M is
+    primitive because M is invertible over Z, so normalizing it changes only
+    its sign; if both images keep their degree, the polynomial resultant is
+    the form resultant.  So |Res(sigma f, sigma g)| = |Res(f, g)| exactly.
+
+    A vertex is closed when all six of its images are vertices of its degree
+    (of a vertex listed twice, only the last copy can be); the closed
+    vertices fall into orbits.  Every other vertex is open: a singleton
+    orbit whose group is {e}.  Open orbits are numbered first.  Each orbit
+    representative r is paired with every other vertex j whose orbit is
+    numbered no lower than r's, and an edge {r, j} is copied to
+    {sigma r, sigma j} for every sigma in r's group.  A pair {x, y} of
+    closed vertices, x's orbit numbered no higher, is sigma {r, sigma^-1 y}
+    for the sigma taking the representative r of x's orbit to x; a pair
+    with an open vertex is met in that vertex's row.  On a set with no
+    closed vertex this is the plain pairwise loop.  The budget is checked
+    once per representative.
+    """
     P = P or vs.P
     budget = budget or Budget.from_env()
     verts = vs.all_vertices()
@@ -56,22 +79,52 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     degrees = [v.poly.degree for v in verts]
     primes = P.primes
     n = len(verts)
-    lesser = [0] * n
+    index = {c: i for i, c in enumerate(coeffs)}    # a repeat: its last copy
+    # the generators t -> 1 - t and t -> 1/t as index maps (None: no image
+    # among the vertices); a vertex tuple has a nonzero last entry, so an
+    # image that drops its degree is never found
+    flip, inv = [], []
+    for v, c in zip(verts, coeffs):
+        flip.append(index.get(s3_transform(v.poly, "(01)").coeffs))
+        c = c[::-1]
+        inv.append(index.get(c if c[-1] > 0 else tuple(-x for x in c)))
+    # images[i]: i under e, flip, inv, flip inv, inv flip, flip inv flip
+    images = []
     for i in range(n):
+        a, b = flip[i], inv[i]
+        ab = None if b is None else flip[b]
+        ba = None if a is None else inv[a]
+        aba = None if ba is None else flip[ba]
+        # the earlier copies of a repeated vertex stay open
+        closed = index[coeffs[i]] == i and None not in (a, b, ab, ba, aba)
+        images.append((i, a, b, ab, ba, aba) if closed else (i,))
+    order = [i for i in range(n) if len(images[i]) == 1]
+    heads = list(enumerate(order))      # (position in order, representative)
+    placed = set(order)
+    for i in range(n):
+        if i not in placed:
+            orbit = sorted(set(images[i]))      # i is its least member
+            heads.append((len(order), i))
+            placed.update(orbit)
+            order.extend(orbit)
+    lesser = [0] * n
+    for at, r in heads:
         budget.check()
-        ci = coeffs[i]
-        mask = 0
-        for j in range(i):
-            r = resultant_fast(ci, coeffs[j])
-            if r == 0:
+        cr, group = coeffs[r], images[r]
+        for j in order[at + 1:]:
+            res = resultant_fast(cr, coeffs[j])
+            if res == 0:
                 continue
-            r = abs(r)
+            res = abs(res)
             for p in primes:
-                while r % p == 0:
-                    r //= p
-            if r == 1:
-                mask |= 1 << j
-        lesser[i] = mask
+                while res % p == 0:
+                    res //= p
+            if res == 1:
+                for a, b in zip(group, images[j]):
+                    if a > b:
+                        lesser[a] |= 1 << b
+                    else:
+                        lesser[b] |= 1 << a
     return CompatGraph(verts, degrees, lesser, P)
 
 

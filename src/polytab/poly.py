@@ -406,10 +406,16 @@ def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
     """Image of s under the group element g, re-normalized.
 
     g moves the marked points (and the roots of s) by its fractional-linear
-    map, so the polynomial substitution uses the inverse matrix.
+    map, so the polynomial substitution uses the inverse matrix.  That matrix
+    lies in GL2(Z), so the substituted form is primitive like s: only its
+    trailing zeros (the degree drops when s(0) = 0 or s(1) = 0) and its sign
+    are left to fix.
     """
     mat = _MATS[S3_ELEMENTS[s3_inverse(g)]]
-    return normalize(substitute_mobius(s.coeffs, mat))[0]
+    c = _trim(substitute_mobius(s.coeffs, mat))
+    if c[-1] < 0:
+        c = [-x for x in c]
+    return NormalizedPoly(c)
 
 
 def s3_orbit(s: NormalizedPoly) -> frozenset:

@@ -8,8 +8,8 @@ via naive trial-division filters, searches via brute-force double loops.
 from fractions import Fraction
 from math import gcd
 
-from polytab.cliques import _IDENT, Packet, _group_label, _mat_mul
-from polytab.poly import INF, normalize, special_values
+from polytab.cliques import _IDENT, CompatGraph, Packet, _group_label, _mat_mul
+from polytab.poly import INF, normalize, resultant_fast, special_values
 from polytab.vertices import _smn_coeffs, roots_of_F
 
 
@@ -395,6 +395,29 @@ def neighbor_counts(g, idx):
             d = g.degrees[jdx]
             out[d] = out.get(d, 0) + 1
     return out
+
+
+def build_graph_pairwise(vs, P=None):
+    """The compatibility graph by one resultant per unordered vertex pair,
+    with no use of the marked-point symmetry.  The resultants are the
+    package's closed forms (checked against the Sylvester determinant on
+    their own)."""
+    P = P or vs.P
+    verts = vs.all_vertices()
+    coeffs = [v.poly.coeffs for v in verts]
+    lesser = [0] * len(verts)
+    for i, ci in enumerate(coeffs):
+        for j in range(i):
+            r = resultant_fast(ci, coeffs[j])
+            if r == 0:
+                continue
+            r = abs(r)
+            for p in P.primes:
+                while r % p == 0:
+                    r //= p
+            if r == 1:
+                lesser[i] |= 1 << j
+    return CompatGraph(verts, [v.poly.degree for v in verts], lesser, P)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,26 @@ from polytab.cliques import (
     reduction_bound,
     tabulate,
 )
-from polytab.poly import INF, NormalizedPoly, from_roots, poly_mul
+from polytab.poly import (
+    INF,
+    S3_ELEMENTS,
+    NormalizedPoly,
+    from_roots,
+    poly_mul,
+    s3_orbit,
+    s3_transform,
+)
 from polytab.smooth import PrimeSet
 from polytab.vertices import Vertex, VertexSet
 
 from oracles import (
+    build_graph_pairwise,
     cliques_by_partition_naive,
     enumerate_cliques_unguided,
     mobius_on_point,
     neighbor_counts,
     pgl2_packets_fraction,
+    resultant_sylvester,
     triple_to_matrix,
 )
 
@@ -90,6 +100,105 @@ def test_single_vertex_no_edges():
     assert g.edge_count() == 0
     t = tabulate(g)
     assert t.counts == {(0,): 1, (1,): 1}
+
+
+def _restrict(lesser, gone):
+    """Lesser masks of the subgraph without the vertex indices in gone."""
+    out = []
+    for i, m in enumerate(lesser):
+        if i not in gone:
+            for p in sorted(gone, reverse=True):
+                m = m & ((1 << p) - 1) | m >> (p + 1) << p
+            out.append(m)
+    return out
+
+
+def _without(vs, drop):
+    out = VertexSet(vs.P)
+    for d, vsl in vs.by_degree.items():
+        out.by_degree[d] = [v for v in vsl if v not in drop]
+    return out
+
+
+def test_build_graph_matches_pairwise_oracle(vs2, vs23, vs235, vs2357,
+                                             graph2, graph23, graph235,
+                                             graph2357):
+    """The orbit-reduced graph equals the pairwise one on the four reference
+    sets (S3-stable, all orbits closed) and on each with 1-5 seeded random
+    vertices dropped, which leaves their orbit-mates open."""
+    rng = random.Random(12)
+    for vs, g in ((vs2, graph2), (vs23, graph23), (vs235, graph235),
+                  (vs2357, graph2357)):
+        vs, g = vs.value, g.value
+        want = build_graph_pairwise(vs)
+        assert g.vertices == want.vertices and g.lesser == want.lesser
+        n = len(g.vertices)
+        for k in (rng.randint(1, 5), 5):
+            gone = set(rng.sample(range(n), k))
+            keep = [i for i in range(n) if i not in gone]
+            g2 = build_graph(_without(vs, {g.vertices[i] for i in gone}))
+            assert g2.vertices == [g.vertices[i] for i in keep]
+            assert g2.lesser == _restrict(want.lesser, gone)
+
+
+def test_build_graph_open_vertices_and_other_primes(vs2, vs2357):
+    """A hand-built set mixing closed orbits, partial orbits, a repeated
+    vertex and vertices whose images drop degree (s(0) = 0 or s(1) = 0,
+    one of them onto a listed linear vertex); and build_graph with primes
+    other than the set's own."""
+    lin = [(-3, 1), (2, 1), (-1, 3), (-2, 3), (-3, 2), (1, 2),  # orbit of 3
+           (1, 1), (-2, 1), (-1, 2), (-1, 2),    # orbit of -1, 2t - 1 twice
+           (0, 1),                           # t: 1/t drops to a constant
+           (-5, 1), (4, 1)]                  # part of the orbit of 5
+    quad = [(1, -1, 1),                      # fixed by the whole group
+            (1, 0, 1), (2, -2, 1), (1, -2, 2),   # the orbit of t^2 + 1
+            (0, -2, 1),                      # 1/t image 1 - 2t is listed
+            (-3, 2, 1),                      # (t - 1)(t + 3): s(1) = 0
+            (7, 3, 1)]
+    vs = VertexSet(PrimeSet([2, 3]))
+    vs.by_degree = {1: [Vertex(NormalizedPoly(c)) for c in lin],
+                    2: [Vertex(NormalizedPoly(c)) for c in quad]}
+    g = build_graph(vs)
+    assert g.lesser == build_graph_pairwise(vs).lesser
+    assert g.edge_count() > 10
+    for vs, P in ((vs2, PrimeSet([2, 3, 5, 7])), (vs2357, PrimeSet([2, 3])),
+                  (vs2357, PrimeSet([2, 3, 5, 7, 11]))):
+        vs = vs.value
+        assert build_graph(vs, P).lesser == build_graph_pairwise(vs, P).lesser
+
+
+def test_resultant_invariant_under_s3(vs23, vs235):
+    """The lemma behind build_graph: |Res(sigma f, sigma g)| = |Res(f, g)|
+    for sampled vertex pairs under all six elements."""
+    rng = random.Random(23)
+    for vs in (vs23.value, vs235.value):
+        polys = [v.poly for v in vs.all_vertices()]
+        for _ in range(150):
+            f, h = rng.sample(polys, 2)
+            want = abs(resultant_sylvester(f.coeffs, h.coeffs))
+            assert want
+            for g in S3_ELEMENTS:
+                assert abs(resultant_sylvester(
+                    s3_transform(f, g).coeffs,
+                    s3_transform(h, g).coeffs)) == want
+
+
+def test_build_graph_one_resultant_per_pair_orbit(vs23, graph23, monkeypatch):
+    """On the {2,3} set at most a fifth of the pairs get a resultant, so a
+    fallback to the pairwise loop fails here."""
+    calls = 0
+    resultant_fast = cliques.resultant_fast
+
+    def counting(f, g):
+        nonlocal calls
+        calls += 1
+        return resultant_fast(f, g)
+
+    monkeypatch.setattr(cliques, "resultant_fast", counting)
+    g = build_graph(vs23.value)
+    n = len(g.vertices)
+    assert g.lesser == graph23.value.lesser
+    assert 0 < calls <= n * (n - 1) // 2 // 5
 
 
 def test_tabulate_invariant_under_reorder(graph2, table2):
@@ -200,6 +309,16 @@ def test_enumerate_cliques_polls_budget_per_top_vertex(graph2357):
     budget = _CountingBudget()
     assert sum(1 for _ in enumerate_cliques(g, kappa=(9,), budget=budget)) == 7425
     assert 0 < budget.calls <= len(g.vertices)
+
+
+def test_build_graph_honours_budget(vs2357):
+    vs = vs2357.value
+    with pytest.raises(BudgetExceededError):
+        build_graph(vs, budget=Budget(seconds=1e-9))
+    budget = _CountingBudget()
+    build_graph(vs, budget=budget)
+    orbits = {s3_orbit(v.poly) for v in vs.all_vertices()}
+    assert 1 <= budget.calls <= len(orbits) < len(vs.all_vertices())
 
 
 def test_enumerate_cliques_pruned_matches_unguided(graph2357, graph23):

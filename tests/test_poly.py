@@ -23,8 +23,9 @@ from polytab.poly import (
     s3_orbit,
     s3_transform,
     special_values,
+    substitute_mobius,
 )
-from polytab.poly import _poly_divmod_exact
+from polytab.poly import _MATS, _poly_divmod_exact
 from polytab.smooth import PrimeSet, ZeroValueError
 from polytab.vertices import TABLE5_REPRESENTATIVES
 
@@ -233,6 +234,28 @@ def test_s3_orbits():
     assert len(s3_orbit(NP(1, -1, 1))) == 1
     # generic cubic vertex has orbit size six
     assert len(s3_orbit(NP(2, -6, 6, 1))) == 6
+
+
+def test_s3_transform_matches_normalized_substitution():
+    """The integer-only image equals normalize of the substituted form, also
+    when s(0) = 0 or s(1) = 0 makes the image drop its degree."""
+    rng = random.Random(8)
+    drops = 0
+    for _ in range(400):
+        c = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+        c.append(rng.randint(1, 9))
+        if rng.random() < 0.3:
+            c = poly_mul(c, [0, 1])             # s(0) = 0
+        if rng.random() < 0.3:
+            c = poly_mul(c, [-1, 1])            # s(1) = 0
+        s = normalize(c)[0]
+        for g in S3_ELEMENTS:
+            mat = _MATS[S3_ELEMENTS[s3_inverse(g)]]
+            want = normalize(substitute_mobius(s.coeffs, mat))[0]
+            got = s3_transform(s, g)
+            assert got == want
+            drops += got.degree < s.degree
+    assert drops > 100
 
 
 def test_s3_group_law():
