@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fractal", help="iterated-preimage family over {2}")
     p.add_argument("--imax", type=int, default=4)
     p.add_argument("--no-verify", action="store_true",
-                   help="skip discriminant checks (coefficient export mode)")
+                   help="skip the membership checks (coefficient export mode)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fractal)
 

@@ -3,8 +3,11 @@
 The generating-function route counts products of distinct cyclotomic
 polynomials indexed by smooth integers; the pullback route composes rational
 maps with critical values among the marked points, which multiplies degrees
-while keeping bad reduction inside the prime set.  Every polynomial emitted
-here is re-verified by the membership predicate before being returned.
+while keeping bad reduction inside the prime set.  A pullback's discriminant
+comes from the identity proved in `pullback` (the cover's pencil
+discriminant, a resultant against s and disc(s)), never from a PRS of the
+pulled-back degree.  Every polynomial emitted here is re-verified by the
+membership predicate before being returned.
 """
 
 from __future__ import annotations
@@ -16,12 +19,15 @@ from .budget import Budget, BudgetExceededError
 from .poly import (
     NormalizedPoly,
     _poly_gcd,
+    _primitive,
     _radical,
+    _trim,
     check_membership,
     normalize,
     poly_mul,
     resultant_coeffs,
     special_values,
+    with_discriminant,
 )
 from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
 
@@ -173,50 +179,134 @@ def _disc_or_none(rad):
 
 def _fiber_one(cover: RationalCover):
     """Integer polynomial whose roots are the finite preimages of 1."""
-    u, f, g = cover.scalar, cover.numer.coeffs, cover.denom.coeffs
-    top = max(len(f), len(g))
-    num = [Fraction(0)] * top
-    for i, x in enumerate(f):
-        num[i] += u * x
-    for i, x in enumerate(g):
-        num[i] -= x
-    while num and num[-1] == 0:
-        num.pop()
+    num = _pencil_at(*_pencil(cover), 1)
     if not num:
         raise CoverValidationError("cover is constant 1")
-    return normalize(num)[0].coeffs
+    return _primitive(num)
+
+
+def _pencil(cover: RationalCover):
+    """Integer (A, B) with F = A/B: a * numer and b * denom for scalar a/b."""
+    a, b = cover.scalar.numerator, cover.scalar.denominator
+    return ([a * x for x in cover.numer.coeffs],
+            [b * x for x in cover.denom.coeffs])
+
+
+def _pencil_at(A, B, x):
+    """Coefficients of A - x B, trimmed."""
+    return _trim([(A[i] if i < len(A) else 0) - x * (B[i] if i < len(B) else 0)
+                  for i in range(max(len(A), len(B)))])
+
+
+def _pencil_discriminant(A, B, m: int) -> list:
+    """D(x) = disc_m(A - x B) as an integer coefficient list ([] for zero).
+
+    disc_m, the discriminant of a form of degree m, is an integer polynomial
+    of degree 2m - 2 in the coefficients, so D has degree <= 2m - 2.  It is
+    interpolated from 2m - 1 integers x at which A - x B keeps degree m (at
+    most one x lowers it), where D(x) is the discriminant of A - x B.
+    """
+    xs, ys = [], []
+    x = 0
+    while len(xs) < 2 * m - 1:
+        c = _pencil_at(A, B, x)
+        if len(c) == m + 1:
+            p, scale = normalize(c)
+            xs.append(x)
+            ys.append(int(scale) ** (2 * m - 2) * p.discriminant())
+        x = -x if x > 0 else 1 - x   # 0, 1, -1, 2, -2, ...
+    D = [Fraction(0)] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        basis, den = [1], 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = poly_mul(basis, [-xj, 1])
+                den *= xi - xj
+        for idx, c in enumerate(basis):
+            D[idx] += Fraction(yi * c, den)
+    return _trim([int(c) for c in D])
+
+
+def _pencil_resultant(A, B, m: int) -> int:
+    """|Res_{m,m}(A, B)|, A and B read as forms of degree m."""
+    r = resultant_coeffs(A, B)
+    if len(A) <= m:
+        r *= B[-1] ** (m + 1 - len(A))
+    elif len(B) <= m:
+        r *= A[-1] ** (m + 1 - len(B))
+    return abs(r)
 
 
 def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
-             verify: bool = True) -> NormalizedPoly:
+             verify: bool = True,
+             budget: Budget | None = None) -> NormalizedPoly:
     """Normalized s(F(t)) * denom(t)^deg(s); degree multiplies exactly.
 
-    With verify=True (default) the output must pass the membership predicate;
-    a failure means the cover is not a valid three-point cover for P.
+    The output carries its discriminant, computed from the cover and s by
+    the identity below instead of a PRS of degree deg(s) * deg(F).  With
+    verify=True (default) the output must pass the membership predicate;
+    a failure means the cover is not a valid three-point cover for P.  The
+    budget is polled once per coefficient of s.
+
+    Identity.  Write F = A/B with integer A = a * numer and B = b * denom
+    (scalar = a/b), m = deg F = max(deg A, deg B), k = deg s, and
+    H = sum_i s_i A^i B^(k-i) = lc(s) * prod_j P_j, where P_j = A - alpha_j B
+    over the roots alpha_j of s.  H is c * h for the output h and an integer
+    c, and deg H = m k is checked, so every P_j has degree exactly m.  Put
+    D(x) = disc_m(A - x B) and R = Res_{m,m}(A, B).  Then
+
+        disc(H) = lc(s)^(2m-2-deg D) * Res(s, D) * R^(k(k-1)) * disc(s)^m,
+
+    and disc(h) = disc(H) / c^(2mk-2), since disc is homogeneous of degree
+    2n - 2 in the coefficients of a degree-n polynomial.  Proof:
+    - disc(c Q) = c^(2n-2) disc(Q), and the discriminant of a product is the
+      product of the discriminants times every pairwise resultant squared,
+      so disc(H) = lc(s)^(2mk-2) * prod_j disc(P_j)
+      * prod_{i<j} Res(P_i, P_j)^2.
+    - The Sylvester matrix of (A - alpha B, A - beta B) at formal degrees
+      (m, m) is ([[1, -alpha], [1, -beta]] (x) I_m) times that of (A, B),
+      so Res(P_i, P_j) = (alpha_i - alpha_j)^m R, and the product over i < j
+      of their squares is R^(k(k-1)) * (disc(s) / lc(s)^(2k-2))^m.
+    - disc(P_j) = D(alpha_j) because P_j has degree m, and
+      prod_j D(alpha_j) = Res(s, D) / lc(s)^(deg D).
+    Collecting the powers of lc(s) gives the formula.  k(k-1) is even, so
+    only |R| enters.  For a three-point cover, A - x B is separable of
+    degree m for every x other than 0 and 1, so D = kappa x^e0 (x - 1)^e1 and
+    Res(s, D) = +-kappa^k s(0)^e0 s(1)^e1, while the power of lc(s) = s(inf)
+    is the ramification over inf.  That is why the pullback keeps bad
+    reduction inside P.
     """
-    k = s.degree
-    u, f, g = cover.scalar, cover.numer.coeffs, cover.denom.coeffs
-    acc = [Fraction(0)]
-    fpow = [1]
-    gpows = [[1]]
-    for _ in range(k):
-        gpows.append(poly_mul(gpows[-1], list(g)))
-    for i, si in enumerate(s.coeffs):
+    budget = budget or Budget.from_env()
+    k, m = s.degree, cover.degree
+    A, B = _pencil(cover)
+    # H by Horner in s, from the top: H <- H A + s_i B^(k-i)
+    H = [s.coeffs[k]]
+    bpow = [1]
+    for si in reversed(s.coeffs[:k]):
+        budget.check()
+        H = poly_mul(A, H)
+        bpow = poly_mul(B, bpow)
+        H += [0] * (len(bpow) - len(H))
         if si:
-            term = poly_mul(fpow, gpows[k - i])
-            coef = si * u ** i
-            for idx, x in enumerate(term):
-                if idx == len(acc):
-                    acc.append(Fraction(0))
-                acc[idx] += coef * x
-        if i < k:
-            fpow = poly_mul(fpow, list(f))
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    out = normalize(acc)[0]
-    if out.degree != cover.degree * k:
-        raise CoverValidationError(
-            f"pullback degree {out.degree} != {cover.degree * k}")
+            for idx, x in enumerate(bpow):
+                if x:
+                    H[idx] += si * x
+    coeffs = _primitive(_trim(H))
+    out = NormalizedPoly(coeffs)
+    if out.degree != m * k:
+        raise CoverValidationError(f"pullback degree {out.degree} != {m * k}")
+    if k:
+        D = _pencil_discriminant(A, B, m)
+        disc_H = 0
+        if D:
+            disc_H = (s.coeffs[-1] ** (2 * m - len(D) - 1)
+                      * resultant_coeffs(s.coeffs, D)
+                      * _pencil_resultant(A, B, m) ** (k * (k - 1))
+                      * s.discriminant() ** m)
+        c = H[-1] // coeffs[-1]
+        disc, rem = divmod(disc_H, c ** (2 * m * k - 2))
+        assert rem == 0, "pullback discriminant identity violated"
+        with_discriminant(out, disc)
     if verify:
         rep = check_membership(out, P)
         if not rep.ok:
@@ -270,17 +360,22 @@ def fractal_family(i_max: int, verify: bool = True,
     """The iterated-preimage polynomials s_{i,j} for i <= i_max, j in {-1,0,1}.
 
     s_{1,j} are the seeds above; s_{i+1,j} pulls s_{i,j} back through the
-    degree-4 cover, so deg s_{i,j} = 2 * 4^(i-1).  verify=False skips the
-    discriminant check (the values at the marked points are always checked),
-    which is what makes very large i feasible for coefficient export.
+    degree-4 cover, so deg s_{i,j} = 2 * 4^(i-1).  Each pullback carries its
+    discriminant from the cover's identity, so verification is a
+    factorization over {2}; the cost at large i is the pullback construction
+    itself, which polls the budget once per coefficient of s_{i,j}.
+    verify=False skips the membership check (the values at the marked points
+    are always checked).  A verified run stops at i = 6: the s_{7,j} are of
+    degree 8192, and building them takes tens of seconds.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     budget = budget or Budget.from_env()
     if verify and i_max > 6:
         raise BudgetExceededError(
-            "full verification above i = 6 is out of budget; "
-            "pass verify=False for coefficient export")
+            "i > 6 is out of budget: constructing the degree-8192 pullbacks "
+            "s_7,j takes tens of seconds; pass verify=False for coefficient "
+            "export under the wall-clock budget")
     P2 = PrimeSet([2])
     cover = builtin_covers()["quartic-fractal"]
     out = {}
@@ -292,7 +387,8 @@ def fractal_family(i_max: int, verify: bool = True,
     for i in range(1, i_max):
         for j in FRACTAL_SEEDS:
             budget.check()
-            s = pullback(cover, out[(i, j)], P2, verify=verify)
+            s = pullback(cover, out[(i, j)], P2, verify=verify,
+                         budget=budget)
             if not verify:
                 v0, v1, vinf = special_values(s)
                 if not (is_smooth(v0, P2) and is_smooth(v1, P2)

@@ -334,6 +334,14 @@ def discriminant(s: NormalizedPoly) -> int:
     return r // s.coeffs[-1]
 
 
+def with_discriminant(s: NormalizedPoly, disc: int) -> NormalizedPoly:
+    """s with its discriminant cache set to disc, which the caller has proved
+    equal to discriminant(s); s.discriminant() then returns it without the
+    PRS.  Returns s."""
+    object.__setattr__(s, "_disc", disc)
+    return s
+
+
 # ---------------------------------------------------------------------------
 # the S3 action permuting the marked points 0, 1, infinity
 

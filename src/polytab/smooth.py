@@ -127,7 +127,11 @@ class SmoothFactorization:
 def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
     """Split a nonzero integer into its P-part and rough cofactor.
 
-    Repeated exact division only; the rough part is returned untouched.
+    Exact division only; the rough part is returned untouched.  The power
+    of 2 is the count of trailing zero bits.  Any other prime comes off by
+    its powers p, p^2, p^4, ... while they divide, then by a binary descent
+    through the same powers, so an exponent e costs O(log e) big divisions
+    instead of e.
     """
     if n == 0:
         raise ZeroValueError("0 has no factorization over a prime set")
@@ -135,11 +139,20 @@ def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
     m = abs(n)
     exps = []
     for p in P:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+        e = 0
+        if p == 2:
+            e = (m & -m).bit_length() - 1
+            m >>= e
+        elif m % p == 0:
+            powers = [p]
+            while m % (sq := powers[-1] * powers[-1]) == 0:
+                powers.append(sq)
+            for i in range(len(powers) - 1, -1, -1):
+                q, r = divmod(m, powers[i])
+                if r == 0:
+                    m = q
+                    e += 1 << i
+        if e:
             exps.append((p, e))
     return SmoothFactorization(sign, tuple(exps), m)
 

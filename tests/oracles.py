@@ -73,6 +73,20 @@ def smooth_filter_naive(primes, H):
     return out
 
 
+def factor_over_division_loop(n, primes):
+    """(sign, ((p, e), ...), rough) by dividing out one p at a time."""
+    m = abs(n)
+    exps = []
+    for p in primes:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            exps.append((p, e))
+    return (1 if n > 0 else -1), tuple(exps), m
+
+
 def is_smooth_naive(n, primes):
     if n == 0:
         return False

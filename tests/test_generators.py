@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polytab.budget import Budget, BudgetExceededError
 from polytab.generators import (
@@ -15,7 +17,15 @@ from polytab.generators import (
     validate_cover,
     verify_named,
 )
-from polytab.poly import NormalizedPoly, check_membership, poly_mul, s3_orbit
+from polytab import poly
+from polytab.poly import (
+    NormalizedPoly,
+    check_membership,
+    discriminant,
+    normalize,
+    poly_mul,
+    s3_orbit,
+)
 from polytab.smooth import PrimeSet
 
 from oracles import BAD_REDUCTION
@@ -127,6 +137,100 @@ def test_pullback_rejects_invalid_use():
     # power:3 has bad reduction at 3: pulling back over {2} must fail
     with pytest.raises(CoverValidationError):
         pullback(covers["power:3"], NormalizedPoly((-2, 1)), P2)
+
+
+def _prs_disc(h):
+    """The generic PRS discriminant, on a fresh copy of h with no cache."""
+    return discriminant(NormalizedPoly(h.coeffs))
+
+
+@pytest.mark.parametrize("name", sorted(builtin_covers()))
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(low=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       lead=st.integers(1, 9))
+def test_pullback_discriminant_matches_prs(name, low, lead):
+    # every builtin cover, the deg numer < deg denom ones included; s of
+    # degree 1-5 whose pullback keeps degree m k (a drop raises)
+    cover = builtin_covers()[name]
+    s = normalize(low + [lead])[0]
+    try:
+        h = pullback(cover, s, P2, verify=False)
+    except CoverValidationError:
+        assume(False)
+    assert h.degree == cover.degree * s.degree
+    assert h._disc == _prs_disc(h)
+
+
+_SHORT = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(numer=_SHORT, denom=_SHORT, a=st.integers(-6, 6).filter(bool),
+       b=st.integers(1, 6), low=st.lists(st.integers(-9, 9), min_size=1,
+                                         max_size=4), lead=st.integers(1, 9))
+def test_pullback_discriminant_identity_any_map(numer, denom, a, b, low, lead):
+    # the identity needs no three-point structure: any F = (a/b) f/g, with
+    # leading coefficients that are not units and either degree on top
+    f, g = normalize(numer)[0], normalize(denom)[0]
+    assume(max(f.degree, g.degree) >= 1)
+    cover = RationalCover("any", f, g, Fraction(a, b))
+    s = normalize(low + [lead])[0]
+    try:
+        h = pullback(cover, s, P2, verify=False)
+    except CoverValidationError:
+        assume(False)
+    assert h._disc == _prs_disc(h)
+
+
+def test_fractal_discriminants_match_prs():
+    fam = fractal_family(4, verify=False)
+    for (i, j), s in fam.items():
+        if i >= 2:
+            assert s._disc == _prs_disc(s), (i, j)
+
+
+def test_fractal_membership_runs_no_large_prs(monkeypatch):
+    degrees = []
+    generic = poly.discriminant
+
+    def spy(s):
+        degrees.append(s.degree)
+        return generic(s)
+
+    monkeypatch.setattr(poly, "discriminant", spy)
+    fam = fractal_family(4)
+    assert all(check_membership(s, P2).ok for s in fam.values())
+    # the seeds and the quartic pencil members only
+    assert degrees and max(degrees) <= 4
+
+
+def test_fractal_family_5_verified():
+    fam = fractal_family(5)
+    assert len(fam) == 15
+    assert {s.degree for (i, _), s in fam.items() if i == 5} == {512}
+    assert all(check_membership(s, P2).ok for s in fam.values())
+
+
+class _CountingBudget(Budget):
+    calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
+def test_pullback_polls_budget_per_term():
+    cover = builtin_covers()["quartic-fractal"]
+    budget = _CountingBudget()
+    pullback(cover, FRACTAL_SEEDS[0], P2, budget=budget)
+    assert budget.calls == 2
+    budget = _CountingBudget()
+    fractal_family(3, verify=False, budget=budget)
+    # one check per pullback, plus one per coefficient below the top
+    assert budget.calls == 6 + 3 * 2 + 3 * 8
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        fractal_family(6, verify=False, budget=Budget(seconds=0.1))
+    assert time.monotonic() - t0 < 0.5
 
 
 def test_fractal_seeds_and_degrees():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytab.smooth import (
     PrimeSet,
@@ -14,7 +15,12 @@ from polytab.smooth import (
     squarefree_part,
 )
 
-from oracles import is_smooth_naive, smooth_count_exponent_loops, smooth_filter_naive
+from oracles import (
+    factor_over_division_loop,
+    is_smooth_naive,
+    smooth_count_exponent_loops,
+    smooth_filter_naive,
+)
 
 from fractions import Fraction
 
@@ -77,6 +83,23 @@ def test_factor_over_roundtrip_random():
         f = factor_over(n, P235)
         assert f.value == n
         assert all(f.rough % p for p in P235)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(primes=st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
+                     max_size=5),
+       exps=st.lists(st.integers(0, 1500), min_size=7, max_size=7),
+       cofactor=st.integers(1, 10 ** 6), negative=st.booleans())
+def test_factor_over_matches_division_loop(primes, exps, cofactor, negative):
+    # huge exponents of mixed primes, some of them outside P
+    n = cofactor
+    for p, e in zip((2, 3, 5, 7, 11, 13, 10007), exps):
+        n *= p ** e
+    n = -n if negative else n
+    P = PrimeSet(primes)
+    f = factor_over(n, P)
+    assert (f.sign, f.exponents, f.rough) == factor_over_division_loop(n, P)
+    assert f.value == n
 
 
 def test_is_unit_in():
