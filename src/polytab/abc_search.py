@@ -108,40 +108,39 @@ def reference_cubic_partition(j: Fraction) -> tuple:
 
 
 def f_resolvent_coeffs(j: Fraction, k: Fraction) -> list:
-    """Coefficients (constant first, Fractions) of the degree-6 resolvent
+    """Integer coefficients (constant first) of b^4 d F(j,k,y) for j = a/b
+    and k = c/d in lowest terms, where F is the degree-6 resolvent
 
         F(j,k,y) = k (j^2 y^3 - 2 j y^3 + 3 j y^2 - 3 j y + 1)^2
-                   - j (j y^2 - 2 y + 1)^3
+                   - j (j y^2 - 2 y + 1)^3.
+
+    Each coefficient of F has degree <= 4 in j and <= 1 in k.
     """
-    j2 = j * j
+    a, b, c, d = j.numerator, j.denominator, k.numerator, k.denominator
     return [
-        k - j,
-        -6 * j * (k - 1),
-        3 * j * (3 * j * k - j + 2 * k - 4),
-        -4 * j * (4 * j * k - 3 * j + k - 2),
-        -3 * j2 * (2 * j * k + j - 7 * k + 4),
-        6 * j2 * (j * k + j - 2 * k),
-        j2 * (j2 * k - j2 - 4 * j * k + 4 * k),
+        b ** 3 * (b * c - a * d),
+        -6 * a * b ** 3 * (c - d),
+        3 * a * b * b * (3 * a * c - a * d + 2 * b * c - 4 * b * d),
+        -4 * a * b * b * (4 * a * c - 3 * a * d + b * c - 2 * b * d),
+        -3 * a * a * b * (2 * a * c + a * d - 7 * b * c + 4 * b * d),
+        6 * a * a * b * (a * c + a * d - 2 * b * c),
+        a * a * (a * a * c - a * a * d - 4 * a * b * c + 4 * b * b * c),
     ]
 
 
 def roots_of_F(j: Fraction, k: Fraction) -> list:
-    """Rational roots of F(j,k,y) in Q union {'inf'}, with multiplicity.
+    """The distinct roots of F(j,k,y) in P^1(Q), as primitive pairs (n, d).
 
-    'inf' counts as a root (with multiplicity 6 - deg) when the y^6
-    coefficient vanishes.  Requires j outside {0, 1}.
+    The finite roots come first, ascending; inf = (1, 0) is a root when the
+    y^6 coefficient vanishes.  Requires j outside {0, 1}.
     """
-    from .poly import INF
-
-    j, k = Fraction(j), Fraction(k)
     if j in (0, 1):
         raise ValueError("j must avoid 0 and 1")
     coeffs = f_resolvent_coeffs(j, k)
-    ipoly, _ = normalize(coeffs)
-    roots = list(rational_roots(ipoly.coeffs))
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    roots.extend([INF] * (6 - (len(coeffs) - 1)))
+    roots = list(dict.fromkeys((r.numerator, r.denominator)
+                               for r in rational_roots(coeffs)))
+    if coeffs[-1] == 0:
+        roots.append((1, 0))
     return roots
 
 

@@ -24,7 +24,13 @@ from itertools import product
 from math import comb, gcd
 
 from .budget import Budget, BudgetExceededError
-from .poly import rational_roots, resultant_fast, s3_transform
+from .poly import (
+    MARKED,
+    projective_point,
+    rational_roots,
+    resultant_fast,
+    s3_transform,
+)
 from .smooth import PrimeSet
 from .vertices import VertexSet
 
@@ -505,18 +511,10 @@ def _triple_to_matrix(p, q, r):
 
 
 def _image(mat, pts):
-    """The set of images of the points pts under mat, as primitive pairs
-    (n, d) with d > 0, or (1, 0)."""
+    """The set of images of the points pts under mat, as primitive pairs."""
     a, b, c, d = mat
-    out = set()
-    for x0, x1 in pts:
-        n = a * x0 + b * x1
-        m = c * x0 + d * x1
-        g = gcd(n, m)
-        if m < 0 or (m == 0 and n < 0):
-            g = -g
-        out.add((n // g, m // g))
-    return frozenset(out)
+    return frozenset(projective_point(a * x0 + b * x1, c * x0 + d * x1)
+                     for x0, x1 in pts)
 
 
 def _mat_mul(m1, m2):
@@ -567,9 +565,6 @@ class Packet:
     stabilizer_label: str
 
 
-_MARKED = frozenset({(0, 1), (1, 1), (1, 0)})   # 0, 1, inf
-
-
 def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     """Group fully split polynomials into fractional-linear packets.
 
@@ -608,7 +603,7 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
             pts.add(canon.setdefault(x, x))
         if len(pts) != a:
             raise ValueError("split polynomials here must be separable")
-        key = frozenset(pts) | _MARKED
+        key = frozenset(pts).union(MARKED)
         if len(key) != a + 3:
             raise ValueError("roots must avoid the marked points")
         index[key] = i

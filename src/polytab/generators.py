@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError
 from .poly import (
+    MARKED,
     NormalizedPoly,
     _poly_gcd,
     _primitive,
@@ -104,27 +105,6 @@ class RationalCover:
     def degree(self) -> int:
         return max(self.numer.degree, self.denom.degree)
 
-    def value_at_infinity(self):
-        from .poly import INF
-
-        dn, dd = self.numer.degree, self.denom.degree
-        if dn > dd:
-            return INF
-        if dn < dd:
-            return Fraction(0)
-        return self.scalar * Fraction(self.numer.coeffs[-1], self.denom.coeffs[-1])
-
-    def evaluate(self, x):
-        from .poly import INF, poly_eval
-
-        if x == INF:
-            return self.value_at_infinity()
-        num = self.scalar * poly_eval(self.numer.coeffs, Fraction(x))
-        den = poly_eval(self.denom.coeffs, Fraction(x))
-        if den == 0:
-            return INF
-        return num / den
-
 
 class CoverValidationError(ValueError):
     pass
@@ -138,20 +118,24 @@ def validate_cover(cover: RationalCover, P: PrimeSet) -> None:
     degree + 2 distinct projective points (so no critical value escapes
     them); unit scalar and smooth fiber data over P.
     """
-    from .poly import INF
-
     f, g, u = cover.numer, cover.denom, cover.scalar
     m = cover.degree
     if len(_poly_gcd(f.coeffs, g.coeffs)) > 1:
         raise CoverValidationError("numerator and denominator share a factor")
     if not is_unit_in(u, P):
         raise CoverValidationError("scalar is not a unit over the prime set")
-    for x in (Fraction(0), Fraction(1), INF):
-        if cover.evaluate(x) not in (Fraction(0), Fraction(1), INF):
+    A, B = _pencil(cover)
+    # F = (A : B) as forms of degree m; coprime, so never (0 : 0)
+    for x in MARKED:
+        a, b = _form_at(A, m, x), _form_at(B, m, x)
+        if a and b and a != b:
             raise CoverValidationError(f"marked point {x} escapes the marked set")
     # fiber polynomials over 0, 1 and infinity
     fiber0 = f.coeffs
-    one_fiber = _fiber_one(cover)
+    one_fiber = _pencil_at(A, B, 1)
+    if not one_fiber:
+        raise CoverValidationError("cover is constant 1")
+    one_fiber = _primitive(one_fiber)
     fiberinf = g.coeffs
     points = 1  # the point at infinity always lies in exactly one fiber
     for fib in (fiber0, one_fiber, fiberinf):
@@ -177,19 +161,17 @@ def _disc_or_none(rad):
     return s.discriminant()
 
 
-def _fiber_one(cover: RationalCover):
-    """Integer polynomial whose roots are the finite preimages of 1."""
-    num = _pencil_at(*_pencil(cover), 1)
-    if not num:
-        raise CoverValidationError("cover is constant 1")
-    return _primitive(num)
-
-
 def _pencil(cover: RationalCover):
     """Integer (A, B) with F = A/B: a * numer and b * denom for scalar a/b."""
     a, b = cover.scalar.numerator, cover.scalar.denominator
     return ([a * x for x in cover.numer.coeffs],
             [b * x for x in cover.denom.coeffs])
+
+
+def _form_at(c, m: int, x: tuple) -> int:
+    """The coefficient list c read as a form of degree m, at the pair x."""
+    x0, x1 = x
+    return sum(ci * x0 ** i * x1 ** (m - i) for i, ci in enumerate(c))
 
 
 def _pencil_at(A, B, x):

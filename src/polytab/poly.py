@@ -262,9 +262,6 @@ class NormalizedPoly:
                 terms.append(("+ " if c > 0 else "- ") + body)
         return " ".join(terms) if terms else "0"
 
-    def eval(self, x):
-        return poly_eval(self.coeffs, x)
-
     def discriminant(self) -> int:
         if self._disc is None:
             object.__setattr__(self, "_disc", discriminant(self))
@@ -343,54 +340,47 @@ def with_discriminant(s: NormalizedPoly, disc: int) -> NormalizedPoly:
 
 
 # ---------------------------------------------------------------------------
-# the S3 action permuting the marked points 0, 1, infinity
+# points of P^1(Q) and the S3 action permuting the marked points 0, 1, inf
+#
+# A point is a primitive integer pair (n, d) with d > 0, or inf = (1, 0).
 
-INF = "inf"
+MARKED = ((0, 1), (1, 1), (1, 0))   # 0, 1, inf
 
-# group element -> permutation image of (0, 1, inf)
+
+def projective_point(n: int, d: int) -> tuple:
+    """The primitive pair of (n : d), which must not be (0, 0)."""
+    g = gcd(n, d)
+    if d < 0 or (d == 0 and n < 0):
+        g = -g
+    return n // g, d // g
+
+
+# group element -> the permutation p sending MARKED[i] to MARKED[p[i]]
 S3_ELEMENTS = {
-    "e": (0, 1, INF),
-    "(01)": (1, 0, INF),
-    "(0inf)": (INF, 1, 0),
-    "(1inf)": (0, INF, 1),
-    "(01inf)": (1, INF, 0),   # 0 -> 1 -> inf -> 0
-    "(0inf1)": (INF, 0, 1),   # 0 -> inf -> 1 -> 0
+    "e": (0, 1, 2),
+    "(01)": (1, 0, 2),
+    "(0inf)": (2, 1, 0),
+    "(1inf)": (0, 2, 1),
+    "(01inf)": (1, 2, 0),   # 0 -> 1 -> inf -> 0
+    "(0inf1)": (2, 0, 1),   # 0 -> inf -> 1 -> 0
 }
 
 # integer matrices (a, b, c, d) of the fractional-linear map (a t + b)/(c t + d)
-# realizing each permutation on the marked points
+# realizing each element on the marked points
 _MATS = {
-    (0, 1, INF): (1, 0, 0, 1),
-    (1, 0, INF): (-1, 1, 0, 1),    # 1 - t
-    (INF, 1, 0): (0, 1, 1, 0),     # 1/t
-    (0, INF, 1): (1, 0, 1, -1),    # t/(t-1)
-    (1, INF, 0): (0, 1, -1, 1),    # 1/(1-t)
-    (INF, 0, 1): (1, -1, 1, 0),    # (t-1)/t
+    "e": (1, 0, 0, 1),
+    "(01)": (-1, 1, 0, 1),      # 1 - t
+    "(0inf)": (0, 1, 1, 0),     # 1/t
+    "(1inf)": (1, 0, 1, -1),    # t/(t-1)
+    "(01inf)": (0, 1, -1, 1),   # 1/(1-t)
+    "(0inf1)": (1, -1, 1, 0),   # (t-1)/t
 }
-
-
-def _perm_name(perm):
-    for name, p in S3_ELEMENTS.items():
-        if p == perm:
-            return name
-    raise ValueError(f"not an S3 element: {perm}")
-
-
-def s3_compose(g: str, h: str) -> str:
-    """Group law: (g h) acts as g after h."""
-    pg, ph = S3_ELEMENTS[g], S3_ELEMENTS[h]
-    idx = {0: 0, 1: 1, INF: 2}
-    return _perm_name(tuple(pg[idx[ph[i]]] for i in range(3)))
 
 
 def s3_inverse(g: str) -> str:
     p = S3_ELEMENTS[g]
-    idx = {0: 0, 1: 1, INF: 2}
-    inv = [None, None, None]
-    src = (0, 1, INF)
-    for i in range(3):
-        inv[idx[p[i]]] = src[i]
-    return _perm_name(tuple(inv))
+    inv = tuple(p.index(i) for i in range(3))
+    return next(name for name, q in S3_ELEMENTS.items() if q == inv)
 
 
 def substitute_mobius(coeffs, mat, degree=None):
@@ -419,7 +409,7 @@ def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
     trailing zeros (the degree drops when s(0) = 0 or s(1) = 0) and its sign
     are left to fix.
     """
-    mat = _MATS[S3_ELEMENTS[s3_inverse(g)]]
+    mat = _MATS[s3_inverse(g)]
     c = _trim(substitute_mobius(s.coeffs, mat))
     if c[-1] < 0:
         c = [-x for x in c]
@@ -744,8 +734,3 @@ def is_irreducible(s: NormalizedPoly, budget: Budget | None = None) -> bool:
     if s.degree == 3:
         return not rational_roots(s.coeffs)
     return len(factor_small(s, budget)) == 1
-
-
-def partition_of(s: NormalizedPoly) -> tuple:
-    """Degrees of the irreducible factors, sorted descending."""
-    return tuple(sorted((f.degree for f in factor_small(s)), reverse=True))

@@ -88,15 +88,6 @@ class PrimeSet:
     def __repr__(self):
         return "PrimeSet({%s})" % ", ".join(str(p) for p in self.primes)
 
-    def first_good_prime(self) -> int:
-        """Smallest prime not in the set."""
-        p = 2
-        while p in self.primes:
-            p += 1
-            while not _is_prime(p):
-                p += 1
-        return p
-
 
 @dataclass(frozen=True)
 class SmoothFactorization:

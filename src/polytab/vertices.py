@@ -37,12 +37,11 @@ from .abc_search import (
 )
 from .budget import Budget
 from .poly import (
-    INF,
     NormalizedPoly,
+    _primitive,
     check_membership,
     is_irreducible,
     normalize,
-    poly_mul,
     s3_orbit,
     special_values,
 )
@@ -208,34 +207,28 @@ def build_degree2(P: PrimeSet, points):
 # degree 3
 
 
-def _cube(lin):
-    sq = poly_mul(lin, lin)
-    return poly_mul(sq, lin)
+def _smn_coeffs(a: int, b: int, m: tuple, n: tuple) -> list:
+    """Integer coefficients of the cubic s^{m,n}, up to a scalar.
 
+    j = a/b is the j-invariant, and m = (m1, m2), n = (n1, n2) are resolvent
+    roots as points of P^1(Q).  With D = n1 m2 - m1 n2 the cubic is
 
-def _smn_coeffs(j: Fraction, m, n):
-    """Monic cubic s^{m,n} for a j-invariant and resolvent roots m, n.
+        (a - b) b (D t - n1 m2)^3 - a b (D t + n1 (m1 - m2))^3
+            + (a - b) a (m1 n1)^3.
 
-    Roots may be 'inf'; the two limiting forms below are the n -> inf and
-    m -> inf limits of the generic expression.
+    For finite m and n it is -b^2 D^3 times the monic s^{m,n}; at m = inf or
+    n = inf it is the limit of that cubic, with no case of its own.  The t^3
+    coefficient is -b^2 D^3, so the degree is 3 exactly when m != n.
     """
-    if m == INF and n == INF:
-        raise ValueError("m and n cannot both be infinite")
-    if m == INF:
-        return [j * (j - 2) * n ** 3, 3 * j * n * n, -3 * j * n, Fraction(1)]
-    if n == INF:
-        # j (t + m - 1)^3 - (j - 1)(t - 1)^3 - j (j - 1) m^3
-        c = [j * x for x in _cube([m - 1, Fraction(1)])]
-        d = [(j - 1) * x for x in _cube([Fraction(-1), Fraction(1)])]
-        out = [a - b for a, b in zip(c, d)]
-        out[0] -= j * (j - 1) * m ** 3
-        return out
-    t1 = [(j - 1) * x for x in _cube([-n, n - m])]
-    t3 = [j * x for x in _cube([m * n - n, n - m])]
-    out = [a - b for a, b in zip(t1, t3)]
-    out[0] += (j - 1) * j * m ** 3 * n ** 3
-    den = (m - n) ** 3
-    return [x / den for x in out]
+    (m1, m2), (n1, n2) = m, n
+    D = n1 * m2 - m1 * n2
+    p, q = -n1 * m2, n1 * (m1 - m2)
+    u, v = (a - b) * b, a * b
+    # u (D t + p)^3 - v (D t + q)^3 + (a - b) a (m1 n1)^3, term by term
+    return [u * p ** 3 - v * q ** 3 + (a - b) * a * (m1 * n1) ** 3,
+            3 * D * (u * p * p - v * q * q),
+            3 * D * D * (u * p - v * q),
+            (u - v) * D ** 3]
 
 
 def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
@@ -255,21 +248,20 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
     stats.setdefault("candidates", 0)
     stats.setdefault("rejected", 0)
     out = {}
-    zero = Fraction(0)
     for rep, members in sorted(classes.items()):
         js = sorted(pt.u for pt in members)
-        jext = [zero] + js
+        jext = [0] + js
         accepted = {}
         root_cache = {}
 
         def roots_cached(j, k):
             key = (j, k)
             if key not in root_cache:
-                root_cache[key] = sorted(set(roots_of_F(j, k)),
-                                         key=lambda r: (r == INF, r))
+                root_cache[key] = roots_of_F(j, k)
             return root_cache[key]
 
         for j in js:
+            a, b = j.numerator, j.denominator
             for j0 in jext:
                 ms = roots_cached(j, j0)
                 if not ms:
@@ -281,7 +273,8 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
                             if m == n:
                                 continue
                             stats["candidates"] += 1
-                            s = normalize(_smn_coeffs(j, m, n))[0]
+                            s = NormalizedPoly(_primitive(
+                                _smn_coeffs(a, b, m, n)))
                             if s.degree != 3 or s.discriminant() == 0:
                                 stats["rejected"] += 1
                                 continue

@@ -9,8 +9,22 @@ from fractions import Fraction
 from math import gcd
 
 from polytab.cliques import _IDENT, CompatGraph, Packet, _group_label, _mat_mul
-from polytab.poly import INF, normalize, resultant_fast, special_values
+from polytab.poly import (
+    S3_ELEMENTS,
+    NormalizedPoly,
+    _primitive,
+    factor_small,
+    normalize,
+    poly_mul,
+    rational_roots,
+    resultant_fast,
+    special_values,
+)
 from polytab.vertices import _smn_coeffs, roots_of_F
+
+# the point at infinity of the Fraction oracles below; the package writes
+# points of P^1(Q) as primitive integer pairs, with inf = (1, 0)
+INF = "inf"
 
 
 def sylvester_matrix(f, g):
@@ -462,14 +476,91 @@ def recovered_w_triple(s):
 def candidate_grid(j, j0, j1):
     """The (m, n) candidate polynomials for one invariant triple (j0, j1, j).
 
-    Yields (m, n, candidate) with m != n, candidates normalized; inseparable
-    or degree-degenerate entries come through so callers can report them.
+    Yields (m, n, candidate) with m != n as primitive pairs, candidates
+    normalized; inseparable entries come through so callers can report them.
     """
-    ms = sorted(set(roots_of_F(j, j0)), key=lambda r: (r == INF, r))
-    ns = sorted(set(roots_of_F(j, j1)), key=lambda r: (r == INF, r))
-    for m in ms:
-        for n in ns:
-            if m == n:
-                continue
-            coeffs = _smn_coeffs(j, m, n)
-            yield m, n, normalize(coeffs)[0]
+    a, b = j.numerator, j.denominator
+    for m in roots_of_F(j, j0):
+        for n in roots_of_F(j, j1):
+            if m != n:
+                yield m, n, NormalizedPoly(_primitive(_smn_coeffs(a, b, m, n)))
+
+
+def s3_compose(g, h):
+    """Group law of the marked-point action: (g h) acts as g after h."""
+    pg, ph = S3_ELEMENTS[g], S3_ELEMENTS[h]
+    gh = tuple(pg[i] for i in ph)
+    return next(name for name, p in S3_ELEMENTS.items() if p == gh)
+
+
+def partition_of(s):
+    """Degrees of the irreducible factors of s, sorted descending."""
+    return tuple(sorted((f.degree for f in factor_small(s)), reverse=True))
+
+
+def first_good_prime(P):
+    """Smallest prime not in the prime set P, by trial division."""
+    p = 2
+    while p in P or any(p % q == 0 for q in range(2, p)):
+        p += 1
+    return p
+
+
+# ---------------------------------------------------------------------------
+# The degree-3 hot path in Fractions, with INF for the point at infinity.
+
+
+def _cube(lin):
+    return poly_mul(poly_mul(lin, lin), lin)
+
+
+def smn_coeffs_fraction(j, m, n):
+    """Monic cubic s^{m,n} for a j-invariant and resolvent roots m, n in
+    Q union {INF}: the generic two-root formula and its two limits."""
+    if m == INF and n == INF:
+        raise ValueError("m and n cannot both be infinite")
+    if m == INF:
+        return [j * (j - 2) * n ** 3, 3 * j * n * n, -3 * j * n, Fraction(1)]
+    if n == INF:
+        # j (t + m - 1)^3 - (j - 1)(t - 1)^3 - j (j - 1) m^3
+        c = [j * x for x in _cube([m - 1, Fraction(1)])]
+        d = [(j - 1) * x for x in _cube([Fraction(-1), Fraction(1)])]
+        out = [a - b for a, b in zip(c, d)]
+        out[0] -= j * (j - 1) * m ** 3
+        return out
+    t1 = [(j - 1) * x for x in _cube([-n, n - m])]
+    t3 = [j * x for x in _cube([m * n - n, n - m])]
+    out = [a - b for a, b in zip(t1, t3)]
+    out[0] += (j - 1) * j * m ** 3 * n ** 3
+    den = (m - n) ** 3
+    return [x / den for x in out]
+
+
+def f_resolvent_fraction(j, k):
+    """Fraction coefficients (constant first) of the degree-6 resolvent
+
+        F(j,k,y) = k (j^2 y^3 - 2 j y^3 + 3 j y^2 - 3 j y + 1)^2
+                   - j (j y^2 - 2 y + 1)^3.
+    """
+    j2 = j * j
+    return [
+        k - j,
+        -6 * j * (k - 1),
+        3 * j * (3 * j * k - j + 2 * k - 4),
+        -4 * j * (4 * j * k - 3 * j + k - 2),
+        -3 * j2 * (2 * j * k + j - 7 * k + 4),
+        6 * j2 * (j * k + j - 2 * k),
+        j2 * (j2 * k - j2 - 4 * j * k + 4 * k),
+    ]
+
+
+def roots_of_F_fraction(j, k):
+    """Roots of F(j,k,y) in Q union {INF} with multiplicity: INF counts
+    6 - deg times."""
+    j, k = Fraction(j), Fraction(k)
+    coeffs = f_resolvent_fraction(j, k)
+    roots = list(rational_roots(normalize(coeffs)[0].coeffs))
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    roots.extend([INF] * (6 - (len(coeffs) - 1)))
+    return roots

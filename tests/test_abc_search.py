@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,10 +19,9 @@ from polytab.abc_search import (
     write_points,
 )
 from polytab.budget import Budget, BudgetExceededError
-from polytab.poly import INF
 from polytab.smooth import PrimeSet, is_smooth, rough_part, smooth_numbers_up_to
 
-from oracles import abc_brute_force, abc_gcd_pair_search
+from oracles import INF, abc_brute_force, abc_gcd_pair_search, roots_of_F_fraction
 
 from math import gcd, isqrt
 
@@ -138,13 +138,40 @@ def test_reference_cubic():
 
 
 def test_roots_of_F_examples():
-    assert sorted(roots_of_F(Fraction(-24), Fraction(0))) == \
-        [Fraction(-1, 4)] * 3 + [Fraction(1, 6)] * 3
-    got = roots_of_F(Fraction(4, 3), Fraction(4))
-    assert sorted(r for r in got if r != INF) == [Fraction(1, 2), Fraction(1)]
-    assert got.count(INF) == 1
-    assert sorted(roots_of_F(Fraction(4, 3), Fraction(1372, 3))) == \
-        [Fraction(3, 8), Fraction(9, 10), Fraction(3)]
+    assert roots_of_F(Fraction(-24), Fraction(0)) == [(-1, 4), (1, 6)]
+    assert roots_of_F(Fraction(4, 3), Fraction(4)) == [(1, 2), (1, 1), (1, 0)]
+    assert roots_of_F(Fraction(4, 3), Fraction(1372, 3)) == \
+        [(3, 8), (9, 10), (3, 1)]
+
+
+def test_roots_of_F_match_fraction_oracle():
+    """The integer resolvent's distinct projective roots equal the Fraction
+    oracle's roots, inf = (1, 0) once when the y^6 coefficient vanishes."""
+    rng = random.Random(19)
+    seen = {"k = 0": 0, "degree drop": 0, "finite root": 0}
+    for case in range(600):
+        j = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+        if j in (0, 1, 2):
+            continue
+        y = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        G = (j * j - 2 * j) * y ** 3 + 3 * j * y * y - 3 * j * y + 1
+        if case % 5 == 0:
+            k = Fraction(0)
+        elif case % 5 == 1:
+            k = j * j / (j - 2) ** 2           # the y^6 coefficient vanishes
+        elif case % 5 == 2 or G == 0:
+            k = Fraction(rng.randint(-40, 40), rng.randint(1, 15))
+        else:
+            k = j * (j * y * y - 2 * y + 1) ** 3 / G ** 2   # F(j, k, y) = 0
+        want = roots_of_F_fraction(j, k)
+        finite = sorted({r for r in want if r != INF})
+        assert roots_of_F(j, k) == \
+            [(r.numerator, r.denominator) for r in finite] \
+            + [(1, 0)] * (INF in want)
+        seen["k = 0"] += k == 0
+        seen["degree drop"] += INF in want
+        seen["finite root"] += bool(finite)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_roots_of_F_full_multiplicity_over_Qbar():

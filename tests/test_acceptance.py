@@ -48,14 +48,13 @@ from polytab.poly import (
     poly_mul,
     rational_roots,
     resultant_coeffs,
-    s3_compose,
     s3_orbit,
     s3_transform,
 )
 from polytab.smooth import PrimeSet, is_smooth
 from polytab.vertices import poly_height
 
-from oracles import candidate_grid
+from oracles import candidate_grid, first_good_prime, s3_compose
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -200,7 +199,6 @@ def test_c05_degree3(vs23):
         accepted[(m, n)] = (s.coeffs, good)
     ok &= len(grid2) == 9
     ok &= sum(1 for _, good in accepted.values() if good) == 6
-    from polytab.poly import INF
     rejects = {accepted[k][0] for k in accepted if not accepted[k][1]}
     ok &= rejects == {(1, 75, -225, 125), (-8, 180, -300, 125),
                       (1, -120, 75, 125)}
@@ -529,7 +527,7 @@ def test_reduction_bound_on_tables(table23, table235, table2357):
     # every nonempty partition obeys the packing bound for the first good prime
     for table, P, f in ((table23.value, P23, 3), (table235.value, P235, 2),
                         (table2357.value, P2357, 1)):
-        bound = reduction_bound(P.first_good_prime(), f)
+        bound = reduction_bound(first_good_prime(P), f)
         for expts, cnt in table.counts.items():
             if cnt:
                 assert sum((d + 1) * e for d, e in enumerate(expts)) <= bound

@@ -21,7 +21,6 @@ from polytab.cliques import (
     tabulate,
 )
 from polytab.poly import (
-    INF,
     S3_ELEMENTS,
     NormalizedPoly,
     from_roots,
@@ -33,6 +32,7 @@ from polytab.smooth import PrimeSet
 from polytab.vertices import Vertex, VertexSet
 
 from oracles import (
+    INF,
     build_graph_pairwise,
     cliques_by_partition_naive,
     enumerate_cliques_unguided,

@@ -101,6 +101,11 @@ def test_cover_validation_rejects_junk():
                          Fraction(1))
     with pytest.raises(CoverValidationError):
         validate_cover(bad2, PrimeSet([2]))
+    # t/(2t - 1) fixes 0 and 1 but sends inf to 1/2
+    bad3 = RationalCover("bad3", NormalizedPoly((0, 1)), NormalizedPoly((-1, 2)),
+                         Fraction(1))
+    with pytest.raises(CoverValidationError, match="escapes"):
+        validate_cover(bad3, P2)
 
 
 def test_pullback_identity_and_s3():

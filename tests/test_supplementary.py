@@ -1,13 +1,15 @@
 """Cross-cutting checks: per-class table resolution, the
 degree-3 discriminant closed form, and worker determinism of the searches."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
-from polytab.poly import INF, NormalizedPoly
+from polytab.poly import NormalizedPoly, _primitive
 from polytab.smooth import PrimeSet, squarefree_class
 from polytab.cli import main as cli_main
+from polytab.vertices import _smn_coeffs
 
 from oracles import candidate_grid
 
@@ -49,19 +51,39 @@ def test_per_delta_member_counts_235(vs235):
 
 
 def test_degree3_disc_closed_form():
-    # disc of the monic two-root cubic = 108 (j-1)^3 j^2 m^6 n^6 / (m-n)^6
+    # disc of the monic two-root cubic = 108 (j-1)^3 j^2 (m1 n1)^6 / D^6 for
+    # m = (m1, m2), n = (n1, n2) in P^1(Q) and D = n1 m2 - m1 n2, inf included:
+    # the worked grids, then random (j, m, n)
     cases = [
         (Fraction(4, 3), Fraction(1372, 3), Fraction(4)),
         (Fraction(-24), Fraction(0), Fraction(0)),
         (Fraction(-8), Fraction(-8), Fraction(0)),
     ]
-    for j, j0, j1 in cases:
-        for m, n, s in candidate_grid(j, j0, j1):
-            if m == INF or n == INF:
-                continue
-            lead = s.coeffs[-1]
-            want = 108 * (j - 1) ** 3 * j ** 2 * m ** 6 * n ** 6 / (m - n) ** 6
-            assert Fraction(s.discriminant()) == lead ** 4 * want
+    triples = [(j, m, n, s) for j, j0, j1 in cases
+               for m, n, s in candidate_grid(j, j0, j1)]
+    rng = random.Random(12)
+
+    def point():
+        if rng.random() < 0.15:
+            return (1, 0)
+        x = Fraction(rng.randint(-30, 30), rng.randint(1, 10))
+        return x.numerator, x.denominator
+
+    while len(triples) < 800:
+        j = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
+        m, n = point(), point()
+        if j not in (0, 1) and m != n:
+            s = NormalizedPoly(_primitive(
+                _smn_coeffs(j.numerator, j.denominator, m, n)))
+            triples.append((j, m, n, s))
+    infinite = 0
+    for j, (m1, m2), (n1, n2), s in triples:
+        lead = s.coeffs[-1]
+        want = 108 * (j - 1) ** 3 * j ** 2 \
+            * Fraction((m1 * n1) ** 6, (n1 * m2 - m1 * n2) ** 6)
+        assert Fraction(s.discriminant()) == lead ** 4 * want
+        infinite += 0 in (m2, n2)
+    assert infinite >= 150
 
 
 def test_search_worker_determinism():

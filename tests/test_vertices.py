@@ -9,8 +9,10 @@ from polytab.abc_search import search_abc, VARIANT_32I, VARIANT_I2I, VARIANT_III
 from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import (
     NormalizedPoly,
+    _primitive,
     check_membership,
     is_irreducible,
+    normalize,
     s3_orbit,
     special_values,
 )
@@ -28,12 +30,39 @@ from polytab.vertices import (
     read_vertex_set,
     write_vertex_set,
 )
+from polytab.vertices import _smn_coeffs
 
-from oracles import recovered_w_triple
+from oracles import INF, recovered_w_triple, smn_coeffs_fraction
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
 P235 = PrimeSet([2, 3, 5])
+
+
+def test_smn_coeffs_match_fraction_oracle():
+    """The homogeneous integer s^{m,n}, made primitive, is the normalized
+    Fraction cubic, with m or n at infinity too."""
+    rng = random.Random(31)
+    seen = {"m = inf": 0, "n = inf": 0, "non-unit denominators": 0}
+    cases = 0
+    while cases < 2500:
+        j = Fraction(rng.randint(-60, 60), rng.randint(1, 30))
+        m, n = (INF if rng.random() < 0.1
+                else Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                for _ in "mn")
+        if j in (0, 1) or m == n:
+            continue
+        cases += 1
+        m_pt, n_pt = ((1, 0) if x == INF else (x.numerator, x.denominator)
+                      for x in (m, n))
+        got = _smn_coeffs(j.numerator, j.denominator, m_pt, n_pt)
+        assert NormalizedPoly(_primitive(got)) == \
+            normalize(smn_coeffs_fraction(j, m, n))[0]
+        seen["m = inf"] += m == INF
+        seen["n = inf"] += n == INF
+        seen["non-unit denominators"] += min(j.denominator, m_pt[1] or 2,
+                                             n_pt[1] or 2) > 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_build_degree1_orbit():
