@@ -3,14 +3,27 @@
 Two vertices are adjacent when their resultant is smooth.  Every clique has
 a unique largest vertex in the fixed total order, so with lesser-neighbor
 bitmasks (Python ints) each clique is reached once: `enumerate_cliques`
-yields them one by one, and `tabulate` counts them by partition as one
-polynomial.  A clique with e_d members of degree d is the monomial
-prod x_d^e_d, and cnt(S) = 1 + sum over i in S of x_deg(i) cnt(S & lesser[i])
-costs one shift-and-add per member of each distinct candidate set S, not
-one update per clique.  The memo on S is scoped to one top vertex and its
-renumbered neighborhood.  The polynomial is one int (Kronecker packing):
-x^e sits in the cell at sum e_d stride_d of a mixed radix, with radix and
-cell width proved from the graph (see `tabulate`).
+yields them one by one in that order.
+
+`tabulate` counts them by partition as one polynomial: a clique with e_d
+members of degree d is the monomial prod x_d^e_d.  It heads each clique by
+its first vertex in a smallest-last (degeneracy) order instead (Matula and
+Beck), so that a head has at most the degeneracy of the graph neighbors
+before it, and counts the cliques inside a candidate set T by the pivot
+identity of the succinct clique tree (Jain and Seshadhri, Pivoter): for p
+in T and u_1, u_2, ... the members of T outside N[p], in order,
+
+    cnt(T) = (1 + x_p) cnt(T & N(p))
+             + sum over i of x_{u_i} cnt(N(u_i) & T - {p, u_1, ..., u_i}).
+
+A clique in T that avoids every u_i lies in N[p], with p or without it (the
+first term); any other has a first u_i, and the rest of it lies among the
+neighbors of u_i in T after u_i (p is not one).  So each distinct candidate
+set costs one shift-and-add per branch, not one update per clique.  The memo
+on T is scoped to one head and its renumbered neighborhood.  The polynomial
+is one int (Kronecker packing): x^e sits in the cell at sum e_d stride_d of
+a mixed radix, with radix and cell width proved from greedy colourings (see
+`tabulate`).
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from .budget import Budget, BudgetExceededError
 from .poly import (
@@ -202,13 +215,62 @@ class PartitionTable:
         }
 
 
-def _clique_poly(lesser, S, shift, r):
+def _smallest_last(lesser, kept, allowed):
+    """The kept vertices in a smallest-last order, as (order, before, full):
+    before[v] holds the neighbors of v that come earlier in the order and
+    full[v] all of its neighbors among the kept vertices.
+
+    The order is built back to front: each step takes a vertex with the
+    fewest neighbors left (Matula and Beck), so no vertex has more neighbors
+    before it than the degeneracy of the graph.
+    """
+    full = [0] * len(lesser)
+    for v in reversed(kept):  # each full[u] gets its top bit first
+        Q = lesser[v] & allowed
+        full[v] |= Q
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            full[b.bit_length() - 1] |= 1 << v
+    deg = [m.bit_count() for m in full]
+    buckets = [set() for _ in range(max(deg, default=0) + 1)]
+    for v in kept:
+        buckets[deg[v]].add(v)
+    before = [0] * len(lesser)
+    left = allowed
+    order = []
+    d = 0
+    for _ in kept:
+        while not buckets[d]:
+            d += 1
+        v = buckets[d].pop()
+        left ^= 1 << v
+        Q = before[v] = full[v] & left
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            u = b.bit_length() - 1
+            buckets[deg[u]].remove(u)
+            deg[u] -= 1
+            buckets[deg[u]].add(u)
+        order.append(v)
+        d = max(d - 1, 0)     # a neighbor of v may have dropped to d - 1
+    order.reverse()
+    return order, before, full
+
+
+def _clique_poly(full, before, S, shift, r, masks):
     """Packed counts of the cliques of at most r members inside S.
 
-    S is renumbered into local bits 0..k-1, by shift and then by most lesser
-    neighbors in S; the memo lives for this call only.  A cap r >= k is no
-    cap: it becomes 2k, stays >= k all the way down, and the memo keys on
-    the subset alone.
+    For r < 3 the counts are read off the before masks.  Otherwise S is
+    renumbered into local bits 0..k-1, most neighbors in S first, so the
+    lowest bit of a local set is its (static) pivot; the memo lives for this
+    call only.  A cap r >= k is no cap: it becomes 2k, stays >= k all the way
+    down, and the memo keys on the subset alone.  Under a cap the pivot
+    identity reads cnt_r(T) = cnt_r(N) + x_p cnt_(r-1)(N) + sum over i of
+    x_{u_i} cnt_(r-1)(...), with N = T & N(p), and cnt_(r-1)(N) is cnt_r(N)
+    masked to the cells of at most r - 1 members (masks[s] keeps those of
+    at most s).
     """
     members = []
     Q = S
@@ -216,45 +278,79 @@ def _clique_poly(lesser, S, shift, r):
         b = Q & -Q
         Q ^= b
         members.append(b.bit_length() - 1)
-    if r <= 1:                # r = 0: the empty clique only; r = 1: no pairs
-        return 1 + sum(1 << shift[x] for x in members if r)
-    members.sort(key=lambda x: (shift[x], -(lesser[x] & S).bit_count(), x))
+    if r < 3 or not S:        # no triangles: read pairs off the masks
+        total = 1
+        for x in members if r else ():
+            c = 1
+            Q = before[x] & S if r == 2 else 0
+            while Q:
+                b = Q & -Q
+                Q ^= b
+                c += 1 << shift[b.bit_length() - 1]
+            total += c << shift[x]
+        return total
+    members.sort(key=lambda x: -(full[x] & S).bit_count())
     k = len(members)
     pos = {x: a for a, x in enumerate(members)}
-    loc = [0] * k             # local lesser-neighbor masks
+    loc = [0] * k             # local neighbor masks
     for a, x in enumerate(members):
-        Q = lesser[x] & S
+        Q = before[x] & S     # each edge inside S once
         while Q:
             b = Q & -Q
             Q ^= b
             c = pos[b.bit_length() - 1]
-            if c < a:
-                loc[a] |= 1 << c
-            else:
-                loc[c] |= 1 << a
+            loc[a] |= 1 << c
+            loc[c] |= 1 << a
     sh = [shift[x] for x in members]
+    capped = r < k
     memo = {}
 
     def cnt(T, r):
-        total = 1
-        r -= 1                # size left below the member chosen next
-        Q = T
+        """Cliques of at most r >= 1 members in the nonempty local set T."""
+        if r == 1:
+            total = 1
+            while T:
+                b = T & -T
+                T ^= b
+                total += 1 << sh[b.bit_length() - 1]
+            return total
+        b = T & -T
+        p = b.bit_length() - 1
+        T ^= b
+        N = T & loc[p]
+        if N:
+            if capped:
+                m = N.bit_count()
+                key = N | min(r, m) << k
+            else:
+                key = N
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = cnt(N, r)
+            # the cliques with p: at most r - 1 members of N beside it
+            total = c + ((c & masks[r - 1] if capped and r <= m else c)
+                         << sh[p])
+        else:
+            total = 1 + (1 << sh[p])
+        Q = T ^ N             # u_1, u_2, ...: the members outside N[p]
+        r -= 1
         while Q:
             b = Q & -Q
             Q ^= b
-            i = b.bit_length() - 1
-            U = T & loc[i]
-            if U and r:
-                key = U if r >= k else U | min(r, U.bit_count()) << k
+            T ^= b            # T is now T - {p, u_1, ..., u_i}
+            u = b.bit_length() - 1
+            U = T & loc[u]
+            if U:
+                key = U | min(r, U.bit_count()) << k if capped else U
                 c = memo.get(key)
                 if c is None:
                     c = memo[key] = cnt(U, r)
-                total += c << sh[i]
+                total += c << sh[u]
             else:
-                total += 1 << sh[i]
+                total += 1 << sh[u]
         return total
 
-    out = cnt((1 << k) - 1, 2 * k if r >= k else r)
+    out = cnt((1 << k) - 1, r if capped else 2 * k)
     memo.clear()              # cnt refers to itself: free it before the GC would
     return out
 
@@ -264,13 +360,29 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
              budget: Budget | None = None) -> PartitionTable:
     """Count cliques of the graph grouped by factorization partition.
 
-    The table is 1 + sum over v of x_deg(v) cnt(lesser[v]), packed into one
-    int.  Radix: if w is the largest degree-d member of a clique, the other
-    degree-d members lie in lesser[w], so e_d <= 1 + |lesser[w] of degree d|
-    (and e_d <= max_size); the most populous degree gets stride 1.  Width:
-    the subtree of v holds at most 2^|lesser[v]| cliques, so no cell reaches
-    1 + sum_v 2^|lesser[v]|, and as every term is nonnegative no carry ever
-    crosses into the next cell.  The '1' cell is the empty product.
+    The table is 1 + sum over v of x_deg(v) cnt(B(v)), packed into one int,
+    where B(v) = before[v] holds the neighbors of v before it in a
+    smallest-last order (`_smallest_last`); cnt is the pivot recursion of
+    the module docstring (`_clique_poly`).  Under a cap of at most 3 nothing
+    recurses, and the graph's own order is kept: B(v) = lesser[v].
+
+    Radix.  The vertices of each degree d are coloured greedily in that
+    order, with c_d colours.  The degree-d members of a clique form a clique
+    of the degree-d subgraph, so e_d <= omega_d <= chi_d <= c_d, and e_d is
+    at most the cap: radix_d = 1 + min(cap, c_d).  The most populous degree
+    gets stride 1.
+
+    Width.  The colour classes of all degrees together colour the graph
+    properly (each is independent, and a class holds one degree), so a
+    clique takes at most one vertex from each class C, and the cliques
+    headed by v number at most the product over C of (1 + |C & B(v)|).
+    Under a cap of at most 3 they are also subsets of B(v) with fewer than
+    cap members, and that count is used instead.  No cell exceeds the
+    clique count, so none reaches 1 + the sum of these bounds over v, and as
+    every term is nonnegative no carry ever crosses into the next cell.  The
+    '1' cell is the empty product.  For the same reason no clique has more
+    members than there are classes, so a cap at or above that number is
+    dropped.
 
     max_size caps the number of irreducible factors.  kappa returns the one
     cell of that partition (present even when 0), counted on the degrees it
@@ -284,35 +396,65 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
     if target is not None:
         cap = min(cap, sum(target))
-    tops = [v for v, d in enumerate(degrees)
+    kept = [v for v, d in enumerate(degrees)
             if cap > 0 and (target is None or target[d - 1])]
-    degmask = [0] * f
-    for v in tops:
-        degmask[degrees[v] - 1] |= 1 << v
-    allowed = sum(degmask)
-    radix = [1] * f
-    for v in tops:
-        d = degrees[v] - 1
-        radix[d] = max(radix[d],
-                       min(cap + 1, 2 + (lesser[v] & degmask[d]).bit_count()))
+    allowed = 0
+    for v in kept:
+        allowed |= 1 << v
+    recurse = cap > 3         # a top vertex can head a clique of four
+    if recurse:
+        order, before, full = _smallest_last(lesser, kept, allowed)
+    else:
+        order, before, full = kept, lesser, None
+    colours = [[] for _ in range(f)]      # per degree: its colour classes
+    population = [0] * f
+    for v in order:
+        cs = colours[degrees[v] - 1]
+        population[degrees[v] - 1] += 1
+        for i, C in enumerate(cs):
+            if not before[v] & C:
+                cs[i] = C | 1 << v
+                break
+        else:
+            cs.append(1 << v)
+    radix = [1 + min(cap, len(cs)) for cs in colours]
     stride = [0] * f
     step = 1
-    for d in sorted(range(f), key=lambda d: -degmask[d].bit_count()):
+    for d in sorted(range(f), key=lambda d: -population[d]):
         stride[d] = step
         step *= radix[d]
-    nbytes = ((1 + sum(1 << (lesser[v] & allowed).bit_count() for v in tops)
-               ).bit_length() + 7) // 8
+    classes = [C for cs in colours for C in cs]
+    bound = 1
+    for v in order:
+        if recurse:
+            bound += prod(1 + (before[v] & C).bit_count() for C in classes)
+        else:
+            m = (before[v] & allowed).bit_count()
+            bound += sum(comb(m, j) for j in range(cap))
+    nbytes = (bound.bit_length() + 7) // 8
     shift = [8 * nbytes * stride[d - 1] for d in degrees]
+    cells = [(e, sum(x * s for x, s in zip(e, stride)))
+             for e in product(*map(range, radix))]
+    masks = []
+    if recurse and cap >= len(classes):
+        cap = len(degrees)    # binds nothing: drop it
+    elif recurse:
+        size = [0] * step
+        for e, at in cells:
+            size[at] = sum(e)
+        ones, zero = b"\xff" * nbytes, bytes(nbytes)
+        masks = [int.from_bytes(b"".join(ones if z <= s else zero
+                                         for z in size), "little")
+                 for s in range(cap - 1)]
     root = 1
-    for v in tops:
+    for v in order:
         budget.check()
-        root += _clique_poly(lesser, lesser[v] & allowed, shift,
-                             cap - 1) << shift[v]
+        root += _clique_poly(full, before, before[v] & allowed, shift,
+                             cap - 1, masks) << shift[v]
     raw = root.to_bytes(nbytes * step, "little")
     table = PartitionTable(f)
-    for e in product(*map(range, radix)):
-        at = nbytes * sum(x * s for x, s in zip(e, stride))
-        cell = int.from_bytes(raw[at:at + nbytes], "little")
+    for e, at in cells:
+        cell = int.from_bytes(raw[nbytes * at:nbytes * (at + 1)], "little")
         if cell:
             table.counts[e] = cell
     if target is not None:

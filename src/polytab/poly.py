@@ -319,12 +319,23 @@ def derivative_coeffs(c):
 
 
 def discriminant(s: NormalizedPoly) -> int:
-    """(-1)^(k(k-1)/2) Res(s, s') / s(inf); 0 exactly when s is inseparable."""
+    """(-1)^(k(k-1)/2) Res(s, s') / s(inf); 0 exactly when s is inseparable.
+
+    Degrees 2 and 3 use the closed forms b^2 - 4ac and
+    b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd (a the leading coefficient).
+    """
     k = s.degree
     if k < 1:
         raise ValueError("degree must be >= 1")
     if k == 1:
         return 1
+    if k == 2:
+        c, b, a = s.coeffs
+        return b * b - 4 * a * c
+    if k == 3:
+        d, c, b, a = s.coeffs
+        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                - 27 * a * a * d * d + 18 * a * b * c * d)
     r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs))
     if k % 4 in (2, 3):
         r = -r

@@ -266,6 +266,58 @@ def test_tabulate_against_oracle():
     assert min(densities) < 0.2 and max(densities) > 0.8 and kappas > 1000
 
 
+def _structured_graph(rng, kind):
+    """A graph whose greedy colouring per degree is optimal, so the radix
+    bound is tight: each degree class a disjoint union of cliques (with
+    random or all edges between classes), or a complete multipartite graph
+    with mixed degrees in its parts.  Vertices are shuffled."""
+    if kind == "cliques":
+        blocks = [(d, rng.randint(1, 4)) for d in (1, 2, 3)
+                  for _ in range(rng.randint(1, 2))]
+        verts = [(d, b) for b, (d, m) in enumerate(blocks) for _ in range(m)]
+        # complete between classes: the largest clique meets every class
+        cross = rng.choice((1.0, rng.uniform(0.3, 0.9)))
+
+        def adjacent(x, y):
+            if x[0] == y[0]:
+                return x[1] == y[1]
+            return rng.random() < cross
+    else:
+        parts = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        verts = [(rng.randint(1, 3), b) for b, m in enumerate(parts)
+                 for _ in range(m)]
+
+        def adjacent(x, y):
+            return x[1] != y[1]
+    rng.shuffle(verts)
+    del verts[13:]            # small enough for the subset oracle
+    degrees = [d for d, _ in verts]
+    lesser = [sum(1 << j for j in range(i) if adjacent(verts[i], verts[j]))
+              for i in range(len(verts))]
+    return CompatGraph([None] * len(verts), degrees, lesser, P2)
+
+
+def test_tabulate_structured_graphs_against_oracle():
+    """Graphs where the colour bound on the radix is attained, every cap from
+    0 to past the vertex count (so caps below the colour bound, between it
+    and the neighborhood sizes, and above both), and every kappa cell,
+    against the subset oracle; the graph itself is left as it was."""
+    for seed in range(30):
+        rng = random.Random(1000 + seed)
+        g = _structured_graph(rng, ("cliques", "multipartite")[seed % 2])
+        degrees, lesser = list(g.degrees), list(g.lesser)
+        full = cliques_by_partition_naive(degrees, lesser)
+        assert tabulate(g).counts == full
+        for m in range(len(degrees) + 2):
+            assert tabulate(g, max_size=m).counts == \
+                cliques_by_partition_naive(degrees, lesser, max_size=m)
+        for e, cnt in full.items():
+            assert tabulate(g, kappa=e).counts == {e: cnt}
+        e = tuple(x + (d == 0) for d, x in enumerate(max(full)))
+        assert tabulate(g, kappa=e).counts == {e: full.get(e, 0)}
+        assert g.degrees == degrees and g.lesser == lesser
+
+
 def test_tabulate_width_on_complete_graph():
     """Every subset of a complete graph is a clique, so each cell is a product
     of binomials.  2^72 cliques, with cells above 2^64, come out exactly."""

@@ -181,6 +181,32 @@ def test_discriminant_basics():
     assert discriminant(NP(1, -1, 1)) == -3
 
 
+def test_discriminant_closed_forms_match_resultant():
+    """The degree-2 and degree-3 closed forms against (-1)^(k(k-1)/2)
+    Res(s, s') / lead by the generic PRS, on random and degenerate input."""
+    def by_resultant(c):
+        k = len(c) - 1
+        r = resultant_coeffs(list(c), [i * c[i] for i in range(1, k + 1)])
+        return (-r if k % 4 in (2, 3) else r) // c[-1]
+
+    rng = random.Random(11)
+    cases = [(-2, 0, 1), (1, 2, 1), (0, 0, 1), (0, 1, 1), (0, 0, 0, 1),
+             (0, -1, 0, 1), (1, 3, 3, 1), (0, 1, -2, 1), (2, 0, 0, 3),
+             (-1, 0, 0, 1), (0, 0, 5, 7), (6, -11, 6, 1)]
+    for _ in range(300):
+        k = rng.choice((2, 3))
+        bound = rng.choice((3, 10 ** 6, 10 ** 30))
+        c = [rng.randint(-bound, bound) for _ in range(k)]
+        cases.append((*c, rng.randint(1, bound)))
+    seen = set()
+    for c in cases:
+        s = normalize(list(c))[0]
+        assert s.degree == len(c) - 1
+        assert discriminant(s) == by_resultant(s.coeffs)
+        seen.add((s.degree, discriminant(s) == 0))
+    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+
+
 def test_discriminant_named_polynomials():
     big23 = product_poly(BIG23_FACTORS)
     assert big23.degree == 35
