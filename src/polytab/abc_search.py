@@ -10,18 +10,28 @@ be smooth outright versus smooth times a square or cube:
 
 The searches enumerate the structured sides from smooth generators and test
 the remaining side by stripping the prime set and checking the cofactor.
+
+inf-2-inf and 3-2-inf skip most of those tests with a residue sieve.  Let q
+be a prime outside P modulo which -1 and every p in P are squares.  Then a
+square times a P-smooth number, of either sign, is a square or 0 mod q, so
+only the pairs (a, c) with a + c or a - c a square or 0 mod q can hold a
+point.  Byte-lane masks indexed by a mod q select those c for each a, and a
+table is built only where it costs less than the tests it removes
+(_pair_search).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 from .budget import Budget
 from .poly import NormalizedPoly, normalize, rational_roots
-from .smooth import PrimeSet, smooth_numbers_up_to, squarefree_class
+from .smooth import PrimeSet, _is_prime, smooth_numbers_up_to, squarefree_class
 
 VARIANT_III = "inf-inf-inf"
 VARIANT_I2I = "inf-2-inf"
@@ -166,8 +176,7 @@ def _certify(P, variant, H):
 def _by_support(xs, primes) -> dict:
     """Map each prime-support bitmask (bit i set when primes[i] divides x) to
     the x in xs with that support.  Two numbers are coprime exactly when their
-    masks are disjoint, so pair loops over disjoint buckets need no gcd.  A
-    cube candidate a = s x^3 has x coprime to P, so its mask is that of s."""
+    masks are disjoint, so pair loops over disjoint buckets need no gcd."""
     out = {}
     for x in xs:
         mask = 0
@@ -200,49 +209,117 @@ def _search_iii(smooth, sset, primes, H: int, budget: Budget):
     return us
 
 
+def _sieve_primes(primes, bound: int) -> list:
+    """The (at most four) smallest odd primes q < bound outside P modulo which
+    -1 and every p in P are squares, found by Euler's criterion.  -1 is a
+    square mod an odd prime q exactly when q = 1 mod 4, and a q in P fails
+    the test at p = q."""
+    out = []
+    for q in range(5, bound, 4):
+        if all(pow(p, (q - 1) // 2, q) == 1 for p in primes) and _is_prime(q):
+            out.append(q)
+            if len(out) == 4:
+                break
+    return out
+
+
+def _squares_mod(q: int) -> list:
+    """The squares mod q, 0 included, ascending."""
+    return sorted({x * x % q for x in range(q)})
+
+
+def _residue_table(vs, q: int) -> list:
+    """Lane masks with one byte per value: table[t] has byte i equal to 1
+    when t + vs[i] is a square or 0 mod q, and to 0 otherwise."""
+    square = bytearray(2 * q)
+    for s in _squares_mod(q):
+        square[s] = square[s + q] = 1
+    # row i, square[v : v + q] for v = vs[i] mod q, holds the bytes of value i
+    # for t = 0 .. q - 1; column t, every q-th byte from t, is table[t]
+    rows = b"".join(square[v % q:v % q + q] for v in vs)
+    return [int.from_bytes(rows[t::q], "little") for t in range(q)]
+
+
 def _pair_search(acands, smooth, primes, budget: Budget):
     """Shared loop for inf-2-inf and 3-2-inf: for coprime a in acands and c in
-    smooth, test B = -A - C for the square-times-smooth shape for both signs
-    of C.  B is coprime to a and c, so only the primes outside both supports
-    are stripped from it."""
-    cbuckets = _by_support(smooth, primes)
+    smooth, test B = a + c and B = |a - c| for the square-times-smooth shape.
+    acands maps prime supports to a values, as _by_support does.  B is coprime
+    to a and c, so only the primes outside both supports are stripped from it
+    before the isqrt test.
+
+    Most pairs never reach that test.  Let q be an odd prime outside P modulo
+    which -1 and every p in P are squares (_sieve_primes).  Then a square
+    times a P-smooth number, or its negative, is a square or 0 mod q.  So
+    a + v, for v = c or v = -c, can only pass when it is a square or 0 mod q.
+    Each bucket of c values holds its lanes v = c and v = -c, one byte each,
+    and a table per q gives the lanes that can pass for each a mod q
+    (_residue_table).  Per a, the lanes set in every table of the bucket go
+    to the exact test; a bucket with no tables sends all its lanes.
+
+    Cost rule: the k-th q (from 0) halves the exact tests that the smaller q
+    leave of the 2 n na in a bucket of n values of c paired with na values of
+    a, so it removes n na / 2^k of them.  A bucket uses it while that is more
+    than its cost counted in exact tests: 2 q + n + n q / 32 to build the
+    table (per column, per value and per byte, as timed on CPython 3.11) and
+    na lookups.  The budget is checked once per table and once per a.
+    """
+    cbuckets = []
+    for mc, cs in _by_support(smooth, primes).items():
+        na = sum(len(xs) for ma, xs in acands.items() if ma & mc == 0)
+        cbuckets.append((mc, cs, len(cs), na))
+    # no bucket can pay for a q with 2 q >= n na
+    qs = _sieve_primes(primes, max(n * na for *_, n, na in cbuckets) // 2)
+    blocks = []
+    for mc, cs, n, na in cbuckets:
+        lanes = cs + [-c for c in cs]
+        tables = []
+        for k, q in enumerate(qs):
+            if 2 * q + n + n * q // 32 + na >= n * na >> k:
+                break
+            budget.check()
+            tables.append((q, _residue_table(lanes, q)))
+        blocks.append((mc, lanes, tables))
     us = set()
-    for ma, xs in _by_support(acands, primes).items():
-        partners = [([p for i, p in enumerate(primes) if not (ma | mc) >> i & 1], cs)
-                    for mc, cs in cbuckets.items() if ma & mc == 0]
+    for ma, xs in acands.items():
+        partners = [([p for i, p in enumerate(primes)
+                      if not (ma | mc) >> i & 1], *block)
+                    for mc, *block in blocks if ma & mc == 0]
         for a in xs:
             budget.check()
-            for free, cs in partners:
-                for c in cs:
+            for free, lanes, tables in partners:
+                if tables:
+                    mask = -1
+                    for q, table in tables:
+                        mask &= table[a % q]
+                    lanes = compress(lanes,
+                                     mask.to_bytes(len(lanes), "little"))
+                for c in lanes:
                     b = a + c
+                    if b < 0:
+                        b = -b
+                    elif not b:
+                        continue
                     for p in free:
                         while b % p == 0:
                             b //= p
                     r = isqrt(b)
                     if r * r == b:
                         us.add(Fraction(-a, c))
-                    if a != c:
-                        b = abs(a - c)
-                        for p in free:
-                            while b % p == 0:
-                                b //= p
-                        r = isqrt(b)
-                        if r * r == b:
-                            us.add(Fraction(a, c))
     return us
 
 
-def _cube_candidates(smooth, primes, H: int) -> list:
-    """All positive n <= H whose rough part is a perfect cube (n = a x^3)."""
-    out = []
-    for s in smooth:
-        lim = H // s
-        x = 1
-        while x * x * x <= lim:
-            if all(x % p for p in primes):
-                out.append(s * x * x * x)
-            x += 1
-    return sorted(set(out))
+def _cube_candidates(smooth, primes, H: int) -> dict:
+    """All positive a = s x^3 <= H with s smooth and x prime to P, bucketed
+    by prime support as _by_support does: the support of a is that of s."""
+    cubes = []
+    x = 1
+    while x * x * x <= H:
+        if all(x % p for p in primes):
+            cubes.append(x * x * x)
+        x += 1
+    return {mask: [s * x3 for s in ss
+                   for x3 in cubes[:bisect_right(cubes, H // s)]]
+            for mask, ss in _by_support(smooth, primes).items()}
 
 
 def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
@@ -280,7 +357,8 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         us = _search_iii(smooth, set(smooth_numbers_up_to(P, 2 * H)), P.primes,
                          H, budget)
     elif variant == VARIANT_I2I:
-        us = _pair_search(smooth, smooth, P.primes, budget)
+        us = _pair_search(_by_support(smooth, P.primes), smooth, P.primes,
+                          budget)
     else:
         us = _pair_search(_cube_candidates(smooth, P.primes, H), smooth,
                           P.primes, budget)

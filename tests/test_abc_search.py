@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from polytab import abc_search
 from polytab.abc_search import (
     VARIANT_32I,
     VARIANT_I2I,
     VARIANT_III,
+    _by_support,
+    _cube_candidates,
     _pair_search,
+    _sieve_primes,
+    _squares_mod,
     canonical_triple,
     cubic_classes,
     delta_classes,
@@ -51,7 +57,8 @@ def test_small_search_matches_brute_force():
                 # outside the search contract, but the pair loop is still exact
                 assert points == [] and not cert.complete
                 smooth = smooth_numbers_up_to(P, H)
-                assert _pair_search(smooth, smooth, P.primes, Budget()) == want
+                assert _pair_search(_by_support(smooth, P.primes), smooth,
+                                    P.primes, Budget()) == want
                 continue
             assert {pt.u for pt in points} == want, (P, variant)
 
@@ -114,10 +121,104 @@ def test_budget_refusal():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_stops_running_search(workers):
     # unbudgeted, this search takes seconds; the deadline must stop it inside
-    # the candidate loop, in worker processes too
+    # the candidate loop
     with pytest.raises(BudgetExceededError):
-        search_abc(P23, VARIANT_32I, 10 ** 11, budget=Budget(seconds=0.3),
+        search_abc(P235, VARIANT_32I, 10 ** 12, budget=Budget(seconds=0.3),
                    classify=False, workers=workers)
+
+
+def _brute_is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
+def _sieve_condition(q, primes):
+    squares = {x * x % q for x in range(q)}
+    return all(p % q in squares for p in (-1, *primes))
+
+
+@pytest.mark.parametrize("primes", [(), (2,), (2, 3), (2, 3, 5), (3, 7, 11),
+                                    (2, 3, 5, 7), (5, 13)])
+def test_sieve_primes_match_brute_force(primes):
+    """Each sieve prime is an odd prime outside P with -1 and every p in P
+    among the squares mod q, and no smaller odd prime qualifies (mod 2 every
+    residue is a square, so 2 would sieve nothing)."""
+    qs = _sieve_primes(primes, 10 ** 4)
+    assert len(qs) == 4 and qs == sorted(qs)
+    for q in qs:
+        assert _brute_is_prime(q) and q not in primes
+        assert _sieve_condition(q, primes)
+    skipped = [q for q in range(3, qs[-1]) if q not in qs and _brute_is_prime(q)
+               and q not in primes and _sieve_condition(q, primes)]
+    assert skipped == []
+
+
+def test_sieve_primes_values_and_bound():
+    assert _sieve_primes((2,), 10 ** 4) == [17, 41, 73, 89]
+    assert _sieve_primes((2, 3), 10 ** 4) == [73, 97, 193, 241]
+    assert _sieve_primes((2, 3, 5), 10 ** 4) == [241, 409, 601, 769]
+    assert _sieve_primes((2, 3), 193) == [73, 97]
+
+
+def test_many_primes_search_skips_unpayable_sieve_primes():
+    """Sieve primes are looked for only below the size where a table can pay.
+    Over the first 14 primes the fourth one is 9,257,329, and scanning up to
+    it takes seconds; the search at H = 100 takes milliseconds."""
+    P = PrimeSet([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+    points, _ = search_abc(P, VARIANT_I2I, 100, budget=Budget(seconds=2))
+    assert {pt.u for pt in points} == abc_brute_force(P.primes, "i2i", 100)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(primes=st.sampled_from([(2,), (2, 3), (2, 3, 5), (3, 7, 11), (5, 13)]),
+       exps=st.lists(st.integers(0, 60), min_size=3, max_size=3),
+       y=st.integers(0, 10 ** 12), q_divides_y=st.booleans(),
+       negative=st.booleans())
+@example(primes=(2, 3), exps=[0, 0, 0], y=1, q_divides_y=True, negative=False)
+def test_sieve_keeps_every_square_times_smooth(primes, exps, y, q_divides_y,
+                                               negative):
+    """+-s y^2, for P-smooth s and any y, y divisible by q included, lies in
+    the residue set the sieve keeps, for every sieve prime q of P."""
+    s = 1
+    for p, e in zip(primes, exps):
+        s *= p ** e
+    for q in _sieve_primes(primes, 10 ** 4):
+        yq = y * q if q_divides_y else y
+        B = -s * yq * yq if negative else s * yq * yq
+        assert B % q in _squares_mod(q)
+
+
+@pytest.mark.parametrize("P, variant, H", [
+    (P2, VARIANT_32I, 10 ** 9),
+    (P23, VARIANT_32I, 10 ** 10),
+    (P235, VARIANT_32I, 10 ** 8),
+    (P235, VARIANT_I2I, 10 ** 9),
+], ids=["2-32i-1e9", "23-32i-1e10", "235-32i-1e8", "235-i2i-1e9"])
+def test_sieved_search_matches_gcd_pair_loop(P, variant, H, monkeypatch):
+    """At heights where residue tables are built, down to the fourth sieve
+    prime, the sieved search finds what the every-pair gcd loop finds."""
+    built = []
+    table = abc_search._residue_table
+    monkeypatch.setattr(abc_search, "_residue_table",
+                        lambda vs, q: built.append(q) or table(vs, q))
+    points, _ = search_abc(P, variant, H, classify=False)
+    want = abc_gcd_pair_search(P.primes, SHORT[variant], H)
+    assert {pt.u for pt in points} == want
+    assert built
+    if P != P235:
+        assert set(built) == set(_sieve_primes(P.primes, 10 ** 4))
+
+
+def test_cube_candidates_by_support():
+    """The bucketed cube candidates are every n <= H whose rough part is a
+    cube, each filed under its prime support."""
+    H = 10 ** 5
+    for P in (P2, P23, P235, PrimeSet([3, 7])):
+        buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H)
+        flat = [a for xs in buckets.values() for a in xs]
+        assert buckets == _by_support(flat, P.primes)
+        want = [n for n in range(1, H + 1)
+                if round(rough_part(n, P) ** (1 / 3)) ** 3 == rough_part(n, P)]
+        assert sorted(flat) == want
 
 
 def test_delta_classes_single_point():
