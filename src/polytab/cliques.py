@@ -41,10 +41,11 @@ from .poly import (
     MARKED,
     projective_point,
     rational_roots,
+    resultant_bound,
     resultant_fast,
     s3_transform,
 )
-from .smooth import PrimeSet
+from .smooth import PrimeSet, is_smooth, smooth_numbers_up_to
 from .vertices import VertexSet
 
 TABLE_SCHEMA = "polytab.table/1"
@@ -90,13 +91,22 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     with an open vertex is met in that vertex's row.  On a set with no
     closed vertex this is the plain pairwise loop.  The budget is checked
     once per representative.
+
+    Lemma: no resultant of the loop exceeds B = resultant_bound(coeffs).
+    By Hadamard's inequality on the Sylvester matrix, which has deg g rows
+    of coefficients of f and deg f rows of those of g, |Res(f, g)| <=
+    |f|_2^deg g |g|_2^deg f, and B is the largest such product over the
+    degree pairs of the set.  So a resultant is a nonzero P-smooth integer
+    exactly when its absolute value is one of the P-smooth numbers <= B,
+    which are listed once and looked up.  A set whose B would need more of
+    them than there are resultants to compute (huge coefficients) tests
+    each resultant by stripping the primes of P instead.
     """
     P = P or vs.P
     budget = budget or Budget.from_env()
     verts = vs.all_vertices()
     coeffs = [v.poly.coeffs for v in verts]
     degrees = [v.poly.degree for v in verts]
-    primes = P.primes
     n = len(verts)
     index = {c: i for i, c in enumerate(coeffs)}    # a repeat: its last copy
     # the generators t -> 1 - t and t -> 1/t as index maps (None: no image
@@ -126,25 +136,32 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
             heads.append((len(order), i))
             placed.update(orbit)
             order.extend(orbit)
+    smooth = smooth_numbers_up_to(P, max(resultant_bound(coeffs), 1),
+                                  limit=sum(n - 1 - at for at, _ in heads))
+    smooth = _Stripped(P) if smooth is None else set(smooth)
     lesser = [0] * n
     for at, r in heads:
         budget.check()
         cr, group = coeffs[r], images[r]
         for j in order[at + 1:]:
-            res = resultant_fast(cr, coeffs[j])
-            if res == 0:
-                continue
-            res = abs(res)
-            for p in primes:
-                while res % p == 0:
-                    res //= p
-            if res == 1:
+            if abs(resultant_fast(cr, coeffs[j])) in smooth:
                 for a, b in zip(group, images[j]):
                     if a > b:
                         lesser[a] |= 1 << b
                     else:
                         lesser[b] |= 1 << a
     return CompatGraph(verts, degrees, lesser, P)
+
+
+class _Stripped:
+    """The P-smooth integers as a container, tested by stripping the primes
+    of P: for vertex sets too large to list them."""
+
+    def __init__(self, P: PrimeSet):
+        self.P = P
+
+    def __contains__(self, r):
+        return is_smooth(r, self.P)
 
 
 # ---------------------------------------------------------------------------

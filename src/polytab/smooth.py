@@ -249,14 +249,21 @@ def decompose_power(n: int, k: int, P: PrimeSet):
     return a, x
 
 
-def smooth_numbers_up_to(P: PrimeSet, H: int) -> list:
+def smooth_numbers_up_to(P: PrimeSet, H: int,
+                        limit: int | None = None) -> list | None:
     """All positive P-smooth numbers <= H, ascending.
 
     Exponent-vector enumeration (one extension pass per prime); no sieve,
-    so H around 1e11 stays cheap for the small prime sets used here.
+    so H around 1e11 stays cheap for the small prime sets used here.  With
+    a limit, None as soon as there are more than limit of them: each pass
+    keeps the numbers of the one before, so the work stops there too.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
+    if limit is None:
+        limit = float("inf")
+    elif limit < 1:
+        return None     # 1 is always one of them
     out = [1]
     for p in P:
         nxt = []
@@ -265,6 +272,8 @@ def smooth_numbers_up_to(P: PrimeSet, H: int) -> list:
             while v <= H:
                 nxt.append(v)
                 v *= p
+            if len(nxt) > limit:
+                return None
         out = nxt
     out.sort()
     return out

@@ -9,7 +9,12 @@ w-triple parametrization: for each square-free class delta, triples
 produce every degree <= 2 polynomial of that discriminant class.  Instead of
 scanning all triples, winf is solved from (w0, w1): the quadratic relation
 gives winf = w0 + w1 - 2 w0 w1 +- 2 sqrt(w0 w1 (1-w0)(1-w1)), and the square
-root is exact inside a class.  Degree 3 runs the two-root parametrization
+root is exact inside a class.  On primitive pairs w0 = a/b, w1 = c/d this is
+
+    winf = (a d + c b - 2 a c +- 2 R) / (b d),   R^2 = a (b-a) c (d-c),
+
+so the build is integer-only: one isqrt per (w0, w1), one gcd per sign.
+Degree 3 runs the two-root parametrization
 s^{m,n} indexed by a j-invariant and roots m, n of the resolvents F(j, j0)
 and F(j, j1).  Degree >= 4 is ingestion only: candidate characteristic
 polynomials are re-verified, expanded to full orbits and deduplicated, so a
@@ -20,8 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .abc_search import (
     VARIANT_32I,
@@ -145,56 +149,62 @@ def build_degree1(points, P: PrimeSet):
 # degree 2
 
 
-def _sqrt_exact(q: Fraction):
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def build_degree2(P: PrimeSet, points):
     """All degree-2 members: (irreducible vertices, split polynomials, stats).
 
     Split polynomials are the products of two linear members (square
     discriminant); they are returned normalized but are not vertices.
+
+    The class members and the sentinel 1 are primitive pairs, w = n/d with
+    d > 0.  For w0 = a/b and w1 = c/d the root of the triple relation is
+    R/(b d) with R^2 = a (b - a) c (d - c), so the class is closed only if
+    that product is a square, and then
+
+        winf = (a d + c b - 2 a c +- 2 R) / (b d),
+
+    reduced by one gcd and looked up among the pairs.  The quadratic
+    w0 + (w1 - w0 - winf) t + winf t^2 is cleared by lcm(b, d, den winf).
     """
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
     _require_members(points, VARIANT_I2I, P)
     classes = delta_classes(points)
-    one = Fraction(1)
     irreducible = {}
     split = {}
     stats = {"triples": 0, "discarded": 0}
     for delta, members in sorted(classes.items()):
-        ws = [one] + sorted(pt.u for pt in members)
+        ws = [(1, 1)] + [(u.numerator, u.denominator)
+                         for u in sorted(pt.u for pt in members)]
         wset = set(ws)
-        for w0 in ws:
-            for w1 in ws:
-                root = _sqrt_exact(w0 * w1 * (1 - w0) * (1 - w1))
-                if root is None:
+        for a, b in ws:
+            ab = a * (b - a)
+            for c, d in ws:
+                sq = ab * c * (d - c)
+                R = isqrt(sq) if sq >= 0 else -1
+                if R * R != sq:
                     raise ValueError(
                         f"class {delta} is not closed under the triple "
                         f"relation over {P}: a point is not a member")
-                base = w0 + w1 - 2 * w0 * w1
-                for winf in {base + 2 * root, base - 2 * root}:
-                    if winf == 0 or winf not in wset:
+                base, bd = a * d + c * b - 2 * a * c, b * d
+                for e in {base + 2 * R, base - 2 * R}:
+                    g = gcd(e, bd)
+                    e, f = e // g, bd // g
+                    if not e or (e, f) not in wset:
                         continue
                     stats["triples"] += 1
-                    s, _ = normalize([w0, w1 - w0 - winf, winf])
+                    L = lcm(b, d, f)
+                    x, z = a * (L // b), e * (L // f)
+                    s = NormalizedPoly(_primitive([x, c * (L // d) - x - z, z]))
                     if s.degree != 2 or s.discriminant() == 0:
                         stats["discarded"] += 1
                         continue
-                    rep = check_membership(s, P)
-                    if not rep.ok:
+                    if not check_membership(s, P).ok:
                         raise ValueError(
-                            f"triple ({w0},{w1},{winf}) produced non-member "
-                            f"{s} over {P}")
-                    d = s.discriminant()
-                    r = isqrt(abs(d))
-                    if d > 0 and r * r == d:
+                            f"triple ({a}/{b},{c}/{d},{e}/{f}) produced "
+                            f"non-member {s} over {P}")
+                    disc = s.discriminant()
+                    r = isqrt(abs(disc))
+                    if disc > 0 and r * r == disc:
                         split[s.coeffs] = s
                     else:
                         irreducible[s.coeffs] = Vertex(s, class_datum=delta)
@@ -282,10 +292,14 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
                                 stats["rejected"] += 1
                                 continue
                             accepted[s.coeffs] = s
+        # accepted members have s(0) s(1) != 0, so each image keeps the
+        # degree and the action is a group action: a member already in the
+        # closure brings no new orbit
         closed = {}
         for s in accepted.values():
-            for t in s3_orbit(s):
-                closed[t.coeffs] = t
+            if s.coeffs not in closed:
+                for t in s3_orbit(s):
+                    closed[t.coeffs] = t
         for s in closed.values():
             if not check_membership(s, P).ok:
                 raise AssertionError(f"orbit closure broke membership: {s}")
@@ -356,6 +370,8 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
             report.rejected.append((s.coeffs, "reducible"))
             continue
         report.accepted += 1
+        if s.coeffs in out.get(s.degree, ()):
+            continue    # its orbit is already in, as in build_degree3
         for t in s3_orbit(s):
             if not check_membership(t, P).ok:
                 raise AssertionError(f"orbit of {s} broke membership at {t}")

@@ -6,13 +6,15 @@ via naive trial-division filters, searches via brute-force double loops.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
+from polytab.abc_search import VARIANT_I2I, delta_classes
 from polytab.cliques import _IDENT, CompatGraph, Packet, _group_label, _mat_mul
 from polytab.poly import (
     S3_ELEMENTS,
     NormalizedPoly,
     _primitive,
+    check_membership,
     factor_small,
     normalize,
     poly_mul,
@@ -20,7 +22,7 @@ from polytab.poly import (
     resultant_fast,
     special_values,
 )
-from polytab.vertices import _smn_coeffs, roots_of_F
+from polytab.vertices import Vertex, _require_members, _smn_coeffs, roots_of_F
 
 # the point at infinity of the Fraction oracles below; the package writes
 # points of P^1(Q) as primitive integer pairs, with inf = (1, 0)
@@ -564,3 +566,61 @@ def roots_of_F_fraction(j, k):
         coeffs.pop()
     roots.extend([INF] * (6 - (len(coeffs) - 1)))
     return roots
+
+
+# ---------------------------------------------------------------------------
+# The degree-2 build in Fractions.
+
+
+def _sqrt_exact(q):
+    if q < 0:
+        return None
+    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def build_degree2_fraction(P, points):
+    """vertices.build_degree2 with the triple relation solved in Fractions:
+    winf = w0 + w1 - 2 w0 w1 +- 2 sqrt(w0 w1 (1 - w0)(1 - w1)), and each
+    quadratic put through normalize."""
+    if 2 not in P:
+        raise ValueError("degree-2 parametrization requires 2 in P")
+    _require_members(points, VARIANT_I2I, P)
+    one = Fraction(1)
+    irreducible = {}
+    split = {}
+    stats = {"triples": 0, "discarded": 0}
+    for delta, members in sorted(delta_classes(points).items()):
+        ws = [one] + sorted(pt.u for pt in members)
+        wset = set(ws)
+        for w0 in ws:
+            for w1 in ws:
+                root = _sqrt_exact(w0 * w1 * (1 - w0) * (1 - w1))
+                if root is None:
+                    raise ValueError(
+                        f"class {delta} is not closed under the triple "
+                        f"relation over {P}: a point is not a member")
+                base = w0 + w1 - 2 * w0 * w1
+                for winf in {base + 2 * root, base - 2 * root}:
+                    if winf == 0 or winf not in wset:
+                        continue
+                    stats["triples"] += 1
+                    s, _ = normalize([w0, w1 - w0 - winf, winf])
+                    if s.degree != 2 or s.discriminant() == 0:
+                        stats["discarded"] += 1
+                        continue
+                    if not check_membership(s, P).ok:
+                        raise ValueError(
+                            f"triple ({w0},{w1},{winf}) produced non-member "
+                            f"{s} over {P}")
+                    d = s.discriminant()
+                    r = isqrt(abs(d))
+                    if d > 0 and r * r == d:
+                        split[s.coeffs] = s
+                    else:
+                        irreducible[s.coeffs] = Vertex(s, class_datum=delta)
+    vertices = sorted(irreducible.values(), key=Vertex.sort_key)
+    split_polys = sorted(split.values(), key=NormalizedPoly.sort_key)
+    return vertices, split_polys, stats

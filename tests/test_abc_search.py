@@ -118,13 +118,29 @@ def test_budget_refusal():
         search_abc(P235, VARIANT_I2I, 10 ** 6, budget=Budget(seconds=1e-9))
 
 
+class _RefuseAt(Budget):
+    """A budget that refuses at its n-th check, whatever the clock says."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n, self.checks = n, 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks >= self.n:
+            raise BudgetExceededError(f"refused at check {self.n}")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_stops_running_search(workers):
-    # unbudgeted, this search takes seconds; the deadline must stop it inside
-    # the candidate loop
+    # unbudgeted, this search checks its budget about 10^5 times, all but a
+    # few dozen of them (one per residue table) in the candidate loop; a
+    # refusal at the 1000th check must stop it there, however fast it runs
+    budget = _RefuseAt(1000)
     with pytest.raises(BudgetExceededError):
-        search_abc(P235, VARIANT_32I, 10 ** 12, budget=Budget(seconds=0.3),
+        search_abc(P235, VARIANT_32I, 10 ** 12, budget=budget,
                    classify=False, workers=workers)
+    assert budget.checks == 1000
 
 
 def _brute_is_prime(n):

@@ -25,6 +25,7 @@ from polytab.poly import (
     NormalizedPoly,
     from_roots,
     poly_mul,
+    resultant_bound,
     s3_orbit,
     s3_transform,
 )
@@ -199,6 +200,60 @@ def test_build_graph_one_resultant_per_pair_orbit(vs23, graph23, monkeypatch):
     n = len(g.vertices)
     assert g.lesser == graph23.value.lesser
     assert 0 < calls <= n * (n - 1) // 2 // 5
+
+
+def _record_smooth_lists(monkeypatch):
+    """The list of what build_graph's smooth_numbers_up_to calls return."""
+    listed = []
+    smooth_numbers_up_to = cliques.smooth_numbers_up_to
+
+    def listing(P, H, limit=None):
+        listed.append(smooth_numbers_up_to(P, H, limit))
+        return listed[-1]
+
+    monkeypatch.setattr(cliques, "smooth_numbers_up_to", listing)
+    return listed
+
+
+def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
+    """Every resultant build_graph computes on {2,3} degree <= 3 and
+    {2,3,5} degree <= 2 is at most the bound its smooth set is listed to,
+    and the smooth lookup path is the one taken."""
+    seen = []
+    resultant_fast = cliques.resultant_fast
+
+    def recording(f, g):
+        r = resultant_fast(f, g)
+        seen.append(abs(r))
+        return r
+
+    monkeypatch.setattr(cliques, "resultant_fast", recording)
+    listed = _record_smooth_lists(monkeypatch)
+    for vs, bits in ((vs23.value, 80), (vs235.value, 51)):
+        seen.clear()
+        listed.clear()
+        build_graph(vs)
+        bound = resultant_bound([v.poly.coeffs for v in vs.all_vertices()])
+        assert bound.bit_length() == bits
+        assert listed[0] is not None and listed[0][-1] <= bound
+        assert seen and max(seen) <= bound
+
+
+def test_build_graph_strip_path_over_the_cap(monkeypatch):
+    """A set whose bound needs more smooth numbers than it has pairs (huge
+    coefficients) tests each resultant by stripping, and still equals the
+    pairwise graph; a repeated vertex gives zero resultants."""
+    big = 2 ** 300
+    lin = [(-big - k, 1) for k in (0, 7, 16, 243, 256, 259, 259)]
+    quad = [(big, 1, 1), (big + 24, 1, 1), (big, 5, 1)]
+    vs = VertexSet(PrimeSet([2, 3]))
+    vs.by_degree = {1: [Vertex(NormalizedPoly(c)) for c in lin],
+                    2: [Vertex(NormalizedPoly(c)) for c in quad]}
+    listed = _record_smooth_lists(monkeypatch)
+    g = build_graph(vs)
+    assert listed == [None]
+    assert g.lesser == build_graph_pairwise(vs).lesser
+    assert g.edge_count() >= 10
 
 
 def test_tabulate_invariant_under_reorder(graph2, table2):

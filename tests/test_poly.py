@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polytab.poly import (
     MARKED,
@@ -17,6 +18,7 @@ from polytab.poly import (
     projective_point,
     rational_roots,
     resultant,
+    resultant_bound,
     resultant_coeffs,
     resultant_fast,
     s3_inverse,
@@ -116,6 +118,23 @@ def test_resultant_matches_sylvester_oracle():
         g = [rng.randint(-8, 8) for _ in range(dg)] + [rng.randint(1, 8)]
         assert resultant_coeffs(f, g) == resultant_sylvester(f, g)
         assert resultant_fast(f, g) == resultant_sylvester(f, g)
+
+
+_coeffs = st.integers(-10 ** 6, 10 ** 6)
+_lead = st.integers(1, 10 ** 6) | st.integers(-10 ** 6, -1)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.lists(_coeffs, max_size=4), _lead),
+                min_size=2, max_size=4))
+def test_resultant_bound_holds(polys):
+    """resultant_bound is at least |Res(f, g)| for every two of the given
+    polynomials of degree <= 4, constants included."""
+    polys = [(*low, lead) for low, lead in polys]
+    bound = resultant_bound(polys)
+    for i, f in enumerate(polys):
+        for g in polys[i + 1:]:
+            assert abs(resultant_coeffs(f, g)) <= bound
 
 
 def test_resultant_closed_forms():

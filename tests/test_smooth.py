@@ -188,6 +188,17 @@ def test_smooth_numbers_vs_naive_filter():
         assert got == smooth_filter_naive(P.primes, 10 ** 5)
 
 
+def test_smooth_numbers_limit():
+    """With a limit the list comes back whole while it has at most limit
+    numbers, and None once it has more; even P empty holds 1."""
+    for P in (PrimeSet([]), P2, P23, P235, P2357):
+        for H in (1, 7, 10 ** 4, 10 ** 12):
+            full = smooth_numbers_up_to(P, H)
+            for limit in (0, len(full) - 1, len(full), len(full) + 5):
+                got = smooth_numbers_up_to(P, H, limit=limit)
+                assert got == (full if len(full) <= limit else None)
+
+
 def test_smooth_numbers_2357_1e9_pinned():
     # frozen via the independent nested-exponent-loop oracle
     assert smooth_count_exponent_loops(10 ** 9) == 5194

@@ -32,7 +32,12 @@ from polytab.vertices import (
 )
 from polytab.vertices import _smn_coeffs
 
-from oracles import INF, recovered_w_triple, smn_coeffs_fraction
+from oracles import (
+    INF,
+    build_degree2_fraction,
+    recovered_w_triple,
+    smn_coeffs_fraction,
+)
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -86,6 +91,21 @@ def test_degree2_235_totals(vs235):
     vs = vs235.value
     assert len(vs.degree_slice(2)) == 1927
     assert len(vs.split_degree2) == 1020
+
+
+@pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5)])
+def test_degree2_matches_fraction_oracle(primes, search_i2i_235):
+    """The integer-pair build gives the Fraction build's vertices (with
+    their classes), split polynomials and stats over inf-2-inf at 1e9."""
+    P = PrimeSet(primes)
+    points = (search_i2i_235.value[0] if primes == (2, 3, 5)
+              else search_abc(P, VARIANT_I2I, 10 ** 9)[0])
+    verts, split, stats = build_degree2(P, points)
+    want_verts, want_split, want_stats = build_degree2_fraction(P, points)
+    assert [(v.poly, v.class_datum, v.provenance) for v in verts] == \
+        [(v.poly, v.class_datum, v.provenance) for v in want_verts]
+    assert split == want_split and stats == want_stats
+    assert stats["triples"] >= len(verts) > 0
 
 
 def test_degree2_height_3125_orbits(vs235):
