@@ -7,11 +7,14 @@ yields them one by one in that order.
 
 `tabulate` counts them by partition as one polynomial: a clique with e_d
 members of degree d is the monomial prod x_d^e_d.  It heads each clique by
-its first vertex in a smallest-last (degeneracy) order instead (Matula and
-Beck), so that a head has at most the degeneracy of the graph neighbors
-before it, and counts the cliques inside a candidate set T by the pivot
-identity of the succinct clique tree (Jain and Seshadhri, Pivoter): for p
-in T and u_1, u_2, ... the members of T outside N[p], in order,
+its part in its last orbit of the marked-point group S3, in a smallest-last
+(degeneracy) order of the orbits instead (Matula and Beck), so that a head
+has few neighbors before it, and it counts one head per S3-class, times the
+class size: the six maps are automorphisms on the closed vertices (lemmas
+in `build_graph` and `tabulate`).  It counts the cliques inside a candidate
+set T by the pivot identity of the succinct clique tree (Jain and
+Seshadhri, Pivoter): for p in T and u_1, u_2, ... the members of T outside
+N[p], in order,
 
     cnt(T) = (1 + x_p) cnt(T & N(p))
              + sum over i of x_{u_i} cnt(N(u_i) & T - {p, u_1, ..., u_i}).
@@ -20,7 +23,7 @@ A clique in T that avoids every u_i lies in N[p], with p or without it (the
 first term); any other has a first u_i, and the rest of it lies among the
 neighbors of u_i in T after u_i (p is not one).  So each distinct candidate
 set costs one shift-and-add per branch, not one update per clique.  The memo
-on T is scoped to one head and its renumbered neighborhood.  The polynomial
+on T is scoped to one head and its renumbered candidate set.  The polynomial
 is one int (Kronecker packing): x^e sits in the cell at sum e_d stride_d of
 a mixed radix, with radix and cell width proved from greedy colourings (see
 `tabulate`).
@@ -61,6 +64,10 @@ class CompatGraph:
     degrees: list             # per-vertex degree
     lesser: list              # per-vertex bitmask of neighbors with lower index
     P: PrimeSet
+    # per vertex: its images under the six marked-point maps, in one fixed
+    # order of the group, for a closed vertex, and (i,) for an open one;
+    # None: no known symmetry
+    images: list | None = None
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.lesser)
@@ -90,7 +97,9 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     for the sigma taking the representative r of x's orbit to x; a pair
     with an open vertex is met in that vertex's row.  On a set with no
     closed vertex this is the plain pairwise loop.  The budget is checked
-    once per representative.
+    once per representative.  The images are kept on the graph: on the
+    closed vertices the six maps are automorphisms that keep the vertex
+    degree, which `tabulate` uses to count one head per class of cliques.
 
     Lemma: no resultant of the loop exceeds B = resultant_bound(coeffs).
     By Hadamard's inequality on the Sylvester matrix, which has deg g rows
@@ -150,7 +159,7 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
                         lesser[a] |= 1 << b
                     else:
                         lesser[b] |= 1 << a
-    return CompatGraph(verts, degrees, lesser, P)
+    return CompatGraph(verts, degrees, lesser, P, images)
 
 
 class _Stripped:
@@ -194,6 +203,8 @@ def parse_kappa(text: str, f: int) -> tuple:
         d, e = int(d), int(e)
         if not 1 <= d <= f:
             raise ValueError(f"partition part {d} outside 1..{f}")
+        if e < 0:
+            raise ValueError(f"negative multiplicity in {chunk!r}")
         expts[d - 1] += e
     return tuple(expts)
 
@@ -232,48 +243,93 @@ class PartitionTable:
         }
 
 
-def _smallest_last(lesser, kept, allowed):
-    """The kept vertices in a smallest-last order, as (order, before, full):
-    before[v] holds the neighbors of v that come earlier in the order and
-    full[v] all of its neighbors among the kept vertices.
+def _orbit_order(full, orbits, left):
+    """The orbits (lists of members) in a smallest-last order of the
+    quotient, front to back.
 
-    The order is built back to front: each step takes a vertex with the
-    fewest neighbors left (Matula and Beck), so no vertex has more neighbors
-    before it than the degeneracy of the graph.
+    The order is built back to front: each step takes an orbit whose first
+    member has the fewest neighbors left outside the orbit (Matula and Beck,
+    on orbits), so that an orbit's members have few neighbors in the orbits
+    before it.  left holds the members of every orbit and any vertices that
+    stay before all of them.  The group maps an orbit and a union of orbits
+    onto themselves, so every member of an orbit has the first member's count.
     """
-    full = [0] * len(lesser)
-    for v in reversed(kept):  # each full[u] gets its top bit first
-        Q = lesser[v] & allowed
-        full[v] |= Q
-        while Q:
-            b = Q & -Q
-            Q ^= b
-            full[b.bit_length() - 1] |= 1 << v
-    deg = [m.bit_count() for m in full]
-    buckets = [set() for _ in range(max(deg, default=0) + 1)]
-    for v in kept:
-        buckets[deg[v]].add(v)
-    before = [0] * len(lesser)
-    left = allowed
+    reps = 0
+    deg, members = {}, {}
+    for O in orbits:
+        r = O[0]
+        inside = 0
+        for u in O:
+            inside |= 1 << u
+        reps |= 1 << r
+        members[r] = O
+        deg[r] = (full[r] & left & ~inside).bit_count()
+    buckets = [set() for _ in range(max(deg.values(), default=0) + 1)]
+    for r, d in deg.items():
+        buckets[d].add(r)
     order = []
     d = 0
-    for _ in kept:
+    for _ in orbits:
         while not buckets[d]:
             d += 1
-        v = buckets[d].pop()
-        left ^= 1 << v
-        Q = before[v] = full[v] & left
+        O = members[buckets[d].pop()]
+        for u in O:
+            left ^= 1 << u
+        for u in O:
+            Q = full[u] & left & reps
+            while Q:
+                b = Q & -Q
+                Q ^= b
+                x = b.bit_length() - 1
+                buckets[deg[x]].remove(x)
+                deg[x] -= 1
+                buckets[deg[x]].add(x)
+        order.append(O)
+        d = max(d - len(O), 0)    # a count drops by at most one per member
+    order.reverse()
+    return order
+
+
+def _orbit_classes(orbit, full, images):
+    """One clique W inside the orbit per class of such cliques under the
+    group, as (W, class size) pairs.
+
+    The group is transitive on the orbit, so its single members form one
+    class.  Larger cliques are grown in local bits, and W stands for its
+    class when its mask is the least of its images.
+    """
+    out = [(orbit[:1], len(orbit))]
+    inside = 0
+    for u in orbit:
+        inside |= 1 << u
+    if not any(full[u] & inside for u in orbit):
+        return out
+    pos = {u: a for a, u in enumerate(orbit)}
+    adj = []                  # local neighbor masks inside the orbit
+    for u in orbit:
+        m = 0
+        Q = full[u] & inside
         while Q:
             b = Q & -Q
             Q ^= b
-            u = b.bit_length() - 1
-            buckets[deg[u]].remove(u)
-            deg[u] -= 1
-            buckets[deg[u]].add(u)
-        order.append(v)
-        d = max(d - 1, 0)     # a neighbor of v may have dropped to d - 1
-    order.reverse()
-    return order, before, full
+            m |= 1 << pos[b.bit_length() - 1]
+        adj.append(m)
+    k = len(orbit)
+    perms = [[pos[images[u][j]] for u in orbit] for j in range(6)]
+    grow = [(1 << a, adj[a] >> a + 1 << a + 1) for a in range(k)]
+    while grow:               # (clique, its common neighbors above its top)
+        W, C = grow.pop()
+        while C:
+            b = C & -C
+            C ^= b
+            V = W | b
+            grow.append((V, C & adj[b.bit_length() - 1]))
+            imgs = {sum(1 << p[a] for a in range(k) if V >> a & 1)
+                    for p in perms}
+            if V == min(imgs):
+                out.append(([u for a, u in enumerate(orbit) if V >> a & 1],
+                            len(imgs)))
+    return out
 
 
 def _clique_poly(full, before, S, shift, r, masks):
@@ -377,11 +433,26 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
              budget: Budget | None = None) -> PartitionTable:
     """Count cliques of the graph grouped by factorization partition.
 
-    The table is 1 + sum over v of x_deg(v) cnt(B(v)), packed into one int,
-    where B(v) = before[v] holds the neighbors of v before it in a
-    smallest-last order (`_smallest_last`); cnt is the pivot recursion of
-    the module docstring (`_clique_poly`).  Under a cap of at most 3 nothing
-    recurses, and the graph's own order is kept: B(v) = lesser[v].
+    Heads.  The kept vertices fall into orbits: the orbits of the marked-point
+    group on the closed vertices (`build_graph`), and each other vertex alone
+    (every vertex alone when g.images is None).  They are put in a
+    smallest-last order of the quotient (`_orbit_order`), closed orbits
+    first, and every clique K is counted once, at the last orbit O it meets,
+    as W = K & O together with a clique of E & N(W), where E holds the
+    vertices of the orbits before O and N(W) is the common neighborhood of
+    W.  So the table is 1 + sum over O and the cliques W inside O of
+    x^W cnt(E & N(W)), capped at cap - |W| members; cnt is the pivot
+    recursion of the module docstring (`_clique_poly`).
+
+    Lemma: the term of W depends only on its class under the group, so it
+    is counted once per class, times the class size (`_orbit_classes`).
+    On the closed vertices the six maps are automorphisms of the graph that
+    keep each vertex degree (`build_graph`), and a closed orbit has only
+    closed orbits before it, so E is a union of orbits and each sigma maps
+    E & N(W) onto E & N(sigma W): the two candidate sets span isomorphic
+    subgraphs with the same degrees, and x^(sigma W) = x^W.  An open vertex
+    has the trivial group, and with every orbit a single vertex this is the
+    plain smallest-last kernel, one head per vertex.
 
     Radix.  The vertices of each degree d are coloured greedily in that
     order, with c_d colours.  The degree-d members of a clique form a clique
@@ -391,24 +462,29 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
 
     Width.  The colour classes of all degrees together colour the graph
     properly (each is independent, and a class holds one degree), so a
-    clique takes at most one vertex from each class C, and the cliques
-    headed by v number at most the product over C of (1 + |C & B(v)|).
-    Under a cap of at most 3 they are also subsets of B(v) with fewer than
-    cap members, and that count is used instead.  No cell exceeds the
-    clique count, so none reaches 1 + the sum of these bounds over v, and as
-    every term is nonnegative no carry ever crosses into the next cell.  The
-    '1' cell is the empty product.  For the same reason no clique has more
-    members than there are classes, so a cap at or above that number is
-    dropped.
+    clique takes at most one vertex from each class C, and the term of a
+    class of size m with candidate set S counts at most m times the product
+    over C of (1 + |C & S|) cliques.  Under a cap of at most 3 they are also
+    m times the subsets of S with at most cap - |W| members, and that count
+    is used instead.  No cell exceeds the clique count, so none reaches 1 +
+    the sum of these bounds over the heads, and as every term is
+    nonnegative no carry ever crosses into the next cell.  The '1' cell is
+    the empty product.  For the same reason no clique has more members than
+    there are classes, so a cap at or above that number is dropped.
 
     max_size caps the number of irreducible factors.  kappa returns the one
     cell of that partition (present even when 0), counted on the degrees it
-    uses with the size capped at |kappa|.  The budget is checked once per top
-    vertex.  workers is accepted and ignored: the serial memo beats a pool.
+    uses with the size capped at |kappa|; a negative max_size or part count
+    is a ValueError.  The budget is checked once per counted head (W).
+    workers is accepted and ignored: the serial memo beats a pool.
     """
     budget = budget or Budget.from_env()
-    degrees, lesser = g.degrees, g.lesser
+    degrees, lesser, images = g.degrees, g.lesser, g.images
     f = max(degrees, default=1)
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"negative max_size {max_size}")
+    if kappa is not None and min(kappa, default=0) < 0:
+        raise ValueError(f"negative part count in kappa {kappa}")
     cap = len(degrees) if max_size is None else max_size
     target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
     if target is not None:
@@ -418,22 +494,49 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     allowed = 0
     for v in kept:
         allowed |= 1 << v
-    recurse = cap > 3         # a top vertex can head a clique of four
-    if recurse:
-        order, before, full = _smallest_last(lesser, kept, allowed)
-    else:
-        order, before, full = kept, lesser, None
+    full = [0] * len(degrees)     # all neighbors among the kept vertices
+    for v in reversed(kept):      # each full[u] gets its top bit first
+        Q = lesser[v] & allowed
+        full[v] |= Q
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            full[b.bit_length() - 1] |= 1 << v
+    closed, opened = [], []
+    closed_mask = 0
+    for v in kept:
+        if images is None or len(images[v]) == 1:
+            opened.append([v])
+        else:
+            closed_mask |= 1 << v
+            if v == min(images[v]):
+                closed.append(sorted(set(images[v])))
+    order = (_orbit_order(full, closed, closed_mask)
+             + _orbit_order(full, opened, allowed))
+    before = [0] * len(degrees)   # neighbors earlier in the order
+    heads = []                    # (W, class size, E & N(W))
     colours = [[] for _ in range(f)]      # per degree: its colour classes
     population = [0] * f
-    for v in order:
-        cs = colours[degrees[v] - 1]
-        population[degrees[v] - 1] += 1
-        for i, C in enumerate(cs):
-            if not before[v] & C:
-                cs[i] = C | 1 << v
-                break
-        else:
-            cs.append(1 << v)
+    seen = 0
+    for O in order:
+        E = seen
+        for v in O:
+            before[v] = full[v] & seen
+            seen |= 1 << v
+            cs = colours[degrees[v] - 1]
+            population[degrees[v] - 1] += 1
+            for i, C in enumerate(cs):
+                if not before[v] & C:
+                    cs[i] = C | 1 << v
+                    break
+            else:
+                cs.append(1 << v)
+        for W, mult in _orbit_classes(O, full, images):
+            if len(W) <= cap:
+                S = E
+                for w in W:
+                    S &= full[w]
+                heads.append((W, mult, S))
     radix = [1 + min(cap, len(cs)) for cs in colours]
     stride = [0] * f
     step = 1
@@ -441,13 +544,14 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
         stride[d] = step
         step *= radix[d]
     classes = [C for cs in colours for C in cs]
+    recurse = cap > 3         # a head can have a clique of three below it
     bound = 1
-    for v in order:
+    for W, mult, S in heads:
         if recurse:
-            bound += prod(1 + (before[v] & C).bit_count() for C in classes)
+            bound += mult * prod(1 + (S & C).bit_count() for C in classes)
         else:
-            m = (before[v] & allowed).bit_count()
-            bound += sum(comb(m, j) for j in range(cap))
+            m = S.bit_count()
+            bound += mult * sum(comb(m, j) for j in range(cap - len(W) + 1))
     nbytes = (bound.bit_length() + 7) // 8
     shift = [8 * nbytes * stride[d - 1] for d in degrees]
     cells = [(e, sum(x * s for x, s in zip(e, stride)))
@@ -464,10 +568,10 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
                                          for z in size), "little")
                  for s in range(cap - 1)]
     root = 1
-    for v in order:
+    for W, mult, S in heads:
         budget.check()
-        root += _clique_poly(full, before, before[v] & allowed, shift,
-                             cap - 1, masks) << shift[v]
+        root += mult * _clique_poly(full, before, S, shift, cap - len(W),
+                                    masks) << sum(shift[w] for w in W)
     raw = root.to_bytes(nbytes * step, "little")
     table = PartitionTable(f)
     for e, at in cells:
@@ -494,6 +598,8 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     """
     budget = budget or Budget.from_env()
     degrees, lesser = g.degrees, g.lesser
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"negative max_size {max_size}")
     remaining = None
     left = 0                  # members still needed, under kappa
     if kappa is not None:

@@ -394,52 +394,45 @@ S3_ELEMENTS = {
     "(0inf1)": (2, 0, 1),   # 0 -> inf -> 1 -> 0
 }
 
-# integer matrices (a, b, c, d) of the fractional-linear map (a t + b)/(c t + d)
-# realizing each element on the marked points
-_MATS = {
-    "e": (1, 0, 0, 1),
-    "(01)": (-1, 1, 0, 1),      # 1 - t
-    "(0inf)": (0, 1, 1, 0),     # 1/t
-    "(1inf)": (1, 0, 1, -1),    # t/(t-1)
-    "(01inf)": (0, 1, -1, 1),   # 1/(1-t)
-    "(0inf1)": (1, -1, 1, 0),   # (t-1)/t
+# each element acts on polynomials by substituting its inverse map, spelled
+# as the generator substitutions to apply in turn: "r" for t -> 1/t and "f"
+# for t -> 1 - t
+_S3_WORDS = {
+    "e": "",
+    "(01)": "f",        # 1 - t
+    "(0inf)": "r",      # 1/t
+    "(1inf)": "rfr",    # t/(t - 1)
+    "(01inf)": "fr",    # (t - 1)/t
+    "(0inf1)": "rf",    # 1/(1 - t)
 }
 
 
-def s3_inverse(g: str) -> str:
-    p = S3_ELEMENTS[g]
-    inv = tuple(p.index(i) for i in range(3))
-    return next(name for name, q in S3_ELEMENTS.items() if q == inv)
-
-
-def substitute_mobius(coeffs, mat, degree=None):
-    """(c t + d)^k * s((a t + b)/(c t + d)) as an integer coefficient list."""
-    a, b, c, d = mat
-    k = degree if degree is not None else len(coeffs) - 1
-    pow_num = [[1]]
-    pow_den = [[1]]
-    for _ in range(k):
-        pow_num.append(poly_mul(pow_num[-1], [b, a]))
-        pow_den.append(poly_mul(pow_den[-1], [d, c]))
-    out = [0] * (k + 1)
-    for i, s_i in enumerate(coeffs):
-        if s_i:
-            for j, v in enumerate(poly_mul(pow_num[i], pow_den[k - i])):
-                out[j] += s_i * v
-    return out
+def _one_minus(c):
+    """Coefficients of s(1 - t): the Taylor shift to s(t + 1) by repeated
+    additions (Horner's scheme), then t -> -t."""
+    c = list(c)
+    k = len(c) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    return [-x if j & 1 else x for j, x in enumerate(c)]
 
 
 def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
     """Image of s under the group element g, re-normalized.
 
     g moves the marked points (and the roots of s) by its fractional-linear
-    map, so the polynomial substitution uses the inverse matrix.  That matrix
-    lies in GL2(Z), so the substituted form is primitive like s: only its
-    trailing zeros (the degree drops when s(0) = 0 or s(1) = 0) and its sign
-    are left to fix.
+    map, so s is substituted with the inverse map, spelled in the generators
+    t -> 1/t and t -> 1 - t.  On the coefficients of the degree-k form
+    y^k s(x/y), t -> 1/t is reversal and t -> 1 - t a Taylor shift, both
+    invertible over Z, so the image is primitive like s: only its trailing
+    zeros (the degree drops when s(0) = 0 or s(1) = 0) and its sign are
+    left to fix.
     """
-    mat = _MATS[s3_inverse(g)]
-    c = _trim(substitute_mobius(s.coeffs, mat))
+    c = list(s.coeffs)
+    for step in _S3_WORDS[g]:
+        c = c[::-1] if step == "r" else _one_minus(c)
+    c = _trim(c)
     if c[-1] < 0:
         c = [-x for x in c]
     return NormalizedPoly(c)

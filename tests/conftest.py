@@ -119,6 +119,20 @@ def table2357(graph2357):
     return _timed(lambda: tabulate(graph2357.value))
 
 
+@pytest.fixture(scope="session")
+def search_iii_235711():
+    """inf-inf-inf over {2,3,5,7,11} at de Weger's cutoff: certified complete."""
+    return _timed(lambda: search_abc(PrimeSet([2, 3, 5, 7, 11]), VARIANT_III,
+                                     18255))
+
+
+@pytest.fixture(scope="session")
+def graph235711(search_iii_235711):
+    points = {VARIANT_III: search_iii_235711.value}
+    return _timed(lambda: build_graph(build_vertex_set(
+        PrimeSet([2, 3, 5, 7, 11]), 1, points_by_variant=points)))
+
+
 # --- acceptance reporting ---------------------------------------------------
 
 

@@ -342,6 +342,24 @@ def enumerate_cliques_unguided(g, kappa=None, max_size=None):
     yield from rec((1 << len(degrees)) - 1, [])
 
 
+def split_graph_counts_naive(us, primes):
+    """(edges, triangles) of the degree-1 graph on the points u = a/c: the
+    vertices c t - a and c' t - a' are adjacent when a c' - a' c is P-smooth,
+    tested pair by pair by trial division; triangles from neighbor sets."""
+    us = sorted(us)
+    nbr = [set() for _ in us]
+    for i, x in enumerate(us):
+        for j in range(i):
+            y = us[j]
+            if is_smooth_naive(x.numerator * y.denominator
+                               - y.numerator * x.denominator, primes):
+                nbr[i].add(j)
+    edges = sum(map(len, nbr))
+    triangles = sum(len(nbr[i] & nbr[j]) for i in range(len(us))
+                    for j in nbr[i])
+    return edges, triangles
+
+
 def mobius_on_point(mat, x):
     """Apply (a t + b)/(c t + d) to x in Q union {inf}, in Fractions."""
     a, b, c, d = mat
@@ -493,6 +511,49 @@ def s3_compose(g, h):
     pg, ph = S3_ELEMENTS[g], S3_ELEMENTS[h]
     gh = tuple(pg[i] for i in ph)
     return next(name for name, p in S3_ELEMENTS.items() if p == gh)
+
+
+def s3_inverse(g):
+    p = S3_ELEMENTS[g]
+    inv = tuple(p.index(i) for i in range(3))
+    return next(name for name, q in S3_ELEMENTS.items() if q == inv)
+
+
+# integer matrices (a, b, c, d) of the fractional-linear map (a t + b)/(c t + d)
+# realizing each element on the marked points
+S3_MATS = {
+    "e": (1, 0, 0, 1),
+    "(01)": (-1, 1, 0, 1),      # 1 - t
+    "(0inf)": (0, 1, 1, 0),     # 1/t
+    "(1inf)": (1, 0, 1, -1),    # t/(t-1)
+    "(01inf)": (0, 1, -1, 1),   # 1/(1-t)
+    "(0inf1)": (1, -1, 1, 0),   # (t-1)/t
+}
+
+
+def substitute_mobius(coeffs, mat):
+    """(c t + d)^k * s((a t + b)/(c t + d)) as an integer coefficient list,
+    k = len(coeffs) - 1, from the powers of (a t + b) and (c t + d) by
+    schoolbook products."""
+    a, b, c, d = mat
+    k = len(coeffs) - 1
+    pow_num = [[1]]
+    pow_den = [[1]]
+    for _ in range(k):
+        pow_num.append(poly_mul(pow_num[-1], [b, a]))
+        pow_den.append(poly_mul(pow_den[-1], [d, c]))
+    out = [0] * (k + 1)
+    for i, s_i in enumerate(coeffs):
+        if s_i:
+            for j, v in enumerate(poly_mul(pow_num[i], pow_den[k - i])):
+                out[j] += s_i * v
+    return out
+
+
+def s3_transform_mobius(s, g):
+    """The image of s under g as `poly.s3_transform` defines it: s
+    substituted with the inverse matrix, then normalized."""
+    return normalize(substitute_mobius(s.coeffs, S3_MATS[s3_inverse(g)]))[0]
 
 
 def partition_of(s):

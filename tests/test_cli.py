@@ -86,6 +86,20 @@ def test_tabulate_csv_json_and_kappa(tmp_path, capsys):
     assert "2^3 1,3" in capsys.readouterr().out
 
 
+def test_tabulate_rejects_negative_sizes(tmp_path, capsys):
+    """A negative --max-size or part multiplicity is a usage error (exit 2),
+    not a traceback or a silent '2,0' row."""
+    vfile = tmp_path / "v2.json"
+    run(["vertices", "--primes", "2", "--max-degree", "2", "--out", vfile])
+    capsys.readouterr()
+    for extra in (["--max-size", "-1"], ["--kappa", "1^-1 2"],
+                  ["--enumerate", "--max-size", "-1"]):
+        assert run(["tabulate", "--vertices", vfile, *extra]) \
+            == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "negative" in captured.err and not captured.out
+
+
 def test_tabulate_enumerate_stream(tmp_path, capsys):
     vfile = tmp_path / "v2.json"
     run(["vertices", "--primes", "2", "--max-degree", "1", "--out", vfile])

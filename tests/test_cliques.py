@@ -1,5 +1,8 @@
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -34,6 +37,7 @@ from polytab.vertices import Vertex, VertexSet
 
 from oracles import (
     INF,
+    abc_brute_force,
     build_graph_pairwise,
     cliques_by_partition_naive,
     enumerate_cliques_unguided,
@@ -41,6 +45,7 @@ from oracles import (
     neighbor_counts,
     pgl2_packets_fraction,
     resultant_sylvester,
+    split_graph_counts_naive,
     triple_to_matrix,
 )
 
@@ -64,6 +69,22 @@ def test_partition_labels():
     assert parse_kappa("3 3 2 1^4", 3) == (4, 1, 2)
     with pytest.raises(ValueError):
         parse_kappa("5", 4)
+    assert parse_kappa("2^0 1", 2) == (1, 0)
+    with pytest.raises(ValueError, match="negative"):
+        parse_kappa("1^-1 2", 2)
+
+
+def test_negative_caps_and_parts_rejected(graph2):
+    g = graph2.value
+    for kwargs in ({"max_size": -1}, {"kappa": (-1, 1)},
+                   {"kappa": (1, 0, 0, -2)}):
+        with pytest.raises(ValueError, match="negative"):
+            tabulate(g, **kwargs)
+    with pytest.raises(ValueError, match="negative"):
+        list(enumerate_cliques(g, max_size=-1))
+    with pytest.raises(ValueError, match="negative"):
+        count_u_nu(g, (-1, 1, 1, 1))
+    assert tabulate(g, max_size=0).counts == {(0, 0, 0, 0): 1}
 
 
 def test_littletab(table2):
@@ -390,6 +411,241 @@ def test_tabulate_width_on_complete_graph():
     assert capped.counts == {e: c for e, c in want.items() if sum(e) <= 40}
 
 
+# the six permutations of the three marked points, in one fixed order
+_S3_PERMS = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
+
+
+def _s3_act(kind, p, x):
+    """The permutation p on a point x of an orbit of the given kind."""
+    if kind == "free":        # S3 on itself: stabilisers trivial
+        return tuple(p[i] for i in x)
+    if kind == "letters":     # on the three points: stabilisers of order 2
+        return p[x]
+    if kind == "sign":        # on {1, -1} by the sign: stabiliser A3
+        inversions = sum(p[i] > p[j] for i, j in ((0, 1), (0, 2), (1, 2)))
+        return -x if inversions % 2 else x
+    return x                  # a fixed point: stabiliser S3
+
+
+_S3_POINTS = {"free": _S3_PERMS, "letters": [0, 1, 2], "sign": [1, -1],
+              "fixed": [0]}
+
+
+def _s3_graph(rng):
+    """A graph that S3 acts on by degree-preserving automorphisms, with its
+    images recorded as build_graph records them.  The closed orbits are of
+    every kind, with random invariant edges inside and between them; then
+    one to three open vertices with arbitrary edges, the first a twin of a
+    closed vertex (same neighbors, not adjacent to it), as build_graph leaves
+    the earlier copy of a repeated vertex open.  Vertices are shuffled."""
+    verts = []                # (orbit, kind, point)
+    orbit = 0
+    while True:
+        kind = rng.choice(("free", "free", "letters", "letters", "sign",
+                           "fixed"))
+        if len(verts) + len(_S3_POINTS[kind]) > 11:
+            break
+        verts += [(orbit, kind, x) for x in _S3_POINTS[kind]]
+        orbit += 1
+    n_closed = len(verts)
+    at = {v: i for i, v in enumerate(verts)}
+    images = [tuple(at[(o, k, _s3_act(k, p, x))] for p in _S3_PERMS)
+              for o, k, x in verts]
+    deg_of = [rng.randint(1, 3) for _ in range(orbit)]
+    degrees = [deg_of[o] for o, _, _ in verts]
+    density = rng.uniform(0.2, 0.9)
+    adj = set()
+    decided = set()
+    for a, b in combinations(range(n_closed), 2):
+        if (a, b) not in decided:
+            edge = rng.random() < density
+            for j in range(6):
+                pair = tuple(sorted((images[a][j], images[b][j])))
+                decided.add(pair)
+                if edge:
+                    adj.add(pair)
+    twin = rng.randrange(n_closed)
+    for i in range(n_closed, n_closed + rng.randint(1, 3)):
+        images.append((i,))
+        if i == n_closed:
+            degrees.append(degrees[twin])
+            adj |= {(a + b - twin, i) for a, b in adj if twin in (a, b)}
+        else:
+            degrees.append(rng.randint(1, 3))
+            adj |= {(j, i) for j in range(i) if rng.random() < density}
+    n = len(degrees)
+    new = list(range(n))
+    rng.shuffle(new)
+    lesser = [0] * n
+    for a, b in adj:
+        a, b = sorted((new[a], new[b]))
+        lesser[b] |= 1 << a
+    shuffled = [None] * n
+    perm_deg = [0] * n
+    for i in range(n):
+        shuffled[new[i]] = tuple(new[j] for j in images[i])
+        perm_deg[new[i]] = degrees[i]
+    return CompatGraph([None] * n, perm_deg, lesser, P2, shuffled)
+
+
+def _orbit_head_count(g, cap):
+    """The heads tabulate counts under a cap: one per open vertex and one per
+    class, under all six maps, of the cliques W with |W| <= cap inside each
+    closed orbit, found from every subset of the orbit."""
+    heads = 0
+    for v, im in enumerate(g.images):
+        if cap < 1 or (len(im) > 1 and v != min(im)):
+            continue
+        orbit = sorted(set(im))
+        classes = set()
+        for k in range(1, min(cap, len(orbit)) + 1):
+            for W in combinations(orbit, k):
+                if all(g.lesser[b] >> a & 1 for a, b in combinations(W, 2)):
+                    classes.add(frozenset(
+                        frozenset(g.images[w][j] for w in W)
+                        for j in range(len(im))))
+        heads += len(classes)
+    return heads
+
+
+def test_tabulate_orbit_heads_against_oracle():
+    """On S3-invariant graphs with orbits of every kind, edges inside
+    orbits and open vertices: the full table, every cap from 0 to past the
+    vertex count and every kappa cell agree with the subset oracle, and
+    with the same graph without images."""
+    kinds, inner = set(), 0
+    for seed in range(40):
+        g = _s3_graph(random.Random(2000 + seed))
+        plain = replace(g, images=None)
+        kinds.update(len(set(im)) for im in g.images if len(im) == 6)
+        inner += sum(g.lesser[v] >> u & 1 for v, im in enumerate(g.images)
+                     for u in im if u < v)
+        full = cliques_by_partition_naive(g.degrees, g.lesser)
+        assert tabulate(g).counts == full
+        for m in range(len(g.degrees) + 2):
+            want = cliques_by_partition_naive(g.degrees, g.lesser, max_size=m)
+            assert tabulate(g, max_size=m).counts == want
+            assert tabulate(plain, max_size=m).counts == want
+        for e, cnt in full.items():
+            assert tabulate(g, kappa=e).counts == {e: cnt}
+    assert kinds == {1, 2, 3, 6} and inner > 100
+
+
+class _CountingBudget(Budget):
+    calls = 0
+
+    def check(self):
+        self.calls += 1
+
+
+def test_tabulate_checks_budget_once_per_head(graph23, graph235):
+    """One budget check per counted head: per open vertex, and per class of
+    cliques inside a closed orbit (so a canonical form under part of the
+    group, which still counts right, shows here)."""
+    for seed in range(20):
+        g = _s3_graph(random.Random(3000 + seed))
+        for cap in (0, 1, 2, 3, None):
+            budget = _CountingBudget()
+            tabulate(g, max_size=cap, budget=budget)
+            want = _orbit_head_count(g, len(g.degrees) if cap is None else cap)
+            assert budget.calls == want
+    for g, heads in ((graph23.value, 438), (graph235.value, 564)):
+        budget = _CountingBudget()
+        tabulate(g, budget=budget)
+        assert budget.calls == heads == _orbit_head_count(g, len(g.degrees))
+        budget = _CountingBudget()
+        tabulate(replace(g, images=None), max_size=2, budget=budget)
+        assert budget.calls == len(g.degrees)
+
+
+def test_images_none_matches_recorded_images(graph2, graph23, graph235,
+                                             graph2357, table2, table23,
+                                             table235, table2357):
+    """On the four reference graphs the plain kernel (no symmetry) gives the
+    same full table, max_size rows 2-6, kappa cells and U count as the orbit
+    heads."""
+    rng = random.Random(5)
+    for g, table in ((graph2, table2), (graph23, table23),
+                     (graph235, table235), (graph2357, table2357)):
+        g, table = g.value, table.value
+        plain = replace(g, images=None)
+        assert tabulate(plain).counts == table.counts
+        for m in range(2, 7):
+            assert tabulate(plain, max_size=m).counts \
+                == tabulate(g, max_size=m).counts
+        for e in rng.sample(sorted(table.counts), 2):
+            assert tabulate(plain, kappa=e).counts \
+                == tabulate(g, kappa=e).counts == {e: table.counts[e]}
+        assert count_u_nu(plain, (2, 1, 1, 1)) == count_u_nu(g, (2, 1, 1, 1))
+
+
+def test_build_graph_images_are_automorphisms(graph2, graph23, graph235,
+                                              graph2357):
+    """The build_graph lemma as tabulate uses it: on the closed vertices
+    each of the six recorded maps keeps the vertex degree and maps the
+    closed neighbors of v onto those of its image."""
+    for g in (graph2.value, graph23.value, graph235.value, graph2357.value):
+        n = len(g.degrees)
+        closed = [v for v in range(n) if len(g.images[v]) == 6]
+        assert len(closed) > n // 2
+        mask = sum(1 << v for v in closed)
+        full = [0] * n
+        nbrs = [[] for _ in range(n)]     # closed neighbors
+        for v, m in enumerate(g.lesser):
+            for u, bit in enumerate(reversed(bin(m)[2:])):
+                if bit == "1":
+                    full[u] |= 1 << v
+                    full[v] |= 1 << u
+                    if mask >> u & mask >> v & 1:
+                        nbrs[u].append(v)
+                        nbrs[v].append(u)
+        for j in range(6):
+            sigma = {v: g.images[v][j] for v in closed}
+            assert sorted(sigma.values()) == closed
+            for v in closed:
+                assert g.degrees[sigma[v]] == g.degrees[v]
+                image = sum(1 << sigma[u] for u in nbrs[v])
+                assert image == full[sigma[v]] & mask
+
+
+def test_compat_graph_pickle_keeps_images(graph23):
+    g = graph23.value
+    back = pickle.loads(pickle.dumps(g))
+    assert back.images == g.images and back.lesser == g.lesser
+    assert back.degrees == g.degrees and back.vertices == g.vertices
+    assert back.P == g.P
+    assert tabulate(back, max_size=3).counts == tabulate(g, max_size=3).counts
+
+
+def test_degree1_table_235711(search_iii_235711, graph235711):
+    """The certified degree-1 row over {2,3,5,7,11} (de Weger's cutoff
+    18255): points, edges and triangles against brute force, the top cell
+    against the packet mass identity, and the plain kernel at max_size 5."""
+    P = [2, 3, 5, 7, 11]
+    points, cert = search_iii_235711.value
+    g = graph235711.value
+    assert cert.complete and len(points) == 1137
+    assert max(pt.height for pt in points) < cert.height_bound
+    us = abc_brute_force(P, "iii", cert.height_bound)
+    assert us == {pt.u for pt in points}
+    assert split_graph_counts_naive(us, P) == (60120, 763600)
+    table = tabulate(g)
+    row = [table.count((a,)) for a in range(12)]
+    assert row == [1, 1137, 60120, 763600, 3947160, 10503024, 16305996,
+                   15832260, 9900495, 3942675, 927498, 101010]
+    assert table.total() == sum(row) == 62284976
+    assert g.edge_count() == 60120
+    uvals = [Fraction(-v.poly.coeffs[0], v.poly.coeffs[1]) for v in g.vertices]
+    top = list(enumerate_cliques(g, kappa=(11,)))
+    packets, mass = pgl2_packets(top, roots=[[uvals[i] for i in c]
+                                             for c in top])
+    assert len(packets) == 63 and mass == Fraction(185, 4)
+    assert row[11] == len(top) == mass * 14 * 13 * 12
+    assert tabulate(replace(g, images=None), max_size=5).counts \
+        == tabulate(g, max_size=5).counts == {
+            e: c for e, c in table.counts.items() if sum(e) <= 5}
+
+
 def test_serial_tabulate_and_unu_honour_budget(graph235):
     with pytest.raises(BudgetExceededError):
         tabulate(graph235.value, budget=Budget(seconds=1e-9))
@@ -400,13 +656,6 @@ def test_serial_tabulate_and_unu_honour_budget(graph235):
 def test_enumeration_limit_refusal(graph2):
     with pytest.raises(BudgetExceededError):
         list(enumerate_cliques(graph2.value, limit=5))
-
-
-class _CountingBudget(Budget):
-    calls = 0
-
-    def check(self):
-        self.calls += 1
 
 
 def test_enumerate_cliques_polls_budget_per_top_vertex(graph2357):

@@ -21,21 +21,22 @@ from polytab.poly import (
     resultant_bound,
     resultant_coeffs,
     resultant_fast,
-    s3_inverse,
     s3_orbit,
     s3_transform,
     special_values,
-    substitute_mobius,
 )
-from polytab.poly import _MATS, _poly_divmod_exact
+from polytab.poly import _poly_divmod_exact
 from polytab.smooth import PrimeSet, ZeroValueError
 from polytab.vertices import TABLE5_REPRESENTATIVES
 
 from oracles import (
+    S3_MATS,
     partition_of,
     rational_roots_naive,
     resultant_sylvester,
     s3_compose,
+    s3_inverse,
+    s3_transform_mobius,
 )
 
 P2 = PrimeSet([2])
@@ -279,7 +280,7 @@ def test_s3_transform_examples():
     assert s3_transform(NP(5, 3, 1), "e") == NP(5, 3, 1)
     # each matrix sends the i-th marked point to the p[i]-th
     for g, p in S3_ELEMENTS.items():
-        a, b, c, d = _MATS[g]
+        a, b, c, d = S3_MATS[g]
         assert [projective_point(a * x + b * y, c * x + d * y)
                 for x, y in MARKED] == [MARKED[i] for i in p]
 
@@ -305,12 +306,27 @@ def test_s3_transform_matches_normalized_substitution():
             c = poly_mul(c, [-1, 1])            # s(1) = 0
         s = normalize(c)[0]
         for g in S3_ELEMENTS:
-            mat = _MATS[s3_inverse(g)]
-            want = normalize(substitute_mobius(s.coeffs, mat))[0]
             got = s3_transform(s, g)
-            assert got == want
+            assert got == s3_transform_mobius(s, g)
             drops += got.degree < s.degree
     assert drops > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=9),
+       st.integers(1, 10 ** 6), st.integers(0, 2), st.integers(0, 2))
+def test_s3_transform_is_reversal_and_shift(body, lead, zeros0, zeros1):
+    """Property: on every element, the reversal-and-shift action equals the
+    matrix substitution of the oracle, also with roots of any multiplicity
+    at 0 and 1 (images that drop degree)."""
+    c = body + [lead]
+    for _ in range(zeros0):
+        c = poly_mul(c, [0, 1])
+    for _ in range(zeros1):
+        c = poly_mul(c, [-1, 1])
+    s = normalize(c)[0]
+    for g in S3_ELEMENTS:
+        assert s3_transform(s, g) == s3_transform_mobius(s, g)
 
 
 def test_s3_group_law():
