@@ -498,10 +498,19 @@ def _json_ints(xs) -> tuple:
     return tuple(_json_int(x) for x in xs)
 
 
+def _read_json(path):
+    """The JSON payload of a file; ValueError if it is not JSON or nests too
+    deeply for the parser."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path} nests too deeply") from exc
+
+
 def read_points(path):
     """Points and certificate of a point-set file; ValueError if malformed."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("schema") != POINTS_SCHEMA:
         raise ValueError(f"not a point-set file: {path}")
     try:

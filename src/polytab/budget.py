@@ -14,7 +14,7 @@ import time
 
 ENV_BUDGET_SECS = "POLYTAB_BUDGET_SECS"
 
-DEFAULT_MAX_HEIGHT = 10 ** 12
+MAX_HEIGHT = 10 ** 12
 
 
 class BudgetExceededError(RuntimeError):
@@ -22,9 +22,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class Budget:
-    def __init__(self, seconds: float | None = None,
-                 max_height: int = DEFAULT_MAX_HEIGHT):
-        self.max_height = max_height
+    def __init__(self, seconds: float | None = None):
         self.deadline = (None if seconds is None
                          else time.monotonic() + seconds)
 
@@ -39,7 +37,7 @@ class Budget:
                 f"wall-clock budget ({ENV_BUDGET_SECS}) exhausted")
 
     def require_height(self, H: int) -> None:
-        if H > self.max_height:
+        if H > MAX_HEIGHT:
             raise BudgetExceededError(
-                f"height bound {H} exceeds the configured maximum "
-                f"{self.max_height}; refusing rather than truncating")
+                f"height bound {H} exceeds the maximum {MAX_HEIGHT}; "
+                "refusing rather than truncating")

@@ -5,7 +5,8 @@ series/pullback/verify for the generator paths and seed-tables to regenerate
 every reference table in one run.  All file payloads carry decimal-string
 numbers (coefficients routinely exceed 64 bits).
 
-Exit codes: 0 success, 2 validation failure, 3 resource-budget refusal.
+Exit codes: 0 success, 2 validation failure, 3 resource-budget refusal
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isfinite
 from pathlib import Path
 
 from .abc_search import (
@@ -59,10 +61,9 @@ def _parse_primes(text: str) -> PrimeSet:
 
 def _parse_height(text: str) -> int:
     v = float(text)
-    iv = int(v)
-    if iv != v or iv < 1:
+    if not isfinite(v) or v < 1 or v != int(v):
         raise ValueError(f"bad height bound {text!r}")
-    return iv
+    return int(v)
 
 
 def _out_stream(path):
@@ -192,11 +193,11 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_fractal(args) -> int:
-    fam = fractal_family(args.imax, verify=not args.no_verify)
+    fam = fractal_family(args.imax)
     payload = {
         "schema": "polytab.fractal/1",
         "imax": args.imax,
-        "verified": not args.no_verify,
+        "verified": True,
         "polynomials": [
             {"i": i, "j": j, "degree": s.degree,
              "coeffs": [str(c) for c in s.coeffs]}
@@ -360,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fractal", help="iterated-preimage family over {2}")
     p.add_argument("--imax", type=int, default=4)
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip the membership checks (coefficient export mode)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fractal)
 
@@ -385,6 +384,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("refused: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,12 @@ A clique in T that avoids every u_i lies in N[p], with p or without it (the
 first term); any other has a first u_i, and the rest of it lies among the
 neighbors of u_i in T after u_i (p is not one).  So each distinct candidate
 set costs one shift-and-add per branch, not one update per clique.  The memo
-on T is scoped to one head and its renumbered candidate set.  The polynomial
-is one int (Kronecker packing): x^e sits in the cell at sum e_d stride_d of
-a mixed radix, with radix and cell width proved from greedy colourings (see
-`tabulate`).
+on T is scoped to one head and its renumbered candidate set.  Under a cap of
+at most 4 members no head has more than three below it, and those are read
+off the adjacency masks instead; a larger cap counts every clique and keeps
+the cells within it.  The polynomial is one int (Kronecker packing): x^e
+sits in the cell at sum e_d stride_d of a mixed radix, with radix and cell
+width proved from greedy colourings (see `tabulate`).
 """
 
 from __future__ import annotations
@@ -332,36 +334,53 @@ def _orbit_classes(orbit, full, images):
     return out
 
 
-def _clique_poly(full, before, S, shift, r, masks):
-    """Packed counts of the cliques of at most r members inside S.
-
-    For r < 3 the counts are read off the before masks.  Otherwise S is
-    renumbered into local bits 0..k-1, most neighbors in S first, so the
-    lowest bit of a local set is its (static) pivot; the memo lives for this
-    call only.  A cap r >= k is no cap: it becomes 2k, stays >= k all the way
-    down, and the memo keys on the subset alone.  Under a cap the pivot
-    identity reads cnt_r(T) = cnt_r(N) + x_p cnt_(r-1)(N) + sum over i of
-    x_{u_i} cnt_(r-1)(...), with N = T & N(p), and cnt_(r-1)(N) is cnt_r(N)
-    masked to the cells of at most r - 1 members (masks[s] keeps those of
-    at most s).
+def _few_cliques(before, S, shift, r, groups):
+    """Packed counts of the cliques of at most r <= 3 members inside S, read
+    off the before masks.  A clique is counted at its last member x, and its
+    last but one y lies in B = before[x] & S.  The members of a set M are
+    counted by one popcount per vertex degree (groups: (degree mask, shift)
+    pairs): M = S for the single members, B for the pairs ending at x, and
+    before[y] & B for the triangles ending at y and x.
     """
+    total = 1
+    for mask, s in groups if r else ():
+        total += (S & mask).bit_count() << s
+    Q = S if r > 1 else 0
+    while Q:
+        b = Q & -Q
+        Q ^= b
+        x = b.bit_length() - 1
+        B = before[x] & S
+        c = 0
+        for mask, s in groups:
+            c += (B & mask).bit_count() << s
+        R = B if r > 2 else 0
+        while R:
+            b = R & -R
+            R ^= b
+            y = b.bit_length() - 1
+            Z = before[y] & B
+            for mask, s in groups:
+                c += (Z & mask).bit_count() << shift[y] + s
+        total += c << shift[x]
+    return total
+
+
+def _clique_poly(full, before, S, shift):
+    """Packed counts of every clique inside S.
+
+    S is renumbered into local bits 0..k-1, most neighbors in S first, so the
+    lowest bit of a local set is its (static) pivot; the memo on the local
+    set lives for this call only.
+    """
+    if not S:
+        return 1
     members = []
     Q = S
     while Q:
         b = Q & -Q
         Q ^= b
         members.append(b.bit_length() - 1)
-    if r < 3 or not S:        # no triangles: read pairs off the masks
-        total = 1
-        for x in members if r else ():
-            c = 1
-            Q = before[x] & S if r == 2 else 0
-            while Q:
-                b = Q & -Q
-                Q ^= b
-                c += 1 << shift[b.bit_length() - 1]
-            total += c << shift[x]
-        return total
     members.sort(key=lambda x: -(full[x] & S).bit_count())
     k = len(members)
     pos = {x: a for a, x in enumerate(members)}
@@ -375,38 +394,22 @@ def _clique_poly(full, before, S, shift, r, masks):
             loc[a] |= 1 << c
             loc[c] |= 1 << a
     sh = [shift[x] for x in members]
-    capped = r < k
     memo = {}
 
-    def cnt(T, r):
-        """Cliques of at most r >= 1 members in the nonempty local set T."""
-        if r == 1:
-            total = 1
-            while T:
-                b = T & -T
-                T ^= b
-                total += 1 << sh[b.bit_length() - 1]
-            return total
+    def cnt(T):
+        """Cliques in the nonempty local set T."""
         b = T & -T
         p = b.bit_length() - 1
         T ^= b
         N = T & loc[p]
         if N:
-            if capped:
-                m = N.bit_count()
-                key = N | min(r, m) << k
-            else:
-                key = N
-            c = memo.get(key)
+            c = memo.get(N)
             if c is None:
-                c = memo[key] = cnt(N, r)
-            # the cliques with p: at most r - 1 members of N beside it
-            total = c + ((c & masks[r - 1] if capped and r <= m else c)
-                         << sh[p])
+                c = memo[N] = cnt(N)
+            total = c + (c << sh[p])
         else:
             total = 1 + (1 << sh[p])
         Q = T ^ N             # u_1, u_2, ...: the members outside N[p]
-        r -= 1
         while Q:
             b = Q & -Q
             Q ^= b
@@ -414,16 +417,15 @@ def _clique_poly(full, before, S, shift, r, masks):
             u = b.bit_length() - 1
             U = T & loc[u]
             if U:
-                key = U | min(r, U.bit_count()) << k if capped else U
-                c = memo.get(key)
+                c = memo.get(U)
                 if c is None:
-                    c = memo[key] = cnt(U, r)
+                    c = memo[U] = cnt(U)
                 total += c << sh[u]
             else:
                 total += 1 << sh[u]
         return total
 
-    out = cnt((1 << k) - 1, r if capped else 2 * k)
+    out = cnt((1 << k) - 1)
     memo.clear()              # cnt refers to itself: free it before the GC would
     return out
 
@@ -441,8 +443,11 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     as W = K & O together with a clique of E & N(W), where E holds the
     vertices of the orbits before O and N(W) is the common neighborhood of
     W.  So the table is 1 + sum over O and the cliques W inside O of
-    x^W cnt(E & N(W)), capped at cap - |W| members; cnt is the pivot
-    recursion of the module docstring (`_clique_poly`).
+    x^W cnt(E & N(W)).  Under a cap of at most 4, cnt counts the cliques of
+    at most cap - |W| <= 3 members, read off the before masks
+    (`_few_cliques`).  Under a larger cap it counts every clique by the pivot
+    recursion of the module docstring (`_clique_poly`), and the unpacking
+    keeps only the cells of at most cap members.
 
     Lemma: the term of W depends only on its class under the group, so it
     is counted once per class, times the class size (`_orbit_classes`).
@@ -456,21 +461,21 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
 
     Radix.  The vertices of each degree d are coloured greedily in that
     order, with c_d colours.  The degree-d members of a clique form a clique
-    of the degree-d subgraph, so e_d <= omega_d <= chi_d <= c_d, and e_d is
-    at most the cap: radix_d = 1 + min(cap, c_d).  The most populous degree
-    gets stride 1.
+    of the degree-d subgraph, so e_d <= omega_d <= chi_d <= c_d: radix_d =
+    1 + c_d.  Under a cap of at most 4 no counted clique has more than cap
+    members, and radix_d = 1 + min(cap, c_d).  The most populous degree gets
+    stride 1.
 
     Width.  The colour classes of all degrees together colour the graph
     properly (each is independent, and a class holds one degree), so a
     clique takes at most one vertex from each class C, and the term of a
     class of size m with candidate set S counts at most m times the product
-    over C of (1 + |C & S|) cliques.  Under a cap of at most 3 they are also
+    over C of (1 + |C & S|) cliques.  Under a cap of at most 4 they are also
     m times the subsets of S with at most cap - |W| members, and that count
     is used instead.  No cell exceeds the clique count, so none reaches 1 +
     the sum of these bounds over the heads, and as every term is
     nonnegative no carry ever crosses into the next cell.  The '1' cell is
-    the empty product.  For the same reason no clique has more members than
-    there are classes, so a cap at or above that number is dropped.
+    the empty product.
 
     max_size caps the number of irreducible factors.  kappa returns the one
     cell of that partition (present even when 0), counted on the degrees it
@@ -516,7 +521,7 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     before = [0] * len(degrees)   # neighbors earlier in the order
     heads = []                    # (W, class size, E & N(W))
     colours = [[] for _ in range(f)]      # per degree: its colour classes
-    population = [0] * f
+    degmask = [0] * f                     # per degree: its kept vertices
     seen = 0
     for O in order:
         E = seen
@@ -524,7 +529,7 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
             before[v] = full[v] & seen
             seen |= 1 << v
             cs = colours[degrees[v] - 1]
-            population[degrees[v] - 1] += 1
+            degmask[degrees[v] - 1] |= 1 << v
             for i, C in enumerate(cs):
                 if not before[v] & C:
                     cs[i] = C | 1 << v
@@ -537,14 +542,14 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
                 for w in W:
                     S &= full[w]
                 heads.append((W, mult, S))
-    radix = [1 + min(cap, len(cs)) for cs in colours]
+    recurse = cap > 4         # else at most three members below a head
+    radix = [1 + (len(cs) if recurse else min(cap, len(cs))) for cs in colours]
     stride = [0] * f
     step = 1
-    for d in sorted(range(f), key=lambda d: -population[d]):
+    for d in sorted(range(f), key=lambda d: -degmask[d].bit_count()):
         stride[d] = step
         step *= radix[d]
     classes = [C for cs in colours for C in cs]
-    recurse = cap > 3         # a head can have a clique of three below it
     bound = 1
     for W, mult, S in heads:
         if recurse:
@@ -554,29 +559,19 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
             bound += mult * sum(comb(m, j) for j in range(cap - len(W) + 1))
     nbytes = (bound.bit_length() + 7) // 8
     shift = [8 * nbytes * stride[d - 1] for d in degrees]
-    cells = [(e, sum(x * s for x, s in zip(e, stride)))
-             for e in product(*map(range, radix))]
-    masks = []
-    if recurse and cap >= len(classes):
-        cap = len(degrees)    # binds nothing: drop it
-    elif recurse:
-        size = [0] * step
-        for e, at in cells:
-            size[at] = sum(e)
-        ones, zero = b"\xff" * nbytes, bytes(nbytes)
-        masks = [int.from_bytes(b"".join(ones if z <= s else zero
-                                         for z in size), "little")
-                 for s in range(cap - 1)]
+    groups = [(m, 8 * nbytes * stride[d]) for d, m in enumerate(degmask) if m]
     root = 1
     for W, mult, S in heads:
         budget.check()
-        root += mult * _clique_poly(full, before, S, shift, cap - len(W),
-                                    masks) << sum(shift[w] for w in W)
+        c = (_clique_poly(full, before, S, shift) if recurse
+             else _few_cliques(before, S, shift, cap - len(W), groups))
+        root += mult * c << sum(shift[w] for w in W)
     raw = root.to_bytes(nbytes * step, "little")
     table = PartitionTable(f)
-    for e, at in cells:
+    for e in product(*map(range, radix)):
+        at = sum(x * s for x, s in zip(e, stride))
         cell = int.from_bytes(raw[nbytes * at:nbytes * (at + 1)], "little")
-        if cell:
+        if cell and sum(e) <= cap:
             table.counts[e] = cell
     if target is not None:
         table.counts = {target: table.counts.get(target, 0)}

@@ -27,7 +27,6 @@ from .poly import (
     normalize,
     poly_mul,
     resultant_coeffs,
-    special_values,
     with_discriminant,
 )
 from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
@@ -337,46 +336,35 @@ FRACTAL_SEEDS = {
 }
 
 
-def fractal_family(i_max: int, verify: bool = True,
-                   budget: Budget | None = None) -> dict:
+def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
     """The iterated-preimage polynomials s_{i,j} for i <= i_max, j in {-1,0,1}.
 
     s_{1,j} are the seeds above; s_{i+1,j} pulls s_{i,j} back through the
     degree-4 cover, so deg s_{i,j} = 2 * 4^(i-1).  Each pullback carries its
     discriminant from the cover's identity, so verification is a
     factorization over {2}; the cost at large i is the pullback construction
-    itself, which polls the budget once per coefficient of s_{i,j}.
-    verify=False skips the membership check (the values at the marked points
-    are always checked).  A verified run stops at i = 6: the s_{7,j} are of
-    degree 8192, and building them takes tens of seconds.
+    itself, which polls the budget once per coefficient of s_{i,j}.  A run
+    stops at i = 6: the s_{7,j} are of degree 8192, and building them takes
+    tens of seconds.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
     budget = budget or Budget.from_env()
-    if verify and i_max > 6:
+    if i_max > 6:
         raise BudgetExceededError(
             "i > 6 is out of budget: constructing the degree-8192 pullbacks "
-            "s_7,j takes tens of seconds; pass verify=False for coefficient "
-            "export under the wall-clock budget")
+            "s_7,j takes tens of seconds")
     P2 = PrimeSet([2])
     cover = builtin_covers()["quartic-fractal"]
     out = {}
     for j, seed in FRACTAL_SEEDS.items():
         out[(1, j)] = seed
-        if verify:
-            rep = check_membership(seed, P2)
-            assert rep.ok, (j, rep.failures)
+        rep = check_membership(seed, P2)
+        assert rep.ok, (j, rep.failures)
     for i in range(1, i_max):
         for j in FRACTAL_SEEDS:
             budget.check()
-            s = pullback(cover, out[(i, j)], P2, verify=verify,
-                         budget=budget)
-            if not verify:
-                v0, v1, vinf = special_values(s)
-                if not (is_smooth(v0, P2) and is_smooth(v1, P2)
-                        and is_smooth(vinf, P2)):
-                    raise AssertionError(f"marked values of s_({i+1},{j}) not smooth")
-            out[(i + 1, j)] = s
+            out[(i + 1, j)] = pullback(cover, out[(i, j)], P2, budget=budget)
     return out
 
 

@@ -32,6 +32,7 @@ from .abc_search import (
     VARIANT_I2I,
     VARIANT_III,
     _json_ints,
+    _read_json,
     canonical_triple,
     cubic_classes,
     delta_classes,
@@ -419,7 +420,6 @@ DEFAULT_HEIGHTS = {
 def build_vertex_set(P: PrimeSet, max_degree: int,
                      points_by_variant: dict | None = None,
                      candidates=None,
-                     heights: dict | None = None,
                      budget: Budget | None = None) -> VertexSet:
     """Run the per-degree builders up to max_degree and assemble a VertexSet.
 
@@ -428,16 +428,14 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     Degrees >= 4 are filled from ingestion candidates when provided.
     """
     budget = budget or Budget.from_env()
-    heights = {**DEFAULT_HEIGHTS, **(heights or {})}
     points_by_variant = dict(points_by_variant or {})
-    certs = {}
 
-    def get_points(variant, classify=False):
+    def get_points(variant):
         if variant in points_by_variant:
             pts, cert = points_by_variant[variant]
             return pts, cert
-        pts, cert = search_abc(P, variant, heights[variant], budget=budget,
-                               classify=classify)
+        pts, cert = search_abc(P, variant, DEFAULT_HEIGHTS[variant],
+                               budget=budget, classify=False)
         points_by_variant[variant] = (pts, cert)
         return pts, cert
 
@@ -513,8 +511,7 @@ def write_vertex_set(path, vs: VertexSet) -> None:
 
 def read_vertex_set(path) -> VertexSet:
     """The vertex set of a vertex-set file; ValueError if malformed."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("schema") != VERTEX_SCHEMA:
         raise ValueError(f"not a vertex-set file: {path}")
     try:

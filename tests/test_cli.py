@@ -42,6 +42,24 @@ def test_search_bad_primes(tmp_path):
                 "--height", "10", "--out", tmp_path / "x.json"]) == EXIT_VALIDATION
 
 
+def test_search_non_finite_height_exit_2(tmp_path):
+    for height in ("inf", "1e400", "nan"):
+        assert run(["search", "--primes", "2", "--variant", "inf-inf-inf",
+                    "--height", height, "--out", tmp_path / "x.json"]) \
+            == EXIT_VALIDATION, height
+
+
+def test_memory_error_is_a_refusal(monkeypatch, capsys):
+    """Running out of memory (here simulated) exits 3, not with a
+    traceback."""
+    def exhausted(P, kmax):
+        raise MemoryError
+
+    monkeypatch.setattr("polytab.cli.cyclo_series", exhausted)
+    assert run(["series", "--primes", "2", "--kmax", "10"]) == EXIT_BUDGET
+    assert "out of memory" in capsys.readouterr().err
+
+
 def test_vertices_pipeline(tmp_path, capsys):
     pts = tmp_path / "i2i.json"
     assert run(["search", "--primes", "2", "--variant", "inf-2-inf",
@@ -255,6 +273,14 @@ def test_valid_fuzz_bases(tmp_path_factory):
 def test_malformed_files_exit_2(tmp_path_factory, payload):
     """Arbitrary JSON is never a valid point or vertex-set file."""
     assert _run_on_payload(tmp_path_factory, payload) \
+        == [EXIT_VALIDATION, EXIT_VALIDATION]
+
+
+def test_deeply_nested_files_exit_2(tmp_path):
+    """JSON nested deeper than the parser's recursion limit is refused."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert [run(argv) for argv in _read_commands(path, tmp_path / "o.json")] \
         == [EXIT_VALIDATION, EXIT_VALIDATION]
 
 

@@ -188,7 +188,7 @@ def test_pullback_discriminant_identity_any_map(numer, denom, a, b, low, lead):
 
 
 def test_fractal_discriminants_match_prs():
-    fam = fractal_family(4, verify=False)
+    fam = fractal_family(4)
     for (i, j), s in fam.items():
         if i >= 2:
             assert s._disc == _prs_disc(s), (i, j)
@@ -229,12 +229,12 @@ def test_pullback_polls_budget_per_term():
     pullback(cover, FRACTAL_SEEDS[0], P2, budget=budget)
     assert budget.calls == 2
     budget = _CountingBudget()
-    fractal_family(3, verify=False, budget=budget)
+    fractal_family(3, budget=budget)
     # one check per pullback, plus one per coefficient below the top
     assert budget.calls == 6 + 3 * 2 + 3 * 8
     t0 = time.monotonic()
     with pytest.raises(BudgetExceededError):
-        fractal_family(6, verify=False, budget=Budget(seconds=0.1))
+        fractal_family(6, budget=Budget(seconds=0.1))
     assert time.monotonic() - t0 < 0.5
 
 
@@ -268,7 +268,7 @@ def test_fractal_products_3w():
 
 def test_fractal_budget_refusal():
     with pytest.raises(BudgetExceededError):
-        fractal_family(7, verify=True)
+        fractal_family(7)
 
 
 def test_verify_named_all():

@@ -1,9 +1,12 @@
 """Cross-cutting checks: per-class table resolution, the
 degree-3 discriminant closed form, and worker determinism of the searches."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
 from polytab.poly import NormalizedPoly, _primitive
@@ -142,18 +145,16 @@ def test_clique_set_orbit_decomposition(graph2):
     assert sum(sizes) == 21
 
 
-def test_fractal_export_mode():
-    from polytab.generators import fractal_family
-
-    fam = fractal_family(5, verify=False)
-    assert fam[(5, 1)].degree == 512
-    # export mode still guards the marked-point values
-    from polytab.poly import special_values
-    from polytab.smooth import is_smooth
-
-    for s in fam.values():
-        v0, v1, vinf = special_values(s)
-        assert is_smooth(v0, P2) and is_smooth(v1, P2) and is_smooth(vinf, P2)
+def test_fractal_export_mode(capsys):
+    """The fractal export is always verified: there is no --no-verify, and
+    i > 6 is refused for every caller."""
+    assert cli_main(["fractal", "--imax", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True
+    assert {rec["degree"] for rec in payload["polynomials"]} == {2, 8, 32}
+    with pytest.raises(SystemExit):
+        cli_main(["fractal", "--imax", "3", "--no-verify"])
+    assert cli_main(["fractal", "--imax", "12"]) == 3
 
 
 def test_cli_candidates_file(tmp_path, capsys):
@@ -162,8 +163,6 @@ def test_cli_candidates_file(tmp_path, capsys):
     vfile = tmp_path / "v.json"
     assert cli_main(["vertices", "--primes", "2", "--max-degree", "4",
                      "--candidates", str(cands), "--out", str(vfile)]) == 0
-    import json
-
     payload = json.loads(vfile.read_text())
     assert len(payload["degrees"]["4"]["vertices"]) == 3  # the t^4+1 orbit
 
