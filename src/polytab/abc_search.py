@@ -481,20 +481,26 @@ def write_points(path, points, cert: SearchCertificate) -> None:
         fh.write("\n")
 
 
+def _shown(x, width: int = 80) -> str:
+    """repr(x) for an error message, cut to width characters."""
+    text = repr(x)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def _json_int(x) -> int:
     """An integer field of a JSON file: a JSON integer or a decimal string.
 
     Floats and booleans are refused, where int() would truncate them.
     """
     if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise ValueError(f"not an integer: {x!r}")
+        raise ValueError(f"not an integer: {_shown(x)}")
     return int(x)
 
 
 def _json_ints(xs) -> tuple:
     """A JSON list of integer fields, as a tuple of ints."""
     if not isinstance(xs, list):
-        raise ValueError(f"not a list of integers: {xs!r}")
+        raise ValueError(f"not a list of integers: {_shown(xs)}")
     return tuple(_json_int(x) for x in xs)
 
 
@@ -516,10 +522,10 @@ def read_points(path):
     try:
         variant = payload["variant"]
         if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+            raise ValueError(f"unknown variant {_shown(variant)}")
         complete = payload["complete"]
         if not isinstance(complete, bool):
-            raise ValueError(f"'complete' is not a boolean: {complete!r}")
+            raise ValueError(f"'complete' is not a boolean: {_shown(complete)}")
         points = []
         for rec in payload["points"]:
             num, den = rec["u"].split("/")

@@ -1,20 +1,20 @@
 """Compatibility graph, clique tabulation, specialization counts, packets.
 
-Two vertices are adjacent when their resultant is smooth.  Every clique has
-a unique largest vertex in the fixed total order, so with lesser-neighbor
-bitmasks (Python ints) each clique is reached once: `enumerate_cliques`
-yields them one by one in that order.
+Two vertices are adjacent when their resultant is smooth; the edges are kept
+as lesser-neighbor bitmasks (Python ints).  Counting and enumerating share
+one set-up (`_heads`): each clique is headed by its part in its last orbit
+of the marked-point group S3, in a smallest-last (degeneracy) order of the
+orbits (Matula and Beck), so that a head has few neighbors before it, and
+one head stands for a whole S3-class: the six maps are automorphisms on the
+closed vertices (lemmas in `build_graph` and `tabulate`).
+`enumerate_cliques` walks the cliques below each head and yields them with
+their images under the class, so each clique comes out once.
 
 `tabulate` counts them by partition as one polynomial: a clique with e_d
-members of degree d is the monomial prod x_d^e_d.  It heads each clique by
-its part in its last orbit of the marked-point group S3, in a smallest-last
-(degeneracy) order of the orbits instead (Matula and Beck), so that a head
-has few neighbors before it, and it counts one head per S3-class, times the
-class size: the six maps are automorphisms on the closed vertices (lemmas
-in `build_graph` and `tabulate`).  It counts the cliques inside a candidate
-set T by the pivot identity of the succinct clique tree (Jain and
-Seshadhri, Pivoter): for p in T and u_1, u_2, ... the members of T outside
-N[p], in order,
+members of degree d is the monomial prod x_d^e_d, and a head counts times
+its class size.  It counts the cliques inside a candidate set T by the
+pivot identity of the succinct clique tree (Jain and Seshadhri, Pivoter):
+for p in T and u_1, u_2, ... the members of T outside N[p], in order,
 
     cnt(T) = (1 + x_p) cnt(T & N(p))
              + sum over i of x_{u_i} cnt(N(u_i) & T - {p, u_1, ..., u_i}).
@@ -37,8 +37,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import comb, gcd, prod
 
 from .budget import Budget, BudgetExceededError
@@ -294,13 +293,16 @@ def _orbit_order(full, orbits, left):
 
 def _orbit_classes(orbit, full, images):
     """One clique W inside the orbit per class of such cliques under the
-    group, as (W, class size) pairs.
+    group, as (W, js) pairs: js holds one index into each vertex's images
+    per distinct image of W, so len(js) is the class size.
 
     The group is transitive on the orbit, so its single members form one
     class.  Larger cliques are grown in local bits, and W stands for its
     class when its mask is the least of its images.
     """
-    out = [(orbit[:1], len(orbit))]
+    v = orbit[0]
+    row = images[v] if images else (v,)
+    out = [([v], list({u: j for j, u in enumerate(row)}.values()))]
     inside = 0
     for u in orbit:
         inside |= 1 << u
@@ -326,11 +328,11 @@ def _orbit_classes(orbit, full, images):
             C ^= b
             V = W | b
             grow.append((V, C & adj[b.bit_length() - 1]))
-            imgs = {sum(1 << p[a] for a in range(k) if V >> a & 1)
-                    for p in perms}
+            imgs = {sum(1 << p[a] for a in range(k) if V >> a & 1): j
+                    for j, p in enumerate(perms)}
             if V == min(imgs):
                 out.append(([u for a, u in enumerate(orbit) if V >> a & 1],
-                            len(imgs)))
+                            list(imgs.values())))
     return out
 
 
@@ -430,6 +432,82 @@ def _clique_poly(full, before, S, shift):
     return out
 
 
+def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
+    """The set-up that `tabulate` and `enumerate_cliques` share: (cap,
+    target, full, before, degmask, colours, heads), as in the Heads paragraph
+    of `tabulate`.
+
+    cap is max_size (the vertex count when None), under kappa |kappa| or 0
+    when that is more, and target is kappa padded to the largest degree, or
+    None.  full[v] holds the kept neighbors of v and before[v] those earlier
+    in the order; degmask[d] and colours[d] hold the kept vertices of degree
+    d + 1 and their greedy colour classes in that order.  heads holds
+    (W, js, E & N(W)) per class representative W (`_orbit_classes`) that
+    the cap and kappa allow.
+    """
+    degrees, lesser, images = g.degrees, g.lesser, g.images
+    f = max(degrees, default=1)
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"negative max_size {max_size}")
+    if kappa is not None and min(kappa, default=0) < 0:
+        raise ValueError(f"negative part count in kappa {kappa}")
+    cap = len(degrees) if max_size is None else max_size
+    target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
+    if target is not None:    # a cell of |kappa| members, empty over the cap
+        cap = sum(target) if sum(target) <= cap else 0
+    kept = [v for v, d in enumerate(degrees)
+            if cap > 0 and (target is None or target[d - 1])]
+    allowed = 0
+    for v in kept:
+        allowed |= 1 << v
+    full = [0] * len(degrees)     # all neighbors among the kept vertices
+    for v in reversed(kept):      # each full[u] gets its top bit first
+        Q = lesser[v] & allowed
+        full[v] |= Q
+        while Q:
+            b = Q & -Q
+            Q ^= b
+            full[b.bit_length() - 1] |= 1 << v
+    closed, opened = [], []
+    closed_mask = 0
+    for v in kept:
+        if images is None or len(images[v]) == 1:
+            opened.append([v])
+        else:
+            closed_mask |= 1 << v
+            if v == min(images[v]):
+                closed.append(sorted(set(images[v])))
+    order = (_orbit_order(full, closed, closed_mask)
+             + _orbit_order(full, opened, allowed))
+    before = [0] * len(degrees)   # neighbors earlier in the order
+    heads = []                    # (W, js, E & N(W))
+    colours = [[] for _ in range(f)]      # per degree: its colour classes
+    degmask = [0] * f                     # per degree: its kept vertices
+    seen = 0
+    for O in order:
+        E = seen
+        for v in O:
+            before[v] = full[v] & seen
+            seen |= 1 << v
+            cs = colours[degrees[v] - 1]
+            degmask[degrees[v] - 1] |= 1 << v
+            for i, C in enumerate(cs):
+                if not before[v] & C:
+                    cs[i] = C | 1 << v
+                    break
+            else:
+                cs.append(1 << v)
+        # an orbit holds one degree, and kappa at most target[d] of it
+        most = cap if target is None else target[degrees[O[0]] - 1]
+        for W, js in _orbit_classes(O, full, images):
+            if len(W) <= most:
+                S = E
+                for w in W:
+                    S &= full[w]
+                heads.append((W, js, S))
+    return cap, target, full, before, degmask, colours, heads
+
+
 def tabulate(g: CompatGraph, max_size: int | None = None,
              kappa: tuple | None = None, workers: int = 1,
              budget: Budget | None = None) -> PartitionTable:
@@ -442,9 +520,9 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     first, and every clique K is counted once, at the last orbit O it meets,
     as W = K & O together with a clique of E & N(W), where E holds the
     vertices of the orbits before O and N(W) is the common neighborhood of
-    W.  So the table is 1 + sum over O and the cliques W inside O of
-    x^W cnt(E & N(W)).  Under a cap of at most 4, cnt counts the cliques of
-    at most cap - |W| <= 3 members, read off the before masks
+    W (`_heads`).  So the table is 1 + sum over O and the cliques W inside O
+    of x^W cnt(E & N(W)).  Under a cap of at most 4, cnt counts the cliques
+    of at most cap - |W| <= 3 members, read off the before masks
     (`_few_cliques`).  Under a larger cap it counts every clique by the pivot
     recursion of the module docstring (`_clique_poly`), and the unpacking
     keeps only the cells of at most cap members.
@@ -484,64 +562,9 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     workers is accepted and ignored: the serial memo beats a pool.
     """
     budget = budget or Budget.from_env()
-    degrees, lesser, images = g.degrees, g.lesser, g.images
-    f = max(degrees, default=1)
-    if max_size is not None and max_size < 0:
-        raise ValueError(f"negative max_size {max_size}")
-    if kappa is not None and min(kappa, default=0) < 0:
-        raise ValueError(f"negative part count in kappa {kappa}")
-    cap = len(degrees) if max_size is None else max_size
-    target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
-    if target is not None:
-        cap = min(cap, sum(target))
-    kept = [v for v, d in enumerate(degrees)
-            if cap > 0 and (target is None or target[d - 1])]
-    allowed = 0
-    for v in kept:
-        allowed |= 1 << v
-    full = [0] * len(degrees)     # all neighbors among the kept vertices
-    for v in reversed(kept):      # each full[u] gets its top bit first
-        Q = lesser[v] & allowed
-        full[v] |= Q
-        while Q:
-            b = Q & -Q
-            Q ^= b
-            full[b.bit_length() - 1] |= 1 << v
-    closed, opened = [], []
-    closed_mask = 0
-    for v in kept:
-        if images is None or len(images[v]) == 1:
-            opened.append([v])
-        else:
-            closed_mask |= 1 << v
-            if v == min(images[v]):
-                closed.append(sorted(set(images[v])))
-    order = (_orbit_order(full, closed, closed_mask)
-             + _orbit_order(full, opened, allowed))
-    before = [0] * len(degrees)   # neighbors earlier in the order
-    heads = []                    # (W, class size, E & N(W))
-    colours = [[] for _ in range(f)]      # per degree: its colour classes
-    degmask = [0] * f                     # per degree: its kept vertices
-    seen = 0
-    for O in order:
-        E = seen
-        for v in O:
-            before[v] = full[v] & seen
-            seen |= 1 << v
-            cs = colours[degrees[v] - 1]
-            degmask[degrees[v] - 1] |= 1 << v
-            for i, C in enumerate(cs):
-                if not before[v] & C:
-                    cs[i] = C | 1 << v
-                    break
-            else:
-                cs.append(1 << v)
-        for W, mult in _orbit_classes(O, full, images):
-            if len(W) <= cap:
-                S = E
-                for w in W:
-                    S &= full[w]
-                heads.append((W, mult, S))
+    cap, target, full, before, degmask, colours, heads = _heads(g, max_size,
+                                                                kappa)
+    f = len(degmask)
     recurse = cap > 4         # else at most three members below a head
     radix = [1 + (len(cs) if recurse else min(cap, len(cs))) for cs in colours]
     stride = [0] * f
@@ -551,21 +574,21 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
         step *= radix[d]
     classes = [C for cs in colours for C in cs]
     bound = 1
-    for W, mult, S in heads:
+    for W, js, S in heads:
         if recurse:
-            bound += mult * prod(1 + (S & C).bit_count() for C in classes)
+            bound += len(js) * prod(1 + (S & C).bit_count() for C in classes)
         else:
             m = S.bit_count()
-            bound += mult * sum(comb(m, j) for j in range(cap - len(W) + 1))
+            bound += len(js) * sum(comb(m, j) for j in range(cap - len(W) + 1))
     nbytes = (bound.bit_length() + 7) // 8
-    shift = [8 * nbytes * stride[d - 1] for d in degrees]
+    shift = [8 * nbytes * stride[d - 1] for d in g.degrees]
     groups = [(m, 8 * nbytes * stride[d]) for d, m in enumerate(degmask) if m]
     root = 1
-    for W, mult, S in heads:
+    for W, js, S in heads:
         budget.check()
         c = (_clique_poly(full, before, S, shift) if recurse
              else _few_cliques(before, S, shift, cap - len(W), groups))
-        root += mult * c << sum(shift[w] for w in W)
+        root += len(js) * c << sum(shift[w] for w in W)
     raw = root.to_bytes(nbytes * step, "little")
     table = PartitionTable(f)
     for e in product(*map(range, radix)):
@@ -582,75 +605,69 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
                       max_size: int | None = None,
                       budget: Budget | None = None,
                       limit: int | None = None):
-    """Yield cliques as tuples of vertex indices (ascending).
+    """Yield cliques as tuples of vertex indices (ascending), each once.
 
-    With kappa, only cliques of exactly that partition are yielded.  The walk
-    enters no candidate set that holds fewer vertices of some degree than the
-    clique still needs, and skips the members of a candidate set with too few
-    vertices of the set below them.  Only subtrees without a kappa clique are
-    cut, so the yield order is that of the full walk.  The budget is checked
-    once per top-level vertex.
+    The empty clique comes first when it is asked for; the others come head
+    by head, in no fixed order.  Each head (W, js, S) of `_heads`, the set-up
+    `tabulate` counts with, stands for the cliques W | C with C a clique of S
+    and for their images under the maps js, and by the lemma of `tabulate`
+    every clique is one of these in exactly one way.  The cliques C are
+    walked by their last member in the order (the before masks).  With
+    kappa, only cliques of exactly that partition are yielded: the walk
+    takes no more members of a degree than the cell has, and enters no
+    candidate set that holds fewer vertices of some degree than the clique
+    still needs.  The budget is checked once per head; a stream that would
+    pass limit cliques is refused with BudgetExceededError.
     """
     budget = budget or Budget.from_env()
-    degrees, lesser = g.degrees, g.lesser
-    if max_size is not None and max_size < 0:
-        raise ValueError(f"negative max_size {max_size}")
-    remaining = None
-    left = 0                  # members still needed, under kappa
-    if kappa is not None:
-        remaining = list(kappa) + [0] * (max(degrees, default=1) - len(kappa))
-        if min(remaining) < 0:
-            raise ValueError(f"negative part count in kappa {kappa}")
-        left = sum(remaining)
-        degmask = [0] * len(remaining)
-        for v, d in enumerate(degrees):
-            degmask[d - 1] |= 1 << v
-        needed = [(degmask[d], d) for d, e in enumerate(remaining) if e]
-    if remaining is None or not left:
-        yield ()
-        if remaining is not None:
-            return
+    cap, target, _, before, degmask, _, heads = _heads(g, max_size, kappa)
+    degrees, f = g.degrees, len(degmask)
+    images = g.images or [(v,) for v in range(len(degrees))]
+    every = target is None        # yield every clique under the cap
+    used = [] if every else [d for d in range(f) if target[d]]
+    need = []                 # per degree: the members still allowed
+    chosen = []
 
-    def rec(P, chosen, left):
-        """Cliques extending chosen by members of P; left members to go."""
-        Q = P
-        for _ in range(left - 1):     # the next member has left - 1 below it
-            Q &= Q - 1
+    def grow(P, room):
+        """Yield chosen extended by each clique of P that the cell allows:
+        every one without kappa, else those with room more members."""
+        for d in used:
+            if (P & degmask[d]).bit_count() < need[d]:
+                return
+        if every or not room:
+            yield chosen
+        Q = P if room else 0
         while Q:
-            if not chosen:
-                budget.check()
             b = Q & -Q
             Q ^= b
-            v = b.bit_length() - 1
-            if remaining is None:
-                chosen.append(v)
-                yield tuple(sorted(chosen))
-                if max_size is None or len(chosen) < max_size:
-                    yield from rec(P & lesser[v], chosen, 0)
+            x = b.bit_length() - 1
+            d = degrees[x] - 1
+            if need[d]:
+                need[d] -= 1
+                chosen.append(x)
+                yield from grow(P & before[x], room - 1)
                 chosen.pop()
-                continue
-            d = degrees[v] - 1
-            if remaining[d] <= 0:
-                continue
-            chosen.append(v)
-            remaining[d] -= 1
-            if left == 1:
-                yield tuple(sorted(chosen))
-            elif max_size is None or len(chosen) < max_size:
-                child = P & lesser[v]
-                for mask, e in needed:
-                    if (child & mask).bit_count() < remaining[e]:
-                        break
-                else:
-                    yield from rec(child, chosen, left - 1)
-            remaining[d] += 1
-            chosen.pop()
+                need[d] += 1
 
-    walk = rec((1 << len(degrees)) - 1, [], left)
-    for produced, clique in enumerate(walk, 1):
-        yield clique
-        if limit is not None and produced >= limit:
-            raise BudgetExceededError(f"clique stream exceeds limit {limit}")
+    def walk():
+        if every or not any(target):
+            yield ()
+        for W, js, S in heads:
+            budget.check()
+            need[:] = [cap] * f if every else target[:f]
+            need[degrees[W[0]] - 1] -= len(W)     # an orbit keeps the degree
+            chosen[:] = W
+            for K in grow(S, cap - len(W)):
+                # K under each map; only K itself for an open head, as zip
+                # stops at its head's one image
+                mapped = list(zip(*[images[v] for v in K]))
+                for j in js:
+                    yield tuple(sorted(mapped[j]))
+
+    stream = walk()
+    yield from islice(stream, limit)
+    if limit is not None and next(stream, None) is not None:
+        raise BudgetExceededError(f"clique stream exceeds limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -658,41 +675,21 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
 
 
 def _ordered_partition_count(kappa_expts: tuple, nu_blocks: tuple) -> int:
-    """Ordered set-partition count of a degree multiset into blocks.
+    """Ways to deal kappa_expts[d-1] distinct items of degree d into ordered
+    blocks whose degree sums are nu_blocks.
 
-    kappa_expts[d-1] items of degree d must fill ordered blocks whose degree
-    sums are nu_blocks; items are distinct, so choices multiply binomially.
+    The first block takes take[d] of the items of each degree, in
+    prod comb(e_d, take_d) ways, and the rest fill the other blocks.
     """
-    degs = [d + 1 for d, e in enumerate(kappa_expts) for _ in range(e)]
-    if sum(degs) != sum(nu_blocks):
+    if sum((d + 1) * e for d, e in enumerate(kappa_expts)) != sum(nu_blocks):
         return 0
-
-    @lru_cache(maxsize=None)
-    def solve(remaining: tuple, block: int) -> int:
-        if block == len(nu_blocks):
-            return 1 if not any(remaining) else 0
-        total = 0
-        target = nu_blocks[block]
-
-        def assign(d, left, ways, rem):
-            nonlocal total
-            if left == 0:
-                total += ways * solve(tuple(rem), block + 1)
-                return
-            if d > len(rem):
-                return
-            avail = rem[d - 1]
-            maxtake = min(avail, left // d)
-            for take in range(maxtake + 1):
-                if take * d <= left:
-                    rem2 = list(rem)
-                    rem2[d - 1] -= take
-                    assign(d + 1, left - take * d, ways * comb(avail, take), rem2)
-
-        assign(1, target, 1, list(remaining))
-        return total
-
-    return solve(tuple(kappa_expts), 0)
+    if not nu_blocks:
+        return 1              # the sums agree, so no item is left
+    return sum(prod(map(comb, kappa_expts, take))
+               * _ordered_partition_count(
+                   tuple(e - t for e, t in zip(kappa_expts, take)), nu_blocks[1:])
+               for take in product(*(range(e + 1) for e in kappa_expts))
+               if sum((d + 1) * t for d, t in enumerate(take)) == nu_blocks[0])
 
 
 def count_u_nu(g: CompatGraph, nu: tuple, workers: int = 1,

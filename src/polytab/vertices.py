@@ -33,6 +33,7 @@ from .abc_search import (
     VARIANT_III,
     _json_ints,
     _read_json,
+    _shown,
     canonical_triple,
     cubic_classes,
     delta_classes,
@@ -519,12 +520,13 @@ def read_vertex_set(path) -> VertexSet:
         for d_str, block in payload["degrees"].items():
             d = int(d_str)
             if d < 1:
-                raise ValueError(f"vertex degree {d} is below 1")
+                raise ValueError(f"vertex degree {_shown(d_str)} is below 1")
             verts = []
             for rec in block["vertices"]:
                 poly = NormalizedPoly(_json_ints(rec["coeffs"]))
                 if poly.degree != d:
-                    raise ValueError(f"{poly} listed under degree {d}")
+                    raise ValueError(f"a degree-{poly.degree} polynomial "
+                                     f"listed under degree {d}")
                 datum = rec.get("class")
                 if datum is not None and datum.lstrip("-").isdigit():
                     datum = int(datum)

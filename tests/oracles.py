@@ -319,6 +319,8 @@ def enumerate_cliques_unguided(g, kappa=None, max_size=None):
             return
 
     def rec(P, chosen):
+        if max_size is not None and len(chosen) >= max_size:
+            return
         Q = P
         while Q:
             b = Q & -Q
@@ -333,7 +335,7 @@ def enumerate_cliques_unguided(g, kappa=None, max_size=None):
             done = remaining is not None and not any(remaining)
             if remaining is None or done:
                 yield tuple(sorted(chosen))
-            if not done and (max_size is None or len(chosen) < max_size):
+            if not done:
                 yield from rec(P & lesser[v], chosen)
             if remaining is not None:
                 remaining[d] += 1

@@ -127,6 +127,9 @@ def test_tabulate_enumerate_stream(tmp_path, capsys):
     lines = stream.read_text().strip().splitlines()
     assert len(lines) == 4  # empty product + three linears
     assert "(1)" in lines[0]
+    assert run(["tabulate", "--vertices", vfile, "--enumerate",
+                "--max-size", "0", "--out", stream]) == EXIT_OK
+    assert stream.read_text() == "(1)\n"
 
 
 def test_tabulate_enumerate_refusal(tmp_path):
@@ -282,6 +285,27 @@ def test_deeply_nested_files_exit_2(tmp_path):
     path.write_text("[" * 200_000 + "]" * 200_000)
     assert [run(argv) for argv in _read_commands(path, tmp_path / "o.json")] \
         == [EXIT_VALIDATION, EXIT_VALIDATION]
+
+
+def test_reader_errors_cut_the_echoed_value(tmp_path, capsys):
+    """A 100,000-int value or a 4,000-digit degree in a wrong place is
+    refused with exit 2 and a short error line, not echoed whole."""
+    big = list(range(100_000))
+    coeffs = ("degrees", "1", "vertices", 0, "coeffs")
+    cases = [(1, _replaced(VALID_VERTICES, coeffs, [big, 1])),
+             (1, _replaced(VALID_VERTICES, coeffs, big)),
+             (1, {**VALID_VERTICES, "primes": {"p": big}}),
+             (1, {**VALID_VERTICES, "degrees": {"-" + "9" * 4000: {}}}),
+             (0, {**VALID_POINTS, "primes": [big]}),
+             (0, {**VALID_POINTS, "variant": big}),
+             (0, {**VALID_POINTS, "complete": big})]
+    path = tmp_path / "in.json"
+    for which, payload in cases:
+        path.write_text(json.dumps(payload))
+        argv = _read_commands(path, tmp_path / "out.json")[which]
+        assert run(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200 + len(str(path))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -2,7 +2,7 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -296,7 +296,9 @@ def test_tabulate_invariant_under_reorder(graph2, table2):
 def test_counting_equals_enumeration(graph2):
     t = tabulate(graph2.value)
     seen = {}
-    for clique in enumerate_cliques(graph2.value):
+    stream = list(enumerate_cliques(graph2.value))
+    assert stream[0] == () and len(set(stream)) == len(stream)
+    for clique in stream:
         key = [0] * 4
         for idx in clique:
             key[graph2.value.degrees[idx] - 1] += 1
@@ -531,6 +533,29 @@ def test_tabulate_orbit_heads_against_oracle():
     assert kinds == {1, 2, 3, 6} and inner > 100
 
 
+def _enumerations_agree(g, **kwargs):
+    got = list(enumerate_cliques(g, **kwargs))
+    assert len(set(got)) == len(got)
+    assert sorted(got) == sorted(enumerate_cliques_unguided(g, **kwargs))
+
+
+def test_enumerate_cliques_orbit_heads_against_oracle():
+    """On the same S3-invariant graphs, with and without images: every cap
+    from 0 to past the vertex count and every kappa cell, alone and under a
+    cap one short of it, yield the cliques of the unguided walk, each once,
+    the empty one first when asked for."""
+    for seed in range(40):
+        g = _s3_graph(random.Random(2000 + seed))
+        for h in (g, replace(g, images=None)):
+            for m in range(len(g.degrees) + 2):
+                _enumerations_agree(h, max_size=m)
+            for e in cliques_by_partition_naive(g.degrees, g.lesser):
+                _enumerations_agree(h, kappa=e)
+                _enumerations_agree(h, kappa=e, max_size=max(sum(e) - 1, 0))
+        assert list(enumerate_cliques(g, max_size=0)) == [()]
+        assert next(enumerate_cliques(g)) == ()
+
+
 class _CountingBudget(Budget):
     calls = 0
 
@@ -545,9 +570,12 @@ def test_tabulate_checks_budget_once_per_head(graph23, graph235):
     for seed in range(20):
         g = _s3_graph(random.Random(3000 + seed))
         for cap in (0, 1, 2, 3, None):
+            want = _orbit_head_count(g, len(g.degrees) if cap is None else cap)
             budget = _CountingBudget()
             tabulate(g, max_size=cap, budget=budget)
-            want = _orbit_head_count(g, len(g.degrees) if cap is None else cap)
+            assert budget.calls == want
+            budget = _CountingBudget()
+            list(enumerate_cliques(g, max_size=cap, budget=budget))
             assert budget.calls == want
     for g, heads in ((graph23.value, 438), (graph235.value, 564)):
         budget = _CountingBudget()
@@ -656,15 +684,19 @@ def test_serial_tabulate_and_unu_honour_budget(graph235):
 def test_enumeration_limit_refusal(graph2):
     with pytest.raises(BudgetExceededError):
         list(enumerate_cliques(graph2.value, limit=5))
+    # a stream of exactly limit cliques is not refused
+    assert len(list(enumerate_cliques(graph2.value, limit=1510))) == 1510
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_cliques(graph2.value, limit=1509))
 
 
-def test_enumerate_cliques_polls_budget_per_top_vertex(graph2357):
+def test_enumerate_cliques_polls_budget_per_head(graph2357):
     g = graph2357.value
     with pytest.raises(BudgetExceededError):
         list(enumerate_cliques(g, kappa=(9,), budget=Budget(seconds=1e-9)))
     budget = _CountingBudget()
     assert sum(1 for _ in enumerate_cliques(g, kappa=(9,), budget=budget)) == 7425
-    assert 0 < budget.calls <= len(g.vertices)
+    assert budget.calls == _orbit_head_count(g, 9) < len(g.vertices)
 
 
 def test_build_graph_honours_budget(vs2357):
@@ -679,13 +711,13 @@ def test_build_graph_honours_budget(vs2357):
 
 def test_enumerate_cliques_pruned_matches_unguided(graph2357, graph23):
     g = graph2357.value
-    want = list(enumerate_cliques_unguided(g, kappa=(9,)))
+    want = sorted(enumerate_cliques_unguided(g, kappa=(9,)))
     assert len(want) == 7425
-    assert list(enumerate_cliques(g, kappa=(9,))) == want
+    assert sorted(enumerate_cliques(g, kappa=(9,))) == want
     g = graph23.value
     for kappa in ((2, 1, 1), (1, 0, 2), (0, 2, 1), (3, 1), (4, 1, 1)):
-        assert list(enumerate_cliques(g, kappa=kappa)) \
-            == list(enumerate_cliques_unguided(g, kappa=kappa))
+        assert sorted(enumerate_cliques(g, kappa=kappa)) \
+            == sorted(enumerate_cliques_unguided(g, kappa=kappa))
     assert list(enumerate_cliques(g, kappa=(1, 1, 1), max_size=2)) == []
     with pytest.raises(ValueError, match="negative"):
         list(enumerate_cliques(g, kappa=(2, -1, 1)))
@@ -720,6 +752,30 @@ def test_count_u_nu_ordered_blocks(graph2):
     want = 2 * t.count((0, 2, 0, 0)) + 2 * t.count((2, 1, 0, 0)) \
         + 6 * t.count((4, 0, 0, 0))
     assert n22 == want
+
+
+def test_ordered_partition_count_against_dealing_items():
+    """Against dealing labelled items to the blocks one assignment at a
+    time: every degree multiset of at most six items into one to four
+    blocks, the block sums a random composition of the degree sum, or
+    off by one."""
+    rng = random.Random(16)
+    nonzero = 0
+    for expts in product(range(3), repeat=3):
+        items = [d + 1 for d, e in enumerate(expts) for _ in range(e)]
+        for _ in range(3):
+            k = rng.randint(1, 4)
+            cuts = sorted(rng.randint(0, sum(items)) for _ in range(k - 1))
+            blocks = [b - a for a, b in zip([0] + cuts, cuts + [sum(items)])]
+            blocks[-1] += rng.choice((0, 0, 0, 1))
+            want = sum(
+                all(sum(d for d, b in zip(items, deal) if b == i) == need
+                    for i, need in enumerate(blocks))
+                for deal in product(range(k), repeat=len(items)))
+            assert cliques._ordered_partition_count(expts, tuple(blocks)) \
+                == want
+            nonzero += want > 0
+    assert nonzero > 20
 
 
 def test_packets_linear_P2(graph2):
