@@ -35,10 +35,14 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import compress, islice, product, repeat
 from math import comb, gcd, prod
+from operator import mul
 
 from .budget import Budget, BudgetExceededError
 from .poly import (
@@ -47,6 +51,7 @@ from .poly import (
     rational_roots,
     resultant_bound,
     resultant_fast,
+    resultant_form,
     s3_transform,
 )
 from .smooth import PrimeSet, is_smooth, smooth_numbers_up_to
@@ -77,7 +82,7 @@ class CompatGraph:
 def build_graph(vs: VertexSet, P: PrimeSet | None = None,
                 budget: Budget | None = None) -> CompatGraph:
     """Adjacency by resultant smoothness over P, one resultant per S3 orbit
-    of vertex pairs.
+    of vertex pairs, read off packed rows of resultants.
 
     Lemma: adjacency is invariant under the marked-point action, for any
     prime set P.  Each of the six elements acts by a matrix M in GL2(Z),
@@ -108,9 +113,27 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     |f|_2^deg g |g|_2^deg f, and B is the largest such product over the
     degree pairs of the set.  So a resultant is a nonzero P-smooth integer
     exactly when its absolute value is one of the P-smooth numbers <= B,
-    which are listed once and looked up.  A set whose B would need more of
-    them than there are resultants to compute (huge coefficients) tests
-    each resultant by stripping the primes of P instead.
+    which are listed once and looked up.
+
+    Rows (`_Lanes`).  Take W, the least multiple of 64 with B < 2^(W-1).
+    For a representative r of degree m, Res(r, g) over the vertices g of
+    degree d is a form of degree m in the d + 1 coefficients of g
+    (`resultant_form`).  Each monomial's values over the degree-d vertices,
+    in the pair order, are packed once as one int of W-bit lanes; r's row
+    is the sum of its coefficients c(r) times these packs, plus 2^(W-1) in
+    every lane, cut at r's position.  Lane i of the row is then 2^(W-1) +
+    Res(r, g_i): the sum is that integer identity, and since every |Res|
+    <= B < 2^(W-1) each lane lies in [1, 2^W), so no lane borrows from or
+    carries into its neighbour and the W-bit digits of the row are the
+    lanes.  (A monomial's values are bounded by B too, |g|_2^m <= B, so its
+    packed lanes, offset by 2^(W-1), are digits as well.)  An edge is a
+    lane in 2^(W-1) +- the smooth numbers <= B; a zero resultant reads
+    2^(W-1) and is none.  The row is read as 64-bit words, and a wider lane
+    is matched on its low word before the whole lane is.
+
+    A set whose B would need more smooth numbers than there are resultants
+    to compute (huge coefficients) tests each pair's `resultant_fast` by
+    stripping the primes of P instead (`_Stripped`).
     """
     P = P or vs.P
     budget = budget or Budget.from_env()
@@ -146,32 +169,119 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
             heads.append((len(order), i))
             placed.update(orbit)
             order.extend(orbit)
-    smooth = smooth_numbers_up_to(P, max(resultant_bound(coeffs), 1),
+    bound = max(resultant_bound(coeffs), 1)
+    smooth = smooth_numbers_up_to(P, bound,
                                   limit=sum(n - 1 - at for at, _ in heads))
-    smooth = _Stripped(P) if smooth is None else set(smooth)
+    rows = (_Stripped(P, coeffs, order) if smooth is None
+            else _Lanes(coeffs, degrees, order, smooth, bound))
     lesser = [0] * n
     for at, r in heads:
         budget.check()
-        cr, group = coeffs[r], images[r]
-        for j in order[at + 1:]:
-            if abs(resultant_fast(cr, coeffs[j])) in smooth:
-                for a, b in zip(group, images[j]):
-                    if a > b:
-                        lesser[a] |= 1 << b
-                    else:
-                        lesser[b] |= 1 << a
+        group = images[r]
+        for j in rows.partners(r, at):
+            for a, b in zip(group, images[j]):
+                if a > b:
+                    lesser[a] |= 1 << b
+                else:
+                    lesser[b] |= 1 << a
     return CompatGraph(verts, degrees, lesser, P, images)
 
 
+class _Lanes:
+    """The smooth partners of a representative, read off packed rows of
+    resultants (the Rows paragraph of `build_graph`)."""
+
+    def __init__(self, coeffs, degrees, order, smooth, bound):
+        self.coeffs = coeffs
+        self.width = -(-(bound.bit_length() + 1) // 64) * 64
+        self.bias = bias = 1 << self.width - 1
+        self.classes = {}     # degree -> (positions in order, vertices)
+        for at, j in enumerate(order):
+            pos, members = self.classes.setdefault(degrees[j], ([], []))
+            pos.append(at)
+            members.append(j)
+        self.hits = {bias + s for s in smooth} | {bias - s for s in smooth}
+        self.low = {h % (1 << 64) for h in self.hits}     # the low words
+        self.packs = {}       # (m, d) -> the monomial packs, then the bias's
+
+    def _packs(self, m, d):
+        """The packs of the degree-m monomials over the degree-d vertices,
+        each lane offset by the bias, and last the bias alone."""
+        nbytes, bias = self.width // 8, self.bias
+        members = self.classes[d][1]
+        cols = list(zip(*[self.coeffs[j] for j in members]))
+        out = []
+        for eb, _ in resultant_form(m, d):
+            vals = None       # the monomial's values, as one lazy map
+            for col, e in zip(cols, eb):
+                if e:
+                    x = col if e == 1 else map(pow, col, repeat(e))
+                    vals = x if vals is None else map(mul, vals, x)
+            out.append(int.from_bytes(b"".join(map(
+                int.to_bytes, map(bias.__add__, vals), repeat(nbytes),
+                repeat("little"))), "little"))
+        out.append(int.from_bytes(bias.to_bytes(nbytes, "little")
+                                  * len(members), "little"))
+        return out
+
+    def row(self, r, d, k):
+        """The row of r against the degree-d vertices from the k-th on in
+        the order: lane i holds bias + Res(r, the (k + i)-th)."""
+        f = self.coeffs[r]
+        m = len(f) - 1
+        packs = self.packs.get((m, d))
+        if packs is None:
+            packs = self.packs[m, d] = self._packs(m, d)
+        cut = self.width * k
+        row, total = 0, 0
+        for (_, terms), pack in zip(resultant_form(m, d), packs):
+            c = 0
+            for x, ea in terms:
+                c += x * prod(map(pow, f, ea))
+            if c:
+                row += c * (pack >> cut)
+                total += c
+        # the packs carry the bias once per unit of coefficient; keep one
+        return row + (1 - total) * (packs[-1] >> cut)
+
+    def partners(self, r, at):
+        """The vertices after position at in the order whose resultant
+        with r is smooth."""
+        out = []
+        nbytes = self.width // 8
+        for d, (pos, members) in self.classes.items():
+            k = bisect_right(pos, at)
+            members = members[k:]
+            if not members:
+                continue
+            buf = self.row(r, d, k).to_bytes(nbytes * len(members), "little")
+            words = array("Q", buf)
+            if sys.byteorder == "big":
+                words.byteswap()
+            if nbytes == 8:
+                out += compress(members, map(self.hits.__contains__, words))
+                continue
+            low = words[::nbytes // 8]
+            for i in compress(range(len(members)),
+                              map(self.low.__contains__, low)):
+                lane = buf[i * nbytes:(i + 1) * nbytes]
+                if int.from_bytes(lane, "little") in self.hits:
+                    out.append(members[i])
+        return out
+
+
 class _Stripped:
-    """The P-smooth integers as a container, tested by stripping the primes
-    of P: for vertex sets too large to list them."""
+    """The smooth partners of a representative by one `resultant_fast` per
+    pair, stripping the primes of P: for vertex sets whose smooth numbers
+    are too many to list."""
 
-    def __init__(self, P: PrimeSet):
-        self.P = P
+    def __init__(self, P, coeffs, order):
+        self.P, self.coeffs, self.order = P, coeffs, order
 
-    def __contains__(self, r):
-        return is_smooth(r, self.P)
+    def partners(self, r, at):
+        cr, coeffs = self.coeffs[r], self.coeffs
+        return [j for j in self.order[at + 1:]
+                if is_smooth(resultant_fast(cr, coeffs[j]), self.P)]
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +548,8 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
     of `tabulate`.
 
     cap is max_size (the vertex count when None), under kappa |kappa| or 0
-    when that is more, and target is kappa padded to the largest degree, or
+    when that is more or kappa has a part of degree above the largest, and
+    target is kappa padded with zeros to at least the largest degree, or
     None.  full[v] holds the kept neighbors of v and before[v] those earlier
     in the order; degmask[d] and colours[d] hold the kept vertices of degree
     d + 1 and their greedy colour classes in that order.  heads holds
@@ -454,7 +565,8 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
     cap = len(degrees) if max_size is None else max_size
     target = None if kappa is None else tuple(kappa) + (0,) * (f - len(kappa))
     if target is not None:    # a cell of |kappa| members, empty over the cap
-        cap = sum(target) if sum(target) <= cap else 0
+        # or with a part of degree above f
+        cap = sum(target) if sum(target) <= cap and not any(target[f:]) else 0
     kept = [v for v, d in enumerate(degrees)
             if cap > 0 and (target is None or target[d - 1])]
     allowed = 0
@@ -557,9 +669,11 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
 
     max_size caps the number of irreducible factors.  kappa returns the one
     cell of that partition (present even when 0), counted on the degrees it
-    uses with the size capped at |kappa|; a negative max_size or part count
-    is a ValueError.  The budget is checked once per counted head (W).
-    workers is accepted and ignored: the serial memo beats a pool.
+    uses with the size capped at |kappa|; a kappa longer than the largest
+    degree names the same cell when its extra parts are 0, else an empty
+    one.  A negative max_size or part count is a ValueError.  The budget is
+    checked once per counted head (W).  workers is accepted and ignored:
+    the serial memo beats a pool.
     """
     budget = budget or Budget.from_env()
     cap, target, full, before, degmask, colours, heads = _heads(g, max_size,
@@ -596,8 +710,9 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
         cell = int.from_bytes(raw[nbytes * at:nbytes * (at + 1)], "little")
         if cell and sum(e) <= cap:
             table.counts[e] = cell
-    if target is not None:
-        table.counts = {target: table.counts.get(target, 0)}
+    if target is not None:    # the cell is keyed by target[:f]
+        cell = 0 if any(target[f:]) else table.counts.get(target[:f], 0)
+        table.counts = {target: cell}
     return table
 
 

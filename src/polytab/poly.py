@@ -5,13 +5,16 @@ NormalizedPoly: a primitive integer polynomial with positive leading
 coefficient.  Resultants use closed forms up to degree 3 x 3 and the
 subresultant pseudo-remainder sequence above that (exact, no modular
 arithmetic), with the sign fixed to the Sylvester determinant convention,
-so that e.g. disc(t^2 - 2) = 8.
+so that e.g. disc(t^2 - 2) = 8.  `resultant_form` gives the resultant of
+two degrees as a polynomial in the coefficients, for evaluating one
+polynomial against many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .budget import Budget
@@ -217,6 +220,56 @@ def resultant_bound(polys) -> int:
         norms[d] = max(norms.get(d, 0), sum(x * x for x in c))
     return isqrt(max((norms[m] ** n * norms[n] ** m
                       for m in norms for n in norms), default=0))
+
+
+@cache
+def resultant_form(m: int, d: int) -> tuple:
+    """Res(f, g) for deg f = m >= 1 and deg g = d >= 1 as a form of degree m
+    in the coefficients of g: a tuple of (eb, terms), one per monomial
+    g_0^eb_0 ... g_d^eb_d, whose coefficient is the sum of k f^ea over the
+    (k, ea) in terms (ea an exponent tuple over f_0 ... f_m, of degree d).
+
+    The Sylvester determinant (d rows of f's coefficients over m rows of
+    g's, leading coefficients first, so the sign is resultant_coeffs') is
+    expanded column by column (Laplace), with a memo on the set of rows
+    already used, over monomials in both coefficient lists.  Derived on
+    first use: (4, 4) takes a few milliseconds.
+    """
+    n = m + d
+    var = {}                  # (row, column) -> f_k as k, g_k as m + 1 + k
+    for i in range(d):
+        for k in range(m + 1):
+            var[i, i + m - k] = k
+    for i in range(m):
+        for k in range(d + 1):
+            var[d + i, i + d - k] = m + 1 + k
+    memo = {(1 << n) - 1: {(0,) * (n + 2): 1}}
+
+    def minor(used):
+        """The minor on the rows outside used and the columns from
+        popcount(used) on, as {exponents: coefficient}."""
+        got = memo.get(used)
+        if got is None:
+            c = used.bit_count()
+            got = {}
+            sign = 1
+            for i in range(n):
+                if used >> i & 1:
+                    continue
+                v = var.get((i, c))
+                if v is not None:
+                    for e, k in minor(used | 1 << i).items():
+                        e = e[:v] + (e[v] + 1,) + e[v + 1:]
+                        got[e] = got.get(e, 0) + sign * k
+                sign = -sign
+            memo[used] = got = {e: k for e, k in got.items() if k}
+        return got
+
+    form = {}
+    for e, k in minor(0).items():
+        form.setdefault(e[m + 1:], []).append((k, e[:m + 1]))
+    memo.clear()              # minor refers to itself: free the memo now
+    return tuple((eb, tuple(terms)) for eb, terms in sorted(form.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polytab import cliques
 from polytab.budget import Budget, BudgetExceededError
@@ -27,12 +28,14 @@ from polytab.poly import (
     S3_ELEMENTS,
     NormalizedPoly,
     from_roots,
+    normalize,
     poly_mul,
     resultant_bound,
+    resultant_fast,
     s3_orbit,
     s3_transform,
 )
-from polytab.smooth import PrimeSet
+from polytab.smooth import PrimeSet, smooth_numbers_up_to
 from polytab.vertices import Vertex, VertexSet
 
 from oracles import (
@@ -205,31 +208,39 @@ def test_resultant_invariant_under_s3(vs23, vs235):
                     s3_transform(h, g).coeffs)) == want
 
 
+def _record_rows(monkeypatch):
+    """The packed rows build_graph reads, as (lanes, head, degree, first
+    lane, row) tuples."""
+    rows = []
+    row = cliques._Lanes.row
+
+    def recording(self, r, d, k):
+        rows.append((self, r, d, k, row(self, r, d, k)))
+        return rows[-1][-1]
+
+    monkeypatch.setattr(cliques._Lanes, "row", recording)
+    return rows
+
+
 def test_build_graph_one_resultant_per_pair_orbit(vs23, graph23, monkeypatch):
-    """On the {2,3} set at most a fifth of the pairs get a resultant, so a
-    fallback to the pairwise loop fails here."""
-    calls = 0
-    resultant_fast = cliques.resultant_fast
-
-    def counting(f, g):
-        nonlocal calls
-        calls += 1
-        return resultant_fast(f, g)
-
-    monkeypatch.setattr(cliques, "resultant_fast", counting)
+    """On the {2,3} set at most a fifth of the pairs get a resultant lane,
+    so a fallback to the pairwise loop fails here."""
+    rows = _record_rows(monkeypatch)
     g = build_graph(vs23.value)
     n = len(g.vertices)
     assert g.lesser == graph23.value.lesser
-    assert 0 < calls <= n * (n - 1) // 2 // 5
+    lanes = sum(len(lanes.classes[d][1]) - k for lanes, _, d, k, _ in rows)
+    assert 0 < lanes <= n * (n - 1) // 2 // 5
 
 
-def _record_smooth_lists(monkeypatch):
-    """The list of what build_graph's smooth_numbers_up_to calls return."""
+def _record_smooth_lists(monkeypatch, force=False):
+    """The list of what build_graph's smooth_numbers_up_to calls return;
+    with force, the numbers are listed whatever their count (the lane path
+    then runs on any set)."""
     listed = []
-    smooth_numbers_up_to = cliques.smooth_numbers_up_to
 
     def listing(P, H, limit=None):
-        listed.append(smooth_numbers_up_to(P, H, limit))
+        listed.append(smooth_numbers_up_to(P, H, None if force else limit))
         return listed[-1]
 
     monkeypatch.setattr(cliques, "smooth_numbers_up_to", listing)
@@ -237,27 +248,33 @@ def _record_smooth_lists(monkeypatch):
 
 
 def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
-    """Every resultant build_graph computes on {2,3} degree <= 3 and
-    {2,3,5} degree <= 2 is at most the bound its smooth set is listed to,
-    and the smooth lookup path is the one taken."""
-    seen = []
-    resultant_fast = cliques.resultant_fast
-
-    def recording(f, g):
-        r = resultant_fast(f, g)
-        seen.append(abs(r))
-        return r
-
-    monkeypatch.setattr(cliques, "resultant_fast", recording)
+    """Every lane build_graph reads on {2,3} degree <= 3 and {2,3,5} degree
+    <= 2 holds the bias plus its pair's resultant, and every such resultant
+    is at most the bound its smooth set is listed to: the smooth lookup
+    path is the one taken, with 128- and 64-bit lanes."""
+    rows = _record_rows(monkeypatch)
     listed = _record_smooth_lists(monkeypatch)
-    for vs, bits in ((vs23.value, 80), (vs235.value, 51)):
-        seen.clear()
+    for vs, bits, width in ((vs23.value, 80, 128), (vs235.value, 51, 64)):
+        rows.clear()
         listed.clear()
         build_graph(vs)
-        bound = resultant_bound([v.poly.coeffs for v in vs.all_vertices()])
+        coeffs = [v.poly.coeffs for v in vs.all_vertices()]
+        bound = resultant_bound(coeffs)
         assert bound.bit_length() == bits
         assert listed[0] is not None and listed[0][-1] <= bound
-        assert seen and max(seen) <= bound
+        assert rows
+        seen = 0
+        for lanes, r, d, k, row in rows:
+            assert lanes.width == width
+            nbytes = width // 8
+            members = lanes.classes[d][1][k:]
+            buf = row.to_bytes(nbytes * len(members), "little")
+            for i, j in enumerate(members):
+                lane = buf[i * nbytes:(i + 1) * nbytes]
+                res = int.from_bytes(lane, "little") - (1 << width - 1)
+                assert res == resultant_fast(coeffs[r], coeffs[j])
+                seen = max(seen, abs(res))
+        assert 0 < seen <= bound
 
 
 def test_build_graph_strip_path_over_the_cap(monkeypatch):
@@ -275,6 +292,118 @@ def test_build_graph_strip_path_over_the_cap(monkeypatch):
     assert listed == [None]
     assert g.lesser == build_graph_pairwise(vs).lesser
     assert g.edge_count() >= 10
+
+
+def _sized(coeffs, bits, k=1):
+    """t^k + c for the least c >= 0 that gives coeffs and it together a
+    resultant bound of the given bit length."""
+    lo, hi = 0, 1 << bits
+    while lo < hi:
+        c = (lo + hi) // 2
+        top = (c,) + (0,) * (k - 1) + (1,)
+        if resultant_bound(coeffs + [top]).bit_length() < bits:
+            lo = c + 1
+        else:
+            hi = c
+    top = (lo,) + (0,) * (k - 1) + (1,)
+    assert resultant_bound(coeffs + [top]).bit_length() == bits
+    return top
+
+
+def _vertex_set(coeffs, P):
+    vs = VertexSet(P)
+    for c in coeffs:
+        vs.by_degree.setdefault(len(c) - 1, []).append(
+            Vertex(NormalizedPoly(c)))
+    return vs
+
+
+def _lanes_graph(vs, P, force):
+    """build_graph(vs, P) as _record_smooth_lists(force) has it, and
+    whether the smooth numbers were listed."""
+    with pytest.MonkeyPatch.context() as mp:
+        listed = _record_smooth_lists(mp, force)
+        g = build_graph(vs, P)
+    return g, listed[0] is not None
+
+
+# degrees 1-4: three whole S3 orbits, vertices whose images drop degree or
+# are missing (open), and a repeated vertex
+_MIXED = (sorted({s.coeffs for s in s3_orbit(NormalizedPoly((-3, 1)))})
+          + sorted({s.coeffs for s in s3_orbit(NormalizedPoly((1, 0, 1)))})
+          + sorted({s.coeffs for s in s3_orbit(NormalizedPoly((1, 3, 0, 1)))})
+          + [(0, 1), (-5, 1), (-5, 1), (1, -1, 1), (0, -2, 1), (-1, 0, 0, 2),
+             (1, 1, 1, 1, 1), (-1, 0, 0, 0, 1), (3, -2, 0, 1, 1)])
+
+
+@pytest.mark.parametrize("bits,width", [(62, 64), (63, 64), (64, 128),
+                                        (65, 128), (126, 128), (127, 128),
+                                        (128, 192), (129, 192)])
+def test_packed_masks_at_the_lane_widths(bits, width, monkeypatch):
+    """A mixed set whose bound sits just below and just above 63, 64, 127
+    and 128 bits reads its lanes at the least width W of 64-bit words with
+    the bound below 2^(W-1), and gives the pairwise graph; some of its
+    resultants come within a few bits of the bound."""
+    rows = _record_rows(monkeypatch)
+    P = PrimeSet([2, 3])
+    coeffs = list(_MIXED)
+    top = _sized(coeffs, bits, k=1 + bits % 2)
+    assert max(abs(resultant_fast(top, c)) for c in coeffs) >> bits - 5
+    coeffs.append(top)
+    vs = _vertex_set(coeffs, P)
+    g, lanes = _lanes_graph(vs, P, force=True)
+    assert lanes and {x.width for x, *_ in rows} == {width}
+    assert g.lesser == build_graph_pairwise(vs, P).lesser
+    assert g.edge_count() > 20
+
+
+@st.composite
+def _mixed_sets(draw):
+    """Coefficient tuples of degrees 1-4: open vertices, whole S3 orbits,
+    repeats, and at times one vertex t^k + c that puts the bound at a lane
+    boundary (or far past the smooth list)."""
+    small = st.integers(-3, 3)
+
+    def poly():
+        deg = draw(st.integers(1, 4))
+        body = draw(st.lists(small, min_size=deg, max_size=deg))
+        return normalize(body + [draw(st.integers(1, 3))])[0]
+
+    coeffs = [poly().coeffs for _ in range(draw(st.integers(1, 10)))]
+    for _ in range(draw(st.integers(0, 3))):
+        s = poly()
+        if s.coeffs[0] and sum(s.coeffs):   # every image keeps the degree
+            coeffs += sorted({x.coeffs for x in s3_orbit(s)})
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs.append(draw(st.sampled_from(coeffs)))
+    bits = draw(st.sampled_from((None, 62, 63, 64, 65, 126, 127, 128, 129,
+                                 300)))
+    if bits:
+        coeffs.append(_sized(coeffs, bits, k=draw(st.integers(1, 4))))
+    return coeffs, bits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_sets(), st.sampled_from(([2], [2, 3], [2, 3, 5, 7])),
+       st.booleans())
+@example((list(_MIXED) + [_sized(list(_MIXED), 300)], 300), [2, 3], True)
+def test_packed_masks_equal_pairwise(mixed, primes, force):
+    """The lane masks equal the pairwise graph on sets of mixed degree with
+    open orbits and repeated vertices (a zero resultant is no edge); with
+    the {2,3}-smooth numbers up to 2^300 (about 28,000) too many to list,
+    the set takes the strip path.  The lane path is forced only where the
+    smooth numbers are few enough to list in a test: not over {2,3,5,7}
+    with a sized vertex (1.3 million of them up to 2^129)."""
+    coeffs, bits = mixed
+    P = PrimeSet(primes)
+    vs = _vertex_set(coeffs, P)
+    heavy = bits == 300 or (bits and len(primes) > 2)
+    g, lanes = _lanes_graph(vs, P, force=force and not heavy)
+    assert g.lesser == build_graph_pairwise(vs, P).lesser
+    if bits == 300 and len(primes) > 1:
+        assert not lanes
+    elif force and not heavy:
+        assert lanes
 
 
 def test_tabulate_invariant_under_reorder(graph2, table2):
@@ -311,6 +440,24 @@ def test_kappa_filter_counts(graph2, table2):
         t = tabulate(graph2.value, kappa=kappa)
         want = table2.value.count(tuple(kappa) + (0,) * (4 - len(kappa)))
         assert t.total() == want
+
+
+def test_tabulate_kappa_longer_than_the_degrees(graph2):
+    """A kappa longer than the largest vertex degree: zero parts past it
+    name the same cell as the short kappa, and a nonzero one an empty cell,
+    as enumerate_cliques finds."""
+    g = graph2.value
+    assert max(g.degrees) == 4
+    for kappa in ((1, 0, 0, 0, 0), (0, 2, 0, 0, 0, 0), (0, 0, 0, 0, 0),
+                  (0, 0, 0, 0, 1), (1, 0, 0, 0, 2)):
+        found = list(enumerate_cliques(g, kappa=kappa))
+        assert tabulate(g, kappa=kappa).counts == {kappa: len(found)}
+        if any(kappa[4:]):
+            assert not found
+        else:
+            short = kappa[:4]
+            assert len(found) == tabulate(g, kappa=short).count(short)
+    assert tabulate(g, kappa=(1, 0, 0, 0, 0)).count((1, 0, 0, 0, 0)) == 3
 
 
 def _random_graph(rng):

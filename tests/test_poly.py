@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from polytab.poly import (
     resultant_bound,
     resultant_coeffs,
     resultant_fast,
+    resultant_form,
     s3_orbit,
     s3_transform,
     special_values,
@@ -179,6 +182,65 @@ def test_resultant_closed_forms():
             seen["nonunit_lead"] += abs(f[-1]) > 1 and abs(g[-1]) > 1
             seen["big"] += max(map(abs, f + g)) > 10 ** 19
     assert min(seen.values()) >= 50, seen
+
+
+def _form_value(form, f, g):
+    """The form of resultant_form at the coefficient lists f and g."""
+    return sum(k * prod(map(pow, f, ea)) * prod(map(pow, g, eb))
+               for eb, terms in form for k, ea in terms)
+
+
+def test_resultant_form_matches_resultant_coeffs():
+    """For 1 <= m, d <= 4 the derived form has the C(m + d, m) monomials of
+    degree m in g, with coefficients of degree d in f, and evaluates to
+    resultant_coeffs, zero and negative coefficients (leading ones too) and
+    shared roots included."""
+    rng = random.Random(29)
+
+    def rand_poly(deg):
+        c = [rng.choice((0, rng.randint(-30, 30))) for _ in range(deg)]
+        return c + [rng.choice((-1, 1)) * rng.randint(1, 30)]
+
+    seen = {"zero": 0, "negative": 0, "shared": 0}
+    for m, d in product(range(1, 5), repeat=2):
+        form = resultant_form(m, d)
+        assert len(form) == comb(m + d, m)
+        for eb, terms in form:
+            assert len(eb) == d + 1 and sum(eb) == m
+            assert terms and all(len(ea) == m + 1 and sum(ea) == d
+                                 for _, ea in terms)
+        for k in range(80):
+            f, g = rand_poly(m), rand_poly(d)
+            if k % 8 == 0:    # a shared root at a small integer
+                x = rng.randint(-3, 3)
+                f[0] -= sum(c * x ** i for i, c in enumerate(f))
+                g[0] -= sum(c * x ** i for i, c in enumerate(g))
+                seen["shared"] += 1
+            want = resultant_coeffs(f, g)
+            assert _form_value(form, f, g) == want, (m, d, f, g)
+            if k % 8 == 0:
+                assert want == 0
+            seen["zero"] += 0 in f[:-1] or 0 in g[:-1]
+            seen["negative"] += min(f + g) < 0
+    assert min(seen.values()) >= 100, seen
+
+
+def test_resultant_form_matches_sympy():
+    """The derived forms against sympy's symbolic resultant, a test-only
+    cross-check.  sympy is asked with the higher degree first, where its
+    sign is the Sylvester one (some versions flip it the other way round
+    when both degrees are odd), and Res(f, g) = (-1)^(md) Res(g, f)."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for m, d in product(range(1, 5), repeat=2):
+        a = sympy.symbols(f"a0:{m + 1}")
+        b = sympy.symbols(f"b0:{d + 1}")
+        f = sum(x * t ** i for i, x in enumerate(a))
+        g = sum(x * t ** i for i, x in enumerate(b))
+        want = (sympy.resultant(f, g, t) if m >= d
+                else (-1) ** (m * d) * sympy.resultant(g, f, t))
+        got = _form_value(resultant_form(m, d), a, b)
+        assert sympy.Poly(got, *a, *b) == sympy.Poly(want, *a, *b), (m, d)
 
 
 def test_resultant_antisymmetry_and_multiplicativity():
