@@ -1,7 +1,7 @@
 """Compatibility graph, clique tabulation, specialization counts, packets.
 
 Two vertices are adjacent when their resultant is smooth; the edges are kept
-as lesser-neighbor bitmasks (Python ints).  Counting and enumerating share
+as full neighbor bitmasks (Python ints).  Counting and enumerating share
 one set-up (`_heads`): each clique is headed by its part in its last orbit
 of the marked-point group S3, in a smallest-last (degeneracy) order of the
 orbits (Matula and Beck), so that a head has few neighbors before it, and
@@ -68,15 +68,20 @@ TABLE_SCHEMA = "polytab.table/1"
 class CompatGraph:
     vertices: list            # [Vertex], the fixed total order
     degrees: list             # per-vertex degree
-    lesser: list              # per-vertex bitmask of neighbors with lower index
+    adj: list                 # per-vertex bitmask of all its neighbors
     P: PrimeSet
     # per vertex: its images under the six marked-point maps, in one fixed
     # order of the group, for a closed vertex, and (i,) for an open one;
     # None: no known symmetry
     images: list | None = None
 
+    @property
+    def lesser(self) -> list:
+        """Per vertex, its neighbors with lower index (built on each read)."""
+        return [m & ((1 << v) - 1) for v, m in enumerate(self.adj)]
+
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.lesser)
+        return sum(m.bit_count() for m in self.adj) // 2
 
 
 def build_graph(vs: VertexSet, P: PrimeSet | None = None,
@@ -174,17 +179,15 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
                                   limit=sum(n - 1 - at for at, _ in heads))
     rows = (_Stripped(P, coeffs, order) if smooth is None
             else _Lanes(coeffs, degrees, order, smooth, bound))
-    lesser = [0] * n
+    adj = [0] * n
     for at, r in heads:
         budget.check()
         group = images[r]
         for j in rows.partners(r, at):
             for a, b in zip(group, images[j]):
-                if a > b:
-                    lesser[a] |= 1 << b
-                else:
-                    lesser[b] |= 1 << a
-    return CompatGraph(verts, degrees, lesser, P, images)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return CompatGraph(verts, degrees, adj, P, images)
 
 
 class _Lanes:
@@ -550,13 +553,14 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
     cap is max_size (the vertex count when None), under kappa |kappa| or 0
     when that is more or kappa has a part of degree above the largest, and
     target is kappa padded with zeros to at least the largest degree, or
-    None.  full[v] holds the kept neighbors of v and before[v] those earlier
-    in the order; degmask[d] and colours[d] hold the kept vertices of degree
+    None.  full[v] holds the kept neighbors of v (g.adj itself when every
+    vertex is kept; read only for kept v) and before[v] those earlier in the
+    order; degmask[d] and colours[d] hold the kept vertices of degree
     d + 1 and their greedy colour classes in that order.  heads holds
     (W, js, E & N(W)) per class representative W (`_orbit_classes`) that
     the cap and kappa allow.
     """
-    degrees, lesser, images = g.degrees, g.lesser, g.images
+    degrees, images = g.degrees, g.images
     f = max(degrees, default=1)
     if max_size is not None and max_size < 0:
         raise ValueError(f"negative max_size {max_size}")
@@ -572,14 +576,8 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
     allowed = 0
     for v in kept:
         allowed |= 1 << v
-    full = [0] * len(degrees)     # all neighbors among the kept vertices
-    for v in reversed(kept):      # each full[u] gets its top bit first
-        Q = lesser[v] & allowed
-        full[v] |= Q
-        while Q:
-            b = Q & -Q
-            Q ^= b
-            full[b.bit_length() - 1] |= 1 << v
+    full = (g.adj if len(kept) == len(degrees)
+            else [m & allowed for m in g.adj])
     closed, opened = [], []
     closed_mask = 0
     for v in kept:

@@ -219,14 +219,25 @@ def _pencil_resultant(A, B, m: int) -> int:
 
 
 def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
-             verify: bool = True,
              budget: Budget | None = None) -> NormalizedPoly:
+    """Normalized s(F(t)) * denom(t)^deg(s), which must pass the membership
+    predicate over P; a failure means the cover is not a valid three-point
+    cover for P.  The construction is `_pullback`.
+    """
+    out = _pullback(cover, s, budget or Budget.from_env())
+    rep = check_membership(out, P)
+    if not rep.ok:
+        raise CoverValidationError(
+            f"pullback of {s} failed membership: {rep.failures}")
+    return out
+
+
+def _pullback(cover: RationalCover, s: NormalizedPoly,
+              budget: Budget) -> NormalizedPoly:
     """Normalized s(F(t)) * denom(t)^deg(s); degree multiplies exactly.
 
     The output carries its discriminant, computed from the cover and s by
-    the identity below instead of a PRS of degree deg(s) * deg(F).  With
-    verify=True (default) the output must pass the membership predicate;
-    a failure means the cover is not a valid three-point cover for P.  The
+    the identity below instead of a PRS of degree deg(s) * deg(F).  The
     budget is polled once per coefficient of s.
 
     Identity.  Write F = A/B with integer A = a * numer and B = b * denom
@@ -257,7 +268,6 @@ def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
     is the ramification over inf.  That is why the pullback keeps bad
     reduction inside P.
     """
-    budget = budget or Budget.from_env()
     k, m = s.degree, cover.degree
     A, B = _pencil(cover)
     # H by Horner in s, from the top: H <- H A + s_i B^(k-i)
@@ -288,11 +298,6 @@ def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
         disc, rem = divmod(disc_H, c ** (2 * m * k - 2))
         assert rem == 0, "pullback discriminant identity violated"
         with_discriminant(out, disc)
-    if verify:
-        rep = check_membership(out, P)
-        if not rep.ok:
-            raise CoverValidationError(
-                f"pullback of {s} failed membership: {rep.failures}")
     return out
 
 

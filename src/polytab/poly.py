@@ -18,13 +18,7 @@ from functools import cache
 from math import gcd, isqrt
 
 from .budget import Budget
-from .smooth import (
-    PrimeSet,
-    SmoothFactorization,
-    ZeroValueError,
-    _is_prime,
-    factor_over,
-)
+from .smooth import PrimeSet, ZeroValueError, _is_prime, is_smooth
 
 
 class FactorSearchError(ValueError):
@@ -502,44 +496,19 @@ def s3_orbit(s: NormalizedPoly) -> frozenset:
 @dataclass(frozen=True)
 class MembershipReport:
     ok: bool
-    s0: SmoothFactorization
-    s1: SmoothFactorization
-    sinf: SmoothFactorization
-    disc: SmoothFactorization | None  # None exactly when disc == 0
-    failures: tuple
+    failures: tuple           # the names of the values outside the monoid
 
 
 def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
-    """Test disc(s), s(0), s(1), s(inf) for membership in the smooth monoid.
+    """Test s(0), s(1), s(inf), disc(s) for membership in the smooth monoid.
 
     Separability is part of the contract: disc = 0 is a failure.
     """
     v0, v1, vinf = special_values(s)
-    failures = []
-    f0 = f1 = finf = fd = None
-    if v0 == 0:
-        failures.append("s0")
-    else:
-        f0 = factor_over(v0, P)
-        if not f0.is_smooth:
-            failures.append("s0")
-    if v1 == 0:
-        failures.append("s1")
-    else:
-        f1 = factor_over(v1, P)
-        if not f1.is_smooth:
-            failures.append("s1")
-    finf = factor_over(vinf, P)
-    if not finf.is_smooth:
-        failures.append("sinf")
-    d = s.discriminant()
-    if d == 0:
-        failures.append("disc")
-    else:
-        fd = factor_over(d, P)
-        if not fd.is_smooth:
-            failures.append("disc")
-    return MembershipReport(not failures, f0, f1, finf, fd, tuple(failures))
+    values = (("s0", v0), ("s1", v1), ("sinf", vinf),
+              ("disc", s.discriminant()))
+    failures = tuple(name for name, v in values if not is_smooth(v, P))
+    return MembershipReport(not failures, failures)
 
 
 # ---------------------------------------------------------------------------

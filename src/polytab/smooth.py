@@ -148,18 +148,9 @@ def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
     return SmoothFactorization(sign, tuple(exps), m)
 
 
-def rough_part(n: int, P: PrimeSet) -> int:
-    """|n| with all primes of P divided out."""
-    m = abs(n)
-    for p in P:
-        while m % p == 0:
-            m //= p
-    return m
-
-
 def is_smooth(n: int, P: PrimeSet) -> bool:
     """True iff n is in the signed smooth monoid (n != 0, no rough part)."""
-    return n != 0 and rough_part(n, P) == 1
+    return n != 0 and factor_over(n, P).rough == 1
 
 
 def is_unit_in(q, P: PrimeSet) -> bool:

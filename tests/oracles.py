@@ -435,16 +435,32 @@ def pgl2_packets_fraction(polys, roots):
 
 
 def neighbor_counts(g, idx):
-    """Full-neighborhood degree profile of one vertex, by pairwise tests."""
+    """Full-neighborhood degree profile of one vertex, by pairwise tests on
+    the lesser masks."""
+    lesser = g.lesser
     out = {}
     for jdx in range(len(g.vertices)):
         if jdx == idx:
             continue
         lo, hi = min(idx, jdx), max(idx, jdx)
-        if (g.lesser[hi] >> lo) & 1:
+        if (lesser[hi] >> lo) & 1:
             d = g.degrees[jdx]
             out[d] = out.get(d, 0) + 1
     return out
+
+
+def graph_from_lesser(degrees, lesser, P, vertices=None, images=None):
+    """The CompatGraph whose edges are given by lesser-neighbor masks:
+    lesser[i] holds the neighbors of i below i, and each edge is set in the
+    full masks of both its ends."""
+    adj = list(lesser)
+    for i, m in enumerate(lesser):
+        while m:
+            b = m & -m
+            m ^= b
+            adj[b.bit_length() - 1] |= 1 << i
+    return CompatGraph(vertices or [None] * len(degrees), list(degrees), adj,
+                       P, images)
 
 
 def build_graph_pairwise(vs, P=None):
@@ -467,7 +483,7 @@ def build_graph_pairwise(vs, P=None):
                     r //= p
             if r == 1:
                 lesser[i] |= 1 << j
-    return CompatGraph(verts, [v.poly.degree for v in verts], lesser, P)
+    return graph_from_lesser([v.poly.degree for v in verts], lesser, P, verts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,12 @@ from polytab.abc_search import (
     write_points,
 )
 from polytab.budget import Budget, BudgetExceededError
-from polytab.smooth import PrimeSet, is_smooth, rough_part, smooth_numbers_up_to
+from polytab.smooth import (
+    PrimeSet,
+    factor_over,
+    is_smooth,
+    smooth_numbers_up_to,
+)
 
 from oracles import INF, abc_brute_force, abc_gcd_pair_search, roots_of_F_fraction
 
@@ -79,7 +84,7 @@ def test_point_invariants():
         assert pt.A * pt.B * pt.C < 0
         assert gcd(pt.A, pt.B) == gcd(pt.B, pt.C) == gcd(pt.A, pt.C) == 1
         assert is_smooth(pt.A, P235) and is_smooth(pt.C, P235)
-        b = rough_part(pt.B, P235)
+        b = factor_over(pt.B, P235).rough
         assert isqrt(b) ** 2 == b
         assert pt.u == Fraction(-pt.A, pt.C)
 
@@ -232,8 +237,9 @@ def test_cube_candidates_by_support():
         buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H)
         flat = [a for xs in buckets.values() for a in xs]
         assert buckets == _by_support(flat, P.primes)
-        want = [n for n in range(1, H + 1)
-                if round(rough_part(n, P) ** (1 / 3)) ** 3 == rough_part(n, P)]
+        rough = [factor_over(n, P).rough for n in range(1, H + 1)]
+        want = [n for n, r in enumerate(rough, 1)
+                if round(r ** (1 / 3)) ** 3 == r]
         assert sorted(flat) == want
 
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from polytab import cliques
 from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
-    CompatGraph,
     Packet,
     _image,
     _triple_to_matrix,
@@ -44,6 +43,7 @@ from oracles import (
     build_graph_pairwise,
     cliques_by_partition_naive,
     enumerate_cliques_unguided,
+    graph_from_lesser,
     mobius_on_point,
     neighbor_counts,
     pgl2_packets_fraction,
@@ -98,10 +98,9 @@ def test_littletab(table2):
 def test_graph2_isolated_linears(graph2):
     g = graph2.value
     lin = [i for i, d in enumerate(g.degrees) if d == 1]
+    mask = sum(1 << i for i in lin)
     for i in lin:
-        for j in lin:
-            if j < i:
-                assert not (g.lesser[i] >> j) & 1
+        assert not g.adj[i] & mask
 
 
 def test_neighbor_counts_published_row(graph2):
@@ -145,25 +144,45 @@ def _without(vs, drop):
     return out
 
 
+def _assert_one_adjacency(g):
+    """g.adj is the lesser masks together with their transpose: symmetric,
+    with an empty diagonal, lesser its lower triangle, and edge_count() the
+    lesser popcount sum."""
+    lesser = g.lesser
+    upper = [0] * len(lesser)
+    for v, m in enumerate(lesser):
+        assert m >> v == 0
+        while m:
+            b = m & -m
+            m ^= b
+            upper[b.bit_length() - 1] |= 1 << v
+    assert g.adj == [lo | up for lo, up in zip(lesser, upper)]
+    assert g.edge_count() == sum(m.bit_count() for m in lesser)
+
+
 def test_build_graph_matches_pairwise_oracle(vs2, vs23, vs235, vs2357,
                                              graph2, graph23, graph235,
                                              graph2357):
     """The orbit-reduced graph equals the pairwise one on the four reference
     sets (S3-stable, all orbits closed) and on each with 1-5 seeded random
-    vertices dropped, which leaves their orbit-mates open."""
+    vertices dropped, which leaves their orbit-mates open; its full masks
+    are symmetric with lesser as their lower triangle."""
     rng = random.Random(12)
     for vs, g in ((vs2, graph2), (vs23, graph23), (vs235, graph235),
                   (vs2357, graph2357)):
         vs, g = vs.value, g.value
         want = build_graph_pairwise(vs)
-        assert g.vertices == want.vertices and g.lesser == want.lesser
+        lesser = want.lesser
+        assert g.vertices == want.vertices and g.lesser == lesser
+        _assert_one_adjacency(g)
         n = len(g.vertices)
         for k in (rng.randint(1, 5), 5):
             gone = set(rng.sample(range(n), k))
             keep = [i for i in range(n) if i not in gone]
             g2 = build_graph(_without(vs, {g.vertices[i] for i in gone}))
             assert g2.vertices == [g.vertices[i] for i in keep]
-            assert g2.lesser == _restrict(want.lesser, gone)
+            assert g2.lesser == _restrict(lesser, gone)
+            _assert_one_adjacency(g2)
 
 
 def test_build_graph_open_vertices_and_other_primes(vs2, vs2357):
@@ -400,6 +419,7 @@ def test_packed_masks_equal_pairwise(mixed, primes, force):
     heavy = bits == 300 or (bits and len(primes) > 2)
     g, lanes = _lanes_graph(vs, P, force=force and not heavy)
     assert g.lesser == build_graph_pairwise(vs, P).lesser
+    _assert_one_adjacency(g)
     if bits == 300 and len(primes) > 1:
         assert not lanes
     elif force and not heavy:
@@ -466,7 +486,7 @@ def _random_graph(rng):
     degrees = [rng.randint(1, 4) for _ in range(n)]
     lesser = [sum(1 << j for j in range(i) if rng.random() < density)
               for i in range(n)]
-    return CompatGraph([None] * n, degrees, lesser, P2), density
+    return graph_from_lesser(degrees, lesser, P2), density
 
 
 def test_tabulate_against_oracle():
@@ -476,11 +496,12 @@ def test_tabulate_against_oracle():
     for seed in range(150):
         g, density = _random_graph(random.Random(seed))
         densities.append(density)
-        full = cliques_by_partition_naive(g.degrees, g.lesser)
+        lesser = g.lesser
+        full = cliques_by_partition_naive(g.degrees, lesser)
         assert tabulate(g).counts == full
         for m in (1, 2, 3, 4):
             assert tabulate(g, max_size=m).counts == \
-                cliques_by_partition_naive(g.degrees, g.lesser, max_size=m)
+                cliques_by_partition_naive(g.degrees, lesser, max_size=m)
         for e, cnt in full.items():
             assert tabulate(g, kappa=e).counts == {e: cnt}
             kappas += 1
@@ -519,7 +540,7 @@ def _structured_graph(rng, kind):
     degrees = [d for d, _ in verts]
     lesser = [sum(1 << j for j in range(i) if adjacent(verts[i], verts[j]))
               for i in range(len(verts))]
-    return CompatGraph([None] * len(verts), degrees, lesser, P2)
+    return graph_from_lesser(degrees, lesser, P2)
 
 
 def test_tabulate_structured_graphs_against_oracle():
@@ -530,7 +551,7 @@ def test_tabulate_structured_graphs_against_oracle():
     for seed in range(30):
         rng = random.Random(1000 + seed)
         g = _structured_graph(rng, ("cliques", "multipartite")[seed % 2])
-        degrees, lesser = list(g.degrees), list(g.lesser)
+        degrees, adj, lesser = list(g.degrees), list(g.adj), g.lesser
         full = cliques_by_partition_naive(degrees, lesser)
         assert tabulate(g).counts == full
         for m in range(len(degrees) + 2):
@@ -540,7 +561,7 @@ def test_tabulate_structured_graphs_against_oracle():
             assert tabulate(g, kappa=e).counts == {e: cnt}
         e = tuple(x + (d == 0) for d, x in enumerate(max(full)))
         assert tabulate(g, kappa=e).counts == {e: full.get(e, 0)}
-        assert g.degrees == degrees and g.lesser == lesser
+        assert g.degrees == degrees and g.adj == adj
 
 
 def test_tabulate_width_on_complete_graph():
@@ -550,7 +571,7 @@ def test_tabulate_width_on_complete_graph():
     degrees = [d for d, m in sizes.items() for _ in range(m)]
     random.Random(0).shuffle(degrees)
     n = len(degrees)
-    g = CompatGraph([None] * n, degrees, [(1 << i) - 1 for i in range(n)], P2)
+    g = graph_from_lesser(degrees, [(1 << i) - 1 for i in range(n)], P2)
     want = {(a, b, c): comb(64, a) * comb(5, b) * comb(3, c)
             for a in range(65) for b in range(6) for c in range(4)}
     t = tabulate(g)
@@ -634,7 +655,7 @@ def _s3_graph(rng):
     for i in range(n):
         shuffled[new[i]] = tuple(new[j] for j in images[i])
         perm_deg[new[i]] = degrees[i]
-    return CompatGraph([None] * n, perm_deg, lesser, P2, shuffled)
+    return graph_from_lesser(perm_deg, lesser, P2, images=shuffled)
 
 
 def _orbit_head_count(g, cap):
@@ -649,7 +670,7 @@ def _orbit_head_count(g, cap):
         classes = set()
         for k in range(1, min(cap, len(orbit)) + 1):
             for W in combinations(orbit, k):
-                if all(g.lesser[b] >> a & 1 for a, b in combinations(W, 2)):
+                if all(g.adj[b] >> a & 1 for a, b in combinations(W, 2)):
                     classes.add(frozenset(
                         frozenset(g.images[w][j] for w in W)
                         for j in range(len(im))))
@@ -667,12 +688,13 @@ def test_tabulate_orbit_heads_against_oracle():
         g = _s3_graph(random.Random(2000 + seed))
         plain = replace(g, images=None)
         kinds.update(len(set(im)) for im in g.images if len(im) == 6)
-        inner += sum(g.lesser[v] >> u & 1 for v, im in enumerate(g.images)
+        inner += sum(g.adj[v] >> u & 1 for v, im in enumerate(g.images)
                      for u in im if u < v)
-        full = cliques_by_partition_naive(g.degrees, g.lesser)
+        lesser = g.lesser
+        full = cliques_by_partition_naive(g.degrees, lesser)
         assert tabulate(g).counts == full
         for m in range(len(g.degrees) + 2):
-            want = cliques_by_partition_naive(g.degrees, g.lesser, max_size=m)
+            want = cliques_by_partition_naive(g.degrees, lesser, max_size=m)
             assert tabulate(g, max_size=m).counts == want
             assert tabulate(plain, max_size=m).counts == want
         for e, cnt in full.items():
@@ -693,10 +715,11 @@ def test_enumerate_cliques_orbit_heads_against_oracle():
     the empty one first when asked for."""
     for seed in range(40):
         g = _s3_graph(random.Random(2000 + seed))
+        cells = cliques_by_partition_naive(g.degrees, g.lesser)
         for h in (g, replace(g, images=None)):
             for m in range(len(g.degrees) + 2):
                 _enumerations_agree(h, max_size=m)
-            for e in cliques_by_partition_naive(g.degrees, g.lesser):
+            for e in cells:
                 _enumerations_agree(h, kappa=e)
                 _enumerations_agree(h, kappa=e, max_size=max(sum(e) - 1, 0))
         assert list(enumerate_cliques(g, max_size=0)) == [()]
@@ -764,29 +787,23 @@ def test_build_graph_images_are_automorphisms(graph2, graph23, graph235,
         closed = [v for v in range(n) if len(g.images[v]) == 6]
         assert len(closed) > n // 2
         mask = sum(1 << v for v in closed)
-        full = [0] * n
-        nbrs = [[] for _ in range(n)]     # closed neighbors
-        for v, m in enumerate(g.lesser):
-            for u, bit in enumerate(reversed(bin(m)[2:])):
-                if bit == "1":
-                    full[u] |= 1 << v
-                    full[v] |= 1 << u
-                    if mask >> u & mask >> v & 1:
-                        nbrs[u].append(v)
-                        nbrs[v].append(u)
+        nbrs = {}             # closed neighbors
+        for v in closed:
+            bits = reversed(bin(g.adj[v] & mask)[2:])
+            nbrs[v] = [u for u, bit in enumerate(bits) if bit == "1"]
         for j in range(6):
             sigma = {v: g.images[v][j] for v in closed}
             assert sorted(sigma.values()) == closed
             for v in closed:
                 assert g.degrees[sigma[v]] == g.degrees[v]
                 image = sum(1 << sigma[u] for u in nbrs[v])
-                assert image == full[sigma[v]] & mask
+                assert image == g.adj[sigma[v]] & mask
 
 
 def test_compat_graph_pickle_keeps_images(graph23):
     g = graph23.value
     back = pickle.loads(pickle.dumps(g))
-    assert back.images == g.images and back.lesser == g.lesser
+    assert back.images == g.images and back.adj == g.adj
     assert back.degrees == g.degrees and back.vertices == g.vertices
     assert back.P == g.P
     assert tabulate(back, max_size=3).counts == tabulate(g, max_size=3).counts

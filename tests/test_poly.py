@@ -559,8 +559,8 @@ def test_check_membership():
     rep = check_membership(NP(-3, 1), P2)
     assert not rep.ok and rep.failures == ("s0",)
 
-    rep = check_membership(NP(0, 0, 1), P2)
-    assert not rep.ok and "disc" in rep.failures
+    rep = check_membership(NP(0, 0, 1), P2)   # t^2: s(0) = disc = 0
+    assert not rep.ok and rep.failures == ("s0", "disc")
 
     rep = check_membership(NP(2, 1, 1), P2)  # disc = -7
     assert not rep.ok and rep.failures == ("disc",)

@@ -71,8 +71,13 @@ def test_factor_over_paper_triples():
 
 
 def test_factor_over_zero():
-    with pytest.raises(ZeroValueError):
-        factor_over(0, P2)
+    """0 has no factorization and is outside the smooth monoid, over any
+    prime set (the empty one included)."""
+    for P in (PrimeSet([]), P2, P235, P2357):
+        with pytest.raises(ZeroValueError):
+            factor_over(0, P)
+        assert not is_smooth(0, P)
+    assert is_smooth(-1, PrimeSet([])) and not is_smooth(2, PrimeSet([]))
 
 
 def test_factor_over_roundtrip_random():
