@@ -41,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, islice, product, repeat
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 from .budget import Budget, BudgetExceededError
@@ -50,6 +50,7 @@ from .poly import (
     projective_point,
     rational_roots,
     resultant_bound,
+    # not called: bench/tracing.py PATCHES wraps cliques.resultant_fast
     resultant_fast,
     resultant_form,
     s3_transform,
@@ -71,9 +72,8 @@ class CompatGraph:
     adj: list                 # per-vertex bitmask of all its neighbors
     P: PrimeSet
     # per vertex: its images under the six marked-point maps, in one fixed
-    # order of the group, for a closed vertex, and (i,) for an open one;
-    # None: no known symmetry
-    images: list | None = None
+    # order of the group, for a closed vertex, and (i,) for an open one
+    images: list
 
     @property
     def lesser(self) -> list:
@@ -84,10 +84,10 @@ class CompatGraph:
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-def build_graph(vs: VertexSet, P: PrimeSet | None = None,
-                budget: Budget | None = None) -> CompatGraph:
-    """Adjacency by resultant smoothness over P, one resultant per S3 orbit
-    of vertex pairs, read off packed rows of resultants.
+def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
+    """Adjacency by resultant smoothness over the set's primes P, one
+    resultant per S3 orbit of vertex pairs, read off packed rows of
+    resultants.
 
     Lemma: adjacency is invariant under the marked-point action, for any
     prime set P.  Each of the six elements acts by a matrix M in GL2(Z),
@@ -118,7 +118,8 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     |f|_2^deg g |g|_2^deg f, and B is the largest such product over the
     degree pairs of the set.  So a resultant is a nonzero P-smooth integer
     exactly when its absolute value is one of the P-smooth numbers <= B,
-    which are listed once and looked up.
+    which are listed once and looked up, unless there are more of them than
+    lanes to read (huge coefficients).
 
     Rows (`_Lanes`).  Take W, the least multiple of 64 with B < 2^(W-1).
     For a representative r of degree m, Res(r, g) over the vertices g of
@@ -134,13 +135,12 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     packed lanes, offset by 2^(W-1), are digits as well.)  An edge is a
     lane in 2^(W-1) +- the smooth numbers <= B; a zero resultant reads
     2^(W-1) and is none.  The row is read as 64-bit words, and a wider lane
-    is matched on its low word before the whole lane is.
-
-    A set whose B would need more smooth numbers than there are resultants
-    to compute (huge coefficients) tests each pair's `resultant_fast` by
-    stripping the primes of P instead (`_Stripped`).
+    is matched on its low word before the whole lane is.  When the smooth
+    numbers are not listed, each lane is decoded instead, and its resultant
+    is tested by stripping the primes of P: W grows with B, so the lemma
+    holds for any B.
     """
-    P = P or vs.P
+    P = vs.P
     budget = budget or Budget.from_env()
     verts = vs.all_vertices()
     coeffs = [v.poly.coeffs for v in verts]
@@ -177,8 +177,7 @@ def build_graph(vs: VertexSet, P: PrimeSet | None = None,
     bound = max(resultant_bound(coeffs), 1)
     smooth = smooth_numbers_up_to(P, bound,
                                   limit=sum(n - 1 - at for at, _ in heads))
-    rows = (_Stripped(P, coeffs, order) if smooth is None
-            else _Lanes(coeffs, degrees, order, smooth, bound))
+    rows = _Lanes(coeffs, degrees, order, P, smooth, bound)
     adj = [0] * n
     for at, r in heads:
         budget.check()
@@ -194,8 +193,8 @@ class _Lanes:
     """The smooth partners of a representative, read off packed rows of
     resultants (the Rows paragraph of `build_graph`)."""
 
-    def __init__(self, coeffs, degrees, order, smooth, bound):
-        self.coeffs = coeffs
+    def __init__(self, coeffs, degrees, order, P, smooth, bound):
+        self.coeffs, self.P = coeffs, P
         self.width = -(-(bound.bit_length() + 1) // 64) * 64
         self.bias = bias = 1 << self.width - 1
         self.classes = {}     # degree -> (positions in order, vertices)
@@ -203,8 +202,10 @@ class _Lanes:
             pos, members = self.classes.setdefault(degrees[j], ([], []))
             pos.append(at)
             members.append(j)
-        self.hits = {bias + s for s in smooth} | {bias - s for s in smooth}
-        self.low = {h % (1 << 64) for h in self.hits}     # the low words
+        self.hits = None      # the smooth lanes, when the numbers are listed
+        if smooth is not None:
+            self.hits = {bias + s for s in smooth} | {bias - s for s in smooth}
+            self.low = {h % (1 << 64) for h in self.hits}     # the low words
         self.packs = {}       # (m, d) -> the monomial packs, then the bias's
 
     def _packs(self, m, d):
@@ -258,6 +259,11 @@ class _Lanes:
             if not members:
                 continue
             buf = self.row(r, d, k).to_bytes(nbytes * len(members), "little")
+            if self.hits is None:     # decode each lane and strip it
+                out += [j for i, j in enumerate(members) if is_smooth(
+                    int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
+                    - self.bias, self.P)]
+                continue
             words = array("Q", buf)
             if sys.byteorder == "big":
                 words.byteswap()
@@ -271,20 +277,6 @@ class _Lanes:
                 if int.from_bytes(lane, "little") in self.hits:
                     out.append(members[i])
         return out
-
-
-class _Stripped:
-    """The smooth partners of a representative by one `resultant_fast` per
-    pair, stripping the primes of P: for vertex sets whose smooth numbers
-    are too many to list."""
-
-    def __init__(self, P, coeffs, order):
-        self.P, self.coeffs, self.order = P, coeffs, order
-
-    def partners(self, r, at):
-        cr, coeffs = self.coeffs[r], self.coeffs
-        return [j for j in self.order[at + 1:]
-                if is_smooth(resultant_fast(cr, coeffs[j]), self.P)]
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +406,7 @@ def _orbit_classes(orbit, full, images):
     class when its mask is the least of its images.
     """
     v = orbit[0]
-    row = images[v] if images else (v,)
-    out = [([v], list({u: j for j, u in enumerate(row)}.values()))]
+    out = [([v], list({u: j for j, u in enumerate(images[v])}.values()))]
     inside = 0
     for u in orbit:
         inside |= 1 << u
@@ -581,7 +572,7 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
     closed, opened = [], []
     closed_mask = 0
     for v in kept:
-        if images is None or len(images[v]) == 1:
+        if len(images[v]) == 1:
             opened.append([v])
         else:
             closed_mask |= 1 << v
@@ -623,19 +614,19 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
              budget: Budget | None = None) -> PartitionTable:
     """Count cliques of the graph grouped by factorization partition.
 
-    Heads.  The kept vertices fall into orbits: the orbits of the marked-point
-    group on the closed vertices (`build_graph`), and each other vertex alone
-    (every vertex alone when g.images is None).  They are put in a
-    smallest-last order of the quotient (`_orbit_order`), closed orbits
-    first, and every clique K is counted once, at the last orbit O it meets,
-    as W = K & O together with a clique of E & N(W), where E holds the
-    vertices of the orbits before O and N(W) is the common neighborhood of
-    W (`_heads`).  So the table is 1 + sum over O and the cliques W inside O
-    of x^W cnt(E & N(W)).  Under a cap of at most 4, cnt counts the cliques
-    of at most cap - |W| <= 3 members, read off the before masks
-    (`_few_cliques`).  Under a larger cap it counts every clique by the pivot
-    recursion of the module docstring (`_clique_poly`), and the unpacking
-    keeps only the cells of at most cap members.
+    Heads.  The kept vertices fall into orbits: the orbits of the
+    marked-point group on the closed vertices (`build_graph`), and each
+    other vertex alone.  They are put in a smallest-last order of the
+    quotient (`_orbit_order`), closed orbits first, and every clique K is
+    counted once, at the last orbit O it meets, as W = K & O together with
+    a clique of E & N(W), where E holds the vertices of the orbits before O
+    and N(W) is the common neighborhood of W (`_heads`).  So the table is
+    1 + sum over O and the cliques W inside O of x^W cnt(E & N(W)).  Under
+    a cap of at most 4, cnt counts the cliques of at most cap - |W| <= 3
+    members, read off the before masks (`_few_cliques`).  Under a larger
+    cap it counts every clique by the pivot recursion of the module
+    docstring (`_clique_poly`), and the unpacking keeps only the cells of
+    at most cap members.
 
     Lemma: the term of W depends only on its class under the group, so it
     is counted once per class, times the class size (`_orbit_classes`).
@@ -734,8 +725,7 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     """
     budget = budget or Budget.from_env()
     cap, target, _, before, degmask, _, heads = _heads(g, max_size, kappa)
-    degrees, f = g.degrees, len(degmask)
-    images = g.images or [(v,) for v in range(len(degrees))]
+    degrees, images, f = g.degrees, g.images, len(degmask)
     every = target is None        # yield every clique under the cap
     used = [] if every else [d for d in range(f) if target[d]]
     need = []                 # per degree: the members still allowed
@@ -887,36 +877,25 @@ def _image(mat, pts):
                      for x0, x1 in pts)
 
 
-def _mat_mul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    m = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-         c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-    g = 0
-    for x in m:
-        g = gcd(g, x)
-    m = tuple(x // g for x in m)
-    for x in m:
-        if x:
-            return m if x > 0 else tuple(-y for y in m)
-    return m
+def _perm_order(mat, pts) -> int:
+    """The order of the permutation that mat induces on pts, a set it maps
+    onto itself: the lcm of the cycle lengths."""
+    a, b, c, d = mat
+    move = {x: projective_point(a * x[0] + b * x[1], c * x[0] + d * x[1])
+            for x in pts}
+    order = 1
+    for x in pts:
+        k, y = 1, move[x]
+        while y != x:
+            k, y = k + 1, move[y]
+        order = lcm(order, k)
+    return order
 
 
-_IDENT = (1, 0, 0, 1)
-
-
-def _mat_order(m, cap=16):
-    acc = m
-    for k in range(1, cap + 1):
-        if acc == _IDENT:
-            return k
-        acc = _mat_mul(acc, m)
-    return None
-
-
-def _group_label(mats) -> str:
-    order = len(mats)
-    maxord = max(_mat_order(m) or 10 ** 9 for m in mats)
+def _group_label(orders) -> str:
+    """The name of a finite subgroup of PGL2(Q) from its element orders."""
+    order = len(orders)
+    maxord = max(orders)
     if maxord == order:
         return f"C{order}"
     if order == 2 * maxord:
@@ -946,6 +925,10 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     len(polys) / ((a+3)(a+2)(a+1)) with a the root count.  roots, when
     given, lists each polynomial's roots (ints or Fractions) in the same
     order as polys.
+
+    A map of PGL2(Q) that fixes three points is the identity, so a
+    stabilizer element has the order of the permutation it induces on the
+    a + 3 points of the key, and the stabilizer is labelled from those.
     """
     budget = budget or Budget.from_env()
     polys = list(polys)
@@ -988,7 +971,7 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
             continue
         budget.check()
         orbit = set()
-        stab_mats = []
+        stab = []             # the orders of the stabilizer elements
         for p in key:
             for q in key:
                 if q == p:
@@ -1005,14 +988,13 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
                             "closed under the marked-point maps")
                     orbit.add(j)
                     if image == key:
-                        stab_mats.append(_mat_mul(mat, _IDENT))
+                        stab.append(_perm_order(mat, key))
         size = len(orbit)
-        if size * len(stab_mats) != denom:
+        if size * len(stab) != denom:
             raise AssertionError("orbit-stabilizer mismatch in packet")
         for m in orbit:
             seen.add(m)
-        packets.append(Packet(sorted(orbit), len(stab_mats),
-                              _group_label(stab_mats)))
+        packets.append(Packet(sorted(orbit), len(stab), _group_label(stab)))
     mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
     if mass != Fraction(len(polys), denom):
         raise AssertionError("packet mass differs from len(polys) / "

@@ -24,6 +24,7 @@ from .poly import (
     _radical,
     _trim,
     check_membership,
+    is_irreducible,
     normalize,
     poly_mul,
     resultant_coeffs,
@@ -447,9 +448,11 @@ class NamedReport:
 def verify_named(name: str) -> NamedReport:
     """Rebuild a registry polynomial from its factors and check everything.
 
-    Factors are checked irreducible and pairwise compatible implicitly by
-    the membership predicate on the product (the discriminant contains every
-    pairwise resultant squared).
+    The factors are pairwise compatible when the product passes the
+    membership predicate (the discriminant contains every pairwise resultant
+    squared).  Membership says nothing of how the product splits, so the
+    partition matches only when the listed degrees are the entry's and every
+    listed factor is irreducible.
     """
     if name not in NAMED_REGISTRY:
         raise KeyError(f"unknown name {name!r}; known: {sorted(NAMED_REGISTRY)}")
@@ -467,5 +470,6 @@ def verify_named(name: str) -> NamedReport:
         disc=disc,
         disc_matches=disc == entry["disc"],
         partition=partition,
-        partition_matches=partition == entry["partition"],
+        partition_matches=(partition == entry["partition"]
+                           and all(map(is_irreducible, factors))),
     )

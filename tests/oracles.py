@@ -1,15 +1,16 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the algorithms used by the package: resultants via
-the Sylvester determinant (fraction-free Gaussian elimination), smoothness
-via naive trial-division filters, searches via brute-force double loops.
+the Sylvester determinant (fraction-free Gaussian elimination) or closed
+forms for small degrees, smoothness via naive trial-division filters,
+searches via brute-force double loops.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
 
 from polytab.abc_search import VARIANT_I2I, delta_classes
-from polytab.cliques import _IDENT, CompatGraph, Packet, _group_label, _mat_mul
+from polytab.cliques import CompatGraph, Packet, _group_label
 from polytab.poly import (
     S3_ELEMENTS,
     NormalizedPoly,
@@ -19,7 +20,6 @@ from polytab.poly import (
     normalize,
     poly_mul,
     rational_roots,
-    resultant_fast,
     special_values,
 )
 from polytab.vertices import Vertex, _require_members, _smn_coeffs, roots_of_F
@@ -74,6 +74,84 @@ def resultant_sylvester(f, g):
     if len(f) - 1 == 0 and len(g) - 1 == 0:
         return 1
     return det_bareiss(sylvester_matrix(f, g))
+
+
+def _res_22(f, g):
+    a0, a1, a2 = f
+    b0, b1, b2 = g
+    return (a2 * b0 - a0 * b2) ** 2 - (a2 * b1 - a1 * b2) * (a1 * b0 - a0 * b1)
+
+
+def _res_1k(f, g):
+    # Res(f1 t + f0, g) = f1^deg(g) * g(-f0/f1), expanded to stay in Z
+    f0, f1 = f
+    dg = len(g) - 1
+    acc = 0
+    p = 1  # (-f0)^i
+    for i in range(dg + 1):
+        acc += g[i] * p * f1 ** (dg - i)
+        p *= -f0
+    return acc
+
+
+def _res_33(f, g):
+    # det of the Bezout matrix of two length-4 coefficient lists, built from
+    # the Pluecker minors m_ij = a_i b_j - a_j b_i (see resultant_closed_form)
+    a0, a1, a2, a3 = f
+    b0, b1, b2, b3 = g
+    m01 = a0 * b1 - a1 * b0
+    m02 = a0 * b2 - a2 * b0
+    m03 = a0 * b3 - a3 * b0
+    m12 = a1 * b2 - a2 * b1
+    m13 = a1 * b3 - a3 * b1
+    m23 = a2 * b3 - a3 * b2
+    mid = m03 + m12
+    return (m01 * (mid * m23 - m13 * m13) - m02 * (m02 * m23 - m13 * m03)
+            + m03 * (m02 * m13 - mid * m03))
+
+
+def resultant_closed_form(f, g) -> int:
+    """The resultant by hand-derived closed forms up to degree 3 x 3, for
+    checking resultants in bulk (a few times faster than the PRS).
+
+    f and g are trimmed integer coefficient lists (nonzero leading
+    coefficient), constant term first; the result has the Sylvester sign.
+
+    - deg f = 1: Res(f1 t + f0, g) = sum_i g_i (-f0)^i f1^(deg g - i).
+    - 2 x 2: (a2 b0 - a0 b2)^2 - (a2 b1 - a1 b2)(a1 b0 - a0 b1).
+    - 3 x 3, 3 x 2, 2 x 3: pad both to four coefficients a_i, b_i and take
+      the Bezout matrix of the minors m_ij = a_i b_j - a_j b_i,
+          B = [[m01, m02,       m03],
+               [m02, m03 + m12, m13],
+               [m03, m13,       m23]].
+      For two cubics det B = Res(f, g) with the Sylvester sign, and for a
+      quadratic f (a3 = 0) and a cubic g, det B = -b3 Res(f, g); both are
+      polynomial identities in the a_i, b_i (checked symbolically).  The
+      cubic-quadratic case follows: swapping f and g negates every m_ij
+      and hence det B, while Res(g, f) = (-1)^(deg f deg g) Res(f, g)
+      = Res(f, g) for degrees 3 and 2, so with b3 = 0, det B = a3 Res(f, g).
+      The mixed pairs therefore divide det B exactly by the cubic's
+      leading coefficient.
+
+    Degree 1 in g is served by the first case and that same sign rule; every
+    other pair goes to the Sylvester determinant.
+    """
+    df, dg = len(f) - 1, len(g) - 1
+    if df == 1:
+        return _res_1k(f, g)
+    if dg == 1:
+        s = -1 if (df * dg) % 2 else 1
+        return s * _res_1k(g, f)
+    if df == 2 and dg == 2:
+        return _res_22(f, g)
+    if df == 3:
+        if dg == 3:
+            return _res_33(f, g)
+        if dg == 2:
+            return _res_33(f, (*g, 0)) // f[3]
+    elif df == 2 and dg == 3:
+        return -_res_33((*f, 0), g) // g[3]
+    return resultant_sylvester(f, g)
 
 
 def smooth_filter_naive(primes, H):
@@ -398,11 +476,43 @@ def triple_to_matrix(p, q, r):
     return tuple(x // g for x in mat)
 
 
+IDENT = (1, 0, 0, 1)
+
+
+def mat_mul(m1, m2):
+    """The product of two integer matrices (a, b, c, d) as an element of
+    PGL2(Q): scaled to be primitive, its first nonzero entry positive."""
+    a1, b1, c1, d1 = m1
+    a2, b2, c2, d2 = m2
+    m = (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+         c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
+    g = 0
+    for x in m:
+        g = gcd(g, x)
+    m = tuple(x // g for x in m)
+    for x in m:
+        if x:
+            return m if x > 0 else tuple(-y for y in m)
+    return m
+
+
+def mat_order(m):
+    """The order of m in PGL2(Q) by its powers; a finite order there is at
+    most 6."""
+    acc = mat_mul(m, IDENT)
+    for k in range(1, 7):
+        if acc == IDENT:
+            return k
+        acc = mat_mul(acc, m)
+    raise AssertionError(f"{m} has no finite order")
+
+
 def pgl2_packets_fraction(polys, roots):
     """Fractional-linear packets of split polynomials with points of P^1(Q)
     as Fractions and INF: the orbit of each root set plus (0, 1, inf) under
     the maps sending its ordered triples to (0, 1, inf).  Returns
-    (packets, mass) as `cliques.pgl2_packets` does."""
+    (packets, mass) as `cliques.pgl2_packets` does, with each stabilizer
+    element's order taken from its matrix powers."""
     a = len(roots[0])
     index = {}
     for i, rr in enumerate(roots):
@@ -416,7 +526,7 @@ def pgl2_packets_fraction(polys, roots):
             continue
         pts = sorted(key, key=lambda x: (x == INF, x))
         orbit = set()
-        stab_mats = []
+        stab = []
         for p in pts:
             for q in pts:
                 for r in pts:
@@ -426,10 +536,9 @@ def pgl2_packets_fraction(polys, roots):
                     image = frozenset(mobius_on_point(mat, x) for x in key)
                     orbit.add(index[image])
                     if image == key:
-                        stab_mats.append(_mat_mul(mat, _IDENT))
+                        stab.append(mat_order(mat))
         seen |= orbit
-        packets.append(Packet(sorted(orbit), len(stab_mats),
-                              _group_label(stab_mats)))
+        packets.append(Packet(sorted(orbit), len(stab), _group_label(stab)))
     mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
     return packets, mass
 
@@ -449,10 +558,16 @@ def neighbor_counts(g, idx):
     return out
 
 
+def open_images(n):
+    """CompatGraph images that leave each of n vertices open: no symmetry."""
+    return [(v,) for v in range(n)]
+
+
 def graph_from_lesser(degrees, lesser, P, vertices=None, images=None):
     """The CompatGraph whose edges are given by lesser-neighbor masks:
     lesser[i] holds the neighbors of i below i, and each edge is set in the
-    full masks of both its ends."""
+    full masks of both its ends; every vertex is open unless images are
+    given."""
     adj = list(lesser)
     for i, m in enumerate(lesser):
         while m:
@@ -460,21 +575,21 @@ def graph_from_lesser(degrees, lesser, P, vertices=None, images=None):
             m ^= b
             adj[b.bit_length() - 1] |= 1 << i
     return CompatGraph(vertices or [None] * len(degrees), list(degrees), adj,
-                       P, images)
+                       P, images or open_images(len(degrees)))
 
 
-def build_graph_pairwise(vs, P=None):
+def build_graph_pairwise(vs):
     """The compatibility graph by one resultant per unordered vertex pair,
     with no use of the marked-point symmetry.  The resultants are the
-    package's closed forms (checked against the Sylvester determinant on
-    their own)."""
-    P = P or vs.P
+    closed forms above (checked against the Sylvester determinant on their
+    own)."""
+    P = vs.P
     verts = vs.all_vertices()
     coeffs = [v.poly.coeffs for v in verts]
     lesser = [0] * len(verts)
     for i, ci in enumerate(coeffs):
         for j in range(i):
-            r = resultant_fast(ci, coeffs[j])
+            r = resultant_closed_form(ci, coeffs[j])
             if r == 0:
                 continue
             r = abs(r)

@@ -30,7 +30,6 @@ from polytab.poly import (
     normalize,
     poly_mul,
     resultant_bound,
-    resultant_fast,
     s3_orbit,
     s3_transform,
 )
@@ -38,15 +37,19 @@ from polytab.smooth import PrimeSet, smooth_numbers_up_to
 from polytab.vertices import Vertex, VertexSet
 
 from oracles import (
+    IDENT,
     INF,
     abc_brute_force,
     build_graph_pairwise,
     cliques_by_partition_naive,
     enumerate_cliques_unguided,
     graph_from_lesser,
+    mat_mul,
     mobius_on_point,
     neighbor_counts,
+    open_images,
     pgl2_packets_fraction,
+    resultant_closed_form,
     resultant_sylvester,
     split_graph_counts_naive,
     triple_to_matrix,
@@ -207,8 +210,8 @@ def test_build_graph_open_vertices_and_other_primes(vs2, vs2357):
     assert g.edge_count() > 10
     for vs, P in ((vs2, PrimeSet([2, 3, 5, 7])), (vs2357, PrimeSet([2, 3])),
                   (vs2357, PrimeSet([2, 3, 5, 7, 11]))):
-        vs = vs.value
-        assert build_graph(vs, P).lesser == build_graph_pairwise(vs, P).lesser
+        vs = replace(vs.value, P=P)
+        assert build_graph(vs).lesser == build_graph_pairwise(vs).lesser
 
 
 def test_resultant_invariant_under_s3(vs23, vs235):
@@ -291,24 +294,50 @@ def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
             for i, j in enumerate(members):
                 lane = buf[i * nbytes:(i + 1) * nbytes]
                 res = int.from_bytes(lane, "little") - (1 << width - 1)
-                assert res == resultant_fast(coeffs[r], coeffs[j])
+                assert res == resultant_closed_form(coeffs[r], coeffs[j])
                 seen = max(seen, abs(res))
         assert 0 < seen <= bound
 
 
-def test_build_graph_strip_path_over_the_cap(monkeypatch):
-    """A set whose bound needs more smooth numbers than it has pairs (huge
-    coefficients) tests each resultant by stripping, and still equals the
-    pairwise graph; a repeated vertex gives zero resultants."""
+def _strip_set():
+    """A {2,3} set with coefficients near 2^300, whose bound needs more
+    smooth numbers than it has pairs; a repeated vertex gives zero
+    resultants."""
     big = 2 ** 300
     lin = [(-big - k, 1) for k in (0, 7, 16, 243, 256, 259, 259)]
     quad = [(big, 1, 1), (big + 24, 1, 1), (big, 5, 1)]
     vs = VertexSet(PrimeSet([2, 3]))
     vs.by_degree = {1: [Vertex(NormalizedPoly(c)) for c in lin],
                     2: [Vertex(NormalizedPoly(c)) for c in quad]}
+    return vs
+
+
+def test_build_graph_strip_path_over_the_cap(monkeypatch):
+    """A set whose bound needs more smooth numbers than it has pairs (huge
+    coefficients) tests each resultant by stripping, and still equals the
+    pairwise graph; a repeated vertex gives zero resultants."""
+    vs = _strip_set()
     listed = _record_smooth_lists(monkeypatch)
     g = build_graph(vs)
     assert listed == [None]
+    assert g.lesser == build_graph_pairwise(vs).lesser
+    assert g.edge_count() >= 10
+
+
+def test_build_graph_strip_path_reads_lanes(monkeypatch):
+    """The strip set is read off the packed rows too: build_graph computes
+    no scalar resultant, on any set."""
+    vs = _strip_set()
+
+    def refuse(*args):
+        raise AssertionError("a scalar resultant was computed")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cliques, "resultant_fast", refuse)
+        mp.setattr("polytab.poly.resultant_coeffs", refuse)
+        rows = _record_rows(mp)
+        g = build_graph(vs)
+        assert rows and {x.hits for x, *_ in rows} == {None}
     assert g.lesser == build_graph_pairwise(vs).lesser
     assert g.edge_count() >= 10
 
@@ -337,12 +366,12 @@ def _vertex_set(coeffs, P):
     return vs
 
 
-def _lanes_graph(vs, P, force):
-    """build_graph(vs, P) as _record_smooth_lists(force) has it, and
-    whether the smooth numbers were listed."""
+def _lanes_graph(vs, force):
+    """build_graph(vs) as _record_smooth_lists(force) has it, and whether
+    the smooth numbers were listed."""
     with pytest.MonkeyPatch.context() as mp:
         listed = _record_smooth_lists(mp, force)
-        g = build_graph(vs, P)
+        g = build_graph(vs)
     return g, listed[0] is not None
 
 
@@ -367,12 +396,13 @@ def test_packed_masks_at_the_lane_widths(bits, width, monkeypatch):
     P = PrimeSet([2, 3])
     coeffs = list(_MIXED)
     top = _sized(coeffs, bits, k=1 + bits % 2)
-    assert max(abs(resultant_fast(top, c)) for c in coeffs) >> bits - 5
+    assert max(abs(resultant_closed_form(top, c))
+               for c in coeffs) >> bits - 5
     coeffs.append(top)
     vs = _vertex_set(coeffs, P)
-    g, lanes = _lanes_graph(vs, P, force=True)
+    g, lanes = _lanes_graph(vs, force=True)
     assert lanes and {x.width for x, *_ in rows} == {width}
-    assert g.lesser == build_graph_pairwise(vs, P).lesser
+    assert g.lesser == build_graph_pairwise(vs).lesser
     assert g.edge_count() > 20
 
 
@@ -417,8 +447,8 @@ def test_packed_masks_equal_pairwise(mixed, primes, force):
     P = PrimeSet(primes)
     vs = _vertex_set(coeffs, P)
     heavy = bits == 300 or (bits and len(primes) > 2)
-    g, lanes = _lanes_graph(vs, P, force=force and not heavy)
-    assert g.lesser == build_graph_pairwise(vs, P).lesser
+    g, lanes = _lanes_graph(vs, force=force and not heavy)
+    assert g.lesser == build_graph_pairwise(vs).lesser
     _assert_one_adjacency(g)
     if bits == 300 and len(primes) > 1:
         assert not lanes
@@ -437,7 +467,7 @@ def test_tabulate_invariant_under_reorder(graph2, table2):
         by_deg.setdefault(v.degree, []).append(v)
     for d, vsl in by_deg.items():
         vs.by_degree[d] = vsl          # unsorted on purpose
-    g2 = build_graph(vs, P2)
+    g2 = build_graph(vs)
     t2 = tabulate(g2)
     assert t2.counts == table2.value.counts
 
@@ -682,11 +712,11 @@ def test_tabulate_orbit_heads_against_oracle():
     """On S3-invariant graphs with orbits of every kind, edges inside
     orbits and open vertices: the full table, every cap from 0 to past the
     vertex count and every kappa cell agree with the subset oracle, and
-    with the same graph without images."""
+    with the same graph with every vertex open."""
     kinds, inner = set(), 0
     for seed in range(40):
         g = _s3_graph(random.Random(2000 + seed))
-        plain = replace(g, images=None)
+        plain = replace(g, images=open_images(len(g.degrees)))
         kinds.update(len(set(im)) for im in g.images if len(im) == 6)
         inner += sum(g.adj[v] >> u & 1 for v, im in enumerate(g.images)
                      for u in im if u < v)
@@ -709,14 +739,14 @@ def _enumerations_agree(g, **kwargs):
 
 
 def test_enumerate_cliques_orbit_heads_against_oracle():
-    """On the same S3-invariant graphs, with and without images: every cap
-    from 0 to past the vertex count and every kappa cell, alone and under a
-    cap one short of it, yield the cliques of the unguided walk, each once,
-    the empty one first when asked for."""
+    """On the same S3-invariant graphs, as built and with every vertex open:
+    every cap from 0 to past the vertex count and every kappa cell, alone
+    and under a cap one short of it, yield the cliques of the unguided walk,
+    each once, the empty one first when asked for."""
     for seed in range(40):
         g = _s3_graph(random.Random(2000 + seed))
         cells = cliques_by_partition_naive(g.degrees, g.lesser)
-        for h in (g, replace(g, images=None)):
+        for h in (g, replace(g, images=open_images(len(g.degrees)))):
             for m in range(len(g.degrees) + 2):
                 _enumerations_agree(h, max_size=m)
             for e in cells:
@@ -752,7 +782,8 @@ def test_tabulate_checks_budget_once_per_head(graph23, graph235):
         tabulate(g, budget=budget)
         assert budget.calls == heads == _orbit_head_count(g, len(g.degrees))
         budget = _CountingBudget()
-        tabulate(replace(g, images=None), max_size=2, budget=budget)
+        plain = replace(g, images=open_images(len(g.degrees)))
+        tabulate(plain, max_size=2, budget=budget)
         assert budget.calls == len(g.degrees)
 
 
@@ -766,7 +797,7 @@ def test_images_none_matches_recorded_images(graph2, graph23, graph235,
     for g, table in ((graph2, table2), (graph23, table23),
                      (graph235, table235), (graph2357, table2357)):
         g, table = g.value, table.value
-        plain = replace(g, images=None)
+        plain = replace(g, images=open_images(len(g.degrees)))
         assert tabulate(plain).counts == table.counts
         for m in range(2, 7):
             assert tabulate(plain, max_size=m).counts \
@@ -833,7 +864,8 @@ def test_degree1_table_235711(search_iii_235711, graph235711):
                                              for c in top])
     assert len(packets) == 63 and mass == Fraction(185, 4)
     assert row[11] == len(top) == mass * 14 * 13 * 12
-    assert tabulate(replace(g, images=None), max_size=5).counts \
+    plain = replace(g, images=open_images(len(g.degrees)))
+    assert tabulate(plain, max_size=5).counts \
         == tabulate(g, max_size=5).counts == {
             e: c for e, c in table.counts.items() if sum(e) <= 5}
 
@@ -1008,8 +1040,7 @@ def test_triple_map_matches_mobius_oracle():
             continue
         mat = _triple_to_matrix(pair(p), pair(q), pair(r))
         want = triple_to_matrix(p, q, r)
-        assert cliques._mat_mul(mat, cliques._IDENT) \
-            == cliques._mat_mul(want, cliques._IDENT)
+        assert mat_mul(mat, IDENT) == mat_mul(want, IDENT)
         (got,) = _image(mat, [pair(x)])
         assert unpair(got) == mobius_on_point(want, x)
 

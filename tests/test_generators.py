@@ -280,6 +280,19 @@ def test_verify_named_all():
         verify_named("nope")
 
 
+def test_verify_named_rejects_a_reducible_factor(monkeypatch):
+    """A registry entry whose one listed factor splits, t^2 + 3t + 2 =
+    (t + 1)(t + 2), passes membership over {2,3} (disc = 1) and lists the
+    partition of its factors, but that is not its partition."""
+    entry = {"primes": (2, 3), "factors": ((2, 3, 1),), "disc": 1,
+             "published_disc": "1", "partition": (2,)}
+    monkeypatch.setitem(NAMED_REGISTRY, "split", entry)
+    rep = verify_named("split")
+    assert rep.membership_ok and rep.disc_matches
+    assert rep.partition == (2,)
+    assert not rep.partition_matches and not rep.ok
+
+
 def test_big23_mirror_in_same_partition():
     rep = verify_named("big23")
     mirror = sorted(s3_orbit(rep.poly), key=lambda p: p.coeffs)
