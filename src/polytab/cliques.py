@@ -40,7 +40,8 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress, islice, product, repeat
+from itertools import (combinations, compress, islice, permutations,
+                       product, repeat)
 from math import comb, gcd, lcm, prod
 from operator import mul
 
@@ -877,6 +878,27 @@ def _image(mat, pts):
                      for x0, x1 in pts)
 
 
+def _s3_images(pts):
+    """The images of pts, a set of primitive pairs, under the six maps that
+    permute 0, 1, inf: x, 1 - x, 1/x, 1/(1 - x), (x - 1)/x and x/(x - 1), in
+    that order.
+
+    They are words in x -> 1 - x, which sends (n, d) to (d - n, d), and
+    x -> 1/x, which sends (n, d) to (d, n).  Both keep a pair primitive, so
+    each image needs only a sign fix (inf = (1, 0)), no gcd.
+    """
+    flip, inv, inv_flip, flip_inv, inv_flip_inv = [], [], [], [], []
+    for n, d in pts:
+        m = d - n                                   # 1 - x = (m, d)
+        flip.append((m, d) if d else (1, 0))
+        inv.append((d, n) if n > 0 else (-d, -n) if n else (1, 0))
+        inv_flip.append((d, m) if m > 0 else (-d, -m) if m else (1, 0))
+        flip_inv.append((-m, n) if n > 0 else (m, -n) if n else (1, 0))
+        inv_flip_inv.append((n, -m) if m < 0 else (-n, m) if m else (1, 0))
+    return (frozenset(pts), frozenset(flip), frozenset(inv),
+            frozenset(inv_flip), frozenset(flip_inv), frozenset(inv_flip_inv))
+
+
 def _perm_order(mat, pts) -> int:
     """The order of the permutation that mat induces on pts, a set it maps
     onto itself: the lcm of the cycle lengths."""
@@ -907,6 +929,10 @@ def _group_label(orders) -> str:
     return f"order{order}"
 
 
+_LEAVES = ("packet image leaves the input set; input is not closed under the "
+           "marked-point maps")
+
+
 @dataclass
 class Packet:
     members: list               # polynomials (or clique ids) in the packet
@@ -925,6 +951,15 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     len(polys) / ((a+3)(a+2)(a+1)) with a the root count.  roots, when
     given, lists each polynomial's roots (ints or Fractions) in the same
     order as polys.
+
+    Each unordered triple {p, q, r} of a key K gives one image I = T(K), T
+    the map sending (p, q, r) to (0, 1, inf).  The map of any other ordering
+    is s o T for one of the six maps s permuting 0, 1, inf, so the other
+    five images are the s(I) (`_s3_images`, no gcd).  The orbit is a union
+    of these S3 classes: a class joins it when its I is first met, and an
+    I already in the orbit adds nothing.  s o T fixes K only when I is one
+    of the six s^-1(K), and only those triples are run through every
+    ordering to collect the stabilizer.
 
     A map of PGL2(Q) that fixes three points is the identity, so a
     stabilizer element has the order of the permutation it induces on the
@@ -970,25 +1005,26 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         if i in seen:
             continue
         budget.check()
+        s3_key = set(_s3_images(key))
         orbit = set()
         stab = []             # the orders of the stabilizer elements
-        for p in key:
-            for q in key:
-                if q == p:
-                    continue
-                for r in key:
-                    if r == p or r == q:
-                        continue
-                    mat = _triple_to_matrix(p, q, r)
-                    image = _image(mat, key)
-                    j = index.get(image)
-                    if j is None:
-                        raise AssertionError(
-                            "packet image leaves the input set; input is not "
-                            "closed under the marked-point maps")
-                    orbit.add(j)
-                    if image == key:
+        for p, q, r in combinations(key, 3):
+            image = _image(_triple_to_matrix(p, q, r), key)
+            j = index.get(image)
+            if j is None:
+                raise AssertionError(_LEAVES)
+            if image in s3_key:
+                for t in permutations((p, q, r)):
+                    mat = _triple_to_matrix(*t)
+                    if _image(mat, key) == key:
                         stab.append(_perm_order(mat, key))
+            if j in orbit:
+                continue
+            for moved in _s3_images(image):
+                m = index.get(moved)
+                if m is None:
+                    raise AssertionError(_LEAVES)
+                orbit.add(m)
         size = len(orbit)
         if size * len(stab) != denom:
             raise AssertionError("orbit-stabilizer mismatch in packet")

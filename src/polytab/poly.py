@@ -34,15 +34,6 @@ def _trim(c: list) -> list:
     return c
 
 
-def _content(c) -> int:
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-        if g == 1:
-            break
-    return g
-
-
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -203,10 +194,10 @@ class NormalizedPoly:
     __slots__ = ("coeffs", "_disc")
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if not coeffs or coeffs[-1] <= 0:
             raise ValueError("leading coefficient must be positive")
-        if _content(coeffs) != 1:
+        if gcd(*coeffs) != 1:
             raise ValueError("content must be 1")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_disc", None)
@@ -275,7 +266,7 @@ def normalize(coeffs):
     for f in fracs:
         den = den * f.denominator // gcd(den, f.denominator)
     ints = [int(f * den) for f in fracs]
-    cont = _content(ints)
+    cont = gcd(*ints)
     if ints[-1] < 0:
         cont = -cont
     return NormalizedPoly([c // cont for c in ints]), Fraction(cont, den)
@@ -288,12 +279,29 @@ def from_roots(roots) -> NormalizedPoly:
     each primitive since gcd(n, d) = 1, is primitive by Gauss's lemma, and its
     leading coefficient is the product of the positive d: it is already
     normalized.
+
+    The product is one big-int product at t = 2^k (Kronecker substitution).
+    The sum of the absolute values of the coefficients is submultiplicative,
+    so for the product it is at most B, the product of the |n| + d.  With
+    k = bit_length(B) + 2 each coefficient lies in (-2^(k-1), 2^(k-1)), so
+    the coefficients are the balanced k-bit digits of the product, read from
+    the lowest.
     """
-    c = [1]
-    for r in roots:
-        n, d = r.numerator, r.denominator
-        c = [-n * c[0], *(d * c[i - 1] - n * c[i] for i in range(1, len(c))),
-             d * c[-1]]
+    pairs = [(r.numerator, r.denominator) for r in roots]
+    bound = 1
+    for n, d in pairs:
+        bound *= abs(n) + d
+    k = bound.bit_length() + 2
+    value = 1
+    for n, d in pairs:
+        value *= (d << k) - n
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    c = []
+    for _ in pairs:
+        digit = ((value + half) & mask) - half
+        c.append(digit)
+        value = (value - digit) >> k
+    c.append(value)
     return NormalizedPoly(c)
 
 
@@ -510,7 +518,7 @@ def rational_roots(coeffs) -> list:
 
 def _primitive(c):
     """c divided by its content, with positive leading coefficient."""
-    g = _content(c)
+    g = gcd(*c)
     if c[-1] < 0:
         g = -g
     return [x // g for x in c]

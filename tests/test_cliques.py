@@ -2,7 +2,7 @@ import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -13,6 +13,7 @@ from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
     Packet,
     _image,
+    _s3_images,
     _triple_to_matrix,
     build_graph,
     count_u_nu,
@@ -1008,16 +1009,46 @@ def _packet_rows(packets):
             for p in packets]
 
 
-def test_packets_match_fraction_oracle(graph23, graph235):
-    for g, sizes in ((graph23.value, (1, 2, 3)), (graph235.value, (2, 3, 5))):
-        for a in sizes:
-            polys, roots = _split_cliques(g, a)
-            assert polys
-            packets, mass = pgl2_packets(polys, roots=roots)
-            want, want_mass = pgl2_packets_fraction(polys, roots)
-            assert _packet_rows(packets) == _packet_rows(want)
-            assert mass == want_mass == Fraction(len(polys),
-                                                 (a + 3) * (a + 2) * (a + 1))
+def _closed_orbit(roots):
+    """Root lists of every image of roots + {0, 1, inf} under the maps
+    sending its ordered triples to (0, 1, inf), in oracle arithmetic: one
+    packet, closed under those maps."""
+    key = {Fraction(r) for r in roots} | {Fraction(0), Fraction(1), INF}
+    out = set()
+    for p, q, r in permutations(key, 3):
+        mat = triple_to_matrix(p, q, r)
+        out.add(frozenset(mobius_on_point(mat, x) for x in key) - {0, 1, INF})
+    return [sorted(s) for s in sorted(out, key=sorted)]
+
+
+def _anharmonic(x):
+    """x and its images under the six maps permuting 0, 1, inf."""
+    x = Fraction(x)
+    return [x, 1 - x, 1 / x, 1 / (1 - x), (x - 1) / x, x / (x - 1)]
+
+
+def test_packets_match_fraction_oracle(graph2, graph23, graph235):
+    cells = [_split_cliques(g, a)
+             for g, sizes in ((graph2.value, (1,)), (graph23.value, (1, 2, 3)),
+                              (graph235.value, (2, 3, 5)))
+             for a in sizes]
+    # single packets with a stabilizer S3, at small and large heights, and
+    # with a trivial one
+    for roots in (_anharmonic(3), _anharmonic(Fraction(-2 ** 64 - 1, 3)),
+                  [Fraction(-7, 5), 2 ** 70]):
+        roots = _closed_orbit(roots)
+        cells.append(([from_roots(rr) for rr in roots], roots))
+    labels = set()
+    for polys, roots in cells:
+        assert polys
+        a = len(roots[0])
+        packets, mass = pgl2_packets(polys, roots=roots)
+        want, want_mass = pgl2_packets_fraction(polys, roots)
+        assert _packet_rows(packets) == _packet_rows(want)
+        assert mass == want_mass == Fraction(len(polys),
+                                             (a + 3) * (a + 2) * (a + 1))
+        labels.update(p.stabilizer_label for p in packets)
+    assert {"C1", "C2", "V", "S3", "D4", "D6"} <= labels
 
 
 def test_triple_map_matches_mobius_oracle():
@@ -1045,6 +1076,27 @@ def test_triple_map_matches_mobius_oracle():
         assert unpair(got) == mobius_on_point(want, x)
 
 
+def test_s3_images_match_mobius_oracle():
+    # x, 1 - x, 1/x, 1/(1 - x), (x - 1)/x, x/(x - 1)
+    mats = [(1, 0, 0, 1), (-1, 1, 0, 1), (0, 1, 1, 0), (0, 1, -1, 1),
+            (1, -1, 1, 0), (1, 0, 1, -1)]
+    rng = random.Random(11)
+
+    def pair(x):
+        return (1, 0) if x == INF else (x.numerator, x.denominator)
+
+    for _ in range(300):
+        top = 2 ** rng.choice((4, 20, 64, 130))
+        pts = {Fraction(0), Fraction(1), INF}
+        size = rng.randint(3, 12)
+        while len(pts) < size:
+            pts.add(Fraction(rng.randint(-top, top), rng.randint(1, top)))
+        got = _s3_images(frozenset(map(pair, pts)))
+        want = tuple(frozenset(pair(mobius_on_point(m, x)) for x in pts)
+                     for m in mats)
+        assert got == want
+
+
 def test_packets_roots_none_matches_given_roots(graph235):
     polys, roots = _split_cliques(graph235.value, 4)
     assert len(polys) == 3570
@@ -1065,6 +1117,25 @@ def test_packets_reject_malformed_input(graph2):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(3), Fraction(4)]])
     with pytest.raises(ValueError, match="marked points"):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(1)]])
+
+
+def test_packets_input_that_leaves_the_set_raises(graph2, graph23):
+    # a closed kappa set with one clique removed: the images of the others
+    # reach the missing one, by a triple map or by an S3 move; the check must
+    # survive python -O
+    for g, a, drops in ((graph2.value, 1, range(3)),
+                        (graph23.value, 3, range(0, 40, 7))):
+        polys, roots = _split_cliques(g, a)
+        for k in drops:
+            with pytest.raises(AssertionError, match="leaves the input set"):
+                pgl2_packets(polys[:k] + polys[k + 1:],
+                             roots=roots[:k] + roots[k + 1:])
+
+
+def test_packets_refuse_an_exhausted_budget(graph2):
+    polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
+    with pytest.raises(BudgetExceededError):
+        pgl2_packets(polys, budget=Budget(seconds=0))
 
 
 def test_packets_mass_check_is_not_an_assert(graph2, monkeypatch):

@@ -445,15 +445,39 @@ def test_factor_small_random_products():
 
 
 def test_from_roots_matches_normalized_fraction_product():
+    def fraction_product(roots):
+        c = [Fraction(1)]
+        for r in roots:
+            c = poly_mul(c, [-Fraction(r), 1])
+        return normalize(c)[0]
+
     rng = random.Random(7)
     for _ in range(200):
         roots = [rng.randint(-40, 40) if rng.random() < 0.3
                  else Fraction(rng.randint(-60, 60), rng.randint(1, 30))
                  for _ in range(rng.randint(0, 9))]
-        c = [Fraction(1)]
-        for r in roots:
-            c = poly_mul(c, [-Fraction(r), 1])
-        assert from_roots(roots) == normalize(c)[0]
+        assert from_roots(roots) == fraction_product(roots)
+    # heights up to 2^128, up to 14 roots and a few repeats, ints and 0
+    for _ in range(200):
+        top = 2 ** rng.choice((8, 32, 64, 128))
+        roots = [rng.choice((0, rng.randint(-top, top))) if rng.random() < 0.3
+                 else Fraction(rng.randint(-top, top), rng.randint(1, top))
+                 for _ in range(rng.randint(0, 14))]
+        roots += rng.sample(roots, min(len(roots), rng.randint(0, 3)))
+        assert from_roots(roots) == fraction_product(roots)
+    # (d t - n)^m has coefficients C(m, i) d^i (-n)^(m-i), whose absolute
+    # values sum to (|n| + d)^m, the bound from_roots sizes its digits by;
+    # with |n| + d = 2^b - 1 that bound sits just below a power of two
+    for r in (Fraction(2 ** 64 - 2), Fraction(1 - 2 ** 64),
+              Fraction(-2 ** 127, 2 ** 127 - 1), Fraction(3, 4), -1, 1):
+        n, d = r.numerator, r.denominator
+        for m in (1, 2, 7, 14):
+            want = tuple(comb(m, i) * d ** i * (-n) ** (m - i)
+                         for i in range(m + 1))
+            assert from_roots([r] * m).coeffs == want
+    assert from_roots([]).coeffs == (1,)
+    assert from_roots([0]).coeffs == (0, 1)
+    assert from_roots([0, 0, 2]).coeffs == (0, 0, -2, 1)
 
 
 def test_rational_roots():
