@@ -60,12 +60,16 @@ COMPLETENESS_SOURCES = {
 
 @dataclass(frozen=True)
 class AbcPoint:
+    """A variant point u = -A/C.  class_datum is the square class of u(1-u)
+    for inf-2-inf, the reference-cubic partition "3", "21" or "111" for
+    3-2-inf (a label the vertex stage never reads), None for inf-inf-inf."""
+
     variant: str
     A: int
     B: int
     C: int
     u: Fraction
-    class_datum: object = None  # None | squarefree delta | class id string
+    class_datum: object = None
 
     @property
     def height(self) -> int:
@@ -323,7 +327,7 @@ def _cube_candidates(smooth, primes, H: int) -> dict:
 
 
 def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
-               classify: bool = True, workers: int = 1):
+               workers: int = 1):
     """All variant points of height <= H, sorted by (height, u), plus certificate.
 
     inf-inf-inf and inf-2-inf return empty immediately when 2 is outside P:
@@ -331,9 +335,9 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
     latter is excluded from this package's contract because the degree-2
     parametrization downstream requires 2 in P.
 
-    classify=False skips the pairwise cubic-class resolution for 3-2-inf
-    points (each class_datum is then just the reference-cubic partition);
-    delta classes for inf-2-inf are cheap and always attached.
+    Each point carries its class_datum (see AbcPoint).  The cubic classes
+    that split the irreducible 3-2-inf points are not decided here:
+    vertices.build_vertex_set computes them, once, from the points.
 
     The searches are serial loops over coprime pairs, with the budget checked
     once per outer candidate.  workers is accepted and ignored.
@@ -375,27 +379,8 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         points.append(AbcPoint(variant, A, B, C, u, datum))
     points.sort(key=AbcPoint.sort_key)
 
-    if variant == VARIANT_32I and classify:
-        points = _attach_cubic_classes(points, budget)
-
     complete, citation = _certify(P, variant, H)
     return points, SearchCertificate(P.primes, variant, H, complete, citation)
-
-
-def _attach_cubic_classes(points, budget):
-    irreducible = [pt for pt in points if pt.class_datum == "3"]
-    classes = cubic_classes(irreducible, budget=budget)
-    label = {}
-    for rep, members in classes.items():
-        for pt in members:
-            label[pt.u] = f"cubic:{rep}"
-    out = []
-    for pt in points:
-        if pt.u in label:
-            out.append(AbcPoint(pt.variant, pt.A, pt.B, pt.C, pt.u, label[pt.u]))
-        else:
-            out.append(pt)
-    return out
 
 
 # ---------------------------------------------------------------------------

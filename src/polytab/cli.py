@@ -75,7 +75,7 @@ def _out_stream(path):
 def cmd_search(args) -> int:
     P = _parse_primes(args.primes)
     H = _parse_height(args.height)
-    points, cert = search_abc(P, args.variant, H, classify=not args.no_classify)
+    points, cert = search_abc(P, args.variant, H)
     write_points(args.out, points, cert)
     note = "" if cert.complete else " (search-bounded)"
     print(f"{len(points)} points -> {args.out}{note}")
@@ -315,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--height", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-classify", action="store_true",
-                   help="skip cubic class resolution for 3-2-inf")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("vertices", help="build the vertex set up to a degree")

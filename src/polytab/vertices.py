@@ -14,11 +14,11 @@ root is exact inside a class.  On primitive pairs w0 = a/b, w1 = c/d this is
     winf = (a d + c b - 2 a c +- 2 R) / (b d),   R^2 = a (b-a) c (d-c),
 
 so the build is integer-only: one isqrt per (w0, w1), one gcd per sign.
-Degree 3 runs the two-root parametrization
-s^{m,n} indexed by a j-invariant and roots m, n of the resolvents F(j, j0)
-and F(j, j1).  Degree >= 4 is ingestion only: candidate characteristic
-polynomials are re-verified, expanded to full orbits and deduplicated, so a
-candidate file can never inject a wrong vertex.
+Degree 3 runs the two-root parametrization s^{m,n}, indexed by a j of a
+cubic class and roots m, n of the resolvents F(j, k), k = 0 or k in the
+class.  Degree >= 4 is ingestion only: candidate characteristic polynomials
+are re-verified, expanded to full orbits and deduplicated, so a candidate
+file can never inject a wrong vertex.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .poly import (
     is_irreducible,
     normalize,
     s3_orbit,
-    special_values,
 )
 from .smooth import PrimeSet, decompose_power, is_smooth
 
@@ -59,7 +58,7 @@ __all__ = [
     "Vertex", "VertexSet", "build_degree1", "build_degree2", "build_degree3",
     "roots_of_F", "ingest_units", "cross_validate", "build_vertex_set",
     "TABLE5_REPRESENTATIVES", "write_vertex_set", "read_vertex_set",
-    "parse_candidate_file", "poly_height",
+    "parse_candidate_file",
 ]
 
 
@@ -108,10 +107,22 @@ class VertexSet:
         return {d: len(v) for d, v in sorted(self.by_degree.items())}
 
 
-def poly_height(s: NormalizedPoly) -> int:
-    """max(|s(0)|, |s(1)|, |s(inf)|): constant on S3 orbits."""
-    v0, v1, vinf = special_values(s)
-    return max(abs(v0), abs(v1), abs(vinf))
+def _orbit_closure(polys, P: PrimeSet) -> dict:
+    """The union of the S3 orbits of the members polys, keyed by coeffs.
+
+    Members have s(0) s(1) != 0, so the action is a group action and a
+    member already in the closure brings no new orbit.  A non-member image
+    raises AssertionError, which python -O keeps.
+    """
+    closed = {}
+    for s in polys:
+        if s.coeffs not in closed:
+            for t in s3_orbit(s):
+                closed[t.coeffs] = t
+    for t in closed.values():
+        if not check_membership(t, P).ok:
+            raise AssertionError(f"orbit closure broke membership: {t}")
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -244,68 +255,41 @@ def _smn_coeffs(a: int, b: int, m: tuple, n: tuple) -> list:
 
 
 def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
-    """Vertices of degree 3 from the class decomposition of 3-2-inf points.
+    """Vertices of degree 3 from cubic classes {"a/b": [3-2-inf points]}.
 
-    For every class, every j in the class and every pair (j0, j1) from the
-    class together with 0, candidates s^{m,n} are built from resolvent root
-    pairs, kept if separable with unit values, then the whole class is closed
-    under the marked-point action (which also recovers the j = 0 members).
+    For each j in a class, the roots of F(j, k) for k = 0 and every k in
+    the class form one list; each ordered pair of distinct roots (m, n) in
+    it gives a candidate s^{m,n}, of degree 3 since m != n.  Candidates
+    that pass check_membership (which also fails a zero discriminant) are
+    closed under the marked-point action, which recovers the j = 0 members,
+    and labelled "cubic:<rep>".  stats counts candidates and rejected ones.
     """
     if 2 not in P or 3 not in P:
         raise ValueError("degree-3 parametrization requires 2 and 3 in P")
     for members in classes.values():
         _require_members(members, VARIANT_32I, P)
-    if stats is None:
-        stats = {}
+    stats = {} if stats is None else stats
     stats.setdefault("candidates", 0)
     stats.setdefault("rejected", 0)
     out = {}
     for rep, members in sorted(classes.items()):
         js = sorted(pt.u for pt in members)
-        jext = [0] + js
-        accepted = {}
-        root_cache = {}
-
-        def roots_cached(j, k):
-            key = (j, k)
-            if key not in root_cache:
-                root_cache[key] = roots_of_F(j, k)
-            return root_cache[key]
-
+        accepted = []
         for j in js:
             a, b = j.numerator, j.denominator
-            for j0 in jext:
-                ms = roots_cached(j, j0)
-                if not ms:
-                    continue
-                for j1 in jext:
-                    ns = roots_cached(j, j1)
-                    for m in ms:
-                        for n in ns:
-                            if m == n:
-                                continue
-                            stats["candidates"] += 1
-                            s = NormalizedPoly(_primitive(
-                                _smn_coeffs(a, b, m, n)))
-                            if s.degree != 3 or s.discriminant() == 0:
-                                stats["rejected"] += 1
-                                continue
-                            if not check_membership(s, P).ok:
-                                stats["rejected"] += 1
-                                continue
-                            accepted[s.coeffs] = s
-        # accepted members have s(0) s(1) != 0, so each image keeps the
-        # degree and the action is a group action: a member already in the
-        # closure brings no new orbit
-        closed = {}
-        for s in accepted.values():
-            if s.coeffs not in closed:
-                for t in s3_orbit(s):
-                    closed[t.coeffs] = t
-        for s in closed.values():
-            if not check_membership(s, P).ok:
-                raise AssertionError(f"orbit closure broke membership: {s}")
-            out[s.coeffs] = Vertex(s, class_datum=f"cubic:{rep}")
+            roots = [m for k in [0] + js for m in roots_of_F(j, k)]
+            for m in roots:
+                for n in roots:
+                    if m == n:
+                        continue
+                    stats["candidates"] += 1
+                    s = NormalizedPoly(_primitive(_smn_coeffs(a, b, m, n)))
+                    if check_membership(s, P).ok:
+                        accepted.append(s)
+                    else:
+                        stats["rejected"] += 1
+        for t in _orbit_closure(accepted, P).values():
+            out[t.coeffs] = Vertex(t, class_datum=f"cubic:{rep}")
     return sorted(out.values(), key=Vertex.sort_key)
 
 
@@ -352,7 +336,7 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
     """
     budget = budget or Budget.from_env()
     report = IngestReport()
-    out = {}
+    accepted = []
     for cand in candidates:
         budget.check()
         if isinstance(cand, NormalizedPoly):
@@ -372,17 +356,12 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
             report.rejected.append((s.coeffs, "reducible"))
             continue
         report.accepted += 1
-        if s.coeffs in out.get(s.degree, ()):
-            continue    # its orbit is already in, as in build_degree3
-        for t in s3_orbit(s):
-            if not check_membership(t, P).ok:
-                raise AssertionError(f"orbit of {s} broke membership at {t}")
-            out.setdefault(t.degree, {})[t.coeffs] = Vertex(
-                t, provenance="ingested")
-    return (
-        {d: sorted(vs.values(), key=Vertex.sort_key) for d, vs in sorted(out.items())},
-        report,
-    )
+        accepted.append(s)
+    out = {}
+    for t in _orbit_closure(accepted, P).values():
+        out.setdefault(t.degree, []).append(Vertex(t, provenance="ingested"))
+    return {d: sorted(vs, key=Vertex.sort_key)
+            for d, vs in sorted(out.items())}, report
 
 
 def parse_candidate_file(path):
@@ -426,37 +405,35 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
 
     points_by_variant may supply pre-searched point lists (as read back from
     point-set files); missing variants are searched at the default heights.
-    Degrees >= 4 are filled from ingestion candidates when provided.
+    Degree 3 decides the cubic classes from the points' j alone, whatever
+    labels they carry.  Degrees >= 4 are filled from ingestion candidates
+    when provided.
     """
     budget = budget or Budget.from_env()
     points_by_variant = dict(points_by_variant or {})
 
     def get_points(variant):
-        if variant in points_by_variant:
-            pts, cert = points_by_variant[variant]
-            return pts, cert
-        pts, cert = search_abc(P, variant, DEFAULT_HEIGHTS[variant],
-                               budget=budget, classify=False)
-        points_by_variant[variant] = (pts, cert)
-        return pts, cert
+        """The points of variant and the certificate of their degree."""
+        if variant not in points_by_variant:
+            points_by_variant[variant] = search_abc(
+                P, variant, DEFAULT_HEIGHTS[variant], budget=budget)
+        pts, cert = points_by_variant[variant]
+        return pts, "complete" if cert.complete else "search-bounded"
 
     vs = VertexSet(P)
     if max_degree >= 1:
-        pts, cert = get_points(VARIANT_III)
-        vs.add_degree(1, build_degree1(pts, P),
-                      "complete" if cert.complete else "search-bounded")
+        pts, status = get_points(VARIANT_III)
+        vs.add_degree(1, build_degree1(pts, P), status)
     if max_degree >= 2:
         if 2 in P:
-            pts, cert = get_points(VARIANT_I2I)
-            verts, split, _ = build_degree2(P, pts)
-            vs.add_degree(2, verts,
-                          "complete" if cert.complete else "search-bounded")
-            vs.split_degree2 = split
+            pts, status = get_points(VARIANT_I2I)
+            verts, vs.split_degree2, _ = build_degree2(P, pts)
+            vs.add_degree(2, verts, status)
         else:
             vs.add_degree(2, [], "unsupported: 2 not in prime set")
     if max_degree >= 3:
         if 2 in P and 3 in P:
-            pts, cert = get_points(VARIANT_32I)
+            pts, status = get_points(VARIANT_32I)
             _require_members(pts, VARIANT_32I, P)  # before the filter below
             irr = [pt for pt in pts if reference_cubic_partition(pt.u) == (3,)]
             verts = []
@@ -464,8 +441,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
             for rep, members in cubic_classes(irr, budget=budget).items():
                 budget.check()
                 verts += build_degree3(P, {rep: members})
-            vs.add_degree(3, verts,
-                          "complete" if cert.complete else "search-bounded")
+            vs.add_degree(3, verts, status)
         else:
             vs.add_degree(3, [], "unsupported: needs 2 and 3 in prime set")
     if max_degree >= 4:

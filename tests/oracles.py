@@ -618,6 +618,11 @@ BAD_REDUCTION = {
 }
 
 
+def poly_height(s):
+    """max(|s(0)|, |s(1)|, |s(inf)|): constant on S3 orbits."""
+    return max(abs(v) for v in special_values(s))
+
+
 def recovered_w_triple(s):
     """(w0, w1, winf) = -disc/(4 u0 u1 uinf) * (u0, u1, uinf) for degree 2."""
     u0, u1, uinf = (Fraction(v) for v in special_values(s))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -56,7 +57,7 @@ def test_small_search_matches_brute_force():
     for P in (P23, P235, P2, PrimeSet([2, 5, 7]), PrimeSet([3, 5]),
               PrimeSet([3, 7, 11]), P2357):
         for variant in (VARIANT_III, VARIANT_I2I, VARIANT_32I):
-            points, cert = search_abc(P, variant, H, classify=False)
+            points, cert = search_abc(P, variant, H)
             want = abc_brute_force(P.primes, SHORT[variant], H)
             if variant == VARIANT_I2I and 2 not in P:
                 # outside the search contract, but the pair loop is still exact
@@ -72,7 +73,7 @@ def test_search_matches_gcd_pair_loop():
     """The support-bucketed loops against every-pair loops with a gcd test."""
     for P in (P23, P235, P2357):
         for variant in (VARIANT_III, VARIANT_I2I, VARIANT_32I):
-            points, _ = search_abc(P, variant, 10 ** 6, classify=False)
+            points, _ = search_abc(P, variant, 10 ** 6)
             want = abc_gcd_pair_search(P.primes, SHORT[variant], 10 ** 6)
             assert {pt.u for pt in points} == want, (P, variant)
 
@@ -112,7 +113,7 @@ def test_variant_nesting():
     H = 10 ** 4
     iii = {pt.u for pt in search_abc(P23, VARIANT_III, H)[0]}
     i2i = {pt.u for pt in search_abc(P23, VARIANT_I2I, H)[0]}
-    a32 = {pt.u for pt in search_abc(P23, VARIANT_32I, H, classify=False)[0]}
+    a32 = {pt.u for pt in search_abc(P23, VARIANT_32I, H)[0]}
     assert iii <= i2i <= a32
 
 
@@ -144,7 +145,7 @@ def test_budget_stops_running_search(workers):
     budget = _RefuseAt(1000)
     with pytest.raises(BudgetExceededError):
         search_abc(P235, VARIANT_32I, 10 ** 12, budget=budget,
-                   classify=False, workers=workers)
+                   workers=workers)
     assert budget.checks == 1000
 
 
@@ -221,7 +222,7 @@ def test_sieved_search_matches_gcd_pair_loop(P, variant, H, monkeypatch):
     table = abc_search._residue_table
     monkeypatch.setattr(abc_search, "_residue_table",
                         lambda vs, q: built.append(q) or table(vs, q))
-    points, _ = search_abc(P, variant, H, classify=False)
+    points, _ = search_abc(P, variant, H)
     want = abc_gcd_pair_search(P.primes, SHORT[variant], H)
     assert {pt.u for pt in points} == want
     assert built
@@ -319,7 +320,6 @@ def test_roundtrip_json(tmp_path):
 
 def test_cubic_class_example_1372():
     points, _ = search_abc(P23, VARIANT_32I, 10 ** 7)
-    irr = [pt for pt in points if str(pt.class_datum).startswith("cubic:")]
     classes = cubic_classes([pt for pt in points
                              if reference_cubic_partition(pt.u) == (3,)])
     for rep, members in classes.items():
@@ -331,12 +331,23 @@ def test_cubic_class_example_1372():
         pytest.fail("class of 1372/3 not found")
 
 
+def test_32i_points_carry_reference_partitions(search_32i_23):
+    """The search labels each 3-2-inf point with its reference-cubic
+    partition and nothing finer: the cubic classes are the vertex stage's."""
+    points, _ = search_32i_23.value
+    assert Counter(pt.class_datum for pt in points) == \
+        {"3": 54, "21": 24, "111": 3}
+    for pt in points:
+        assert pt.class_datum == \
+            "".join(map(str, reference_cubic_partition(pt.u)))
+
+
 def test_cubic_class_relation_symmetric_transitive():
     import random
 
     from polytab.abc_search import has_rational_root_F
 
-    points, _ = search_abc(P23, VARIANT_32I, 10 ** 5, classify=False)
+    points, _ = search_abc(P23, VARIANT_32I, 10 ** 5)
     irr = [pt for pt in points if reference_cubic_partition(pt.u) == (3,)]
     js = [pt.u for pt in irr]
     rng = random.Random(20)

@@ -52,9 +52,8 @@ from polytab.poly import (
     s3_transform,
 )
 from polytab.smooth import PrimeSet, is_smooth
-from polytab.vertices import poly_height
 
-from oracles import candidate_grid, first_good_prime, s3_compose
+from oracles import candidate_grid, first_good_prime, poly_height, s3_compose
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])

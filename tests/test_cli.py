@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polytab.abc_search import cubic_classes, read_points
 from polytab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from polytab.vertices import TABLE5_REPRESENTATIVES
 
@@ -71,6 +72,39 @@ def test_vertices_pipeline(tmp_path, capsys):
     assert payload["schema"] == "polytab.vertices/1"
     counts = {d: len(block["vertices"]) for d, block in payload["degrees"].items()}
     assert counts == {"1": 3, "2": 15, "3": 0, "4": 108}
+
+
+def test_search_has_no_classify_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["search", "--primes", "2,3", "--variant", "3-2-inf",
+             "--height", "1e4", "--out", tmp_path / "x.json", "--no-classify"])
+    assert exc.value.code == EXIT_VALIDATION
+
+
+def test_vertices_ignore_cubic_labels_of_older_point_files(tmp_path):
+    """Older 3-2-inf point files label the irreducible points cubic:<rep>;
+    they read and build the same vertex file as the partition labels."""
+    pts = tmp_path / "new.json"
+    assert run(["search", "--primes", "2,3", "--variant", "3-2-inf",
+                "--height", "1e11", "--out", pts]) == EXIT_OK
+    irr = [pt for pt in read_points(pts)[0] if pt.class_datum == "3"]
+    label = {f"{pt.u.numerator}/{pt.u.denominator}": f"cubic:{rep}"
+             for rep, members in cubic_classes(irr).items() for pt in members}
+    payload = json.loads(pts.read_text())
+    for rec in payload["points"]:
+        rec["class"] = label.get(rec["u"], rec["class"])
+    assert sum(rec["class"].startswith("cubic:")
+               for rec in payload["points"]) == 54
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload, indent=1) + "\n")
+    built = []
+    for path in (pts, old):
+        out = tmp_path / ("v-" + path.name)
+        assert run(["vertices", "--primes", "2,3", "--max-degree", "3",
+                    "--points-32i", path, "--out", out]) == EXIT_OK
+        built.append(out.read_bytes())
+    assert built[0] == built[1]
+    assert json.loads(built[0])["degrees"]["3"]["vertices"]
 
 
 def test_vertices_rejects_mismatched_points(tmp_path):

@@ -93,9 +93,9 @@ def test_search_worker_determinism():
     for variant, P, H in ((VARIANT_III, P23, 10 ** 5),
                           (VARIANT_I2I, P235, 10 ** 4),
                           (VARIANT_32I, P23, 10 ** 4)):
-        base, _ = search_abc(P, variant, H, classify=False)
+        base, _ = search_abc(P, variant, H)
         for workers in (4, 16):
-            got, _ = search_abc(P, variant, H, classify=False, workers=workers)
+            got, _ = search_abc(P, variant, H, workers=workers)
             assert got == base, (variant, workers)
 
 

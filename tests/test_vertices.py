@@ -5,7 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from polytab.abc_search import search_abc, VARIANT_32I, VARIANT_I2I, VARIANT_III
+import dataclasses
+
+from polytab import vertices
+from polytab.abc_search import (
+    VARIANT_32I,
+    VARIANT_I2I,
+    VARIANT_III,
+    cubic_classes,
+    reference_cubic_partition,
+    search_abc,
+)
 from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import (
     NormalizedPoly,
@@ -22,11 +32,11 @@ from polytab.vertices import (
     VertexSet,
     build_degree1,
     build_degree2,
+    build_degree3,
     build_vertex_set,
     cross_validate,
     ingest_units,
     parse_candidate_file,
-    poly_height,
     read_vertex_set,
     write_vertex_set,
 )
@@ -35,6 +45,7 @@ from polytab.vertices import _smn_coeffs
 from oracles import (
     INF,
     build_degree2_fraction,
+    poly_height,
     recovered_w_triple,
     smn_coeffs_fraction,
 )
@@ -164,6 +175,48 @@ def test_degree3_orbit_000_minus24(vs23):
         (-2, 0, 0, 3), (-1, 9, -9, 3),       # 3t^3-2, 3t^3-9t^2+9t-1
     }
     assert orbit <= got
+
+
+def test_degree3_candidates_23(search_32i_23):
+    """One root list per j: the {2,3} build at 1e11 tests 4,090 candidates,
+    rejects 2,672 and keeps 1,498 vertices in classes of the same sizes."""
+    points, _ = search_32i_23.value
+    classes = cubic_classes([pt for pt in points
+                             if reference_cubic_partition(pt.u) == (3,)])
+    assert sorted(len(m) for m in classes.values()) == \
+        [1, 1, 3, 4, 6, 9, 9, 10, 11]
+    stats = {}
+    verts = build_degree3(P23, classes, stats)
+    assert stats == {"candidates": 4090, "rejected": 2672}
+    assert len(verts) == 1498
+    assert {v.class_datum for v in verts} == {f"cubic:{rep}" for rep in classes}
+
+
+def test_degree3_ignores_point_labels(tmp_path, search_32i_23, vs23):
+    """Labels on 3-2-inf points are never trusted: with a wrong one on every
+    point, the {2,3} degree <= 3 vertex file is byte for byte the same."""
+    points, cert = search_32i_23.value
+    wrong = [dataclasses.replace(pt, class_datum="cubic:1/1") for pt in points]
+    vs = build_vertex_set(P23, 3, points_by_variant={VARIANT_32I: (wrong, cert)})
+    write_vertex_set(tmp_path / "want.json", vs23.value)
+    write_vertex_set(tmp_path / "got.json", vs)
+    assert (tmp_path / "got.json").read_bytes() == \
+        (tmp_path / "want.json").read_bytes()
+
+
+def test_orbit_closure_failure_raises(monkeypatch):
+    """build_degree3 and ingest_units share one orbit closure; an orbit that
+    leaves the members raises AssertionError, which python -O keeps."""
+    classes = {"-24/1": [pt for pt in search_abc(P23, VARIANT_32I, 100)[0]
+                         if pt.u == -24]}
+    assert build_degree3(P23, classes) and ingest_units([(1, 1)], P2)[0]
+    # t^2 + 4 has s(1) = 5: no member over {2} or {2, 3}
+    monkeypatch.setattr(vertices, "s3_orbit",
+                        lambda s: frozenset({s, NormalizedPoly((4, 0, 1))}))
+    with pytest.raises(AssertionError, match="orbit closure"):
+        build_degree3(P23, classes)
+    with pytest.raises(AssertionError, match="orbit closure"):
+        ingest_units([(1, 1)], P2)
 
 
 def test_vertex_invariants_sampled(vs23):
