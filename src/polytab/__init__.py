@@ -9,7 +9,6 @@ from .smooth import (
     factor_over,
     is_unit_in,
     smooth_numbers_up_to,
-    squarefree_part,
 )
 from .poly import (
     MembershipReport,

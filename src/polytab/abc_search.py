@@ -31,7 +31,7 @@ from math import isqrt
 
 from .budget import Budget
 from .poly import NormalizedPoly, normalize, rational_roots
-from .smooth import PrimeSet, _is_prime, smooth_numbers_up_to, squarefree_class
+from .smooth import PrimeSet, _is_prime, decompose_power, smooth_numbers_up_to
 
 VARIANT_III = "inf-inf-inf"
 VARIANT_I2I = "inf-2-inf"
@@ -99,8 +99,13 @@ def canonical_triple(u: Fraction):
     return A, B, C
 
 
-def _delta_of(u: Fraction) -> int:
-    return squarefree_class(u * (1 - u))
+def _square_class(n: int, P: PrimeSet) -> int:
+    """The square-free d with n = d y^2, read off the P-exponents of n;
+    ValueError unless n is P-smooth times a square."""
+    got = decompose_power(n, 2, P)
+    if got is None:
+        raise ValueError(f"{n} is not P-smooth times a square over {P}")
+    return got[0]
 
 
 def reference_cubic(j: Fraction) -> NormalizedPoly:
@@ -371,7 +376,7 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
     for u in us:
         A, B, C = canonical_triple(u)
         if variant == VARIANT_I2I:
-            datum = _delta_of(u)
+            datum = _square_class(A * B, P)
         elif variant == VARIANT_32I:
             datum = "".join(str(d) for d in reference_cubic_partition(u))
         else:
@@ -387,28 +392,35 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
 # class decompositions
 
 
-def delta_classes(points) -> dict:
-    """Partition inf-2-inf points by the square class of u(1-u)."""
+def delta_classes(points, P: PrimeSet) -> dict:
+    """Partition inf-2-inf points over P by the square class of
+    u(1-u) = A B / C^2, read off the P-exponents of A B."""
     out = {}
     for pt in points:
         if pt.variant != VARIANT_I2I:
             raise ValueError("delta_classes expects inf-2-inf points")
-        out.setdefault(_delta_of(pt.u), []).append(pt)
+        out.setdefault(_square_class(pt.A * pt.B, P), []).append(pt)
     return out
 
 
-def cubic_classes(points, budget: Budget | None = None) -> dict:
-    """Group 3-2-inf points with irreducible reference cubic into classes.
+def cubic_classes(points, P: PrimeSet, budget: Budget | None = None) -> dict:
+    """Group the 3-2-inf points over P with irreducible reference cubic.
 
-    j ~ k when the resolvent F(j,k,y) has a root in Q union {inf}; the map is
-    keyed by the class representative of minimal (height, u).  The budget is
-    checked once per row of the pairwise resolvent tests.
+    Each reference cubic is built once; a point whose cubic has a rational
+    root is left out.  For j = -A/C the discriminant is 16 3^9 A^2 B C / g^4,
+    g the cubic's content, so its square class is read off the P-exponents.
+    Isomorphic cubic fields share that class, so only same-class pairs get
+    the resolvent test: j ~ k when F(j,k,y) has a root in Q union {inf}.
+    The map is keyed by the class representative of minimal (height, u).
+    The budget is checked once per row of the pairwise resolvent tests.
     """
     budget = budget or Budget.from_env()
-    pts = list(points)
-    for pt in pts:
-        if reference_cubic_partition(pt.u) != (3,):
-            raise ValueError(f"reference cubic of {pt.u} is not irreducible")
+    pts, dclass = [], []
+    for pt in points:
+        s = reference_cubic(pt.u)
+        if not rational_roots(s.coeffs):
+            pts.append(pt)
+            dclass.append(_square_class(s.discriminant(), P))
     parent = list(range(len(pts)))
 
     def find(i):
@@ -417,10 +429,6 @@ def cubic_classes(points, budget: Budget | None = None) -> dict:
             i = parent[i]
         return i
 
-    # isomorphic cubic fields share the square class of the discriminant,
-    # so only same-class pairs need the resolvent test
-    dclass = [squarefree_class(Fraction(reference_cubic(pt.u).discriminant()))
-              for pt in pts]
     for i in range(len(pts)):
         budget.check()
         for k in range(i + 1, len(pts)):

@@ -109,9 +109,10 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     for the sigma taking the representative r of x's orbit to x; a pair
     with an open vertex is met in that vertex's row.  On a set with no
     closed vertex this is the plain pairwise loop.  The budget is checked
-    once per representative.  The images are kept on the graph: on the
-    closed vertices the six maps are automorphisms that keep the vertex
-    degree, which `tabulate` uses to count one head per class of cliques.
+    once per representative, and inside each `resultant_form` derivation.
+    The images are kept on the graph: on the closed vertices the six maps
+    are automorphisms that keep the vertex degree, which `tabulate` uses to
+    count one head per class of cliques.
 
     Lemma: no resultant of the loop exceeds B = resultant_bound(coeffs).
     By Hadamard's inequality on the Sylvester matrix, which has deg g rows
@@ -178,7 +179,7 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     bound = max(resultant_bound(coeffs), 1)
     smooth = smooth_numbers_up_to(P, bound,
                                   limit=sum(n - 1 - at for at, _ in heads))
-    rows = _Lanes(coeffs, degrees, order, P, smooth, bound)
+    rows = _Lanes(coeffs, degrees, order, P, smooth, bound, budget)
     adj = [0] * n
     for at, r in heads:
         budget.check()
@@ -194,8 +195,8 @@ class _Lanes:
     """The smooth partners of a representative, read off packed rows of
     resultants (the Rows paragraph of `build_graph`)."""
 
-    def __init__(self, coeffs, degrees, order, P, smooth, bound):
-        self.coeffs, self.P = coeffs, P
+    def __init__(self, coeffs, degrees, order, P, smooth, bound, budget):
+        self.coeffs, self.P, self.budget = coeffs, P, budget
         self.width = -(-(bound.bit_length() + 1) // 64) * 64
         self.bias = bias = 1 << self.width - 1
         self.classes = {}     # degree -> (positions in order, vertices)
@@ -216,7 +217,7 @@ class _Lanes:
         members = self.classes[d][1]
         cols = list(zip(*[self.coeffs[j] for j in members]))
         out = []
-        for eb, _ in resultant_form(m, d):
+        for eb, _ in resultant_form(m, d, self.budget):
             vals = None       # the monomial's values, as one lazy map
             for col, e in zip(cols, eb):
                 if e:
@@ -239,7 +240,8 @@ class _Lanes:
             packs = self.packs[m, d] = self._packs(m, d)
         cut = self.width * k
         row, total = 0, 0
-        for (_, terms), pack in zip(resultant_form(m, d), packs):
+        for (_, terms), pack in zip(resultant_form(m, d, self.budget),
+                                    packs):
             c = 0
             for x, ea in terms:
                 c += x * prod(map(pow, f, ea))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, isqrt
 
 from .budget import Budget
@@ -134,8 +133,10 @@ def resultant_bound(polys) -> int:
                       for m in norms for n in norms), default=0))
 
 
-@cache
-def resultant_form(m: int, d: int) -> tuple:
+_FORMS = {}     # (m, d) -> resultant_form(m, d): one derivation per process
+
+
+def resultant_form(m: int, d: int, budget: Budget) -> tuple:
     """Res(f, g) for deg f = m >= 1 and deg g = d >= 1 as a form of degree m
     in the coefficients of g: a tuple of (eb, terms), one per monomial
     g_0^eb_0 ... g_d^eb_d, whose coefficient is the sum of k f^ea over the
@@ -145,8 +146,13 @@ def resultant_form(m: int, d: int) -> tuple:
     g's, leading coefficients first, so the sign is resultant_coeffs') is
     expanded column by column (Laplace), with a memo on the set of rows
     already used, over monomials in both coefficient lists.  Derived on
-    first use: (4, 4) takes a few milliseconds.
+    first use: (4, 4) takes a few milliseconds, but each degree costs 12 to
+    18 times the one before ((7, 7) takes seconds), so the budget is checked
+    once per new minor, and a refused derivation leaves nothing cached.
     """
+    form = _FORMS.get((m, d))
+    if form is not None:
+        return form
     n = m + d
     var = {}                  # (row, column) -> f_k as k, g_k as m + 1 + k
     for i in range(d):
@@ -162,6 +168,7 @@ def resultant_form(m: int, d: int) -> tuple:
         popcount(used) on, as {exponents: coefficient}."""
         got = memo.get(used)
         if got is None:
+            budget.check()
             c = used.bit_count()
             got = {}
             sign = 1
@@ -177,11 +184,16 @@ def resultant_form(m: int, d: int) -> tuple:
             memo[used] = got = {e: k for e, k in got.items() if k}
         return got
 
+    try:
+        top = minor(0)
+    finally:
+        memo.clear()          # minor refers to itself: free the memo now
     form = {}
-    for e, k in minor(0).items():
+    for e, k in top.items():
         form.setdefault(e[m + 1:], []).append((k, e[:m + 1]))
-    memo.clear()              # minor refers to itself: free the memo now
-    return tuple((eb, tuple(terms)) for eb, terms in sorted(form.items()))
+    form = _FORMS[m, d] = tuple((eb, tuple(terms))
+                                for eb, terms in sorted(form.items()))
+    return form
 
 
 # ---------------------------------------------------------------------------

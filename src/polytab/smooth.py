@@ -164,34 +164,6 @@ def is_unit_in(q, P: PrimeSet) -> bool:
     return is_smooth(q.numerator, P) and is_smooth(q.denominator, P)
 
 
-def squarefree_part(n: int) -> int:
-    """The unique square-free d with n = d * y^2, sign carried by d."""
-    if n == 0:
-        raise ZeroValueError("0 has no square-free part")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    d = 1
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e % 2:
-                d *= p
-        p += 1 if p == 2 else 2
-    return sign * d * m
-
-
-def squarefree_class(q) -> int:
-    """Square-free integer representative of a nonzero rational mod squares."""
-    q = Fraction(q)
-    if q == 0:
-        raise ZeroValueError("0 has no square class")
-    return squarefree_part(q.numerator * q.denominator)
-
-
 def _icbrt(n: int) -> int:
     """Integer cube root of n >= 0 (floor)."""
     if n < 2:

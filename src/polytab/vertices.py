@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .abc_search import (
@@ -37,7 +38,6 @@ from .abc_search import (
     canonical_triple,
     cubic_classes,
     delta_classes,
-    reference_cubic_partition,
     roots_of_F,
     search_abc,
 )
@@ -181,7 +181,7 @@ def build_degree2(P: PrimeSet, points):
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
     _require_members(points, VARIANT_I2I, P)
-    classes = delta_classes(points)
+    classes = delta_classes(points, P)
     irreducible = {}
     split = {}
     stats = {"triples": 0, "discarded": 0}
@@ -258,11 +258,19 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
     """Vertices of degree 3 from cubic classes {"a/b": [3-2-inf points]}.
 
     For each j in a class, the roots of F(j, k) for k = 0 and every k in
-    the class form one list; each ordered pair of distinct roots (m, n) in
-    it gives a candidate s^{m,n}, of degree 3 since m != n.  Candidates
-    that pass check_membership (which also fails a zero discriminant) are
-    closed under the marked-point action, which recovers the j = 0 members,
-    and labelled "cubic:<rep>".  stats counts candidates and rejected ones.
+    the class form one list, and each unordered pair {m, n} of it gives one
+    candidate s^{m,n}.  Members (check_membership also fails a zero
+    discriminant) are closed under the marked-point action, which adds the
+    j = 0 members and the swapped pairs, and labelled "cubic:<rep>".  stats
+    counts candidates and rejected ones.
+
+    No root is listed twice, so m != n and s^{m,n} has degree 3: with
+    F = k G^2 - j H^3, a finite root of F(j, k1) and F(j, k2), k1 != k2,
+    is a root of G and H, whose resultant 16 j (j - 1)^3 is nonzero; and
+    inf is a root for one k only.  Swap: _smn_coeffs(a, b, n, m) is
+    _smn_coeffs(a, b, m, n) at t -> 1 - t (D goes to -D, and D + p, D + q
+    are the swapped p, q), so s^{n,m} is a member exactly when s^{m,n} is,
+    and the closure, which re-checks every image, adds it.
     """
     if 2 not in P or 3 not in P:
         raise ValueError("degree-3 parametrization requires 2 and 3 in P")
@@ -278,16 +286,13 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
         for j in js:
             a, b = j.numerator, j.denominator
             roots = [m for k in [0] + js for m in roots_of_F(j, k)]
-            for m in roots:
-                for n in roots:
-                    if m == n:
-                        continue
-                    stats["candidates"] += 1
-                    s = NormalizedPoly(_primitive(_smn_coeffs(a, b, m, n)))
-                    if check_membership(s, P).ok:
-                        accepted.append(s)
-                    else:
-                        stats["rejected"] += 1
+            for m, n in combinations(roots, 2):
+                stats["candidates"] += 1
+                s = NormalizedPoly(_primitive(_smn_coeffs(a, b, m, n)))
+                if check_membership(s, P).ok:
+                    accepted.append(s)
+                else:
+                    stats["rejected"] += 1
         for t in _orbit_closure(accepted, P).values():
             out[t.coeffs] = Vertex(t, class_datum=f"cubic:{rep}")
     return sorted(out.values(), key=Vertex.sort_key)
@@ -434,11 +439,10 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     if max_degree >= 3:
         if 2 in P and 3 in P:
             pts, status = get_points(VARIANT_32I)
-            _require_members(pts, VARIANT_32I, P)  # before the filter below
-            irr = [pt for pt in pts if reference_cubic_partition(pt.u) == (3,)]
+            _require_members(pts, VARIANT_32I, P)  # before cubic_classes
             verts = []
             # one class at a time, so the budget is checked between classes
-            for rep, members in cubic_classes(irr, budget=budget).items():
+            for rep, members in cubic_classes(pts, P, budget=budget).items():
                 budget.check()
                 verts += build_degree3(P, {rep: members})
             vs.add_degree(3, verts, status)

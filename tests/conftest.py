@@ -50,6 +50,19 @@ def search_32i_23():
     return _timed(lambda: search_abc(PrimeSet([2, 3]), VARIANT_32I, 10 ** 11))
 
 
+@pytest.fixture(scope="session")
+def search_32i_235():
+    """3-2-inf over {2,3,5} at 1e9: no completeness source covers it."""
+    return _timed(lambda: search_abc(PrimeSet([2, 3, 5]), VARIANT_32I, 10 ** 9))
+
+
+@pytest.fixture(scope="session")
+def search_i2i_2357():
+    """inf-2-inf over {2,3,5,7} at 1e9: no completeness source covers it."""
+    return _timed(lambda: search_abc(PrimeSet([2, 3, 5, 7]), VARIANT_I2I,
+                                     10 ** 9))
+
+
 # --- vertex sets and graphs -------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from polytab.poly import (
     rational_roots,
     special_values,
 )
+from polytab.smooth import ZeroValueError
 from polytab.vertices import Vertex, _require_members, _smn_coeffs, roots_of_F
 
 # the point at infinity of the Fraction oracles below; the package writes
@@ -189,6 +190,35 @@ def is_smooth_naive(n, primes):
         while m % p == 0:
             m //= p
     return m == 1
+
+
+def squarefree_part(n: int) -> int:
+    """The unique square-free d with n = d * y^2, sign carried by d, by trial
+    division up to the square root of what is left."""
+    if n == 0:
+        raise ZeroValueError("0 has no square-free part")
+    sign = 1 if n > 0 else -1
+    m = abs(n)
+    d = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e % 2:
+                d *= p
+        p += 1 if p == 2 else 2
+    return sign * d * m
+
+
+def squarefree_class(q) -> int:
+    """Square-free integer representative of a nonzero rational mod squares."""
+    q = Fraction(q)
+    if q == 0:
+        raise ZeroValueError("0 has no square class")
+    return squarefree_part(q.numerator * q.denominator)
 
 
 def abc_brute_force(primes, variant, H):
@@ -791,7 +821,7 @@ def build_degree2_fraction(P, points):
     irreducible = {}
     split = {}
     stats = {"triples": 0, "discarded": 0}
-    for delta, members in sorted(delta_classes(points).items()):
+    for delta, members in sorted(delta_classes(points, P).items()):
         ws = [one] + sorted(pt.u for pt in members)
         wset = set(ws)
         for w0 in ws:

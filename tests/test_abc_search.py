@@ -248,9 +248,9 @@ def test_delta_classes_single_point():
     points, _ = search_abc(P23, VARIANT_I2I, 10)
     by_u = {pt.u: pt for pt in points}
     minus1 = by_u[Fraction(-1)]
-    classes = delta_classes([minus1])
+    classes = delta_classes([minus1], P23)
     assert set(classes) == {-2}
-    assert delta_classes([]) == {}
+    assert delta_classes([], P23) == {}
 
 
 def test_reference_cubic():
@@ -321,7 +321,7 @@ def test_roundtrip_json(tmp_path):
 def test_cubic_class_example_1372():
     points, _ = search_abc(P23, VARIANT_32I, 10 ** 7)
     classes = cubic_classes([pt for pt in points
-                             if reference_cubic_partition(pt.u) == (3,)])
+                             if reference_cubic_partition(pt.u) == (3,)], P23)
     for rep, members in classes.items():
         us = {pt.u for pt in members}
         if Fraction(1372, 3) in us:
@@ -355,7 +355,7 @@ def test_cubic_class_relation_symmetric_transitive():
     for a, b in pairs:
         assert has_rational_root_F(a, b) == has_rational_root_F(b, a)
     # transitivity: within a class every pair is related
-    classes = cubic_classes(irr)
+    classes = cubic_classes(irr, P23)
     for members in classes.values():
         us = [pt.u for pt in members]
         for a in us:

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polytab.abc_search import cubic_classes, read_points
+from polytab.smooth import PrimeSet
 from polytab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from polytab.vertices import TABLE5_REPRESENTATIVES
 
@@ -89,7 +91,8 @@ def test_vertices_ignore_cubic_labels_of_older_point_files(tmp_path):
                 "--height", "1e11", "--out", pts]) == EXIT_OK
     irr = [pt for pt in read_points(pts)[0] if pt.class_datum == "3"]
     label = {f"{pt.u.numerator}/{pt.u.denominator}": f"cubic:{rep}"
-             for rep, members in cubic_classes(irr).items() for pt in members}
+             for rep, members in cubic_classes(irr, PrimeSet([2, 3])).items()
+             for pt in members}
     payload = json.loads(pts.read_text())
     for rec in payload["points"]:
         rec["class"] = label.get(rec["u"], rec["class"])
@@ -219,6 +222,30 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_tabulate_degree8_honours_the_budget(tmp_path):
+    """Three degree-8 vertices need the (8, 8) resultant form, whose
+    derivation takes over a minute; under a 2 s budget the graph build is
+    refused (exit 3) within seconds, in a fresh process."""
+    from polytab.generators import fractal_family
+    from polytab.vertices import Vertex, VertexSet, write_vertex_set
+
+    vs = VertexSet(PrimeSet([2]))
+    vs.add_degree(8, [Vertex(s) for (i, _), s in fractal_family(2).items()
+                      if i == 2], "conditional")
+    vfile = tmp_path / "v8.json"
+    write_vertex_set(vfile, vs)
+    env_src = Path(__file__).resolve().parent.parent / "src"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polytab.cli", "tabulate", "--vertices", vfile],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin",
+             "POLYTAB_BUDGET_SECS": "2"},
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert time.monotonic() - t0 < 10
 
 
 # --- malformed point and vertex-set files -----------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -27,6 +28,8 @@ from polytab.poly import (
     s3_transform,
     special_values,
 )
+from polytab import poly
+from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import _poly_divmod_exact
 from polytab.smooth import PrimeSet, ZeroValueError
 from polytab.vertices import TABLE5_REPRESENTATIVES
@@ -204,7 +207,7 @@ def test_resultant_form_matches_resultant_coeffs():
 
     seen = {"zero": 0, "negative": 0, "shared": 0}
     for m, d in product(range(1, 5), repeat=2):
-        form = resultant_form(m, d)
+        form = resultant_form(m, d, Budget())
         assert len(form) == comb(m + d, m)
         for eb, terms in form:
             assert len(eb) == d + 1 and sum(eb) == m
@@ -240,8 +243,23 @@ def test_resultant_form_matches_sympy():
         g = sum(x * t ** i for i, x in enumerate(b))
         want = (sympy.resultant(f, g, t) if m >= d
                 else (-1) ** (m * d) * sympy.resultant(g, f, t))
-        got = _form_value(resultant_form(m, d), a, b)
+        got = _form_value(resultant_form(m, d, Budget()), a, b)
         assert sympy.Poly(got, *a, *b) == sympy.Poly(want, *a, *b), (m, d)
+
+
+def test_resultant_form_derivation_polls_the_budget():
+    """A fresh (7, 7) derivation takes seconds, and each degree costs 12 to
+    18 times the one before, so it checks the budget: under 0.2 s it is
+    refused, and a refused derivation leaves nothing cached."""
+    assert (7, 7) not in poly._FORMS
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        resultant_form(7, 7, Budget(seconds=0.2))
+    assert time.monotonic() - t0 < 2
+    assert (7, 7) not in poly._FORMS
+    # one derivation per (m, d): a cached form ignores the budget
+    form = resultant_form(2, 2, Budget())
+    assert resultant_form(2, 2, Budget(seconds=0)) is form
 
 
 def test_resultant_antisymmetry_and_multiplicativity():

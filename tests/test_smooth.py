@@ -11,8 +11,6 @@ from polytab.smooth import (
     is_smooth,
     is_unit_in,
     smooth_numbers_up_to,
-    squarefree_class,
-    squarefree_part,
 )
 
 from oracles import (
@@ -21,6 +19,8 @@ from oracles import (
     is_smooth_naive,
     smooth_count_exponent_loops,
     smooth_filter_naive,
+    squarefree_class,
+    squarefree_part,
 )
 
 from fractions import Fraction

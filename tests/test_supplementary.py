@@ -10,11 +10,11 @@ import pytest
 
 from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
 from polytab.poly import NormalizedPoly, _primitive
-from polytab.smooth import PrimeSet, squarefree_class
+from polytab.smooth import PrimeSet
 from polytab.cli import main as cli_main
 from polytab.vertices import _smn_coeffs
 
-from oracles import candidate_grid
+from oracles import candidate_grid, squarefree_class
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -25,7 +25,7 @@ def test_delta_class_sizes_235(search_i2i_235):
     from polytab.abc_search import delta_classes
 
     points, _ = search_i2i_235.value
-    sizes = {d: len(v) for d, v in delta_classes(points).items()}
+    sizes = {d: len(v) for d, v in delta_classes(points, P235).items()}
     want = {-30: 3, -15: 6, -10: 24, -6: 25, -5: 11, -3: 8, -2: 6, -1: 49,
             1: 12, 2: 9, 3: 2, 5: 9, 6: 6, 15: 13}
     assert sizes == want  # the two published zero classes (10, 30) are absent
@@ -104,7 +104,7 @@ def test_cubic_class_sizes_23(search_32i_23):
 
     points, _ = search_32i_23.value
     irr = [pt for pt in points if reference_cubic_partition(pt.u) == (3,)]
-    classes = cubic_classes(irr)
+    classes = cubic_classes(irr, P23)
     assert sorted(len(v) for v in classes.values()) == \
         [1, 1, 3, 4, 6, 9, 9, 10, 11]
 

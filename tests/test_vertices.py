@@ -1,9 +1,12 @@
+import hashlib
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dataclasses
 
@@ -12,13 +15,18 @@ from polytab.abc_search import (
     VARIANT_32I,
     VARIANT_I2I,
     VARIANT_III,
+    _square_class,
     cubic_classes,
+    delta_classes,
+    reference_cubic,
     reference_cubic_partition,
+    roots_of_F,
     search_abc,
 )
 from polytab.budget import Budget, BudgetExceededError
 from polytab.poly import (
     NormalizedPoly,
+    _one_minus,
     _primitive,
     check_membership,
     is_irreducible,
@@ -26,7 +34,7 @@ from polytab.poly import (
     s3_orbit,
     special_values,
 )
-from polytab.smooth import PrimeSet, is_smooth, squarefree_class
+from polytab.smooth import PrimeSet, is_smooth
 from polytab.vertices import (
     TABLE5_REPRESENTATIVES,
     VertexSet,
@@ -45,14 +53,18 @@ from polytab.vertices import _smn_coeffs
 from oracles import (
     INF,
     build_degree2_fraction,
+    f_resolvent_fraction,
     poly_height,
     recovered_w_triple,
     smn_coeffs_fraction,
+    squarefree_class,
+    squarefree_part,
 )
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
 P235 = PrimeSet([2, 3, 5])
+P2357 = PrimeSet([2, 3, 5, 7])
 
 
 def test_smn_coeffs_match_fraction_oracle():
@@ -178,18 +190,134 @@ def test_degree3_orbit_000_minus24(vs23):
 
 
 def test_degree3_candidates_23(search_32i_23):
-    """One root list per j: the {2,3} build at 1e11 tests 4,090 candidates,
-    rejects 2,672 and keeps 1,498 vertices in classes of the same sizes."""
+    """One candidate per unordered root pair: the {2,3} build at 1e11 tests
+    2,045 candidates, rejects 1,336 and keeps 1,498 vertices in classes of
+    the same sizes."""
     points, _ = search_32i_23.value
-    classes = cubic_classes([pt for pt in points
-                             if reference_cubic_partition(pt.u) == (3,)])
+    classes = cubic_classes(points, P23)
     assert sorted(len(m) for m in classes.values()) == \
         [1, 1, 3, 4, 6, 9, 9, 10, 11]
     stats = {}
     verts = build_degree3(P23, classes, stats)
-    assert stats == {"candidates": 4090, "rejected": 2672}
+    assert stats == {"candidates": 2045, "rejected": 1336}
     assert len(verts) == 1498
     assert {v.class_datum for v in verts} == {f"cubic:{rep}" for rep in classes}
+
+
+ROOTS = st.one_of(st.just((1, 0)),
+                  st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(-10 ** 6, 10 ** 6)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.integers(-10 ** 9, 10 ** 9), b=st.integers(1, 10 ** 9),
+       m=ROOTS, n=ROOTS)
+@example(a=-24, b=1, m=(1, 0), n=(1, 6))
+@example(a=4, b=3, m=(3, 8), n=(1, 0))
+def test_smn_swap_is_one_minus(a, b, m, n):
+    """Swap lemma: s^{n,m}(t) = s^{m,n}(1 - t), exactly on the integer
+    coefficients, with m or n at infinity too."""
+    assert _one_minus(_smn_coeffs(a, b, m, n)) == _smn_coeffs(a, b, n, m)
+
+
+def test_resolvent_roots_of_a_j_are_disjoint(search_32i_23):
+    """No-repeat lemma on {2,3}: for each j of a class, the roots of F(j, k)
+    for k = 0 and every k in the class are pairwise disjoint lists."""
+    points, _ = search_32i_23.value
+    for members in cubic_classes(points, P23).values():
+        js = [pt.u for pt in members]
+        for j in js:
+            roots = [r for k in [0] + js for r in roots_of_F(j, k)]
+            assert len(set(roots)) == len(roots), j
+
+
+def test_resolvent_parts_resultant():
+    """F = k G^2 - j H^3, and Res_y(G, H) = 16 j (j - 1)^3 (sympy, a
+    test-only check): a root shared by two k is a root of G and H."""
+    sympy = pytest.importorskip("sympy")
+    j, k, y = sympy.symbols("j k y")
+    G = j ** 2 * y ** 3 - 2 * j * y ** 3 + 3 * j * y ** 2 - 3 * j * y + 1
+    H = j * y ** 2 - 2 * y + 1
+    F = sum(c * y ** i for i, c in enumerate(f_resolvent_fraction(j, k)))
+    assert sympy.expand(F - (k * G ** 2 - j * H ** 3)) == 0
+    assert sympy.factor(sympy.resultant(G, H, y)) == \
+        sympy.factor(16 * j * (j - 1) ** 3)
+
+
+def test_square_classes_from_exponents(search_i2i_235, search_i2i_2357,
+                                       search_32i_23, search_32i_235):
+    """The P-exponent square class equals trial division on the A B of
+    every inf-2-inf point and on the reference-cubic discriminant of every
+    3-2-inf point, over the bench and conditional point sets."""
+    for P, search in ((P235, search_i2i_235), (P2357, search_i2i_2357)):
+        for pt in search.value[0]:
+            assert _square_class(pt.A * pt.B, P) == \
+                squarefree_part(pt.A * pt.B)
+    for P, search in ((P23, search_32i_23), (P235, search_32i_235)):
+        for pt in search.value[0]:
+            disc = reference_cubic(pt.u).discriminant()
+            assert _square_class(disc, P) == squarefree_part(disc)
+
+
+def test_square_class_refuses_non_members(search_i2i_235, search_32i_235):
+    """A rough part that is not a square is a ValueError, whether the number
+    or the prime set is wrong."""
+    with pytest.raises(ValueError):
+        _square_class(7, P23)
+    assert _square_class(7 * 36, PrimeSet([2, 3, 7])) == 7
+    i2i = next(pt for pt in search_i2i_235.value[0] if pt.class_datum % 5 == 0)
+    with pytest.raises(ValueError):
+        delta_classes([i2i], P23)
+    cubic = next(pt for pt in search_32i_235.value[0] if pt.class_datum == "3"
+                 and _square_class(reference_cubic(pt.u).discriminant(),
+                                   P235) % 5 == 0)
+    with pytest.raises(ValueError):
+        cubic_classes([cubic], P23)
+
+
+def test_cubic_classes_leave_out_reducible_cubics(search_32i_23):
+    points, _ = search_32i_23.value
+    irr = [pt for pt in points if reference_cubic_partition(pt.u) == (3,)]
+    assert (len(points), len(irr)) == (81, 54)
+    assert cubic_classes(points, P23) == cubic_classes(irr, P23)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_conditional_vertex_set_235_degree3(tmp_path, search_i2i_235,
+                                            search_32i_235):
+    """{2,3,5} to degree 3, with the 3-2-inf points at 1e9: a conditional
+    set, since no source certifies that search."""
+    points, cert = search_32i_235.value
+    assert len(points) == 393 and not cert.complete
+    assert Counter(pt.class_datum for pt in points) == \
+        {"3": 268, "21": 111, "111": 14}
+    vs = build_vertex_set(P235, 3, points_by_variant={
+        VARIANT_I2I: search_i2i_235.value, VARIANT_32I: (points, cert)})
+    assert vs.counts() == {1: 99, 2: 1927, 3: 17662}
+    assert len(vs.split_degree2) == 1020
+    assert vs.certificates[3] == "search-bounded"
+    write_vertex_set(tmp_path / "v.json", vs)
+    assert _sha256(tmp_path / "v.json") == \
+        "547ba3b749abcbfbebf6e7c8c46e0ec14edcac4c73c51d46c011eef7857c73f6"
+
+
+def test_conditional_vertex_set_2357_degree2(tmp_path, search_iii_2357,
+                                             search_i2i_2357):
+    """{2,3,5,7} to degree 2, with the inf-2-inf points at 1e9: a
+    conditional set, since no source certifies that search."""
+    points, cert = search_i2i_2357.value
+    assert len(points) == 775 and not cert.complete
+    vs = build_vertex_set(P2357, 2, points_by_variant={
+        VARIANT_III: search_iii_2357.value, VARIANT_I2I: (points, cert)})
+    assert vs.counts() == {1: 375, 2: 14599}
+    assert len(vs.split_degree2) == 9900
+    assert vs.certificates[2] == "search-bounded"
+    write_vertex_set(tmp_path / "v.json", vs)
+    assert _sha256(tmp_path / "v.json") == \
+        "685bdcfce73e2ea5278581973a7a02dd33f7a1c764fec744b8e1d8535f8e86c1"
 
 
 def test_degree3_ignores_point_labels(tmp_path, search_32i_23, vs23):
