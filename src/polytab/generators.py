@@ -297,7 +297,8 @@ def _pullback(cover: RationalCover, s: NormalizedPoly,
                       * s.discriminant() ** m)
         c = H[-1] // coeffs[-1]
         disc, rem = divmod(disc_H, c ** (2 * m * k - 2))
-        assert rem == 0, "pullback discriminant identity violated"
+        if rem:
+            raise AssertionError("pullback discriminant identity violated")
         with_discriminant(out, disc)
     return out
 
@@ -366,7 +367,8 @@ def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
     for j, seed in FRACTAL_SEEDS.items():
         out[(1, j)] = seed
         rep = check_membership(seed, P2)
-        assert rep.ok, (j, rep.failures)
+        if not rep.ok:
+            raise AssertionError(f"fractal seed {j} fails {rep.failures}")
     for i in range(1, i_max):
         for j in FRACTAL_SEEDS:
             budget.check()

@@ -11,16 +11,15 @@ coefficients, for evaluating one polynomial against many.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, count
 from math import gcd, isqrt
 
 from .budget import Budget
 from .smooth import PrimeSet, ZeroValueError, _is_prime, is_smooth
-
-
-class FactorSearchError(ValueError):
-    """Raised when factor_small cannot handle the input (degree/coefficients)."""
 
 
 # ---------------------------------------------------------------------------
@@ -459,49 +458,16 @@ def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
 
 
 # ---------------------------------------------------------------------------
-# small-degree factorization over Q
-
-
-def _factorize(n: int) -> dict:
-    """Prime factorization by trial division; refuses opaque hard cofactors."""
-    n = abs(n)
-    out = {}
-    for p in (2, 3, 5, 7):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 11
-    while d * d <= n and d < 10 ** 6:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        if _is_prime(n):
-            out[n] = out.get(n, 0) + 1
-        else:
-            r = isqrt(n)
-            if r * r == n and _is_prime(r):
-                out[r] = out.get(r, 0) + 2
-            else:
-                raise FactorSearchError(f"cannot factor constant {n}")
-    return out
-
-
-def _divisors(n: int) -> list:
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+# rational roots and factorization over Q
 
 
 def rational_roots(coeffs) -> list:
     """All rational roots (with multiplicity, sorted) of an integer polynomial.
 
     Candidates are the simple roots of the square-free part modulo a small
-    prime, Hensel-lifted and turned into fractions by rational
-    reconstruction; each is confirmed and divided out of c by exact integer
-    division by its linear factor, which also yields the multiplicities.
+    prime, Hensel-lifted and read off as linear factors in the symmetric
+    range; each is confirmed and divided out of c by exact integer division,
+    which also yields the multiplicities.
     Sound and complete for every input, and no coefficient is ever factored.
     """
     c = _trim(list(coeffs))
@@ -514,18 +480,18 @@ def rational_roots(coeffs) -> list:
     if len(c) <= 1:
         return roots
     c = _primitive(c)
-    for n, d in _root_candidates(c):
+    for lin in _root_candidates(c):
         while len(c) > 1:
-            q = _poly_divmod_exact(c, [-n, d])
+            q = _poly_divmod_exact(c, lin)
             if q is None:
                 break
-            roots.append(Fraction(n, d))
+            roots.append(Fraction(-lin[0], lin[1]))
             c = q
     roots.sort()
     return roots
 
 
-# --- rational root candidates by Hensel lifting -----------------------------
+# --- modulo a prime: rational root candidates, Zassenhaus's factoring ------
 
 
 def _primitive(c):
@@ -555,41 +521,24 @@ def _radical(c):
     return _primitive(c)
 
 
-def _rational_reconstruct(a: int, m: int, bound: int):
-    """(n, d) with n/d = a mod m, |n|, d <= bound and d > 0, if it exists.
-
-    Runs Euclid on (m, a) to the first remainder <= bound.  When m > 2 bound^2
-    every pair (n, d) of that size with n = a d mod m is an integer multiple
-    of the row found, so a lowest-terms pair, if one exists, is that row.
-    """
-    r0, r1 = m, a % m
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
 def _root_candidates(c):
-    """A list of (n, d) holding every rational root n/d of the primitive c.
+    """Linear factors [-n, d] of the primitive c, among them every d t - n
+    with n/d a rational root in lowest terms.
 
     With c(0) != 0 and r the square-free part of c, a root n/d in lowest terms
-    has n | r(0) and d | lead(r), so |n|, d <= B = max(|r(0)|, |lead r|), and
-    d is a unit modulo every prime q not dividing lead(r).  Modulo such a q
-    the root reduces to a root of r; no root mod q proves there is none.  If
-    every root mod q is simple (r' != 0 there, which fails only for the
-    finitely many q dividing disc(r), since r is square-free), each lifts by
-    Newton's iteration to a unique root modulo q^(2^i) > 2 B^2, and n/d is
-    the rational reconstruction of the lift of its own residue.  Non-roots
-    may slip in; the caller's exact division rejects them.
+    has n | r(0) and d | lead(r), and d is a unit modulo every prime q not
+    dividing lead(r).  Modulo such a q the root reduces to a root of r; no
+    root mod q proves there is none.  If every root mod q is simple (r' != 0
+    there, which fails only for the finitely many q dividing disc(r), since r
+    is square-free), each lifts by Newton's iteration to a unique root a
+    modulo q^(2^i) = m > 2 lead(r) |r(0)|.  Then lead(r) (t - a) is
+    (lead(r)/d) (d t - n) modulo m, whose coefficients are below m/2 in
+    size: read in the symmetric range, its primitive part is d t - n.
+    Non-roots may slip in; the caller's exact division rejects them.
     """
     r = _radical(c)
     dr = derivative_coeffs(r)
-    bound = max(abs(r[0]), r[-1])
-    limit = 2 * bound * bound
+    limit = 2 * r[-1] * abs(r[0])
     q = 1
     while True:
         q += 1
@@ -605,15 +554,9 @@ def _root_candidates(c):
         while m <= limit:
             m *= m
             a = (a - poly_eval(r, a) * pow(poly_eval(dr, a), -1, m)) % m
-        x = _rational_reconstruct(a, m, bound)
-        if x is not None:
-            cand.append(x)
+        n = -r[-1] * a % m
+        cand.append(_primitive([n - m if 2 * n > m else n, r[-1]]))
     return cand
-
-
-def _root_bound(c) -> int:
-    """Integer Cauchy bound: every complex root has magnitude below this."""
-    return 1 + max(abs(x) for x in c[:-1]) // abs(c[-1]) + 1
 
 
 def _poly_divmod_exact(c, d):
@@ -639,83 +582,137 @@ def _poly_divmod_exact(c, d):
     return q
 
 
-def _try_split_generic(c, k, budget: Budget):
-    """Search an integer degree-k factor of c by bounded coefficient scan.
+def _divmod_q(a, b, q):
+    """(quotient, remainder) of a by b != 0 in F_q[t], reduced modulo q."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, q)
+    quo = [0] * max(len(r) - db, 0)
+    for top in range(len(r) - 1, db - 1, -1):
+        x = quo[top - db] = r.pop() * inv % q
+        for i in range(db):
+            r[top - db + i] -= x * b[i]
+    return quo, _trim([x % q for x in r])
 
-    The factor's leading and constant coefficients run over the divisors of
-    those of c; its interior coefficients are lead times elementary symmetric
-    functions of k roots of c, so each is bounded by lead * C(k,i) * R^i with
-    R the Cauchy root bound.  Returns (factor, quotient) for the first factor
-    found in that order, or None.  factor_small scans every k with
-    2k <= deg(c).  The budget is checked once per value of every scanned
-    coefficient, so one trial division at most passes between checks.
+
+def _powmod_q(a, e, f, q):
+    """a^e modulo f in F_q[t], by squaring a^(e // 2)."""
+    if not e:
+        return [1]
+    h = _powmod_q(a, e >> 1, f, q)
+    return _divmod_q(poly_mul(poly_mul(h, h), a if e & 1 else [1]), f, q)[1]
+
+
+def _gcd_q(a, b, q):
+    """The monic gcd in F_q[t] of a, nonzero modulo q, and b."""
+    b = _trim([x % q for x in b])
+    while b:
+        a, b = b, _divmod_q(a, b, q)[1]
+    inv = pow(a[-1], -1, q)
+    return [x * inv % q for x in a]
+
+
+def _factor_mod(f, q, budget: Budget):
+    """The monic irreducible factors of the monic f, square-free modulo the
+    odd prime q.  Distinct degrees: with the factors of degree below d
+    divided out, gcd(f, t^(q^d) - t) is the product of those of degree d.
+    Equal degrees (Cantor-Zassenhaus): for g such a product and a random a,
+    a^((q^d - 1)/2) is 1 modulo each factor of g with probability about
+    1/2, independently, so gcd(g, a^((q^d - 1)/2) - 1) often splits g.
     """
-    R = _root_bound(c)
-    binom = [1]
-    for i in range(k):
-        binom.append(binom[-1] * (k - i) // (i + 1))
+    rng = random.Random(q)
+    out, h, d = [], [0, 1], 0           # h = t^(q^d) modulo f
+    while len(f) > 2 * d + 2:
+        budget.check()
+        d += 1
+        h = _powmod_q(h, q, f, q)
+        g = _gcd_q(f, [x - (i == 1) for i, x in enumerate(h + [0, 0])], q)
+        f, stack = _divmod_q(f, g, q)[0], [g]
+        while stack:
+            g = stack.pop()
+            if len(g) == d + 1:
+                out.append(g)
+            elif len(g) > 1:
+                budget.check()
+                a = [rng.randrange(q) for _ in range(len(g) - 1)]
+                b = _powmod_q(a, (q ** d - 1) // 2, g, q)
+                s = _gcd_q(g, [x - (i == 0) for i, x in enumerate(b + [0])], q)
+                stack += [s, _divmod_q(g, s, q)[0]] if len(s) < len(g) else [g]
+    return out + [f] * (len(f) > 1)
 
-    def rec(lead, prefix):
-        depth = len(prefix)
-        if depth == k:
-            q = _poly_divmod_exact(c, prefix + [lead])
-            return (prefix + [lead], q) if q is not None else None
-        bound = lead * binom[k - depth] * R ** (k - depth)
-        for v in range(-bound, bound + 1):
-            budget.check()
-            got = rec(lead, prefix + [v])
-            if got:
-                return got
-        return None
 
-    for a_lead in _divisors(c[-1]):
-        for f0 in _divisors(c[0]):
-            for f0s in (f0, -f0):
-                got = rec(a_lead, [f0s])
-                if got:
-                    return got
-    return None
+def _hensel_lift(f, us, q, bound):
+    """(Us, m): the monic irreducible factors us of f modulo q lifted to
+    monic Us with f = lead(f) prod(Us) modulo m, the first power of q above
+    bound.  Linear lifting: with c_i the inverse of lead(f) prod_{j != i} u_j
+    in the field F_q[t]/(u_i) (by Fermat), e = (f - lead(f) prod(Us)) / m
+    and d_i = e c_i mod u_i, lead(f) sum_i d_i prod_{j != i} u_j = e modulo
+    prod(us), as both have degree below deg f: Us_i + m d_i hold mod m q.
+    """
+    cs = [_powmod_q(reduce(poly_mul, us[:i] + us[i + 1:], [f[-1]]),
+                    q ** (len(u) - 1) - 2, u, q) for i, u in enumerate(us)]
+    lifted, m = [list(u) for u in us], q
+    while m <= bound:
+        prod = reduce(poly_mul, lifted, [f[-1]])
+        e = [(x - y) // m for x, y in zip(f, prod)]
+        for big, u, c in zip(lifted, us, cs):
+            for k, x in enumerate(_divmod_q(poly_mul(e, c), u, q)[1]):
+                big[k] += m * x
+        m *= q
+    return lifted, m
 
 
 def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
-    """Irreducible factorization over Q, factors normalized, with multiplicity.
+    """Irreducible factorization over Q, with multiplicity: the normalized
+    factors of s, sorted, whose product is s.
 
-    Rational roots come off first by exact division by their linear factors.
-    What remains (degree <= 8) has no linear factor, so it is either
-    irreducible or has a factor of degree k with 2 <= k <= deg/2, found by
-    the bounded coefficient scan of _try_split_generic.  Sufficient for
-    every vertex degree in this package; larger inputs are refused.
+    Zassenhaus's route, sound for every degree and size of coefficient: the
+    square-free part f of s is factored modulo q, the least odd prime not
+    dividing lead(f) that keeps f square-free (small, so _is_prime is exact
+    on it), and the factors are lifted modulo m = q^k > 2 lead(f) 2^n |f|_2
+    (n = deg f).  A factor g of f over Z has |g|_inf <= 2^n |f|_2
+    (Mignotte) and lead(g) | lead(f), so lead(f) g / lead(g) is lead(f)
+    times the product of the lifted factors of g in the symmetric range.
+    Subsets of lifted factors are tried by size; the first whose candidate
+    divides f is an irreducible factor (a proper factor would have come from
+    a smaller subset).  Multiplicities come from exact division of s.  The
+    budget is polled in the splitting loops and once per subset.
     """
     budget = budget or Budget.from_env()
-    factors = []
     c = list(s.coeffs)
-    for r in rational_roots(c):
-        lin = [-r.numerator, r.denominator]
-        factors.append(NormalizedPoly(lin))
-        c = _poly_divmod_exact(c, lin)
-        if c is None:
-            raise ValueError("deflation by a non-root")
-    deg = len(c) - 1
-    if deg == 0:
-        return sorted(factors, key=lambda f: f.sort_key())
-    if deg > 8:
-        raise FactorSearchError(f"degree {deg} after root extraction exceeds 8")
-    stack = [c]
-    while stack:
-        c = stack.pop()
-        split = None
-        for k in range(2, (len(c) - 1) // 2 + 1):
-            split = _try_split_generic(c, k, budget)
-            if split is not None:
+    if len(c) == 1:
+        return []
+    f = _radical(c)
+    q = next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
+             and len(_gcd_q(f, derivative_coeffs(f), q)) == 1)
+    us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q, budget)
+    if len(us) > 1:
+        bound = (2 * f[-1] << len(f) - 1) * (isqrt(sum(x * x for x in f)) + 1)
+        us, m = _hensel_lift(f, us, q, bound)
+    factors, n = [], 1
+    while 2 * n <= len(us):
+        for subset in combinations(range(len(us)), n):
+            budget.check()
+            g = reduce(poly_mul, [us[i] for i in subset], [f[-1]])
+            g = _primitive([(x + m // 2) % m - m // 2 for x in g])
+            if (h := _poly_divmod_exact(f, g)) is not None:
+                factors.append(g)
+                f = h
+                us = [u for i, u in enumerate(us) if i not in subset]
                 break
-        if split is None:
-            factors.append(normalize(c)[0])
         else:
-            stack.extend(split)
-    return sorted(factors, key=lambda f: f.sort_key())
+            n += 1
+    out = []
+    for g in factors + [f]:
+        while (quo := _poly_divmod_exact(c, g)) is not None:
+            out.append(NormalizedPoly(g))
+            c = quo
+    return sorted(out, key=lambda f: f.sort_key())
 
 
 def is_irreducible(s: NormalizedPoly, budget: Budget | None = None) -> bool:
+    """Whether s is irreducible over Q: the discriminant decides degree 2,
+    the rational roots degree 3, and factor_small, under the budget, above."""
     if s.degree == 1:
         return True
     if s.degree == 2:

@@ -108,12 +108,6 @@ class SmoothFactorization:
             v *= p ** e
         return v * self.rough
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.exponents:
-            if q == p:
-                return e
-        return 0
-
 
 def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
     """Split a nonzero integer into its P-part and rough cofactor.

@@ -334,9 +334,10 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
 
     Every candidate is re-checked for membership and then irreducibility, so
     bad rows in a candidate file are reported and skipped, never admitted.
-    Membership goes first because it is cheap, while the irreducibility scan
-    grows with the coefficients and would stall on a large non-member.  The
-    budget is checked once per candidate and inside the irreducibility scan.
+    Membership goes first because it is cheap and rejects most bad rows;
+    irreducibility of degree 4 and up is decided by factor_small (modular
+    factoring with recombination, sound for every size of coefficient).  The
+    budget is checked once per candidate and inside factor_small's loops.
     Returns ({degree: [Vertex]}, IngestReport).
     """
     budget = budget or Budget.from_env()

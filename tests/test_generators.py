@@ -18,7 +18,7 @@ from polytab.generators import (
     validate_cover,
     verify_named,
 )
-from polytab import poly
+from polytab import generators, poly
 from polytab.poly import (
     NormalizedPoly,
     check_membership,
@@ -186,6 +186,28 @@ def test_pullback_discriminant_identity_any_map(numer, denom, a, b, low, lead):
     except CoverValidationError:
         assume(False)
     assert h._disc == _prs_disc(h)
+
+
+def test_pullback_identity_check_raises(monkeypatch):
+    # t -> 2t^2 pulls t - 2 back to H = 2t^2 - 2, of content c = 2, so the
+    # division of disc(H) by c^2 is exact only with the true D; the check is
+    # a raise, not an assert, so it also holds under python -O
+    cover = RationalCover("2t^2", NormalizedPoly((0, 0, 1)),
+                          NormalizedPoly((1,)), Fraction(2))
+    s = NormalizedPoly((-2, 1))
+    assert _pullback(cover, s, Budget()).coeffs == (-1, 0, 1)
+    real = generators._pencil_discriminant
+    monkeypatch.setattr(generators, "_pencil_discriminant",
+                        lambda A, B, m: [x + 1 for x in real(A, B, m)])
+    with pytest.raises(AssertionError, match="identity"):
+        _pullback(cover, s, Budget())
+
+
+def test_fractal_seed_check_raises(monkeypatch):
+    # t^2 + 3 has s(0) = 3, outside the {2}-monoid
+    monkeypatch.setitem(FRACTAL_SEEDS, 0, NormalizedPoly((3, 0, 1)))
+    with pytest.raises(AssertionError, match="seed 0"):
+        fractal_family(1)
 
 
 def test_fractal_discriminants_match_prs():

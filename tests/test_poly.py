@@ -572,12 +572,26 @@ def test_poly_divmod_exact():
     assert _poly_divmod_exact([1, 1], [2, 2]) is None
 
 
-def test_factor_small_matches_sympy():
+def sympy_factorization(s):
+    """The sorted normalized factor coefficients of s, with multiplicity."""
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
+    _, facs = sympy.factor_list(sympy.Poly(list(reversed(s.coeffs)), t))
+    want = []
+    for f, mult in facs:
+        coeffs = [int(x) for x in reversed(f.all_coeffs())]
+        want += [normalize(coeffs)[0].coeffs] * mult
+    return sorted(want)
+
+
+def test_factor_small_matches_sympy():
     rng = random.Random(16)
     cases = [NP(*c) for reps in TABLE5_REPRESENTATIVES.values() for c in reps]
     cases.append(product_poly([(-2, 0, 0, 1), (1, 1, 0, 1)]))  # cubic x cubic
+    # repeated non-linear factors
+    cases.append(product_poly([(1, 0, 1), (1, 0, 1), (-2, 0, 0, 1)]))
+    cases.append(product_poly([(1, 1, 1)] * 3 + [(-3, 0, 0, 0, 1)] * 2))
+    cases.append(product_poly([(0, 1)] * 2 + [(2, -4, 1)] * 4))
     while len(cases) < 80:
         prod = [1]
         for _ in range(rng.randint(1, 3)):
@@ -586,13 +600,38 @@ def test_factor_small_matches_sympy():
                             + [rng.randint(1, 3)])
         if any(prod) and len(prod) - 1 <= 5:
             cases.append(normalize(prod)[0])
+    # products up to degree 12, some factors repeated
+    while len(cases) < 160:
+        prod = [1]
+        for _ in range(rng.randint(2, 5)):
+            d = rng.randint(1, 4)
+            f = [rng.randint(-9, 9) for _ in range(d)] + [rng.randint(1, 4)]
+            for _ in range(rng.choice((1, 1, 2))):
+                prod = poly_mul(prod, f)
+        if any(prod) and 6 <= len(prod) - 1 <= 12:
+            cases.append(normalize(prod)[0])
     for s in cases:
-        _, facs = sympy.factor_list(sympy.Poly(list(reversed(s.coeffs)), t))
-        want = []
-        for f, mult in facs:
-            coeffs = [int(x) for x in reversed(f.all_coeffs())]
-            want += [normalize(coeffs)[0].coeffs] * mult
-        assert sorted(f.coeffs for f in factor_small(s)) == sorted(want), s
+        assert sorted(f.coeffs for f in factor_small(s)) \
+            == sympy_factorization(s), s
+
+
+def test_factor_small_answers_within_budget():
+    # each defeats a bounded coefficient scan: t^4 + 123200 by the size of
+    # its search, t^4 + 1000003 * 1000033 by a constant term that trial
+    # division cannot factor, t^10 + 1 by its degree
+    for s in (NP(123200, 0, 0, 0, 1), NP(1000003 * 1000033, 0, 0, 0, 1),
+              NP(1, *[0] * 9, 1)):
+        assert sorted(f.coeffs for f in factor_small(s, Budget(seconds=5))) \
+            == sympy_factorization(s), s
+
+
+def test_factor_small_polls_the_budget():
+    # irreducible, yet it splits modulo every prime, so its factors modulo q
+    # must be split and recombined, and both loops poll the budget
+    s = NP(1, 0, -10, 0, 1)
+    assert factor_small(s) == [s]
+    with pytest.raises(BudgetExceededError):
+        factor_small(s, Budget(seconds=0))
 
 
 def test_check_membership():
@@ -619,5 +658,5 @@ def test_check_membership_s3_invariant():
 def test_partition_of():
     clique = product_poly([(2, -2, 1), (-2, 0, 1), (2, -4, 1), (-2, 1)])
     assert partition_of(clique) == (2, 2, 2, 1)
-    with pytest.raises(Exception):
-        partition_of(product_poly(BIG23_FACTORS))  # degree 35: out of range
+    # degree 35: eleven cubics and a quadratic
+    assert partition_of(product_poly(BIG23_FACTORS)) == (3,) * 11 + (2,)

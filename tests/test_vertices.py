@@ -384,8 +384,7 @@ def test_ingest_rejects():
     assert not ingested and report.rejected[0][1] == "membership"
     ingested, report = ingest_units([(1, 0, -6, 0, 1)], P2)  # splits
     assert not ingested and report.rejected[0][1] == "reducible"
-    # s(1) = 1000013 is no unit; the irreducibility scan alone would take
-    # minutes on these coefficients
+    # s(1) = 1000013 is no unit, so membership rejects it before factoring
     ingested, report = ingest_units([(1, 1000003, 3, 5, 1)], P2)
     assert not ingested and report.rejected[0][1] == "membership"
     ingested, report = ingest_units([(0,), (0, 0, 0), (5,)], P2)
@@ -466,14 +465,34 @@ def test_vertex_build_polls_budget_after_searches(search_32i_23):
         ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
 
 
+class _ChecksLeft(Budget):
+    """A budget that refuses once it has been checked `left` times."""
+
+    def __init__(self, left):
+        super().__init__()
+        self.left = left
+
+    def check(self):
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceededError("no checks left")
+
+
 def test_ingest_budget_stops_irreducibility_scan():
-    # t^4 + 123200 passes membership over {2,...,13}; proving it irreducible
-    # by the coefficient scan takes minutes, so the budget must stop the scan
+    # t^4 + 123200 passes membership over {2,...,13} and is irreducible; a
+    # bounded coefficient scan needs minutes to show it.  Ingestion admits it
+    # well within the budget, and the budget reaches inside the check.
+    P = PrimeSet([2, 3, 5, 7, 11, 13])
     start = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        ingest_units([(123200, 0, 0, 0, 1)], PrimeSet([2, 3, 5, 7, 11, 13]),
-                     budget=Budget(seconds=1))
+    got, report = ingest_units([(123200, 0, 0, 0, 1)], P,
+                               budget=Budget(seconds=5))
     assert time.monotonic() - start < 5
+    assert report.accepted == 1 and not report.rejected
+    assert NormalizedPoly((123200, 0, 0, 0, 1)) in {
+        v.poly for v in got[4]}
+    with pytest.raises(BudgetExceededError):
+        # one check per candidate, then the next one is inside factor_small
+        ingest_units([(123200, 0, 0, 0, 1)], P, budget=_ChecksLeft(1))
 
 
 def test_parse_candidate_file(tmp_path):
