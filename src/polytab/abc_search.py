@@ -23,7 +23,9 @@ table is built only where it costs less than the tests it removes
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -447,7 +449,35 @@ def cubic_classes(points, P: PrimeSet, budget: Budget | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# JSON point-set files
+# polytab files: one writer per format and one JSON reader
+
+
+@contextmanager
+def _output(path):
+    """A text stream on path, closed on exit; "-" is stdout, left open."""
+    if path == "-":
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write_json(path, payload) -> None:
+    """payload as indented JSON and a newline, streamed to path."""
+    with _output(path) as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _write_lines(path, lines) -> int:
+    """Each line and a newline, streamed to path; the number of lines."""
+    count = 0
+    with _output(path) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+            count += 1
+    return count
 
 
 def write_points(path, points, cert: SearchCertificate) -> None:
@@ -469,9 +499,7 @@ def write_points(path, points, cert: SearchCertificate) -> None:
             for pt in points
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def _shown(x, width: int = 80) -> str:
@@ -497,21 +525,22 @@ def _json_ints(xs) -> tuple:
     return tuple(_json_int(x) for x in xs)
 
 
-def _read_json(path):
-    """The JSON payload of a file; ValueError if it is not JSON or nests too
-    deeply for the parser."""
+def _read_json(path, schema: str) -> dict:
+    """The JSON object of a file tagged with schema; ValueError if it is not
+    JSON, nests too deeply for the parser or carries another tag."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            payload = json.load(fh)
         except RecursionError as exc:
             raise ValueError(f"{path} nests too deeply") from exc
+    if not isinstance(payload, dict) or payload.get("schema") != schema:
+        raise ValueError(f"not a {schema} file: {path}")
+    return payload
 
 
 def read_points(path):
     """Points and certificate of a point-set file; ValueError if malformed."""
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or payload.get("schema") != POINTS_SCHEMA:
-        raise ValueError(f"not a point-set file: {path}")
+    payload = _read_json(path, POINTS_SCHEMA)
     try:
         variant = payload["variant"]
         if variant not in VARIANTS:

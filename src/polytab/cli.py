@@ -12,20 +12,20 @@ Exit codes: 0 success, 2 validation failure, 3 resource-budget refusal
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from math import isfinite
 from pathlib import Path
 
 from .abc_search import (
     VARIANTS,
+    _write_json,
+    _write_lines,
     read_points,
     search_abc,
     write_points,
 )
 from .budget import Budget, BudgetExceededError
 from .cliques import (
-    CompatGraph,
     build_graph,
     count_u_nu,
     enumerate_cliques,
@@ -66,16 +66,10 @@ def _parse_height(text: str) -> int:
     return int(v)
 
 
-def _out_stream(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
-def cmd_search(args) -> int:
+def cmd_search(args, budget) -> int:
     P = _parse_primes(args.primes)
     H = _parse_height(args.height)
-    points, cert = search_abc(P, args.variant, H)
+    points, cert = search_abc(P, args.variant, H, budget=budget)
     write_points(args.out, points, cert)
     note = "" if cert.complete else " (search-bounded)"
     print(f"{len(points)} points -> {args.out}{note}")
@@ -84,7 +78,7 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_vertices(args) -> int:
+def cmd_vertices(args, budget) -> int:
     P = _parse_primes(args.primes)
     points = {}
     for variant, path in ((VARIANTS[0], args.points_iii),
@@ -97,76 +91,55 @@ def cmd_vertices(args) -> int:
             points[variant] = (pts, cert)
     candidates = parse_candidate_file(args.candidates) if args.candidates else None
     vs = build_vertex_set(P, args.max_degree, points_by_variant=points,
-                          candidates=candidates)
+                          candidates=candidates, budget=budget)
     write_vertex_set(args.out, vs)
     print(f"vertices by degree {vs.counts()} -> {args.out}")
     return EXIT_OK
 
 
-def _graph_from_file(path) -> CompatGraph:
-    vs = read_vertex_set(path)
-    return build_graph(vs)
-
-
-def cmd_tabulate(args) -> int:
-    g = _graph_from_file(args.vertices)
+def cmd_tabulate(args, budget) -> int:
+    g = build_graph(read_vertex_set(args.vertices), budget)
     kappa = parse_kappa(args.kappa, max(g.degrees)) if args.kappa else None
     if args.enumerate:
-        stream, close = _out_stream(args.out)
-        try:
-            count = 0
-            for clique in enumerate_cliques(g, kappa=kappa,
-                                            max_size=args.max_size,
-                                            limit=args.limit):
-                stream.write("".join(
-                    f"({g.vertices[i].poly.format()})" for i in clique) or "(1)")
-                stream.write("\n")
-                count += 1
-        finally:
-            if close:
-                stream.close()
+        cliques = enumerate_cliques(g, kappa=kappa, max_size=args.max_size,
+                                    budget=budget, limit=args.limit)
+        count = _write_lines(args.out, (
+            "".join(f"({g.vertices[i].poly.format()})" for i in clique)
+            or "(1)" for clique in cliques))
         print(f"{count} cliques enumerated", file=sys.stderr)
         return EXIT_OK
-    table = tabulate(g, max_size=args.max_size, kappa=kappa)
+    table = tabulate(g, max_size=args.max_size, kappa=kappa, budget=budget)
     if args.format == "json":
-        payload = table.to_json_payload(g.P)
-        text = json.dumps(payload, indent=1) + "\n"
+        _write_json(args.out, table.to_json_payload(g.P))
     else:
-        text = table.to_csv()
-    stream, close = _out_stream(args.out)
-    stream.write(text)
-    if close:
-        stream.close()
+        _write_lines(args.out, table.to_csv().splitlines())
+    if args.out != "-":
         print(f"partition table -> {args.out}")
     return EXIT_OK
 
 
-def cmd_unu(args) -> int:
-    g = _graph_from_file(args.vertices)
+def cmd_unu(args, budget) -> int:
+    g = build_graph(read_vertex_set(args.vertices), budget)
     nu = tuple(int(x) for x in args.nu.replace(",", " ").split())
-    print(count_u_nu(g, nu))
+    print(count_u_nu(g, nu, budget=budget))
     return EXIT_OK
 
 
-def cmd_series(args) -> int:
+def cmd_series(args, budget) -> int:
     P = _parse_primes(args.primes)
-    series = cyclo_series(P, args.kmax)
-    payload = {
+    series = cyclo_series(P, args.kmax, budget)
+    _write_json(args.out, {
         "schema": "polytab.series/1",
         "primes": list(P.primes),
         "kmax": series.kmax,
         "coefficients": [str(c) for c in series.coeffs],
-    }
-    stream, close = _out_stream(args.out)
-    json.dump(payload, stream, indent=1)
-    stream.write("\n")
-    if close:
-        stream.close()
+    })
+    if args.out != "-":
         print(f"series through x^{args.kmax} -> {args.out}")
     return EXIT_OK
 
 
-def cmd_pullback(args) -> int:
+def cmd_pullback(args, budget) -> int:
     P = _parse_primes(args.primes)
     covers = builtin_covers()
     if args.cover not in covers:
@@ -175,26 +148,21 @@ def cmd_pullback(args) -> int:
     cover = covers[args.cover]
     validate_cover(cover, P)
     s, _ = normalize([int(x) for x in args.poly.replace(",", " ").split()])
-    out = pullback(cover, s, P)
-    payload = {
+    out = pullback(cover, s, P, budget)
+    _write_json(args.out, {
         "schema": "polytab.poly/1",
         "primes": list(P.primes),
         "cover": args.cover,
         "input": [str(c) for c in s.coeffs],
         "coeffs": [str(c) for c in out.coeffs],
         "degree": out.degree,
-    }
-    stream, close = _out_stream(args.out)
-    json.dump(payload, stream, indent=1)
-    stream.write("\n")
-    if close:
-        stream.close()
+    })
     return EXIT_OK
 
 
-def cmd_fractal(args) -> int:
-    fam = fractal_family(args.imax)
-    payload = {
+def cmd_fractal(args, budget) -> int:
+    fam = fractal_family(args.imax, budget)
+    _write_json(args.out, {
         "schema": "polytab.fractal/1",
         "imax": args.imax,
         "verified": True,
@@ -203,16 +171,11 @@ def cmd_fractal(args) -> int:
              "coeffs": [str(c) for c in s.coeffs]}
             for (i, j), s in sorted(fam.items())
         ],
-    }
-    stream, close = _out_stream(args.out)
-    json.dump(payload, stream, indent=1)
-    stream.write("\n")
-    if close:
-        stream.close()
+    })
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, budget) -> int:
     rep = verify_named(args.name)
     status = "PASS" if rep.ok else "FAIL"
     print(f"{args.name}: {status} (degree {rep.poly.degree}, "
@@ -221,86 +184,80 @@ def cmd_verify(args) -> int:
     return EXIT_OK if rep.ok else EXIT_VALIDATION
 
 
-SEED_TABLE_NAMES = ("littletab", "deg1row", "v235", "v23", "v2", "series")
+def _grid(count, header, rows, drop_zeros=False):
+    """CSV lines of a grid: the header, then per (labels, keys) row its
+    labels and count(key) for each key; rows of zeros are left out when
+    drop_zeros."""
+    yield ",".join(header)
+    for labels, keys in rows:
+        cells = [str(count(key)) for key in keys]
+        if not drop_zeros or any(c != "0" for c in cells):
+            yield ",".join([*labels, *cells])
 
 
-def cmd_seed_tables(args) -> int:
+def _b_by_a(bmax, amax):
+    """The grid of the cells 2^b 1^a of a table, a row per b <= bmax."""
+    cols = range(amax + 1)
+    return lambda t: _grid(t.count, ["b\\a", *map(str, cols)],
+                           (([str(b)], [(a, b) for a in cols])
+                            for b in range(bmax + 1)))
+
+
+def _c_a_by_b(t):
+    """The grid of the cells 3^c 2^b 1^a of a table, a row per (c, a <= 3)
+    that holds a clique."""
+    bs = range(max((e[1] for e in t.counts), default=0) + 1)
+    cs = range(max((e[2] for e in t.counts), default=0) + 1)
+    return _grid(t.count, ["c", "a", *(f"b={b}" for b in bs)],
+                 (([str(c), str(a)], [(a, b, c) for b in bs])
+                  for c in cs for a in range(4)), drop_zeros=True)
+
+
+def _a_b_by_d(t):
+    """The grid of the cells 4^d 2^b 1^a of a table, a row per a <= 1 and
+    b <= 3."""
+    ds = range(5)
+    return _grid(t.count, ["a", "b", *(f"d={d}" for d in ds)],
+                 (([str(a), str(b)], [(a, b, 0, d) for d in ds])
+                  for a in (0, 1) for b in range(4)))
+
+
+# name, file, primes, max degree (of the vertices, or of the series), grid
+SEED_TABLES = (
+    ("littletab", "polys-2b1a-over-2.csv", (2,), 2, _b_by_a(3, 1)),
+    ("deg1row", "polys-1a-over-2357.csv", (2, 3, 5, 7), 1,
+     lambda t: _grid(t.count, ["a", *map(str, range(10))],
+                     [(["count"], [(a,) for a in range(10)])])),
+    ("v235", "polys-2b1a-over-235.csv", (2, 3, 5), 2, _b_by_a(15, 5)),
+    ("v23", "polys-3c2b1a-over-23.csv", (2, 3), 3, _c_a_by_b),
+    ("v2", "polys-4d2b1a-over-2.csv", (2,), 4, _a_b_by_d),
+    ("series", "cyclo-series-235.csv", (2, 3, 5), 1000,
+     lambda s: _grid(s.coeffs.__getitem__, ["k", "count"],
+                     (([str(k)], [k]) for k in range(s.kmax + 1)))),
+)
+SEED_TABLE_NAMES = tuple(row[0] for row in SEED_TABLES)
+
+
+def cmd_seed_tables(args, budget) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    budget = Budget.from_env()
     wanted = set(args.only.split(",")) if args.only else set(SEED_TABLE_NAMES)
     unknown = wanted - set(SEED_TABLE_NAMES)
     if unknown:
         raise ValueError(f"unknown table name(s) {sorted(unknown)}; "
                          f"choose from {SEED_TABLE_NAMES}")
-
-    def emit(name, text):
-        (outdir / name).write_text(text, encoding="utf-8")
-        print(f"wrote {outdir / name}")
-
-    if "littletab" in wanted:
-        vs2 = build_vertex_set(PrimeSet([2]), 2, budget=budget)
-        t2 = tabulate(build_graph(vs2))
-        emit("polys-2b1a-over-2.csv", _grid_csv_rows_b_cols_a(t2, bmax=3, amax=1))
-
-    if "deg1row" in wanted:
-        vs1 = build_vertex_set(PrimeSet([2, 3, 5, 7]), 1, budget=budget)
-        t1 = tabulate(build_graph(vs1))
-        rows = ["a," + ",".join(str(a) for a in range(10)),
-                "count," + ",".join(str(t1.count((a,))) for a in range(10))]
-        emit("polys-1a-over-2357.csv", "\n".join(rows) + "\n")
-
-    if "v235" in wanted:
-        vs235 = build_vertex_set(PrimeSet([2, 3, 5]), 2, budget=budget)
-        t235 = tabulate(build_graph(vs235))
-        emit("polys-2b1a-over-235.csv",
-             _grid_csv_rows_b_cols_a(t235, bmax=15, amax=5))
-
-    if "v23" in wanted:
-        vs23 = build_vertex_set(PrimeSet([2, 3]), 3, budget=budget)
-        t23 = tabulate(build_graph(vs23))
-        emit("polys-3c2b1a-over-23.csv", _grid_csv_v23(t23))
-
-    if "v2" in wanted:
-        vs24 = build_vertex_set(PrimeSet([2]), 4, budget=budget)
-        t24 = tabulate(build_graph(vs24))
-        emit("polys-4d2b1a-over-2.csv", _grid_csv_v2(t24))
-
-    if "series" in wanted:
-        series = cyclo_series(PrimeSet([2, 3, 5]), 1000)
-        emit("cyclo-series-235.csv",
-             "k,count\n" + "\n".join(f"{k},{c}"
-                                     for k, c in enumerate(series.coeffs)) + "\n")
+    for name, filename, primes, degree, grid in SEED_TABLES:
+        if name not in wanted:
+            continue
+        P = PrimeSet(primes)
+        if name == "series":
+            table = cyclo_series(P, degree, budget)
+        else:
+            vs = build_vertex_set(P, degree, budget=budget)
+            table = tabulate(build_graph(vs, budget), budget=budget)
+        _write_lines(outdir / filename, grid(table))
+        print(f"wrote {outdir / filename}")
     return EXIT_OK
-
-
-def _grid_csv_rows_b_cols_a(table, bmax, amax) -> str:
-    lines = ["b\\a," + ",".join(str(a) for a in range(amax + 1))]
-    for b in range(bmax + 1):
-        lines.append(str(b) + "," + ",".join(
-            str(table.count((a, b))) for a in range(amax + 1)))
-    return "\n".join(lines) + "\n"
-
-
-def _grid_csv_v23(table) -> str:
-    cmax = max((e[2] for e in table.counts), default=0)
-    bmax = max((e[1] for e in table.counts), default=0)
-    lines = ["c,a," + ",".join(f"b={b}" for b in range(bmax + 1))]
-    for c in range(cmax + 1):
-        for a in range(4):
-            row = [str(table.count((a, b, c))) for b in range(bmax + 1)]
-            if any(x != "0" for x in row):
-                lines.append(f"{c},{a}," + ",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _grid_csv_v2(table) -> str:
-    lines = ["a,b," + ",".join(f"d={d}" for d in range(5))]
-    for a in (0, 1):
-        for b in range(4):
-            row = [str(table.count((a, b, 0, d))) for d in range(5)]
-            lines.append(f"{a},{b}," + ",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one clock per command: every stage it runs polls this budget
+        return args.func(args, Budget.from_env())
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

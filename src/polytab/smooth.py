@@ -19,11 +19,11 @@ class ZeroValueError(ValueError):
     """Raised when 0 is passed where a nonzero integer/rational is required."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: exact below 3.3e24, a
+    """Miller-Rabin to the first thirteen prime bases: exact below 3.3e24, a
     strong probable-prime test above, and fast for any size of n."""
     if n < 2:
         return False

@@ -23,7 +23,6 @@ file can never inject a wrong vertex.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, isqrt, lcm
@@ -35,6 +34,7 @@ from .abc_search import (
     _json_ints,
     _read_json,
     _shown,
+    _write_json,
     canonical_triple,
     cubic_classes,
     delta_classes,
@@ -162,7 +162,7 @@ def build_degree1(points, P: PrimeSet):
 # degree 2
 
 
-def build_degree2(P: PrimeSet, points):
+def build_degree2(P: PrimeSet, points, budget: Budget | None = None):
     """All degree-2 members: (irreducible vertices, split polynomials, stats).
 
     Split polynomials are the products of two linear members (square
@@ -177,7 +177,9 @@ def build_degree2(P: PrimeSet, points):
 
     reduced by one gcd and looked up among the pairs.  The quadratic
     w0 + (w1 - w0 - winf) t + winf t^2 is cleared by lcm(b, d, den winf).
+    The budget is polled once per w0.
     """
+    budget = budget or Budget.from_env()
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
     _require_members(points, VARIANT_I2I, P)
@@ -190,6 +192,7 @@ def build_degree2(P: PrimeSet, points):
                          for u in sorted(pt.u for pt in members)]
         wset = set(ws)
         for a, b in ws:
+            budget.check()
             ab = a * (b - a)
             for c, d in ws:
                 sq = ab * c * (d - c)
@@ -433,7 +436,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     if max_degree >= 2:
         if 2 in P:
             pts, status = get_points(VARIANT_I2I)
-            verts, vs.split_degree2, _ = build_degree2(P, pts)
+            verts, vs.split_degree2, _ = build_degree2(P, pts, budget=budget)
             vs.add_degree(2, verts, status)
         else:
             vs.add_degree(2, [], "unsupported: 2 not in prime set")
@@ -486,16 +489,12 @@ def write_vertex_set(path, vs: VertexSet) -> None:
         },
         "split_degree2": [[str(c) for c in s.coeffs] for s in vs.split_degree2],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def read_vertex_set(path) -> VertexSet:
     """The vertex set of a vertex-set file; ValueError if malformed."""
-    payload = _read_json(path)
-    if not isinstance(payload, dict) or payload.get("schema") != VERTEX_SCHEMA:
-        raise ValueError(f"not a vertex-set file: {path}")
+    payload = _read_json(path, VERTEX_SCHEMA)
     try:
         vs = VertexSet(PrimeSet(_json_ints(payload["primes"])))
         for d_str, block in payload["degrees"].items():

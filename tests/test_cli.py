@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polytab.abc_search import cubic_classes, read_points
+from polytab.budget import Budget
 from polytab.smooth import PrimeSet
 from polytab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 from polytab.vertices import TABLE5_REPRESENTATIVES
@@ -55,7 +57,7 @@ def test_search_non_finite_height_exit_2(tmp_path):
 def test_memory_error_is_a_refusal(monkeypatch, capsys):
     """Running out of memory (here simulated) exits 3, not with a
     traceback."""
-    def exhausted(P, kmax):
+    def exhausted(P, kmax, budget):
         raise MemoryError
 
     monkeypatch.setattr("polytab.cli.cyclo_series", exhausted)
@@ -246,6 +248,53 @@ def test_tabulate_degree8_honours_the_budget(tmp_path):
     )
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert time.monotonic() - t0 < 10
+
+
+def test_one_budget_per_command(tmp_path, monkeypatch, capsys):
+    """main() starts one budget clock per command and every stage polls it,
+    so POLYTAB_BUDGET_SECS caps the whole command, not each stage."""
+    vfile = tmp_path / "v2.json"
+    run(["vertices", "--primes", "2", "--max-degree", "2", "--out", vfile])
+    made = []
+    init = Budget.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Budget, "__init__", counted)
+    for argv in (
+            ["search", "--primes", "2", "--variant", "inf-2-inf",
+             "--height", "1e5", "--out", tmp_path / "p.json"],
+            ["vertices", "--primes", "2", "--max-degree", "2",
+             "--out", tmp_path / "v.json"],
+            ["tabulate", "--vertices", vfile],
+            ["tabulate", "--vertices", vfile, "--enumerate"],
+            ["unu", "--vertices", vfile, "--nu", "2,1,1,1"],
+            ["series", "--primes", "2,3", "--kmax", "20"],
+            ["pullback", "--cover", "trinomial:2", "--poly", "1,1",
+             "--primes", "2"],
+            ["fractal", "--imax", "2"],
+            ["verify", "--name", "big23"],
+            ["seed-tables", "--out-dir", tmp_path, "--only", "littletab"]):
+        made.clear()
+        assert run(argv) == EXIT_OK
+        assert len(made) == 1, argv
+
+
+SEED_SUMS = Path(__file__).resolve().parent / "seed_tables.sha256"
+
+
+def test_seed_tables_match_checksums(tmp_path, capsys):
+    """seed-tables writes the six reference tables byte for byte as recorded
+    in seed_tables.sha256 (a `sha256sum -c` file)."""
+    assert run(["seed-tables", "--out-dir", tmp_path]) == EXIT_OK
+    sums = dict(line.split()[::-1]
+                for line in SEED_SUMS.read_text().splitlines())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(sums)
+    for name, digest in sums.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+            == digest, name
 
 
 # --- malformed point and vertex-set files -----------------------------------

@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polytab.budget import Budget, BudgetExceededError
 from polytab.generators import (
@@ -154,9 +154,15 @@ def _prs_disc(h):
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(low=st.lists(st.integers(-9, 9), min_size=1, max_size=5),
        lead=st.integers(1, 9))
+@example(low=[-2], lead=1)
+@example(low=[1, 0], lead=1)
+@example(low=[1, 1], lead=1)
 def test_pullback_discriminant_matches_prs(name, low, lead):
     # every builtin cover, the deg numer < deg denom ones included; s of
-    # degree 1-5 whose pullback keeps degree m k (a drop raises)
+    # degree 1-5 whose pullback keeps degree m k (a drop raises), and always
+    # t - 2, t^2 + 1 and t^2 + t + 1: every builtin cover pulls them back to
+    # content 1, where _pullback's own check (disc(H) divisible by a power
+    # of the content) cannot fire
     cover = builtin_covers()[name]
     s = normalize(low + [lead])[0]
     try:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from polytab.smooth import (
     PrimeSet,
     ZeroValueError,
+    _is_prime,
     decompose_power,
     factor_over,
     is_smooth,
@@ -43,6 +44,17 @@ def test_primeset_validation():
     for composite in (561, 3215031751, (2 ** 31 - 1) * (2 ** 61 - 1)):
         with pytest.raises(ValueError):
             PrimeSet([composite])
+
+
+def test_is_prime_past_twelve_bases():
+    """399165290221 * 798330580441 is a strong pseudoprime to the twelve
+    bases 2 ... 37; base 41 makes the test exact below 3.3e24."""
+    sympy = pytest.importorskip("sympy")
+    n = 318665857834031151167461
+    assert not sympy.isprime(n)
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not a prime"):
+        PrimeSet([n])
 
 
 def test_first_good_prime():

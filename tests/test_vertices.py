@@ -465,6 +465,13 @@ def test_vertex_build_polls_budget_after_searches(search_32i_23):
         ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
 
 
+def test_degree2_polls_the_budget(search_i2i_235):
+    """build_degree2 polls its budget once per w0, so a spent budget stops
+    it."""
+    with pytest.raises(BudgetExceededError):
+        build_degree2(P235, search_i2i_235.value[0], budget=Budget(seconds=0))
+
+
 class _ChecksLeft(Budget):
     """A budget that refuses once it has been checked `left` times."""
 
