@@ -17,7 +17,6 @@ from .poly import (
     discriminant,
     factor_small,
     normalize,
-    resultant,
     s3_orbit,
     s3_transform,
     special_values,

@@ -158,8 +158,7 @@ def roots_of_F(j: Fraction, k: Fraction) -> list:
     if j in (0, 1):
         raise ValueError("j must avoid 0 and 1")
     coeffs = f_resolvent_coeffs(j, k)
-    roots = list(dict.fromkeys((r.numerator, r.denominator)
-                               for r in rational_roots(coeffs)))
+    roots = rational_roots(coeffs)
     if coeffs[-1] == 0:
         roots.append((1, 0))
     return roots

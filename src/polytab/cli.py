@@ -81,14 +81,13 @@ def cmd_search(args, budget) -> int:
 def cmd_vertices(args, budget) -> int:
     P = _parse_primes(args.primes)
     points = {}
-    for variant, path in ((VARIANTS[0], args.points_iii),
-                          (VARIANTS[1], args.points_i2i),
-                          (VARIANTS[2], args.points_32i)):
-        if path:
-            pts, cert = read_points(path)
-            if cert.variant != variant or tuple(cert.primes) != P.primes:
-                raise ValueError(f"{path} is not a {variant} point set over {P}")
-            points[variant] = (pts, cert)
+    for path in args.points:
+        pts, cert = read_points(path)
+        if tuple(cert.primes) != P.primes:
+            raise ValueError(f"{path} is not a point set over {P}")
+        if cert.variant in points:
+            raise ValueError(f"{path} is a second {cert.variant} point set")
+        points[cert.variant] = (pts, cert)
     candidates = parse_candidate_file(args.candidates) if args.candidates else None
     vs = build_vertex_set(P, args.max_degree, points_by_variant=points,
                           candidates=candidates, budget=budget)
@@ -176,7 +175,7 @@ def cmd_fractal(args, budget) -> int:
 
 
 def cmd_verify(args, budget) -> int:
-    rep = verify_named(args.name)
+    rep = verify_named(args.name, budget)
     status = "PASS" if rep.ok else "FAIL"
     print(f"{args.name}: {status} (degree {rep.poly.degree}, "
           f"membership {rep.membership_ok}, disc match {rep.disc_matches}, "
@@ -277,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vertices", help="build the vertex set up to a degree")
     p.add_argument("--primes", required=True)
     p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--points-iii")
-    p.add_argument("--points-i2i")
-    p.add_argument("--points-32i")
+    p.add_argument("--points", action="append", default=[], metavar="FILE",
+                   help="a point file (its certificate names the variant); "
+                        "repeat for other variants")
     p.add_argument("--candidates", help="degree >= 4 candidate file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_vertices)

@@ -48,13 +48,14 @@ from operator import mul
 from .budget import Budget, BudgetExceededError
 from .poly import (
     MARKED,
+    _one_minus,
     projective_point,
     rational_roots,
     resultant_bound,
     # not called: bench/tracing.py PATCHES wraps cliques.resultant_fast
     resultant_fast,
     resultant_form,
-    s3_transform,
+    s3_images,
 )
 from .smooth import PrimeSet, is_smooth, smooth_numbers_up_to
 from .vertices import VertexSet
@@ -72,8 +73,8 @@ class CompatGraph:
     degrees: list             # per-vertex degree
     adj: list                 # per-vertex bitmask of all its neighbors
     P: PrimeSet
-    # per vertex: its images under the six marked-point maps, in one fixed
-    # order of the group, for a closed vertex, and (i,) for an open one
+    # per vertex: its images under the six marked-point maps, in
+    # S3_ELEMENTS order, for a closed vertex, and (i,) for an open one
     images: list
 
     @property
@@ -149,24 +150,22 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     degrees = [v.poly.degree for v in verts]
     n = len(verts)
     index = {c: i for i, c in enumerate(coeffs)}    # a repeat: its last copy
-    # the generators t -> 1 - t and t -> 1/t as index maps (None: no image
-    # among the vertices); a vertex tuple has a nonzero last entry, so an
-    # image that drops its degree is never found
-    flip, inv = [], []
-    for v, c in zip(verts, coeffs):
-        flip.append(index.get(s3_transform(v.poly, "(01)").coeffs))
-        c = c[::-1]
-        inv.append(index.get(c if c[-1] > 0 else tuple(-x for x in c)))
-    # images[i]: i under e, flip, inv, flip inv, inv flip, flip inv flip
+
+    def find(c):
+        """The vertex of the coefficient form c up to sign, or None; a vertex
+        tuple has a positive last entry, so an image that drops its degree
+        is never found."""
+        return index.get(tuple(c) if c[-1] > 0 else tuple(-x for x in c))
+
+    # the generators t -> 1 - t and t -> 1/t as index maps
+    flip = [find(_one_minus(c)) for c in coeffs]
+    inv = [find(c[::-1]) for c in coeffs]
     images = []
     for i in range(n):
-        a, b = flip[i], inv[i]
-        ab = None if b is None else flip[b]
-        ba = None if a is None else inv[a]
-        aba = None if ba is None else flip[ba]
+        im = s3_images(i, flip.__getitem__, inv.__getitem__)
         # the earlier copies of a repeated vertex stay open
-        closed = index[coeffs[i]] == i and None not in (a, b, ab, ba, aba)
-        images.append((i, a, b, ab, ba, aba) if closed else (i,))
+        closed = index[coeffs[i]] == i and None not in im
+        images.append(im if closed else (i,))
     order = [i for i in range(n) if len(images[i]) == 1]
     heads = list(enumerate(order))      # (position in order, representative)
     placed = set(order)
@@ -881,24 +880,18 @@ def _image(mat, pts):
 
 
 def _s3_images(pts):
-    """The images of pts, a set of primitive pairs, under the six maps that
-    permute 0, 1, inf: x, 1 - x, 1/x, 1/(1 - x), (x - 1)/x and x/(x - 1), in
-    that order.
+    """The images of pts, a set of primitive pairs, in S3_ELEMENTS order
+    (`poly.s3_images`).
 
-    They are words in x -> 1 - x, which sends (n, d) to (d - n, d), and
-    x -> 1/x, which sends (n, d) to (d, n).  Both keep a pair primitive, so
-    each image needs only a sign fix (inf = (1, 0)), no gcd.
+    The generators x -> 1 - x and x -> 1/x send (n, d) to (d - n, d) and to
+    (d, n).  Both keep a pair primitive, so each image needs only a sign fix
+    (inf = (1, 0)), no gcd.
     """
-    flip, inv, inv_flip, flip_inv, inv_flip_inv = [], [], [], [], []
-    for n, d in pts:
-        m = d - n                                   # 1 - x = (m, d)
-        flip.append((m, d) if d else (1, 0))
-        inv.append((d, n) if n > 0 else (-d, -n) if n else (1, 0))
-        inv_flip.append((d, m) if m > 0 else (-d, -m) if m else (1, 0))
-        flip_inv.append((-m, n) if n > 0 else (m, -n) if n else (1, 0))
-        inv_flip_inv.append((n, -m) if m < 0 else (-n, m) if m else (1, 0))
-    return (frozenset(pts), frozenset(flip), frozenset(inv),
-            frozenset(inv_flip), frozenset(flip_inv), frozenset(inv_flip_inv))
+    return s3_images(
+        frozenset(pts),
+        lambda s: frozenset((d - n, d) if d else (1, 0) for n, d in s),
+        lambda s: frozenset((d, n) if n > 0 else (-d, -n) if n else (1, 0)
+                            for n, d in s))
 
 
 def _perm_order(mat, pts) -> int:
@@ -948,11 +941,12 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     Each polynomial's root set together with the marked points 0, 1, inf is
     carried around the projective line by the maps sending ordered triples of
     the set to (0, 1, inf); polynomials landing on each other join a packet.
-    Points are primitive integer pairs (n, d), inf = (1, 0).  Returns
-    (packets, mass) where mass = sum of 1/|stabilizer| and must equal
-    len(polys) / ((a+3)(a+2)(a+1)) with a the root count.  roots, when
-    given, lists each polynomial's roots (ints or Fractions) in the same
-    order as polys.
+    Points are primitive integer pairs (n, d), inf = (1, 0), as
+    `rational_roots` returns them.  Returns (packets, mass) where mass =
+    sum of 1/|stabilizer| and must equal len(polys) / ((a+3)(a+2)(a+1))
+    with a the root count.  roots, when given, lists each polynomial's
+    roots (ints or Fractions) in the same order as polys; they are
+    converted to pairs once.
 
     Each unordered triple {p, q, r} of a key K gives one image I = T(K), T
     the map sending (p, q, r) to (0, 1, inf).  The map of any other ordering
@@ -971,12 +965,14 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     polys = list(polys)
     if not polys:
         raise ValueError("no polynomials to group into packets")
-    if roots is None:
+    given = roots is not None
+    if not given:
         roots = []
         for s in polys:
             rr = rational_roots(s.coeffs)
             if len(rr) != s.degree:
-                raise ValueError(f"{s} does not split into linear factors")
+                raise ValueError(f"{s} does not split into distinct linear "
+                                 "factors")
             roots.append(rr)
     if len(roots) != len(polys):
         raise ValueError(f"{len(roots)} root lists for {len(polys)} polynomials")
@@ -987,10 +983,9 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         if len(rr) != a:
             raise ValueError("every polynomial must have the same number "
                              "of roots")
-        pts = set()
-        for r in rr:
-            x = (r.numerator, r.denominator)
-            pts.add(canon.setdefault(x, x))
+        if given:             # per polynomial: no list of all pairs is held
+            rr = [(r.numerator, r.denominator) for r in rr]
+        pts = {canon.setdefault(x, x) for x in rr}
         if len(pts) != a:
             raise ValueError("split polynomials here must be separable")
         key = frozenset(pts).union(MARKED)

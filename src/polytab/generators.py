@@ -447,20 +447,26 @@ class NamedReport:
         return self.membership_ok and self.disc_matches and self.partition_matches
 
 
-def verify_named(name: str) -> NamedReport:
+def verify_named(name: str, budget: Budget | None = None) -> NamedReport:
     """Rebuild a registry polynomial from its factors and check everything.
 
     The factors are pairwise compatible when the product passes the
     membership predicate (the discriminant contains every pairwise resultant
     squared).  Membership says nothing of how the product splits, so the
     partition matches only when the listed degrees are the entry's and every
-    listed factor is irreducible.
+    listed factor is irreducible.  The budget is polled once per listed
+    factor and passed to its irreducibility test.
     """
     if name not in NAMED_REGISTRY:
         raise KeyError(f"unknown name {name!r}; known: {sorted(NAMED_REGISTRY)}")
+    budget = budget or Budget.from_env()
     entry = NAMED_REGISTRY[name]
     P = PrimeSet(entry["primes"])
     factors = [NormalizedPoly(fc) for fc in entry["factors"]]
+    irreducible = []
+    for f in factors:
+        budget.check()
+        irreducible.append(is_irreducible(f, budget))
     poly = _product(entry["factors"])
     rep = check_membership(poly, P)
     disc = poly.discriminant()
@@ -472,6 +478,5 @@ def verify_named(name: str) -> NamedReport:
         disc=disc,
         disc_matches=disc == entry["disc"],
         partition=partition,
-        partition_matches=(partition == entry["partition"]
-                           and all(map(is_irreducible, factors))),
+        partition_matches=partition == entry["partition"] and all(irreducible),
     )

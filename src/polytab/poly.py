@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from itertools import combinations, count
 from math import gcd, isqrt
 
@@ -321,10 +321,6 @@ def special_values(s: NormalizedPoly):
     return s.coeffs[0], sum(s.coeffs), s.coeffs[-1]
 
 
-def resultant(a: NormalizedPoly, b: NormalizedPoly) -> int:
-    return resultant_coeffs(a.coeffs, b.coeffs)
-
-
 def derivative_coeffs(c):
     return [i * c[i] for i in range(1, len(c))]
 
@@ -377,27 +373,34 @@ def projective_point(n: int, d: int) -> tuple:
     return n // g, d // g
 
 
-# group element -> the permutation p sending MARKED[i] to MARKED[p[i]]
+# group element -> the permutation p sending MARKED[i] to MARKED[p[i]]; every
+# list of S3 images in the package follows this order
 S3_ELEMENTS = {
     "e": (0, 1, 2),
-    "(01)": (1, 0, 2),
-    "(0inf)": (2, 1, 0),
-    "(1inf)": (0, 2, 1),
-    "(01inf)": (1, 2, 0),   # 0 -> 1 -> inf -> 0
-    "(0inf1)": (2, 0, 1),   # 0 -> inf -> 1 -> 0
+    "(01)": (1, 0, 2),      # t -> 1 - t
+    "(0inf)": (2, 1, 0),    # t -> 1/t
+    "(1inf)": (0, 2, 1),    # t -> t/(t - 1)
+    "(01inf)": (1, 2, 0),   # t -> 1/(1 - t): 0 -> 1 -> inf -> 0
+    "(0inf1)": (2, 0, 1),   # t -> (t - 1)/t: 0 -> inf -> 1 -> 0
 }
 
-# each element acts on polynomials by substituting its inverse map, spelled
-# as the generator substitutions to apply in turn: "r" for t -> 1/t and "f"
-# for t -> 1 - t
-_S3_WORDS = {
-    "e": "",
-    "(01)": "f",        # 1 - t
-    "(0inf)": "r",      # 1/t
-    "(1inf)": "rfr",    # t/(t - 1)
-    "(01inf)": "fr",    # (t - 1)/t
-    "(0inf1)": "rf",    # 1/(1 - t)
-}
+
+def s3_images(x, flip, inv) -> tuple:
+    """The images of x under the elements of S3_ELEMENTS, in that order.
+
+    flip(y) and inv(y) are the images of an object y under the generators
+    t -> 1 - t and t -> 1/t, both involutions.  The other elements are
+    words in them: (1inf) is inv flip inv, (01inf) is inv after flip and
+    (0inf1) flip after inv, so the six images take five generator steps.
+    A generator may return None for an image that does not exist (a vertex
+    outside the set); every word through it is then None.
+    """
+    def then(step, y):
+        return None if y is None else step(y)
+
+    fx, rx = flip(x), inv(x)
+    frx = then(flip, rx)
+    return x, fx, rx, then(inv, frx), then(inv, fx), frx
 
 
 def _one_minus(c):
@@ -411,28 +414,30 @@ def _one_minus(c):
     return [-x if j & 1 else x for j, x in enumerate(c)]
 
 
-def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
-    """Image of s under the group element g, re-normalized.
+def _s3_polys(s: NormalizedPoly) -> tuple:
+    """The images of s in S3_ELEMENTS order, re-normalized.
 
-    g moves the marked points (and the roots of s) by its fractional-linear
-    map, so s is substituted with the inverse map, spelled in the generators
-    t -> 1/t and t -> 1 - t.  On the coefficients of the degree-k form
+    Each element moves the marked points (and the roots of s) by its
+    fractional-linear map.  On the coefficients of the degree-k form
     y^k s(x/y), t -> 1/t is reversal and t -> 1 - t a Taylor shift, both
-    invertible over Z, so the image is primitive like s: only its trailing
+    invertible over Z, so an image is primitive like s: only its trailing
     zeros (the degree drops when s(0) = 0 or s(1) = 0) and its sign are
     left to fix.
     """
-    c = list(s.coeffs)
-    for step in _S3_WORDS[g]:
-        c = c[::-1] if step == "r" else _one_minus(c)
-    c = _trim(c)
-    if c[-1] < 0:
-        c = [-x for x in c]
-    return NormalizedPoly(c)
+    out = []
+    for c in s3_images(list(s.coeffs), _one_minus, lambda c: c[::-1]):
+        c = _trim(c)
+        out.append(NormalizedPoly(c if c[-1] > 0 else [-x for x in c]))
+    return tuple(out)
+
+
+def s3_transform(s: NormalizedPoly, g: str) -> NormalizedPoly:
+    """Image of s under the group element g, re-normalized (`_s3_polys`)."""
+    return dict(zip(S3_ELEMENTS, _s3_polys(s)))[g]
 
 
 def s3_orbit(s: NormalizedPoly) -> frozenset:
-    return frozenset(s3_transform(s, g) for g in S3_ELEMENTS)
+    return frozenset(_s3_polys(s))
 
 
 # ---------------------------------------------------------------------------
@@ -462,32 +467,31 @@ def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
 
 
 def rational_roots(coeffs) -> list:
-    """All rational roots (with multiplicity, sorted) of an integer polynomial.
+    """The distinct rational roots of an integer polynomial, as primitive
+    pairs (n, d) with d > 0 (zero is (0, 1)), ascending.
 
     Candidates are the simple roots of the square-free part modulo a small
     prime, Hensel-lifted and read off as linear factors in the symmetric
-    range; each is confirmed and divided out of c by exact integer division,
-    which also yields the multiplicities.
-    Sound and complete for every input, and no coefficient is ever factored.
+    range; each is confirmed by exact integer division, which also divides
+    it out.  Sound and complete for every input, and no coefficient is ever
+    factored.
     """
     c = _trim(list(coeffs))
     if not c:
         raise ZeroValueError("zero polynomial")
     roots = []
-    while c[0] == 0:
-        roots.append(Fraction(0))
-        c = c[1:]
-    if len(c) <= 1:
-        return roots
-    c = _primitive(c)
-    for lin in _root_candidates(c):
-        while len(c) > 1:
+    if c[0] == 0:
+        roots.append((0, 1))
+        while c[0] == 0:
+            c = c[1:]
+    if len(c) > 1:
+        c = _primitive(c)
+        for lin in _root_candidates(c):
             q = _poly_divmod_exact(c, lin)
-            if q is None:
-                break
-            roots.append(Fraction(-lin[0], lin[1]))
-            c = q
-    roots.sort()
+            if q is not None:
+                roots.append((-lin[0], lin[1]))
+                c = q
+    roots.sort(key=cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1]))
     return roots
 
 

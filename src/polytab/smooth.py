@@ -176,33 +176,22 @@ def _icbrt(n: int) -> int:
 def decompose_power(n: int, k: int, P: PrimeSet):
     """Write n = a * x^k with a in P*, if possible.
 
-    For k = 3 the sign rides on a and x > 0; for k = 2, a is the (signed)
-    square-free smooth representative and x > 0.  Returns None when the
-    rough cofactor of n is not a perfect k-th power.
+    The sign rides on a, x > 0, and each prime of P divides a fewer than k
+    times (for k = 2, a is the signed square-free smooth representative).
+    Returns None when the rough cofactor of n is not a perfect k-th power.
     """
     if n == 0:
         raise ZeroValueError("0 has no smooth power decomposition")
     if k not in (2, 3):
         raise ValueError("only k = 2 and k = 3 are supported")
     f = factor_over(n, P)
-    if k == 2:
-        r = isqrt(f.rough)
-        if r * r != f.rough:
-            return None
-        a = f.sign
-        x = r
-        for p, e in f.exponents:
-            a *= p ** (e % 2)
-            x *= p ** (e // 2)
-        return a, x
-    r = _icbrt(f.rough)
-    if r * r * r != f.rough:
+    r = isqrt(f.rough) if k == 2 else _icbrt(f.rough)
+    if r ** k != f.rough:
         return None
-    a = f.sign
-    x = r
+    a, x = f.sign, r
     for p, e in f.exponents:
-        a *= p ** (e % 3)
-        x *= p ** (e // 3)
+        a *= p ** (e % k)
+        x *= p ** (e // k)
     return a, x
 
 

@@ -166,7 +166,8 @@ def build_degree2(P: PrimeSet, points, budget: Budget | None = None):
     """All degree-2 members: (irreducible vertices, split polynomials, stats).
 
     Split polynomials are the products of two linear members (square
-    discriminant); they are returned normalized but are not vertices.
+    discriminant, which `is_irreducible` reads); they are returned
+    normalized but are not vertices.
 
     The class members and the sentinel 1 are primitive pairs, w = n/d with
     d > 0.  For w0 = a/b and w1 = c/d the root of the triple relation is
@@ -218,12 +219,10 @@ def build_degree2(P: PrimeSet, points, budget: Budget | None = None):
                         raise ValueError(
                             f"triple ({a}/{b},{c}/{d},{e}/{f}) produced "
                             f"non-member {s} over {P}")
-                    disc = s.discriminant()
-                    r = isqrt(abs(disc))
-                    if disc > 0 and r * r == disc:
-                        split[s.coeffs] = s
-                    else:
+                    if is_irreducible(s):
                         irreducible[s.coeffs] = Vertex(s, class_datum=delta)
+                    else:
+                        split[s.coeffs] = s
     vertices = sorted(irreducible.values(), key=Vertex.sort_key)
     split_polys = sorted(split.values(), key=NormalizedPoly.sort_key)
     return vertices, split_polys, stats

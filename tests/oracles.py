@@ -20,6 +20,7 @@ from polytab.poly import (
     normalize,
     poly_mul,
     rational_roots,
+    resultant_coeffs,
     special_values,
 )
 from polytab.smooth import ZeroValueError
@@ -75,6 +76,12 @@ def resultant_sylvester(f, g):
     if len(f) - 1 == 0 and len(g) - 1 == 0:
         return 1
     return det_bareiss(sylvester_matrix(f, g))
+
+
+def resultant(a, b):
+    """Res(a, b) of two NormalizedPolys by the package's PRS (moved from
+    polytab.poly, where only the tests called it)."""
+    return resultant_coeffs(a.coeffs, b.coeffs)
 
 
 def _res_22(f, g):
@@ -335,56 +342,6 @@ def smooth_count_exponent_loops(H):
             p23 *= 3
         p2 *= 2
     return count
-
-
-def rational_roots_naive(coeffs):
-    """Rational roots with multiplicity, sorted: every p/q with p | c(0) and
-    q | lead (divisors from a trial-division factorization) is evaluated in
-    Fraction arithmetic and divided out by synthetic division for as long as
-    it stays a root."""
-
-    def divisors(n):
-        n = abs(int(n))
-        out = [1]
-        d = 2
-        while d * d <= n:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e:
-                out = [x * d ** k for x in out for k in range(e + 1)]
-            d += 1
-        if n > 1:
-            out += [x * n for x in out]
-        return out
-
-    def value(c, x):
-        return sum(ci * x ** i for i, ci in enumerate(c))
-
-    def deflate(c, x):
-        out = [Fraction(0)] * (len(c) - 1)
-        acc = Fraction(0)
-        for i in range(len(c) - 1, 0, -1):
-            acc = acc * x + c[i]
-            out[i - 1] = acc
-        return out
-
-    c = [Fraction(x) for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    roots = []
-    while c[0] == 0:
-        roots.append(Fraction(0))
-        c = c[1:]
-    leads = divisors(c[-1])
-    cands = {Fraction(s * p, q) for p in divisors(c[0]) for q in leads
-             for s in (1, -1)}
-    for x in cands:
-        while len(c) > 1 and value(c, x) == 0:
-            roots.append(x)
-            c = deflate(c, x)
-    return sorted(roots)
 
 
 def cliques_by_partition_naive(degrees, lesser, max_size=None):
@@ -786,14 +743,13 @@ def f_resolvent_fraction(j, k):
 
 
 def roots_of_F_fraction(j, k):
-    """Roots of F(j,k,y) in Q union {INF} with multiplicity: INF counts
-    6 - deg times."""
+    """The distinct roots of F(j,k,y) in Q union {INF}, from the Fraction
+    resolvent: INF when its degree is below 6."""
     j, k = Fraction(j), Fraction(k)
     coeffs = f_resolvent_fraction(j, k)
-    roots = list(rational_roots(normalize(coeffs)[0].coeffs))
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    roots.extend([INF] * (6 - (len(coeffs) - 1)))
+    roots = [Fraction(*r) for r in rational_roots(normalize(coeffs)[0].coeffs)]
+    if coeffs[-1] == 0:
+        roots.append(INF)
     return roots
 
 

@@ -309,6 +309,38 @@ def test_roots_of_F_full_multiplicity_over_Qbar():
         assert len(roots) <= 6
 
 
+def test_roots_of_F_on_the_23_classes(search_32i_23):
+    """Over every j and k of the {2,3} cubic classes (k = 0 included, as the
+    degree-3 build takes them), roots_of_F is the list of rational_roots of
+    the integer resolvent, ascending primitive pairs, with (1, 0) appended
+    when the y^6 coefficient vanishes; each pair is a root of the form."""
+    from math import gcd
+
+    from polytab.abc_search import f_resolvent_coeffs
+    from polytab.poly import rational_roots
+
+    points, _ = search_32i_23.value
+    classes = cubic_classes([pt for pt in points if pt.class_datum == "3"],
+                            P23)
+    tested = 0
+    for members in classes.values():
+        js = sorted(pt.u for pt in members)
+        for j in js:
+            for k in [Fraction(0)] + js:
+                coeffs = f_resolvent_coeffs(j, k)
+                got = roots_of_F(j, k)
+                assert got == rational_roots(coeffs) \
+                    + [(1, 0)] * (coeffs[-1] == 0)
+                finite = [Fraction(n, d) for n, d in got if d]
+                assert finite == sorted(set(finite))
+                for n, d in got:
+                    assert gcd(n, d) == 1 and d >= 0
+                    assert sum(c * n ** i * d ** (6 - i)
+                               for i, c in enumerate(coeffs)) == 0
+                tested += 1
+    assert tested == sum(len(m) * (len(m) + 1) for m in classes.values()) > 54
+
+
 def test_roundtrip_json(tmp_path):
     points, cert = search_abc(P23, VARIANT_I2I, 10 ** 4)
     path = tmp_path / "pts.json"

@@ -420,7 +420,8 @@ def test_c13_packets(graph2357):
     roots = [[uvals[i] for i in c] for c in cliques9]
     polys = [from_roots(rr) for rr in roots]
     # the roots of every split nonic are known from its clique
-    assert all(rational_roots(s.coeffs) == sorted(rr)
+    assert all(rational_roots(s.coeffs)
+               == [(r.numerator, r.denominator) for r in sorted(rr)]
                for s, rr in zip(polys, roots))
     packets, mass = pgl2_packets(polys, roots=roots)
     labels = Counter(p.stabilizer_label for p in packets)

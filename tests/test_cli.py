@@ -71,7 +71,7 @@ def test_vertices_pipeline(tmp_path, capsys):
                 "--height", "1e6", "--out", pts]) == EXIT_OK
     vfile = tmp_path / "v2.json"
     assert run(["vertices", "--primes", "2", "--max-degree", "4",
-                "--points-i2i", pts, "--out", vfile]) == EXIT_OK
+                "--points", pts, "--out", vfile]) == EXIT_OK
     payload = json.loads(vfile.read_text())
     assert payload["schema"] == "polytab.vertices/1"
     counts = {d: len(block["vertices"]) for d, block in payload["degrees"].items()}
@@ -106,7 +106,7 @@ def test_vertices_ignore_cubic_labels_of_older_point_files(tmp_path):
     for path in (pts, old):
         out = tmp_path / ("v-" + path.name)
         assert run(["vertices", "--primes", "2,3", "--max-degree", "3",
-                    "--points-32i", path, "--out", out]) == EXIT_OK
+                    "--points", path, "--out", out]) == EXIT_OK
         built.append(out.read_bytes())
     assert built[0] == built[1]
     assert json.loads(built[0])["degrees"]["3"]["vertices"]
@@ -117,8 +117,29 @@ def test_vertices_rejects_mismatched_points(tmp_path):
     run(["search", "--primes", "2,3", "--variant", "inf-2-inf",
          "--height", "1e4", "--out", pts])
     assert run(["vertices", "--primes", "2", "--max-degree", "2",
-                "--points-i2i", pts, "--out", tmp_path / "v.json"]) \
+                "--points", pts, "--out", tmp_path / "v.json"]) \
         == EXIT_VALIDATION
+
+
+def test_vertices_take_one_point_file_per_variant(tmp_path, capsys):
+    """--points repeats, one file per variant (its certificate names it): a
+    second file of the same variant is refused."""
+    files = {}
+    for variant, height in (("inf-inf-inf", "1e4"), ("inf-2-inf", "1e5")):
+        files[variant] = tmp_path / f"{variant}.json"
+        assert run(["search", "--primes", "2", "--variant", variant,
+                    "--height", height, "--out", files[variant]]) == EXIT_OK
+    out = tmp_path / "v.json"
+    assert run(["vertices", "--primes", "2", "--max-degree", "2",
+                "--points", files["inf-inf-inf"],
+                "--points", files["inf-2-inf"], "--out", out]) == EXIT_OK
+    assert json.loads(out.read_text())["degrees"]["2"]["vertices"]
+    capsys.readouterr()
+    assert run(["vertices", "--primes", "2", "--max-degree", "2",
+                "--points", files["inf-2-inf"],
+                "--points", files["inf-2-inf"], "--out", out]) \
+        == EXIT_VALIDATION
+    assert "second inf-2-inf point set" in capsys.readouterr().err
 
 
 def test_tabulate_csv_json_and_kappa(tmp_path, capsys):
@@ -263,8 +284,16 @@ def test_one_budget_per_command(tmp_path, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Budget, "__init__", counted)
-    for argv in (
-            ["search", "--primes", "2", "--variant", "inf-2-inf",
+    for argv in _one_of_each_command(tmp_path, vfile):
+        made.clear()
+        assert run(argv) == EXIT_OK
+        assert len(made) == 1, argv
+
+
+def _one_of_each_command(tmp_path, vfile):
+    """One call of every subcommand, each reading vfile where it reads a
+    vertex set."""
+    return (["search", "--primes", "2", "--variant", "inf-2-inf",
              "--height", "1e5", "--out", tmp_path / "p.json"],
             ["vertices", "--primes", "2", "--max-degree", "2",
              "--out", tmp_path / "v.json"],
@@ -276,10 +305,18 @@ def test_one_budget_per_command(tmp_path, monkeypatch, capsys):
              "--primes", "2"],
             ["fractal", "--imax", "2"],
             ["verify", "--name", "big23"],
-            ["seed-tables", "--out-dir", tmp_path, "--only", "littletab"]):
-        made.clear()
-        assert run(argv) == EXIT_OK
-        assert len(made) == 1, argv
+            ["seed-tables", "--out-dir", tmp_path, "--only", "littletab"])
+
+
+def test_zero_budget_refuses_every_command(tmp_path, monkeypatch, capsys):
+    """POLYTAB_BUDGET_SECS=0 refuses every subcommand at its first budget
+    check, with exit 3."""
+    vfile = tmp_path / "v2.json"
+    run(["vertices", "--primes", "2", "--max-degree", "2", "--out", vfile])
+    monkeypatch.setenv("POLYTAB_BUDGET_SECS", "0")
+    for argv in _one_of_each_command(tmp_path, vfile):
+        assert run(argv) == EXIT_BUDGET, argv
+        assert "refused" in capsys.readouterr().err, argv
 
 
 SEED_SUMS = Path(__file__).resolve().parent / "seed_tables.sha256"
@@ -328,7 +365,7 @@ VALID_VERTICES = {
 def _read_commands(path, out):
     """One CLI call per reader: read_points and read_vertex_set."""
     return (["vertices", "--primes", "2", "--max-degree", "1",
-             "--points-iii", path, "--out", out],
+             "--points", path, "--out", out],
             ["tabulate", "--vertices", path])
 
 
@@ -435,9 +472,9 @@ def test_non_member_points_exit_2(tmp_path):
     (u = 1/3 over {2}, u = 1/5 over {2, 3}) is refused, not taken for an
     internal error or skipped without a word."""
     cases = [
-        ("inf-inf-inf", "2", "1", "--points-iii", ("1", "2", "-3", "1/3")),
-        ("inf-2-inf", "2", "2", "--points-i2i", ("1", "2", "-3", "1/3")),
-        ("3-2-inf", "2,3", "3", "--points-32i", ("1", "4", "-5", "1/5")),
+        ("inf-inf-inf", "2", "1", "--points", ("1", "2", "-3", "1/3")),
+        ("inf-2-inf", "2", "2", "--points", ("1", "2", "-3", "1/3")),
+        ("3-2-inf", "2,3", "3", "--points", ("1", "4", "-5", "1/5")),
     ]
     for variant, primes, degree, flag, (A, B, C, u) in cases:
         path = tmp_path / f"{variant}.json"

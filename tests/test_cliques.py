@@ -40,6 +40,7 @@ from polytab.vertices import Vertex, VertexSet
 from oracles import (
     IDENT,
     INF,
+    S3_MATS,
     abc_brute_force,
     build_graph_pairwise,
     cliques_by_partition_naive,
@@ -832,6 +833,19 @@ def test_build_graph_images_are_automorphisms(graph2, graph23, graph235,
                 assert image == g.adj[sigma[v]] & mask
 
 
+def test_build_graph_images_follow_s3_elements(graph23, graph235):
+    """A closed vertex's recorded images are its polynomial's images under
+    the elements of S3_ELEMENTS, in that order."""
+    names = list(S3_ELEMENTS)
+    for g in (graph23.value, graph235.value):
+        closed = [i for i, im in enumerate(g.images) if len(im) == 6]
+        assert len(closed) > len(g.images) // 2
+        for i in closed:
+            v = g.vertices[i].poly
+            for j, name in enumerate(names):
+                assert g.vertices[g.images[i][j]].poly == s3_transform(v, name)
+
+
 def test_compat_graph_pickle_keeps_images(graph23):
     g = graph23.value
     back = pickle.loads(pickle.dumps(g))
@@ -1077,9 +1091,8 @@ def test_triple_map_matches_mobius_oracle():
 
 
 def test_s3_images_match_mobius_oracle():
-    # x, 1 - x, 1/x, 1/(1 - x), (x - 1)/x, x/(x - 1)
-    mats = [(1, 0, 0, 1), (-1, 1, 0, 1), (0, 1, 1, 0), (0, 1, -1, 1),
-            (1, -1, 1, 0), (1, 0, 1, -1)]
+    # x, 1 - x, 1/x, x/(x - 1), 1/(1 - x), (x - 1)/x: S3_ELEMENTS order
+    mats = [S3_MATS[g] for g in S3_ELEMENTS]
     rng = random.Random(11)
 
     def pair(x):
@@ -1117,6 +1130,13 @@ def test_packets_reject_malformed_input(graph2):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(3), Fraction(4)]])
     with pytest.raises(ValueError, match="marked points"):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(1)]])
+    # a repeated root: rational_roots lists it once, so it falls short of
+    # the degree; given roots repeat it
+    double = from_roots([Fraction(2), Fraction(2), Fraction(3)])
+    with pytest.raises(ValueError, match="distinct linear factors"):
+        pgl2_packets([double])
+    with pytest.raises(ValueError, match="separable"):
+        pgl2_packets([double], roots=[[2, 2, 3]])
 
 
 def test_packets_input_that_leaves_the_set_raises(graph2, graph23):

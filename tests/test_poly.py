@@ -20,7 +20,6 @@ from polytab.poly import (
     poly_mul,
     projective_point,
     rational_roots,
-    resultant,
     resultant_bound,
     resultant_coeffs,
     resultant_form,
@@ -37,7 +36,7 @@ from polytab.vertices import TABLE5_REPRESENTATIVES
 from oracles import (
     S3_MATS,
     partition_of,
-    rational_roots_naive,
+    resultant,
     resultant_closed_form,
     resultant_sylvester,
     s3_compose,
@@ -499,23 +498,26 @@ def test_from_roots_matches_normalized_fraction_product():
 
 
 def test_rational_roots():
-    assert rational_roots((-2, 1)) == [Fraction(2)]
-    assert rational_roots((6, -5, 1)) == [Fraction(2), Fraction(3)]
+    assert rational_roots((-2, 1)) == [(2, 1)]
+    assert rational_roots((6, -5, 1)) == [(2, 1), (3, 1)]
     assert rational_roots((1, 0, 1)) == []
+    # distinct roots, once each, ascending; zero is (0, 1)
     assert rational_roots(from_roots([Fraction(1, 2), Fraction(1, 2), -3]).coeffs) \
-        == [Fraction(-3), Fraction(1, 2), Fraction(1, 2)]
+        == [(-3, 1), (1, 2)]
+    assert rational_roots((0, 0, 4, -4, 1)) == [(0, 1), (2, 1)]
     # lead 30030 = 2*3*5*7*11*13: the Hensel prime must skip all six
-    assert rational_roots(poly_mul((-1, 30030), (1, 0, 1))) == [Fraction(1, 30030)]
+    assert rational_roots(poly_mul((-1, 30030), (1, 0, 1))) == [(1, 30030)]
     # 1, 211 and 421 agree mod 2, 3, 5 and 7, so the square-free part has a
     # repeated root modulo each of those primes and they are skipped too
-    assert rational_roots(from_roots([1, 211, 421]).coeffs) == [1, 211, 421]
+    assert rational_roots(from_roots([1, 211, 421]).coeffs) \
+        == [(1, 1), (211, 1), (421, 1)]
     # multiplicity 6, beside an irreducible quadratic
     sextic = poly_mul(from_roots([Fraction(-5, 3)] * 6).coeffs, (1, 1, 1))
-    assert rational_roots(sextic) == [Fraction(-5, 3)] * 6
+    assert rational_roots(sextic) == [(-5, 3)]
     # B about 1e200: lifted far beyond any single machine word
     big = Fraction(10 ** 200 + 7, 10 ** 199 + 3)
     assert rational_roots(poly_mul(from_roots([big, -1]).coeffs, (-2, 0, 1))) \
-        == [-1, big]
+        == [(-1, 1), (big.numerator, big.denominator)]
     # t^2 + t + 1 has no root mod 2
     assert rational_roots((1, 1, 1)) == []
 
@@ -526,12 +528,23 @@ IRREDUCIBLE_COFACTORS = [(1,), (1, 0, 1), (-2, 0, 1), (3, 1, 2),
 BIG_PRIMES = (10007, 65537, 100003)
 
 
+def sympy_rational_roots(c):
+    """sympy's distinct rational roots of c, as primitive pairs, ascending."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    roots = sympy.Poly(list(reversed(c)), t, domain="QQ").ground_roots()
+    return [(int(r.p), int(r.q)) for r in sorted(roots)]
+
+
 def test_rational_roots_against_oracle():
     rng = random.Random(7)
 
     def part():
+        x = rng.random()
+        if x < 0.15:
+            return 2 ** 128 + rng.randint(-10 ** 6, 10 ** 6)
         n = rng.randint(1, 12)
-        return n * rng.choice(BIG_PRIMES) if rng.random() < 0.4 else n
+        return n * rng.choice(BIG_PRIMES) if x < 0.5 else n
 
     seen = set()
     for _ in range(80):
@@ -554,12 +567,15 @@ def test_rational_roots_against_oracle():
             seen.add("content")
         if c[-1] < 0:
             seen.add("negative lead")
+        if any(max(abs(r.numerator), r.denominator) > 2 ** 127 for r in roots):
+            seen.add("near 2^128")
         big = max(abs(c[zeros]), abs(c[-1])) // abs(scalar) > 10 ** 10
         seen.add("above 1e10" if big else "below 1e10")
-        want = sorted(roots + [Fraction(0)] * zeros)
-        assert rational_roots(c) == want == rational_roots_naive(c), c
+        want = sorted(set(roots + [Fraction(0)] * bool(zeros)))
+        assert rational_roots(c) == [(r.numerator, r.denominator)
+                                     for r in want] == sympy_rational_roots(c), c
     assert seen == {"repeated", "zero", "content", "negative lead",
-                    "above 1e10", "below 1e10"}
+                    "near 2^128", "above 1e10", "below 1e10"}
 
 
 def test_poly_divmod_exact():
