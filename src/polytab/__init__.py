@@ -35,7 +35,6 @@ from .vertices import (
     build_degree2,
     build_degree3,
     build_vertex_set,
-    cross_validate,
     ingest_units,
     roots_of_F,
 )

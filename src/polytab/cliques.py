@@ -879,19 +879,27 @@ def _image(mat, pts):
                      for x0, x1 in pts)
 
 
-def _s3_images(pts):
-    """The images of pts, a set of primitive pairs, in S3_ELEMENTS order
-    (`poly.s3_images`).
+def _s3_moves(ids):
+    """For each element of S3_ELEMENTS, in that order, the list sending each
+    point id to the id of the point's image; ids maps primitive pairs to
+    0, 1, 2, ... in insertion order, and an image with no id gets len(ids),
+    an id no point has.
 
     The generators x -> 1 - x and x -> 1/x send (n, d) to (d - n, d) and to
     (d, n).  Both keep a pair primitive, so each image needs only a sign fix
     (inf = (1, 0)), no gcd.
     """
-    return s3_images(
-        frozenset(pts),
-        lambda s: frozenset((d - n, d) if d else (1, 0) for n, d in s),
-        lambda s: frozenset((d, n) if n > 0 else (-d, -n) if n else (1, 0)
-                            for n, d in s))
+    def flip(x):
+        n, d = x
+        return (d - n, d) if d else (1, 0)
+
+    def inv(x):
+        n, d = x
+        return (d, n) if n > 0 else (-d, -n) if n else (1, 0)
+
+    none = len(ids)
+    return [[ids.get(y, none) for y in images]
+            for images in zip(*(s3_images(x, flip, inv) for x in ids))]
 
 
 def _perm_order(mat, pts) -> int:
@@ -930,9 +938,18 @@ _LEAVES = ("packet image leaves the input set; input is not closed under the "
 
 @dataclass
 class Packet:
-    members: list               # polynomials (or clique ids) in the packet
+    members: list               # positions in polys, ascending
     stabilizer_order: int
     stabilizer_label: str
+
+
+def _split_pairs(s):
+    """The roots of s as primitive pairs; s must split into distinct linear
+    factors."""
+    rr = rational_roots(s.coeffs)
+    if len(rr) != s.degree:
+        raise ValueError(f"{s} does not split into distinct linear factors")
+    return rr
 
 
 def pgl2_packets(polys, roots=None, budget: Budget | None = None):
@@ -942,82 +959,103 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     carried around the projective line by the maps sending ordered triples of
     the set to (0, 1, inf); polynomials landing on each other join a packet.
     Points are primitive integer pairs (n, d), inf = (1, 0), as
-    `rational_roots` returns them.  Returns (packets, mass) where mass =
-    sum of 1/|stabilizer| and must equal len(polys) / ((a+3)(a+2)(a+1))
-    with a the root count.  roots, when given, lists each polynomial's
-    roots (ints or Fractions) in the same order as polys; they are
-    converted to pairs once.
+    `rational_roots` returns them.  roots, when given, lists each
+    polynomial's roots (ints or Fractions) in the same order as polys; they
+    are converted to pairs one polynomial at a time.  Returns (packets, mass)
+    where mass = sum of 1/|stabilizer| and must equal
+    len(polys) / ((a+3)(a+2)(a+1)) with a the root count.
+
+    Every distinct point gets a small int id, the marked points 0, 1 and 2,
+    and a polynomial's key is the sorted tuple of its a root ids, the marked
+    points left implicit.  The six S3 images of each point are computed
+    once, as ids (`_s3_moves`), so a key's image under a map permuting
+    0, 1, inf is the sorted tuple of its points' image ids; a point whose
+    image has no id gives a key that no input has.
 
     Each unordered triple {p, q, r} of a key K gives one image I = T(K), T
     the map sending (p, q, r) to (0, 1, inf).  The map of any other ordering
     is s o T for one of the six maps s permuting 0, 1, inf, so the other
-    five images are the s(I) (`_s3_images`, no gcd).  The orbit is a union
+    five images are the s(I), read off the id table.  The orbit is a union
     of these S3 classes: a class joins it when its I is first met, and an
     I already in the orbit adds nothing.  s o T fixes K only when I is one
     of the six s^-1(K), and only those triples are run through every
-    ordering to collect the stabilizer.
+    ordering to collect the stabilizer.  Only the first key of each packet
+    is turned back into its a + 3 pairs, for the triple maps.
 
     A map of PGL2(Q) that fixes three points is the identity, so a
     stabilizer element has the order of the permutation it induces on the
     a + 3 points of the key, and the stabilizer is labelled from those.
+
+    Malformed input raises ValueError: no polynomials, a polynomial that
+    does not split into distinct linear factors (roots=None), a root list
+    count that differs from len(polys), root counts that differ, a repeated
+    root, a root at a marked point, or a repeated polynomial.  An image that is
+    not an input (`_LEAVES`), an orbit and stabilizer whose sizes do not
+    multiply to (a+3)(a+2)(a+1), and a failed mass identity raise
+    AssertionError, by an explicit raise that python -O keeps.
     """
     budget = budget or Budget.from_env()
     polys = list(polys)
     if not polys:
         raise ValueError("no polynomials to group into packets")
-    given = roots is not None
-    if not given:
-        roots = []
-        for s in polys:
-            rr = rational_roots(s.coeffs)
-            if len(rr) != s.degree:
-                raise ValueError(f"{s} does not split into distinct linear "
-                                 "factors")
-            roots.append(rr)
-    if len(roots) != len(polys):
-        raise ValueError(f"{len(roots)} root lists for {len(polys)} polynomials")
-    a = len(roots[0])
-    index = {}
-    canon = {}                # one tuple per distinct point, shared by keys
+    if roots is None:
+        a = polys[0].degree
+        roots = map(_split_pairs, polys)
+    else:
+        if len(roots) != len(polys):
+            raise ValueError(f"{len(roots)} root lists for {len(polys)} "
+                             "polynomials")
+        a = len(roots[0])
+        roots = ([r.as_integer_ratio() for r in rr] for rr in roots)
+    ids = {x: i for i, x in enumerate(MARKED)}     # point -> id
+    index = {}                                      # key -> position in polys
     for i, rr in enumerate(roots):
         if len(rr) != a:
             raise ValueError("every polynomial must have the same number "
                              "of roots")
-        if given:             # per polynomial: no list of all pairs is held
-            rr = [(r.numerator, r.denominator) for r in rr]
-        pts = {canon.setdefault(x, x) for x in rr}
-        if len(pts) != a:
+        key = tuple(sorted([ids.setdefault(x, len(ids)) for x in rr]))
+        if len(set(key)) != a:
             raise ValueError("split polynomials here must be separable")
-        key = frozenset(pts).union(MARKED)
-        if len(key) != a + 3:
+        if a and key[0] < len(MARKED):
             raise ValueError("roots must avoid the marked points")
         index[key] = i
     if len(index) != len(polys):
         raise ValueError("duplicate polynomials in packet input")
 
+    pts = list(ids)                                 # id -> point
+    moves = _s3_moves(ids)
+    none = len(pts)
+
+    def s3_keys(key):
+        return [tuple(sorted([m[x] for x in key])) for m in moves]
+
     packets = []
-    seen = set()
+    seen = bytearray(len(polys))
     denom = (a + 3) * (a + 2) * (a + 1)
     for key, i in index.items():
-        if i in seen:
+        if seen[i]:
             continue
         budget.check()
-        s3_key = set(_s3_images(key))
+        full = [pts[x] for x in key] + list(MARKED)
+        full_set = frozenset(full)
+        s3_key = set(s3_keys(key))
         orbit = set()
         stab = []             # the orders of the stabilizer elements
-        for p, q, r in combinations(key, 3):
-            image = _image(_triple_to_matrix(p, q, r), key)
+        for p, q, r in combinations(full, 3):
+            mapped = _image(_triple_to_matrix(p, q, r), full)
+            # p, q, r go to the marked points, ids 0, 1, 2, which sort first
+            image = tuple(sorted([ids.get(y, none) for y in mapped])[3:])
             j = index.get(image)
             if j is None:
                 raise AssertionError(_LEAVES)
             if image in s3_key:
                 for t in permutations((p, q, r)):
                     mat = _triple_to_matrix(*t)
-                    if _image(mat, key) == key:
-                        stab.append(_perm_order(mat, key))
+                    if _image(mat, full) == full_set:
+                        stab.append(_perm_order(mat, full))
             if j in orbit:
                 continue
-            for moved in _s3_images(image):
+            for moved in s3_keys(image):
                 m = index.get(moved)
                 if m is None:
                     raise AssertionError(_LEAVES)
@@ -1026,7 +1064,7 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         if size * len(stab) != denom:
             raise AssertionError("orbit-stabilizer mismatch in packet")
         for m in orbit:
-            seen.add(m)
+            seen[m] = 1
         packets.append(Packet(sorted(orbit), len(stab), _group_label(stab)))
     mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
     if mass != Fraction(len(polys), denom):

@@ -56,7 +56,7 @@ VERTEX_SCHEMA = "polytab.vertices/1"
 
 __all__ = [
     "Vertex", "VertexSet", "build_degree1", "build_degree2", "build_degree3",
-    "roots_of_F", "ingest_units", "cross_validate", "build_vertex_set",
+    "roots_of_F", "ingest_units", "build_vertex_set",
     "TABLE5_REPRESENTATIVES", "write_vertex_set", "read_vertex_set",
     "parse_candidate_file",
 ]
@@ -383,15 +383,6 @@ def parse_candidate_file(path):
             parts = line.replace(",", " ").split()
             cands.append(tuple(int(x) for x in parts))
     return cands
-
-
-def cross_validate(vsA: VertexSet, vsB: VertexSet, degree: int):
-    """Symmetric difference of the degree slices of two vertex sets."""
-    if vsA.P != vsB.P:
-        raise ValueError("vertex sets live over different prime sets")
-    a = {v.poly.coeffs for v in vsA.degree_slice(degree)}
-    b = {v.poly.coeffs for v in vsB.degree_slice(degree)}
-    return sorted(a - b), sorted(b - a)
 
 
 # ---------------------------------------------------------------------------

@@ -809,3 +809,13 @@ def build_degree2_fraction(P, points):
     vertices = sorted(irreducible.values(), key=Vertex.sort_key)
     split_polys = sorted(split.values(), key=NormalizedPoly.sort_key)
     return vertices, split_polys, stats
+
+
+def cross_validate(vsA, vsB, degree):
+    """Symmetric difference of the degree slices of two vertex sets, as
+    sorted coefficient tuples: (only in vsA, only in vsB)."""
+    if vsA.P != vsB.P:
+        raise ValueError("vertex sets live over different prime sets")
+    a = {v.poly.coeffs for v in vsA.degree_slice(degree)}
+    b = {v.poly.coeffs for v in vsB.degree_slice(degree)}
+    return sorted(a - b), sorted(b - a)

@@ -1,5 +1,7 @@
+import gc
 import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -13,7 +15,7 @@ from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
     Packet,
     _image,
-    _s3_images,
+    _s3_moves,
     _triple_to_matrix,
     build_graph,
     count_u_nu,
@@ -1052,6 +1054,13 @@ def test_packets_match_fraction_oracle(graph2, graph23, graph235):
                   [Fraction(-7, 5), 2 ** 70]):
         roots = _closed_orbit(roots)
         cells.append(([from_roots(rr) for rr in roots], roots))
+    # the same point as an int in some root lists and a Fraction in others:
+    # one point, so one id
+    roots = [[int(x) if k % 2 and x.denominator == 1 else x for x in rr]
+             for k, rr in enumerate(_closed_orbit([Fraction(-7, 5), 2, 9]))]
+    assert {x for rr in roots for x in rr if type(x) is int} \
+        & {x for rr in roots for x in rr if type(x) is Fraction}
+    cells.append(([from_roots(rr) for rr in roots], roots))
     labels = set()
     for polys, roots in cells:
         assert polys
@@ -1063,6 +1072,24 @@ def test_packets_match_fraction_oracle(graph2, graph23, graph235):
                                              (a + 3) * (a + 2) * (a + 1))
         labels.update(p.stabilizer_label for p in packets)
     assert {"C1", "C2", "V", "S3", "D4", "D6"} <= labels
+
+
+def test_packets_peak_memory(graph2357):
+    """The tracemalloc peak of pgl2_packets on the 7425 split nonics over
+    {2,3,5,7} (the input of test_c13_packets), above its inputs: about
+    1.7 MB with keys of interned point ids, 6.7 MB with frozensets of
+    point pairs as keys."""
+    polys, roots = _split_cliques(graph2357.value, 9)
+    assert len(polys) == 7425
+    gc.collect()
+    tracemalloc.start()
+    try:
+        packets, mass = pgl2_packets(polys, roots=roots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(packets) == 13 and mass == Fraction(45, 8)
+    assert peak < 3.5 * 10 ** 6
 
 
 def test_triple_map_matches_mobius_oracle():
@@ -1091,7 +1118,8 @@ def test_triple_map_matches_mobius_oracle():
 
 
 def test_s3_images_match_mobius_oracle():
-    # x, 1 - x, 1/x, x/(x - 1), 1/(1 - x), (x - 1)/x: S3_ELEMENTS order
+    # x, 1 - x, 1/x, x/(x - 1), 1/(1 - x), (x - 1)/x: S3_ELEMENTS order; a
+    # point's image outside the set gets len(ids), an id no point has
     mats = [S3_MATS[g] for g in S3_ELEMENTS]
     rng = random.Random(11)
 
@@ -1100,13 +1128,19 @@ def test_s3_images_match_mobius_oracle():
 
     for _ in range(300):
         top = 2 ** rng.choice((4, 20, 64, 130))
-        pts = {Fraction(0), Fraction(1), INF}
+        pts = [Fraction(0), Fraction(1), INF]
         size = rng.randint(3, 12)
         while len(pts) < size:
-            pts.add(Fraction(rng.randint(-top, top), rng.randint(1, top)))
-        got = _s3_images(frozenset(map(pair, pts)))
-        want = tuple(frozenset(pair(mobius_on_point(m, x)) for x in pts)
-                     for m in mats)
+            x = Fraction(rng.randint(-top, top), rng.randint(1, top))
+            if x not in pts:
+                pts.append(x)
+        if rng.random() < 0.5:      # some sets closed under S3
+            pts = list(dict.fromkeys(
+                pts[:3] + [y for x in pts[3:] for y in _anharmonic(x)]))
+        ids = {pair(x): i for i, x in enumerate(pts)}
+        got = _s3_moves(ids)
+        want = [[ids.get(pair(mobius_on_point(m, x)), len(ids)) for x in pts]
+                for m in mats]
         assert got == want
 
 

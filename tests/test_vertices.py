@@ -42,7 +42,6 @@ from polytab.vertices import (
     build_degree2,
     build_degree3,
     build_vertex_set,
-    cross_validate,
     ingest_units,
     parse_candidate_file,
     read_vertex_set,
@@ -53,6 +52,7 @@ from polytab.vertices import _smn_coeffs
 from oracles import (
     INF,
     build_degree2_fraction,
+    cross_validate,
     f_resolvent_fraction,
     poly_height,
     recovered_w_triple,
