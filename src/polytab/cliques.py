@@ -37,12 +37,12 @@ import csv
 import io
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import (combinations, compress, islice, permutations,
-                       product, repeat)
-from math import comb, gcd, lcm, prod
+from itertools import (accumulate, combinations, compress, islice,
+                       permutations, product, repeat)
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
 from .budget import Budget, BudgetExceededError
@@ -124,24 +124,38 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     which are listed once and looked up, unless there are more of them than
     lanes to read (huge coefficients).
 
-    Rows (`_Lanes`).  Take W, the least multiple of 64 with B < 2^(W-1).
-    For a representative r of degree m, Res(r, g) over the vertices g of
-    degree d is a form of degree m in the d + 1 coefficients of g
-    (`resultant_form`).  Each monomial's values over the degree-d vertices,
-    in the pair order, are packed once as one int of W-bit lanes; r's row
-    is the sum of its coefficients c(r) times these packs, plus 2^(W-1) in
-    every lane, cut at r's position.  Lane i of the row is then 2^(W-1) +
-    Res(r, g_i): the sum is that integer identity, and since every |Res|
-    <= B < 2^(W-1) each lane lies in [1, 2^W), so no lane borrows from or
-    carries into its neighbour and the W-bit digits of the row are the
-    lanes.  (A monomial's values are bounded by B too, |g|_2^m <= B, so its
-    packed lanes, offset by 2^(W-1), are digits as well.)  An edge is a
-    lane in 2^(W-1) +- the smooth numbers <= B; a zero resultant reads
-    2^(W-1) and is none.  The row is read as 64-bit words, and a wider lane
-    is matched on its low word before the whole lane is.  When the smooth
+    Rows (`_Lanes`).  For a representative r of degree m, Res(r, g) over the
+    vertices g of degree d is a form of degree m in the d + 1 coefficients of
+    g (`resultant_form`).  Each monomial's values over the degree-d vertices,
+    in the pair order, are packed as one int of W-bit lanes, each lane offset
+    by the bias 2^(W-1); r's row against the vertices from the k-th on is the
+    sum of its coefficients c(r) times these packs cut at lane k, plus one
+    bias per lane.  Each row has its own W: the least multiple of 64 above
+    the two bounds below, with N(f) the squared norm of f, S_d(k) the largest
+    N(g) over the degree-d vertices from the k-th on, and M_d = S_d(0).
+
+    Lemma (the row bound): every lane of r's row has |Res(r, g)| <=
+    isqrt(N(r)^d S_d(k)^m), by Hadamard's inequality as above, since the
+    square of the integer |Res(r, g)| is at most N(r)^d N(g)^m.
+
+    Lemma (the pack digits): a monomial of degree m in the coefficients of g
+    is at most |g|_2^m in absolute value, as each coefficient is; so every
+    lane of a degree-m pack over the degree-d vertices, the lanes a cut
+    drops included, is at most isqrt(M_d^m).
+
+    With both bounds below 2^(W-1), every lane of a pack and of the row lies
+    in [1, 2^W), so no lane borrows from or carries into its neighbour: a cut
+    drops exactly the lanes before it, the row is that integer identity, and
+    its W-bit digits are 2^(W-1) + Res(r, g_i).  A degree pair's packs are
+    built at the least width their digits allow and spread from there to
+    each wider one a row asks for: a lane keeps its bytes and gains the
+    difference of the biases.  An edge is a lane in 2^(W-1) +- the smooth
+    numbers below 2^(W-1) (and so at most B); a zero resultant reads 2^(W-1)
+    and is none.  The row is read as 64-bit words, and a wider lane is
+    matched on its low word before the whole lane is.  When the smooth
     numbers are not listed, each lane is decoded instead, and its resultant
-    is tested by stripping the primes of P: W grows with B, so the lemma
-    holds for any B.
+    is tested by stripping the primes of P: W grows with the bounds, so the
+    lemmas hold for any coefficients.
     """
     P = vs.P
     budget = budget or Budget.from_env()
@@ -178,7 +192,7 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     bound = max(resultant_bound(coeffs), 1)
     smooth = smooth_numbers_up_to(P, bound,
                                   limit=sum(n - 1 - at for at, _ in heads))
-    rows = _Lanes(coeffs, degrees, order, P, smooth, bound, budget)
+    rows = _Lanes(coeffs, degrees, order, P, smooth, budget)
     adj = [0] * n
     for at, r in heads:
         budget.check()
@@ -190,54 +204,114 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     return CompatGraph(verts, degrees, adj, P, images)
 
 
+def _width(b: int) -> int:
+    """The least multiple W of 64 with b < 2^(W-1)."""
+    return (b.bit_length() // 64 + 1) * 64
+
+
+def _spread(packs, base, width, n):
+    """Packs of n lanes of base bits laid out again at width > base bits:
+    each lane keeps its 64-bit words and gains the difference of the biases,
+    which the wider lane holds without a carry.  The words are moved whole,
+    so their byte order does not matter."""
+    a, b = base // 64, width // 64
+    lift = int.from_bytes(((1 << width - 1) - (1 << base - 1)).to_bytes(
+        8 * b, "little") * n, "little")
+    out = []
+    for pack in packs:
+        narrow = array("Q", pack.to_bytes(8 * a * n, "little"))
+        wide = array("Q", bytes(8 * b * n))
+        for i in range(a):
+            wide[i::b] = narrow[i::a]
+        out.append(int.from_bytes(wide.tobytes(), "little") + lift)
+    return out
+
+
 class _Lanes:
     """The smooth partners of a representative, read off packed rows of
     resultants (the Rows paragraph of `build_graph`)."""
 
-    def __init__(self, coeffs, degrees, order, P, smooth, bound, budget):
-        self.coeffs, self.P, self.budget = coeffs, P, budget
-        self.width = -(-(bound.bit_length() + 1) // 64) * 64
-        self.bias = bias = 1 << self.width - 1
+    def __init__(self, coeffs, degrees, order, P, smooth, budget):
+        self.coeffs, self.P, self.smooth, self.budget = (coeffs, P, smooth,
+                                                         budget)
+        self.norms = [sum(x * x for x in c) for c in coeffs]
         self.classes = {}     # degree -> (positions in order, vertices)
         for at, j in enumerate(order):
             pos, members = self.classes.setdefault(degrees[j], ([], []))
             pos.append(at)
             members.append(j)
-        self.hits = None      # the smooth lanes, when the numbers are listed
-        if smooth is not None:
-            self.hits = {bias + s for s in smooth} | {bias - s for s in smooth}
-            self.low = {h % (1 << 64) for h in self.hits}     # the low words
-        self.packs = {}       # (m, d) -> the monomial packs, then the bias's
+        # degree -> S_d(k) for k = 0, 1, ...: the suffix maxima of the norms
+        self.top = {d: list(accumulate(
+                        [self.norms[j] for j in reversed(members)], max))[::-1]
+                    for d, (_, members) in self.classes.items()}
+        self.packs = {}       # (m, d, W) -> the monomial packs, then the bias's
+        self.hits = {}        # W -> (the smooth lanes, their low words or None)
 
-    def _packs(self, m, d):
-        """The packs of the degree-m monomials over the degree-d vertices,
-        each lane offset by the bias, and last the bias alone."""
-        nbytes, bias = self.width // 8, self.bias
+    def _packs(self, m, d, width):
+        """The packs of the degree-m monomials over the degree-d vertices at
+        the given lane width, each lane offset by the bias, and last the bias
+        alone: built at the least width their digits allow, and spread from
+        there to a wider one."""
+        packs = self.packs.get((m, d, width))
+        if packs is None:
+            base = _width(isqrt(self.top[d][0] ** m))
+            packs = self.packs[m, d, width] = (
+                self._build(m, d, width) if width == base else _spread(
+                    self._packs(m, d, base), base, width,
+                    len(self.classes[d][1])))
+        return packs
+
+    def _build(self, m, d, width):
+        """The packs of `_packs`, computed from the coefficients; 64-bit
+        lanes go through one array of words."""
+        bias, nbytes = 1 << width - 1, width // 8
         members = self.classes[d][1]
         cols = list(zip(*[self.coeffs[j] for j in members]))
-        out = []
+        packs = []
         for eb, _ in resultant_form(m, d, self.budget):
             vals = None       # the monomial's values, as one lazy map
             for col, e in zip(cols, eb):
                 if e:
                     x = col if e == 1 else map(pow, col, repeat(e))
                     vals = x if vals is None else map(mul, vals, x)
-            out.append(int.from_bytes(b"".join(map(
-                int.to_bytes, map(bias.__add__, vals), repeat(nbytes),
-                repeat("little"))), "little"))
-        out.append(int.from_bytes(bias.to_bytes(nbytes, "little")
-                                  * len(members), "little"))
-        return out
+            lanes = map(bias.__add__, vals)
+            if width == 64:
+                words = array("Q", lanes)
+                if sys.byteorder == "big":
+                    words.byteswap()
+                packs.append(int.from_bytes(words.tobytes(), "little"))
+            else:
+                packs.append(int.from_bytes(b"".join(map(
+                    int.to_bytes, lanes, repeat(nbytes), repeat("little"))),
+                    "little"))
+        packs.append(int.from_bytes(bias.to_bytes(nbytes, "little")
+                                    * len(members), "little"))
+        return packs
+
+    def _hits(self, width):
+        """The lanes of smooth resultants at the given width, and for a width
+        above 64 their low words."""
+        hits = self.hits.get(width)
+        if hits is None:
+            bias = 1 << width - 1
+            smooth = self.smooth[:bisect_left(self.smooth, bias)]
+            lanes = {bias + s for s in smooth} | {bias - s for s in smooth}
+            hits = self.hits[width] = (lanes, None if width == 64 else
+                                       {h & 0xFFFF_FFFF_FFFF_FFFF
+                                        for h in lanes})
+        return hits
 
     def row(self, r, d, k):
-        """The row of r against the degree-d vertices from the k-th on in
-        the order: lane i holds bias + Res(r, the (k + i)-th)."""
+        """(W, the row of r against the degree-d vertices from the k-th on in
+        the order): lane i of the row, W bits wide, holds bias +
+        Res(r, the (k + i)-th)."""
         f = self.coeffs[r]
         m = len(f) - 1
-        packs = self.packs.get((m, d))
-        if packs is None:
-            packs = self.packs[m, d] = self._packs(m, d)
-        cut = self.width * k
+        top = self.top[d]
+        width = _width(max(isqrt(self.norms[r] ** d * top[k] ** m),
+                           isqrt(top[0] ** m)))
+        packs = self._packs(m, d, width)
+        cut = width * k
         row, total = 0, 0
         for (_, terms), pack in zip(resultant_form(m, d, self.budget),
                                     packs):
@@ -248,35 +322,37 @@ class _Lanes:
                 row += c * (pack >> cut)
                 total += c
         # the packs carry the bias once per unit of coefficient; keep one
-        return row + (1 - total) * (packs[-1] >> cut)
+        return width, row + (1 - total) * (packs[-1] >> cut)
 
     def partners(self, r, at):
         """The vertices after position at in the order whose resultant
         with r is smooth."""
         out = []
-        nbytes = self.width // 8
         for d, (pos, members) in self.classes.items():
             k = bisect_right(pos, at)
             members = members[k:]
             if not members:
                 continue
-            buf = self.row(r, d, k).to_bytes(nbytes * len(members), "little")
-            if self.hits is None:     # decode each lane and strip it
+            width, row = self.row(r, d, k)
+            nbytes = width // 8
+            buf = row.to_bytes(nbytes * len(members), "little")
+            if self.smooth is None:     # decode each lane and strip it
+                bias = 1 << width - 1
                 out += [j for i, j in enumerate(members) if is_smooth(
                     int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
-                    - self.bias, self.P)]
+                    - bias, self.P)]
                 continue
+            hits, low = self._hits(width)
             words = array("Q", buf)
             if sys.byteorder == "big":
                 words.byteswap()
-            if nbytes == 8:
-                out += compress(members, map(self.hits.__contains__, words))
+            if low is None:
+                out += compress(members, map(hits.__contains__, words))
                 continue
-            low = words[::nbytes // 8]
             for i in compress(range(len(members)),
-                              map(self.low.__contains__, low)):
+                              map(low.__contains__, words[::nbytes // 8])):
                 lane = buf[i * nbytes:(i + 1) * nbytes]
-                if int.from_bytes(lane, "little") in self.hits:
+                if int.from_bytes(lane, "little") in hits:
                     out.append(members[i])
         return out
 

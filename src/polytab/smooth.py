@@ -143,8 +143,26 @@ def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
 
 
 def is_smooth(n: int, P: PrimeSet) -> bool:
-    """True iff n is in the signed smooth monoid (n != 0, no rough part)."""
-    return n != 0 and factor_over(n, P).rough == 1
+    """True iff n is in the signed smooth monoid (n != 0, no rough part).
+
+    P is stripped off |n| as `factor_over` does it, with no factorization
+    built and no exponent counted: this is the test of every special value,
+    discriminant and graph resultant.
+    """
+    m = abs(n)
+    for p in P.primes:
+        if m < 2:
+            break
+        if p == 2:
+            m >>= (m & -m).bit_length() - 1
+        elif m % p == 0:
+            powers = [p]
+            while m % (sq := powers[-1] * powers[-1]) == 0:
+                powers.append(sq)
+            for q in reversed(powers):
+                if m % q == 0:
+                    m //= q
+    return m == 1
 
 
 def is_unit_in(q, P: PrimeSet) -> bool:

@@ -5,7 +5,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -236,16 +236,44 @@ def test_resultant_invariant_under_s3(vs23, vs235):
 
 def _record_rows(monkeypatch):
     """The packed rows build_graph reads, as (lanes, head, degree, first
-    lane, row) tuples."""
+    lane, lane width, row) tuples."""
     rows = []
     row = cliques._Lanes.row
 
     def recording(self, r, d, k):
-        rows.append((self, r, d, k, row(self, r, d, k)))
-        return rows[-1][-1]
+        rows.append((self, r, d, k) + row(self, r, d, k))
+        return rows[-1][-2:]
 
     monkeypatch.setattr(cliques._Lanes, "row", recording)
     return rows
+
+
+def _row_bounds(lanes, r, d, k):
+    """The two bounds of a row (the Rows paragraph of build_graph), from the
+    coefficients: the largest |Res| of its head against the degree-d
+    vertices from the k-th on, by Hadamard, and the largest monomial value
+    over all the degree-d vertices."""
+    norm = [sum(x * x for x in c) for c in lanes.coeffs]
+    members = lanes.classes[d][1]
+    m = len(lanes.coeffs[r]) - 1
+    return (isqrt(norm[r] ** d * max(norm[j] for j in members[k:]) ** m),
+            isqrt(max(norm[j] for j in members) ** m))
+
+
+def _least_width(b):
+    """The least multiple W of 64 with b < 2^(W-1), counted up."""
+    width = 64
+    while b >= 1 << width - 1:
+        width += 64
+    return width
+
+
+def _lane_values(width, row, n):
+    """The n W-bit lanes of a row, less the bias."""
+    nbytes = width // 8
+    buf = row.to_bytes(nbytes * n, "little")
+    return [int.from_bytes(buf[i * nbytes:(i + 1) * nbytes], "little")
+            - (1 << width - 1) for i in range(n)]
 
 
 def test_build_graph_one_resultant_per_pair_orbit(vs23, graph23, monkeypatch):
@@ -255,7 +283,7 @@ def test_build_graph_one_resultant_per_pair_orbit(vs23, graph23, monkeypatch):
     g = build_graph(vs23.value)
     n = len(g.vertices)
     assert g.lesser == graph23.value.lesser
-    lanes = sum(len(lanes.classes[d][1]) - k for lanes, _, d, k, _ in rows)
+    lanes = sum(len(lanes.classes[d][1]) - k for lanes, _, d, k, *_ in rows)
     assert 0 < lanes <= n * (n - 1) // 2 // 5
 
 
@@ -274,13 +302,16 @@ def _record_smooth_lists(monkeypatch, force=False):
 
 
 def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
-    """Every lane build_graph reads on {2,3} degree <= 3 and {2,3,5} degree
-    <= 2 holds the bias plus its pair's resultant, and every such resultant
-    is at most the bound its smooth set is listed to: the smooth lookup
-    path is the one taken, with 128- and 64-bit lanes."""
+    """Every row build_graph reads on {2,3} degree <= 3 and {2,3,5} degree
+    <= 2 is read at the least lane width above its own two bounds, each of
+    its lanes holds the bias plus its pair's resultant, and every such
+    resultant is within its row's bound and so within the one its smooth set
+    is listed to: the smooth lookup path is the one taken, with 64- and
+    128-bit rows on {2,3} and 64-bit rows only on {2,3,5}."""
     rows = _record_rows(monkeypatch)
     listed = _record_smooth_lists(monkeypatch)
-    for vs, bits, width in ((vs23.value, 80, 128), (vs235.value, 51, 64)):
+    for vs, bits, widths in ((vs23.value, 80, {64, 128}),
+                             (vs235.value, 51, {64})):
         rows.clear()
         listed.clear()
         build_graph(vs)
@@ -288,17 +319,16 @@ def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
         bound = resultant_bound(coeffs)
         assert bound.bit_length() == bits
         assert listed[0] is not None and listed[0][-1] <= bound
-        assert rows
+        assert {w for *_, w, _ in rows} == widths
         seen = 0
-        for lanes, r, d, k, row in rows:
-            assert lanes.width == width
-            nbytes = width // 8
+        for lanes, r, d, k, width, row in rows:
+            b_row, b_pack = _row_bounds(lanes, r, d, k)
+            assert width == _least_width(max(b_row, b_pack))
             members = lanes.classes[d][1][k:]
-            buf = row.to_bytes(nbytes * len(members), "little")
-            for i, j in enumerate(members):
-                lane = buf[i * nbytes:(i + 1) * nbytes]
-                res = int.from_bytes(lane, "little") - (1 << width - 1)
+            for j, res in zip(members,
+                              _lane_values(width, row, len(members))):
                 assert res == resultant_closed_form(coeffs[r], coeffs[j])
+                assert abs(res) <= b_row
                 seen = max(seen, abs(res))
         assert 0 < seen <= bound
 
@@ -341,7 +371,10 @@ def test_build_graph_strip_path_reads_lanes(monkeypatch):
         mp.setattr("polytab.poly.resultant_coeffs", refuse)
         rows = _record_rows(mp)
         g = build_graph(vs)
-        assert rows and {x.hits for x, *_ in rows} == {None}
+        assert rows
+        for lanes, r, d, k, width, row in rows:
+            assert lanes.smooth is None and not lanes.hits
+            assert width == _least_width(max(_row_bounds(lanes, r, d, k)))
     assert g.lesser == build_graph_pairwise(vs).lesser
     assert g.edge_count() >= 10
 
@@ -393,9 +426,12 @@ _MIXED = (sorted({s.coeffs for s in s3_orbit(NormalizedPoly((-3, 1)))})
                                         (128, 192), (129, 192)])
 def test_packed_masks_at_the_lane_widths(bits, width, monkeypatch):
     """A mixed set whose bound sits just below and just above 63, 64, 127
-    and 128 bits reads its lanes at the least width W of 64-bit words with
-    the bound below 2^(W-1), and gives the pairwise graph; some of its
-    resultants come within a few bits of the bound."""
+    and 128 bits, set by one sized vertex, gives the pairwise graph; some of
+    its resultants come within a few bits of the bound.  Each row is read at
+    the least width above its own two bounds: the widest at the least width
+    W of 64-bit words with the bound below 2^(W-1), and every row that
+    neither reads the sized vertex's class nor is headed by it at 64 bits.
+    The rows that do hold the bias plus their resultants."""
     rows = _record_rows(monkeypatch)
     P = PrimeSet([2, 3])
     coeffs = list(_MIXED)
@@ -405,9 +441,44 @@ def test_packed_masks_at_the_lane_widths(bits, width, monkeypatch):
     coeffs.append(top)
     vs = _vertex_set(coeffs, P)
     g, lanes = _lanes_graph(vs, force=True)
-    assert lanes and {x.width for x, *_ in rows} == {width}
+    assert lanes and rows
+    sized = rows[0][0].coeffs.index(top)
+    for x, r, d, k, w, row in rows:
+        assert w == _least_width(max(_row_bounds(x, r, d, k)))
+        if r == sized or d == len(top) - 1:
+            assert w <= width
+            members = x.classes[d][1][k:]
+            assert _lane_values(w, row, len(members)) == [
+                resultant_closed_form(x.coeffs[r], x.coeffs[j])
+                for j in members]
+        else:
+            assert w == 64
+    assert max(w for *_, w, _ in rows) == width
     assert g.lesser == build_graph_pairwise(vs).lesser
     assert g.edge_count() > 20
+
+
+def test_spread_packs_equal_built_packs():
+    """The packs spread from a degree pair's narrowest width, 64 bits or
+    wider, to the next two widths equal the packs built from the
+    coefficients at those widths, on a mixed set with one quadratic whose
+    lanes are close to the 64-bit digit bound and one cubic that puts its
+    class's packs at 128 to 320 bits."""
+    coeffs = list(_MIXED) + [_sized(list(_MIXED), 63, k=2),
+                             (2 ** 70 + 1, 0, 0, 1)]
+    lanes = cliques._Lanes(coeffs, [len(c) - 1 for c in coeffs],
+                           list(range(len(coeffs))), PrimeSet([2, 3]), None,
+                           Budget())
+    bases = []
+    for m, d in product(range(1, 5), repeat=2):
+        n = len(lanes.classes[d][1])
+        base = _least_width(isqrt(lanes.top[d][0] ** m))
+        built = lanes._build(m, d, base)
+        for width in (base + 64, base + 128):
+            assert cliques._spread(built, base, width, n) == \
+                lanes._build(m, d, width)
+        bases.append(base)
+    assert bases.count(64) >= 10 and {128, 192, 256, 320} <= set(bases)
 
 
 @st.composite

@@ -223,7 +223,17 @@ def test_smooth_numbers_2357_1e9_pinned():
 
 
 def test_is_smooth_matches_naive():
+    """is_smooth against the one-division-at-a-time oracle and against
+    factor_over, on random and edge inputs: 0 and +-1, negatives, huge
+    prime powers, a leftover 7 or 2^61 - 1, a prime set without 2, and the
+    empty prime set."""
     rng = random.Random(5)
-    for _ in range(300):
-        n = rng.randint(-10 ** 6, 10 ** 6)
-        assert is_smooth(n, P235) == is_smooth_naive(n, P235.primes)
+    big = 2 ** 5000 * 3 ** 700 * 5 ** 3
+    edge = [0, 1, -1, 2, -2, 7, -12, big, -big, 7 * big, -(2 ** 61 - 1) * big,
+            3 ** 700 * 5 ** 3, 2 ** 61 - 1, 5 * (2 ** 61 - 1), 15 ** 40 * 7]
+    sets = (P235, P23, P2, PrimeSet([3, 5]), PrimeSet([3, 7]), PrimeSet([]))
+    for n in edge + [rng.randint(-10 ** 6, 10 ** 6) for _ in range(300)]:
+        for P in sets:
+            got = is_smooth(n, P)
+            assert got == is_smooth_naive(n, P.primes)
+            assert got == (n != 0 and factor_over(n, P).rough == 1)
