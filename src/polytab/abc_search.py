@@ -26,13 +26,13 @@ import json
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
 from .budget import Budget
 from .poly import NormalizedPoly, normalize, rational_roots
+from .records import Frozen
 from .smooth import PrimeSet, _is_prime, decompose_power, smooth_numbers_up_to
 
 VARIANT_III = "inf-inf-inf"
@@ -60,18 +60,23 @@ COMPLETENESS_SOURCES = {
 }
 
 
-@dataclass(frozen=True)
-class AbcPoint:
+class AbcPoint(Frozen):
     """A variant point u = -A/C.  class_datum is the square class of u(1-u)
     for inf-2-inf, the reference-cubic partition "3", "21" or "111" for
     3-2-inf (a label the vertex stage never reads), None for inf-inf-inf."""
 
-    variant: str
-    A: int
-    B: int
-    C: int
-    u: Fraction
-    class_datum: object = None
+    __slots__ = _fields = ("variant", "A", "B", "C", "u", "class_datum")
+
+    def __init__(self, variant, A, B, C, u, class_datum=None):
+        (set_variant, set_A, set_B, set_C, set_u, set_datum,
+         set_key) = self._setters
+        set_variant(self, variant)
+        set_A(self, A)
+        set_B(self, B)
+        set_C(self, C)
+        set_u(self, u)
+        set_datum(self, class_datum)
+        set_key(self, (variant, A, B, C, u, class_datum))
 
     @property
     def height(self) -> int:
@@ -81,13 +86,19 @@ class AbcPoint:
         return (self.height, self.u)
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
-    primes: tuple
-    variant: str
-    height_bound: int
-    complete: bool
-    citation: str | None = None
+class SearchCertificate(Frozen):
+    __slots__ = _fields = ("primes", "variant", "height_bound", "complete",
+                           "citation")
+
+    def __init__(self, primes, variant, height_bound, complete, citation=None):
+        (set_primes, set_variant, set_bound, set_complete, set_citation,
+         set_key) = self._setters
+        set_primes(self, primes)
+        set_variant(self, variant)
+        set_bound(self, height_bound)
+        set_complete(self, complete)
+        set_citation(self, citation)
+        set_key(self, (primes, variant, height_bound, complete, citation))
 
 
 def canonical_triple(u: Fraction):

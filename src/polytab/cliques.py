@@ -38,7 +38,6 @@ import io
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (accumulate, combinations, compress, islice,
                        permutations, product, repeat)
@@ -57,6 +56,7 @@ from .poly import (
     resultant_form,
     s3_images,
 )
+from .records import Record
 from .smooth import PrimeSet, is_smooth, smooth_numbers_up_to
 from .vertices import VertexSet
 
@@ -67,15 +67,15 @@ TABLE_SCHEMA = "polytab.table/1"
 # graph
 
 
-@dataclass
-class CompatGraph:
-    vertices: list            # [Vertex], the fixed total order
-    degrees: list             # per-vertex degree
-    adj: list                 # per-vertex bitmask of all its neighbors
-    P: PrimeSet
-    # per vertex: its images under the six marked-point maps, in
-    # S3_ELEMENTS order, for a closed vertex, and (i,) for an open one
-    images: list
+class CompatGraph(Record):
+    def __init__(self, vertices, degrees, adj, P, images):
+        self.vertices = vertices    # [Vertex], the fixed total order
+        self.degrees = degrees      # per-vertex degree
+        self.adj = adj              # per-vertex bitmask of all its neighbors
+        self.P = P
+        # per vertex: its images under the six marked-point maps, in
+        # S3_ELEMENTS order, for a closed vertex, and (i,) for an open one
+        self.images = images
 
     @property
     def lesser(self) -> list:
@@ -393,10 +393,11 @@ def parse_kappa(text: str, f: int) -> tuple:
     return tuple(expts)
 
 
-@dataclass
-class PartitionTable:
-    f: int                      # largest vertex degree in the graph
-    counts: dict = field(default_factory=dict)  # exponent vector -> count
+class PartitionTable(Record):
+    def __init__(self, f, counts=None):
+        self.f = f                  # largest vertex degree in the graph
+        # exponent vector -> count
+        self.counts = {} if counts is None else counts
 
     def count(self, expts) -> int:
         return self.counts.get(tuple(expts), 0)
@@ -1012,11 +1013,11 @@ _LEAVES = ("packet image leaves the input set; input is not closed under the "
            "marked-point maps")
 
 
-@dataclass
-class Packet:
-    members: list               # positions in polys, ascending
-    stabilizer_order: int
-    stabilizer_label: str
+class Packet(Record):
+    def __init__(self, members, stabilizer_order, stabilizer_label):
+        self.members = members      # positions in polys, ascending
+        self.stabilizer_order = stabilizer_order
+        self.stabilizer_label = stabilizer_label
 
 
 def _split_pairs(s):

@@ -12,7 +12,6 @@ membership predicate before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import Budget, BudgetExceededError
@@ -30,6 +29,7 @@ from .poly import (
     resultant_coeffs,
     with_discriminant,
 )
+from .records import Frozen
 from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
 
 
@@ -37,11 +37,17 @@ from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
 # cyclotomic generating function
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    P: PrimeSet
-    kmax: int
-    coeffs: tuple  # c_0 .. c_kmax
+class SeriesCoefficients(Frozen):
+    """coeffs is (c_0, ..., c_kmax)."""
+
+    __slots__ = _fields = ("P", "kmax", "coeffs")
+
+    def __init__(self, P, kmax, coeffs):
+        set_P, set_kmax, set_coeffs, set_key = self._setters
+        set_P(self, P)
+        set_kmax(self, kmax)
+        set_coeffs(self, coeffs)
+        set_key(self, (P, kmax, coeffs))
 
 
 def _phi_of_smooth(i: int, P: PrimeSet) -> int:
@@ -92,14 +98,18 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
 # recursive three-point covers
 
 
-@dataclass(frozen=True)
-class RationalCover:
+class RationalCover(Frozen):
     """F(t) = scalar * numer(t) / denom(t), a self-map of the projective line."""
 
-    name: str
-    numer: NormalizedPoly
-    denom: NormalizedPoly
-    scalar: Fraction
+    __slots__ = _fields = ("name", "numer", "denom", "scalar")
+
+    def __init__(self, name, numer, denom, scalar):
+        set_name, set_numer, set_denom, set_scalar, set_key = self._setters
+        set_name(self, name)
+        set_numer(self, numer)
+        set_denom(self, denom)
+        set_scalar(self, scalar)
+        set_key(self, (name, numer, denom, scalar))
 
     @property
     def degree(self) -> int:
@@ -432,15 +442,23 @@ NAMED_REGISTRY = {
 }
 
 
-@dataclass(frozen=True)
-class NamedReport:
-    name: str
-    poly: NormalizedPoly
-    membership_ok: bool
-    disc: int
-    disc_matches: bool
-    partition: tuple
-    partition_matches: bool
+class NamedReport(Frozen):
+    __slots__ = _fields = ("name", "poly", "membership_ok", "disc",
+                           "disc_matches", "partition", "partition_matches")
+
+    def __init__(self, name, poly, membership_ok, disc, disc_matches,
+                 partition, partition_matches):
+        (set_name, set_poly, set_ok, set_disc, set_disc_matches,
+         set_partition, set_partition_matches, set_key) = self._setters
+        set_name(self, name)
+        set_poly(self, poly)
+        set_ok(self, membership_ok)
+        set_disc(self, disc)
+        set_disc_matches(self, disc_matches)
+        set_partition(self, partition)
+        set_partition_matches(self, partition_matches)
+        set_key(self, (name, poly, membership_ok, disc, disc_matches,
+                       partition, partition_matches))
 
     @property
     def ok(self) -> bool:

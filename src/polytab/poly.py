@@ -12,13 +12,13 @@ coefficients, for evaluating one polynomial against many.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations, count
 from math import gcd, isqrt
 
 from .budget import Budget
+from .records import Frozen
 from .smooth import PrimeSet, ZeroValueError, _is_prime, is_smooth
 
 
@@ -444,10 +444,16 @@ def s3_orbit(s: NormalizedPoly) -> frozenset:
 # membership predicate
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    ok: bool
-    failures: tuple           # the names of the values outside the monoid
+class MembershipReport(Frozen):
+    """ok, and failures: the names of the values outside the monoid."""
+
+    __slots__ = _fields = ("ok", "failures")
+
+    def __init__(self, ok, failures):
+        set_ok, set_failures, set_key = self._setters
+        set_ok(self, ok)
+        set_failures(self, failures)
+        set_key(self, (ok, failures))
 
 
 def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:

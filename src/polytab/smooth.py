@@ -10,9 +10,10 @@ prime structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from .records import Frozen
 
 
 class ZeroValueError(ValueError):
@@ -48,27 +49,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class PrimeSet:
+class PrimeSet(Frozen):
     """A finite, strictly increasing set of primes.
 
     May be empty.  Hashable and usable as a dict key; iterating yields the
     primes in increasing order.
     """
 
-    __slots__ = ("primes",)
+    __slots__ = _fields = ("primes",)
 
     def __init__(self, primes):
         ps = tuple(sorted(set(int(p) for p in primes)))
         for p in ps:
             if not _is_prime(p):
                 raise ValueError(f"not a prime: {p}")
-        object.__setattr__(self, "primes", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeSet is immutable")
-
-    def __reduce__(self):
-        return (PrimeSet, (self.primes,))
+        set_primes, set_key = self._setters
+        set_primes(self, ps)
+        set_key(self, ps)
 
     def __iter__(self):
         return iter(self.primes)
@@ -79,23 +76,19 @@ class PrimeSet:
     def __contains__(self, p):
         return p in self.primes
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeSet) and self.primes == other.primes
 
-    def __hash__(self):
-        return hash(self.primes)
+class SmoothFactorization(Frozen):
+    """n = sign * prod(p^e) * rough, with rough coprime to the prime set.
+    exponents is ((p, e), ...) with e > 0, aligned with the prime set order."""
 
-    def __repr__(self):
-        return "PrimeSet({%s})" % ", ".join(str(p) for p in self.primes)
+    __slots__ = _fields = ("sign", "exponents", "rough")
 
-
-@dataclass(frozen=True)
-class SmoothFactorization:
-    """n = sign * prod(p^e) * rough, with rough coprime to the prime set."""
-
-    sign: int
-    exponents: tuple  # ((p, e), ...) with e > 0, aligned with the prime set order
-    rough: int
+    def __init__(self, sign, exponents, rough):
+        set_sign, set_exponents, set_rough, set_key = self._setters
+        set_sign(self, sign)
+        set_exponents(self, exponents)
+        set_rough(self, rough)
+        set_key(self, (sign, exponents, rough))
 
     @property
     def is_smooth(self) -> bool:

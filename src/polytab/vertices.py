@@ -23,7 +23,6 @@ file can never inject a wrong vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
@@ -50,6 +49,7 @@ from .poly import (
     normalize,
     s3_orbit,
 )
+from .records import Frozen, Record
 from .smooth import PrimeSet, decompose_power, is_smooth
 
 VERTEX_SCHEMA = "polytab.vertices/1"
@@ -62,11 +62,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    poly: NormalizedPoly
-    class_datum: object = None
-    provenance: str = "built"
+class Vertex(Frozen):
+    __slots__ = _fields = ("poly", "class_datum", "provenance")
+
+    def __init__(self, poly, class_datum=None, provenance="built"):
+        set_poly, set_datum, set_provenance, set_key = self._setters
+        set_poly(self, poly)
+        set_datum(self, class_datum)
+        set_provenance(self, provenance)
+        set_key(self, (poly, class_datum, provenance))
 
     @property
     def degree(self) -> int:
@@ -76,14 +80,18 @@ class Vertex:
         return self.poly.sort_key()
 
 
-@dataclass
-class VertexSet:
-    P: PrimeSet
-    by_degree: dict = field(default_factory=dict)   # degree -> sorted [Vertex]
-    certificates: dict = field(default_factory=dict)  # degree -> status str
-    # degree-2 members with square discriminant: products of two linear
-    # members, so not vertices, but counted by the per-class tables
-    split_degree2: list = field(default_factory=list)  # sorted [NormalizedPoly]
+class VertexSet(Record):
+    def __init__(self, P, by_degree=None, certificates=None,
+                 split_degree2=None):
+        self.P = P
+        # degree -> sorted [Vertex]
+        self.by_degree = {} if by_degree is None else by_degree
+        # degree -> status str
+        self.certificates = {} if certificates is None else certificates
+        # sorted [NormalizedPoly], the degree-2 members with square
+        # discriminant: products of two linear members, so not vertices,
+        # but counted by the per-class tables
+        self.split_degree2 = [] if split_degree2 is None else split_degree2
 
     def add_degree(self, degree: int, vertices, certificate: str) -> None:
         vs = sorted(set(vertices), key=Vertex.sort_key)
@@ -135,14 +143,20 @@ _VARIANT_POWERS = {VARIANT_III: (1, 1, 1), VARIANT_I2I: (1, 2, 1),
 
 
 def _require_members(points, variant, P: PrimeSet):
-    """ValueError unless every point is a variant point over P.
+    """ValueError unless every point is a variant point over P, listed once.
 
-    The builders take points from files, so a point of the wrong variant or
-    with a side of the wrong shape is refused, not skipped.
+    The builders take points from files, so a point of the wrong variant,
+    with a side of the wrong shape, or listed twice is refused, not skipped.
+    A 3-2-inf point listed twice would list roots of F twice in
+    `build_degree3`.
     """
+    seen = set()
     for pt in points:
         if pt.variant != variant:
             raise ValueError(f"expected {variant} points, got {pt.variant}")
+        if pt.u in seen:
+            raise ValueError(f"{variant} point u = {pt.u} is listed twice")
+        seen.add(pt.u)
         for side, k in zip(canonical_triple(pt.u), _VARIANT_POWERS[variant]):
             if not (is_smooth(side, P) if k == 1
                     else decompose_power(side, k, P)):
@@ -266,13 +280,15 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
     j = 0 members and the swapped pairs, and labelled "cubic:<rep>".  stats
     counts candidates and rejected ones.
 
-    No root is listed twice, so m != n and s^{m,n} has degree 3: with
-    F = k G^2 - j H^3, a finite root of F(j, k1) and F(j, k2), k1 != k2,
-    is a root of G and H, whose resultant 16 j (j - 1)^3 is nonzero; and
-    inf is a root for one k only.  Swap: _smn_coeffs(a, b, n, m) is
-    _smn_coeffs(a, b, m, n) at t -> 1 - t (D goes to -D, and D + p, D + q
-    are the swapped p, q), so s^{n,m} is a member exactly when s^{m,n} is,
-    and the closure, which re-checks every image, adds it.
+    No root is listed twice, so m != n and s^{m,n} has degree 3.  The k of
+    the list are distinct, as `_require_members` refuses a repeated point.
+    With F = k G^2 - j H^3, a finite root of F(j, k1) and F(j, k2),
+    k1 != k2, is a root of G and H, whose resultant 16 j (j - 1)^3 is
+    nonzero; and inf is a root for one k only.
+    Swap: _smn_coeffs(a, b, n, m) is _smn_coeffs(a, b, m, n) at t -> 1 - t
+    (D goes to -D, and D + p, D + q are the swapped p, q), so s^{n,m} is a
+    member exactly when s^{m,n} is, and the closure, which re-checks every
+    image, adds it.
     """
     if 2 not in P or 3 not in P:
         raise ValueError("degree-3 parametrization requires 2 and 3 in P")
@@ -325,10 +341,11 @@ TABLE5_REPRESENTATIVES = {
 }
 
 
-@dataclass
-class IngestReport:
-    accepted: int = 0
-    rejected: list = field(default_factory=list)   # (coeffs, reason)
+class IngestReport(Record):
+    def __init__(self, accepted=0, rejected=None):
+        self.accepted = accepted
+        # (coeffs, reason)
+        self.rejected = [] if rejected is None else rejected
 
 
 def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):

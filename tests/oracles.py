@@ -550,6 +550,12 @@ def open_images(n):
     return [(v,) for v in range(n)]
 
 
+def open_graph(g):
+    """g with every vertex open: the same vertices and edges, no symmetry."""
+    return CompatGraph(g.vertices, g.degrees, g.adj, g.P,
+                       open_images(len(g.degrees)))
+
+
 def graph_from_lesser(degrees, lesser, P, vertices=None, images=None):
     """The CompatGraph whose edges are given by lesser-neighbor masks:
     lesser[i] holds the neighbors of i below i, and each edge is set in the

@@ -247,6 +247,21 @@ def test_console_entry_point(tmp_path):
     assert "PASS" in proc.stdout
 
 
+def test_import_loads_no_dataclasses():
+    """Every command is its own process, so what the import loads is paid
+    on every command: importing polytab and its CLI in a fresh process (no
+    site packages) leaves dataclasses and inspect unloaded."""
+    env_src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, polytab, polytab.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_tabulate_degree8_honours_the_budget(tmp_path):
     """Three degree-8 vertices need the (8, 8) resultant form, whose
     derivation takes over a minute; under a 2 s budget the graph build is
@@ -486,6 +501,26 @@ def test_non_member_points_exit_2(tmp_path):
         assert run(["vertices", "--primes", primes, "--max-degree", degree,
                     flag, path, "--out", tmp_path / "v.json"]) \
             == EXIT_VALIDATION, variant
+
+
+def test_repeated_points_exit_2(tmp_path, capsys):
+    """A point file that lists its points twice is refused with exit 2 and
+    an error line.  A repeated 3-2-inf point used to list roots of F twice
+    in the degree-3 build, which crashed on a zero polynomial."""
+    for variant, degree in (("3-2-inf", "3"), ("inf-2-inf", "2"),
+                            ("inf-inf-inf", "1")):
+        once, twice = tmp_path / f"{variant}.json", tmp_path / "twice.json"
+        assert run(["search", "--primes", "2,3", "--variant", variant,
+                    "--height", "1000", "--out", once]) == EXIT_OK
+        payload = json.loads(once.read_text())
+        payload["points"] *= 2
+        twice.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["vertices", "--primes", "2,3", "--max-degree", degree,
+                    "--points", twice, "--out", tmp_path / "v.json"]) \
+            == EXIT_VALIDATION, variant
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "listed twice" in err, variant
 
 
 # --- candidate files ---------------------------------------------------------

@@ -2,7 +2,6 @@ import gc
 import pickle
 import random
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, isqrt
@@ -51,7 +50,7 @@ from oracles import (
     mat_mul,
     mobius_on_point,
     neighbor_counts,
-    open_images,
+    open_graph,
     pgl2_packets_fraction,
     resultant_closed_form,
     resultant_sylvester,
@@ -214,7 +213,8 @@ def test_build_graph_open_vertices_and_other_primes(vs2, vs2357):
     assert g.edge_count() > 10
     for vs, P in ((vs2, PrimeSet([2, 3, 5, 7])), (vs2357, PrimeSet([2, 3])),
                   (vs2357, PrimeSet([2, 3, 5, 7, 11]))):
-        vs = replace(vs.value, P=P)
+        vs = VertexSet(P, vs.value.by_degree, vs.value.certificates,
+                       vs.value.split_degree2)
         assert build_graph(vs).lesser == build_graph_pairwise(vs).lesser
 
 
@@ -791,7 +791,7 @@ def test_tabulate_orbit_heads_against_oracle():
     kinds, inner = set(), 0
     for seed in range(40):
         g = _s3_graph(random.Random(2000 + seed))
-        plain = replace(g, images=open_images(len(g.degrees)))
+        plain = open_graph(g)
         kinds.update(len(set(im)) for im in g.images if len(im) == 6)
         inner += sum(g.adj[v] >> u & 1 for v, im in enumerate(g.images)
                      for u in im if u < v)
@@ -821,7 +821,7 @@ def test_enumerate_cliques_orbit_heads_against_oracle():
     for seed in range(40):
         g = _s3_graph(random.Random(2000 + seed))
         cells = cliques_by_partition_naive(g.degrees, g.lesser)
-        for h in (g, replace(g, images=open_images(len(g.degrees)))):
+        for h in (g, open_graph(g)):
             for m in range(len(g.degrees) + 2):
                 _enumerations_agree(h, max_size=m)
             for e in cells:
@@ -857,7 +857,7 @@ def test_tabulate_checks_budget_once_per_head(graph23, graph235):
         tabulate(g, budget=budget)
         assert budget.calls == heads == _orbit_head_count(g, len(g.degrees))
         budget = _CountingBudget()
-        plain = replace(g, images=open_images(len(g.degrees)))
+        plain = open_graph(g)
         tabulate(plain, max_size=2, budget=budget)
         assert budget.calls == len(g.degrees)
 
@@ -872,7 +872,7 @@ def test_images_none_matches_recorded_images(graph2, graph23, graph235,
     for g, table in ((graph2, table2), (graph23, table23),
                      (graph235, table235), (graph2357, table2357)):
         g, table = g.value, table.value
-        plain = replace(g, images=open_images(len(g.degrees)))
+        plain = open_graph(g)
         assert tabulate(plain).counts == table.counts
         for m in range(2, 7):
             assert tabulate(plain, max_size=m).counts \
@@ -952,7 +952,7 @@ def test_degree1_table_235711(search_iii_235711, graph235711):
                                              for c in top])
     assert len(packets) == 63 and mass == Fraction(185, 4)
     assert row[11] == len(top) == mass * 14 * 13 * 12
-    plain = replace(g, images=open_images(len(g.degrees)))
+    plain = open_graph(g)
     assert tabulate(plain, max_size=5).counts \
         == tabulate(g, max_size=5).counts == {
             e: c for e, c in table.counts.items() if sum(e) <= 5}

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import dataclasses
-
 from polytab import vertices
 from polytab.abc_search import (
+    AbcPoint,
     VARIANT_32I,
     VARIANT_I2I,
     VARIANT_III,
@@ -24,6 +23,8 @@ from polytab.abc_search import (
     search_abc,
 )
 from polytab.budget import Budget, BudgetExceededError
+from polytab.cliques import PartitionTable, pgl2_packets
+from polytab.generators import builtin_covers, cyclo_series, verify_named
 from polytab.poly import (
     NormalizedPoly,
     _one_minus,
@@ -34,9 +35,10 @@ from polytab.poly import (
     s3_orbit,
     special_values,
 )
-from polytab.smooth import PrimeSet, is_smooth
+from polytab.smooth import PrimeSet, factor_over, is_smooth
 from polytab.vertices import (
     TABLE5_REPRESENTATIVES,
+    IngestReport,
     VertexSet,
     build_degree1,
     build_degree2,
@@ -324,12 +326,26 @@ def test_degree3_ignores_point_labels(tmp_path, search_32i_23, vs23):
     """Labels on 3-2-inf points are never trusted: with a wrong one on every
     point, the {2,3} degree <= 3 vertex file is byte for byte the same."""
     points, cert = search_32i_23.value
-    wrong = [dataclasses.replace(pt, class_datum="cubic:1/1") for pt in points]
+    wrong = [AbcPoint(pt.variant, pt.A, pt.B, pt.C, pt.u, "cubic:1/1")
+             for pt in points]
     vs = build_vertex_set(P23, 3, points_by_variant={VARIANT_32I: (wrong, cert)})
     write_vertex_set(tmp_path / "want.json", vs23.value)
     write_vertex_set(tmp_path / "got.json", vs)
     assert (tmp_path / "got.json").read_bytes() == \
         (tmp_path / "want.json").read_bytes()
+
+
+def test_repeated_points_are_refused(search_32i_23):
+    """A point listed twice is a ValueError for every variant, not a second
+    root list in the degree-3 build (there, a zero polynomial)."""
+    points, cert = search_32i_23.value
+    cases = [(VARIANT_32I, 3, (points + points[:1], cert))]
+    for variant, degree in ((VARIANT_III, 1), (VARIANT_I2I, 2)):
+        pts, c = search_abc(P23, variant, 10 ** 3)
+        cases.append((variant, degree, (pts + pts[-1:], c)))
+    for variant, degree, given in cases:
+        with pytest.raises(ValueError, match="listed twice"):
+            build_vertex_set(P23, degree, points_by_variant={variant: given})
 
 
 def test_orbit_closure_failure_raises(monkeypatch):
@@ -392,13 +408,62 @@ def test_ingest_rejects():
         ["zero", "zero", "constant"]
 
 
-def test_value_types_pickle(vs2):
-    points, _ = search_abc(P2, VARIANT_III, 10)
+def test_value_types_pickle(vs2, graph2, table2):
+    """Every value type survives a pickle round trip and is rebuilt from its
+    fields by keyword.  The frozen ones refuse assignment, hash as their
+    equals do and equal no tuple; the mutable ones are unhashable, and each
+    default-built one gets its own dicts and lists."""
+    points, cert = search_abc(P2, VARIANT_III, 10)
     s = NormalizedPoly((2, -2, 1))
     s.discriminant()
-    for obj in (P2, s, vs2.value.degree_slice(4)[0], points[0]):
-        assert pickle.loads(pickle.dumps(obj)) == obj
-    assert pickle.loads(pickle.dumps(s)).discriminant() == -4
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and back.discriminant() == -4
+    linear = [v.poly for v in graph2.value.vertices if v.degree == 1]
+    frozen = [
+        (P2, ("primes",)),
+        (points[0], ("variant", "A", "B", "C", "u", "class_datum")),
+        (cert, ("primes", "variant", "height_bound", "complete", "citation")),
+        (factor_over(-7 * 360, P23), ("sign", "exponents", "rough")),
+        (check_membership(NormalizedPoly((2, 0, 1)), P2), ("ok", "failures")),
+        (vs2.value.degree_slice(4)[0], ("poly", "class_datum", "provenance")),
+        (cyclo_series(P2, 10), ("P", "kmax", "coeffs")),
+        (builtin_covers()["power:2"], ("name", "numer", "denom", "scalar")),
+        (verify_named("big23"), ("name", "poly", "membership_ok", "disc",
+                                 "disc_matches", "partition",
+                                 "partition_matches")),
+    ]
+    mutable = [
+        (vs2.value, ("P", "by_degree", "certificates", "split_degree2")),
+        (ingest_units([(2, 0, 1)], P2)[1], ("accepted", "rejected")),
+        (graph2.value, ("vertices", "degrees", "adj", "P", "images")),
+        (table2.value, ("f", "counts")),
+        (pgl2_packets(linear)[0][0],
+         ("members", "stabilizer_order", "stabilizer_label")),
+    ]
+    for group, is_frozen in ((frozen, True), (mutable, False)):
+        for obj, fields in group:
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and back is not obj, obj
+            assert type(obj)(**{f: getattr(obj, f) for f in fields}) == obj
+            if not is_frozen:
+                with pytest.raises(TypeError):
+                    hash(obj)
+                continue
+            assert hash(back) == hash(obj), obj
+            assert obj != tuple(getattr(obj, f) for f in fields), obj
+            for f in fields:
+                with pytest.raises(AttributeError):
+                    setattr(obj, f, None)
+                with pytest.raises(AttributeError):
+                    delattr(obj, f)
+    for build, fresh in ((lambda: VertexSet(P2),
+                          ("by_degree", "certificates", "split_degree2")),
+                         (lambda: PartitionTable(3), ("counts",)),
+                         (IngestReport, ("rejected",))):
+        a, b = build(), build()
+        assert a == b
+        for f in fresh:
+            assert getattr(a, f) is not getattr(b, f), f
 
 
 def test_ingest_idempotent_on_orbits(vs2):
