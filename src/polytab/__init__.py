@@ -4,9 +4,7 @@ values at the three marked points."""
 
 from .smooth import (
     PrimeSet,
-    SmoothFactorization,
     decompose_power,
-    factor_over,
     is_unit_in,
     smooth_numbers_up_to,
 )

@@ -194,12 +194,15 @@ def _certify(P, variant, H):
     return False, None
 
 
-def _by_support(xs, primes) -> dict:
+def _by_support(xs, primes, budget: Budget) -> dict:
     """Map each prime-support bitmask (bit i set when primes[i] divides x) to
     the x in xs with that support.  Two numbers are coprime exactly when their
-    masks are disjoint, so pair loops over disjoint buckets need no gcd."""
+    masks are disjoint, so pair loops over disjoint buckets need no gcd.  The
+    budget is checked once per 1024 numbers."""
     out = {}
-    for x in xs:
+    for k, x in enumerate(xs):
+        if not k & 1023:
+            budget.check()
         mask = 0
         for i, p in enumerate(primes):
             if x % p == 0:
@@ -214,7 +217,7 @@ def _search_iii(smooth, sset, primes, H: int, budget: Budget):
     a + b is coprime to both, so it needs only the lookup.  Each unordered
     pair is visited once: masks ma < mb, plus (0, 0) for 1 + 1.
     """
-    buckets = _by_support(smooth, primes)
+    buckets = _by_support(smooth, primes, budget)
     us = set()
     for ma, xs in buckets.items():
         partners = [ys for mb, ys in buckets.items() if ma & mb == 0 and ma <= mb]
@@ -282,10 +285,12 @@ def _pair_search(acands, smooth, primes, budget: Budget):
     a, so it removes n na / 2^k of them.  A bucket uses it while that is more
     than its cost counted in exact tests: 2 q + n + n q / 32 to build the
     table (per column, per value and per byte, as timed on CPython 3.11) and
-    na lookups.  The budget is checked once per table and once per a.
+    na lookups.  The budget is checked once per bucket while they are sized,
+    once per table and once per a.
     """
     cbuckets = []
-    for mc, cs in _by_support(smooth, primes).items():
+    for mc, cs in _by_support(smooth, primes, budget).items():
+        budget.check()
         na = sum(len(xs) for ma, xs in acands.items() if ma & mc == 0)
         cbuckets.append((mc, cs, len(cs), na))
     # no bucket can pay for a q with 2 q >= n na
@@ -329,18 +334,22 @@ def _pair_search(acands, smooth, primes, budget: Budget):
     return us
 
 
-def _cube_candidates(smooth, primes, H: int) -> dict:
+def _cube_candidates(smooth, primes, H: int, budget: Budget) -> dict:
     """All positive a = s x^3 <= H with s smooth and x prime to P, bucketed
-    by prime support as _by_support does: the support of a is that of s."""
+    by prime support as _by_support does: the support of a is that of s.
+    The budget is checked once per bucket."""
     cubes = []
     x = 1
     while x * x * x <= H:
         if all(x % p for p in primes):
             cubes.append(x * x * x)
         x += 1
-    return {mask: [s * x3 for s in ss
-                   for x3 in cubes[:bisect_right(cubes, H // s)]]
-            for mask, ss in _by_support(smooth, primes).items()}
+    out = {}
+    for mask, ss in _by_support(smooth, primes, budget).items():
+        budget.check()
+        out[mask] = [s * x3 for s in ss
+                     for x3 in cubes[:bisect_right(cubes, H // s)]]
+    return out
 
 
 def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
@@ -357,7 +366,9 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
     vertices.build_vertex_set computes them, once, from the points.
 
     The searches are serial loops over coprime pairs, with the budget checked
-    once per outer candidate.  workers is accepted and ignored.
+    once per outer candidate; their set-up (the smooth numbers, their prime
+    supports and the bucket sizes) checks it too.  workers is accepted and
+    ignored.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -373,16 +384,17 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         return _emptiness_certificate(
             P, variant, H, False, "unsupported: degree-2 parametrization needs 2 in P")
 
-    smooth = smooth_numbers_up_to(P, H)
+    smooth = smooth_numbers_up_to(P, H, budget=budget)
     if variant == VARIANT_III:
-        us = _search_iii(smooth, set(smooth_numbers_up_to(P, 2 * H)), P.primes,
-                         H, budget)
+        us = _search_iii(smooth, set(smooth_numbers_up_to(P, 2 * H,
+                                                          budget=budget)),
+                         P.primes, H, budget)
     elif variant == VARIANT_I2I:
-        us = _pair_search(_by_support(smooth, P.primes), smooth, P.primes,
-                          budget)
-    else:
-        us = _pair_search(_cube_candidates(smooth, P.primes, H), smooth,
+        us = _pair_search(_by_support(smooth, P.primes, budget), smooth,
                           P.primes, budget)
+    else:
+        us = _pair_search(_cube_candidates(smooth, P.primes, H, budget),
+                          smooth, P.primes, budget)
 
     points = []
     for u in us:

@@ -33,14 +33,12 @@ width proved from greedy colourings (see `tabulate`).
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import (accumulate, combinations, compress, islice,
-                       permutations, product, repeat)
+from itertools import (accumulate, combinations, compress, islice, product,
+                       repeat)
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -50,7 +48,6 @@ from .poly import (
     _one_minus,
     projective_point,
     rational_roots,
-    resultant_bound,
     # not called: bench/tracing.py PATCHES wraps cliques.resultant_fast
     resultant_fast,
     resultant_form,
@@ -115,14 +112,15 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     are automorphisms that keep the vertex degree, which `tabulate` uses to
     count one head per class of cliques.
 
-    Lemma: no resultant of the loop exceeds B = resultant_bound(coeffs).
-    By Hadamard's inequality on the Sylvester matrix, which has deg g rows
-    of coefficients of f and deg f rows of those of g, |Res(f, g)| <=
-    |f|_2^deg g |g|_2^deg f, and B is the largest such product over the
-    degree pairs of the set.  So a resultant is a nonzero P-smooth integer
-    exactly when its absolute value is one of the P-smooth numbers <= B,
-    which are listed once and looked up, unless there are more of them than
-    lanes to read (huge coefficients).
+    Lemma: no resultant of the loop exceeds B = isqrt(max M_m^d M_d^m) over
+    the degree pairs (m, d) of the set, M_d the largest squared norm of its
+    degree-d vertices.  By Hadamard's inequality on the Sylvester matrix,
+    which has deg g rows of coefficients of f and deg f rows of those of g,
+    |Res(f, g)| <= |f|_2^deg g |g|_2^deg f.  So a resultant is a nonzero
+    P-smooth integer exactly when its absolute value is one of the P-smooth
+    numbers <= B, which `_Lanes` lists once, from the norms it keeps, and
+    looks up, unless there are more of them than lanes to read (huge
+    coefficients).
 
     Rows (`_Lanes`).  For a representative r of degree m, Res(r, g) over the
     vertices g of degree d is a form of degree m in the d + 1 coefficients of
@@ -189,10 +187,8 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
             heads.append((len(order), i))
             placed.update(orbit)
             order.extend(orbit)
-    bound = max(resultant_bound(coeffs), 1)
-    smooth = smooth_numbers_up_to(P, bound,
-                                  limit=sum(n - 1 - at for at, _ in heads))
-    rows = _Lanes(coeffs, degrees, order, P, smooth, budget)
+    rows = _Lanes(coeffs, degrees, order, P,
+                  sum(n - 1 - at for at, _ in heads), budget)
     adj = [0] * n
     for at, r in heads:
         budget.check()
@@ -229,11 +225,12 @@ def _spread(packs, base, width, n):
 
 class _Lanes:
     """The smooth partners of a representative, read off packed rows of
-    resultants (the Rows paragraph of `build_graph`)."""
+    resultants (the Rows paragraph of `build_graph`).  The smooth numbers
+    up to the bound B are listed unless there are more than limit of them;
+    smooth is then None."""
 
-    def __init__(self, coeffs, degrees, order, P, smooth, budget):
-        self.coeffs, self.P, self.smooth, self.budget = (coeffs, P, smooth,
-                                                         budget)
+    def __init__(self, coeffs, degrees, order, P, limit, budget):
+        self.coeffs, self.P, self.budget = coeffs, P, budget
         self.norms = [sum(x * x for x in c) for c in coeffs]
         self.classes = {}     # degree -> (positions in order, vertices)
         for at, j in enumerate(order):
@@ -244,6 +241,10 @@ class _Lanes:
         self.top = {d: list(accumulate(
                         [self.norms[j] for j in reversed(members)], max))[::-1]
                     for d, (_, members) in self.classes.items()}
+        bound = isqrt(max((top[0] ** d * self.top[d][0] ** m
+                           for m, top in self.top.items() for d in self.top),
+                          default=0))
+        self.smooth = smooth_numbers_up_to(P, max(bound, 1), limit=limit)
         self.packs = {}       # (m, d, W) -> the monomial packs, then the bias's
         self.hits = {}        # W -> (the smooth lanes, their low words or None)
 
@@ -406,13 +407,13 @@ class PartitionTable(Record):
         return sum(self.counts.values())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["kappa", "count"])
+        """kappa,count lines by total degree; a label holds no comma or
+        quote, so no field needs quoting."""
+        lines = ["kappa,count"]
         for expts in sorted(self.counts,
                             key=lambda e: (sum((d + 1) * x for d, x in enumerate(e)), e)):
-            w.writerow([partition_label(expts), self.counts[expts]])
-        return buf.getvalue()
+            lines.append(f"{partition_label(expts)},{self.counts[expts]}")
+        return "\n".join(lines) + "\n"
 
     def to_json_payload(self, P: PrimeSet) -> dict:
         return {
@@ -949,13 +950,6 @@ def _triple_to_matrix(p, q, r):
     return qr * p[1], -qr * p[0], qp * r[1], -qp * r[0]
 
 
-def _image(mat, pts):
-    """The set of images of the points pts under mat, as primitive pairs."""
-    a, b, c, d = mat
-    return frozenset(projective_point(a * x0 + b * x1, c * x0 + d * x1)
-                     for x0, x1 in pts)
-
-
 def _s3_moves(ids):
     """For each element of S3_ELEMENTS, in that order, the list sending each
     point id to the id of the point's image; ids maps primitive pairs to
@@ -979,14 +973,11 @@ def _s3_moves(ids):
             for images in zip(*(s3_images(x, flip, inv) for x in ids))]
 
 
-def _perm_order(mat, pts) -> int:
-    """The order of the permutation that mat induces on pts, a set it maps
-    onto itself: the lcm of the cycle lengths."""
-    a, b, c, d = mat
-    move = {x: projective_point(a * x[0] + b * x[1], c * x[0] + d * x[1])
-            for x in pts}
+def _perm_order(move) -> int:
+    """The order of the permutation move (a dict from each point to its
+    image): the lcm of the cycle lengths."""
     order = 1
-    for x in pts:
+    for x in move:
         k, y = 1, move[x]
         while y != x:
             k, y = k + 1, move[y]
@@ -1050,18 +1041,20 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     image has no id gives a key that no input has.
 
     Each unordered triple {p, q, r} of a key K gives one image I = T(K), T
-    the map sending (p, q, r) to (0, 1, inf).  The map of any other ordering
-    is s o T for one of the six maps s permuting 0, 1, inf, so the other
-    five images are the s(I), read off the id table.  The orbit is a union
-    of these S3 classes: a class joins it when its I is first met, and an
-    I already in the orbit adds nothing.  s o T fixes K only when I is one
-    of the six s^-1(K), and only those triples are run through every
-    ordering to collect the stabilizer.  Only the first key of each packet
-    is turned back into its a + 3 pairs, for the triple maps.
+    the map sending (p, q, r) to (0, 1, inf): the images of the a + 3
+    points are read once, as ids, in the points' order.  The map of any
+    other ordering is s o T for one of the six maps s permuting 0, 1, inf,
+    so the other five images are the s(I), read off the id table.  The
+    orbit is a union of these S3 classes: a class joins it when its I is
+    first met, and an I already in the orbit adds nothing.  s o T fixes K
+    exactly when s sends T's image ids to ids that sort to K, which needs I
+    to be one of the six s^-1(K); only those triples are run through the
+    six s to collect the stabilizer.  Only the first key of each packet is
+    turned back into its a + 3 pairs, for the triple maps.
 
     A map of PGL2(Q) that fixes three points is the identity, so a
     stabilizer element has the order of the permutation it induces on the
-    a + 3 points of the key, and the stabilizer is labelled from those.
+    a + 3 point ids of the key, and the stabilizer is labelled from those.
 
     Malformed input raises ValueError: no polynomials, a polynomial that
     does not split into distinct linear factors (roots=None), a root list
@@ -1113,23 +1106,26 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
         if seen[i]:
             continue
         budget.check()
-        full = [pts[x] for x in key] + list(MARKED)
-        full_set = frozenset(full)
+        full_ids = key + (0, 1, 2)
+        full = [pts[x] for x in full_ids]
         s3_key = set(s3_keys(key))
         orbit = set()
         stab = []             # the orders of the stabilizer elements
         for p, q, r in combinations(full, 3):
-            mapped = _image(_triple_to_matrix(p, q, r), full)
+            a0, b0, c0, d0 = _triple_to_matrix(p, q, r)
+            mapped = [ids.get(projective_point(a0 * x0 + b0 * x1,
+                                               c0 * x0 + d0 * x1), none)
+                      for x0, x1 in full]
             # p, q, r go to the marked points, ids 0, 1, 2, which sort first
-            image = tuple(sorted([ids.get(y, none) for y in mapped])[3:])
+            image = tuple(sorted(mapped)[3:])
             j = index.get(image)
             if j is None:
                 raise AssertionError(_LEAVES)
             if image in s3_key:
-                for t in permutations((p, q, r)):
-                    mat = _triple_to_matrix(*t)
-                    if _image(mat, full) == full_set:
-                        stab.append(_perm_order(mat, full))
+                for move in moves:
+                    after = [move[y] for y in mapped]
+                    if tuple(sorted(after)[3:]) == key:
+                        stab.append(_perm_order(dict(zip(full_ids, after))))
             if j in orbit:
                 continue
             for moved in s3_keys(image):

@@ -63,7 +63,8 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
     smooth index, as the truncated product of (1 + x^phi(i)).
 
     Indices run over the smooth integers > 1; phi(i) >= i * prod(1 - 1/p)
-    bounds the enumeration.
+    bounds the enumeration.  The budget is checked as the indices are
+    listed and once per factor of the product.
     """
     if 2 not in P:
         raise ValueError("the cyclotomic count needs 2 in the prime set")
@@ -77,7 +78,7 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
         scale_den *= p - 1
     bound = kmax * scale_num // scale_den + 1
     degrees = []
-    for i in smooth_numbers_up_to(P, bound):
+    for i in smooth_numbers_up_to(P, bound, budget=budget):
         if i == 1:
             continue
         phi = _phi_of_smooth(i, P)

@@ -65,11 +65,13 @@ def _prem(a: list, b: list):
     return _trim(a)
 
 
-def resultant_coeffs(f, g) -> int:
+def resultant_coeffs(f, g, budget: Budget | None = None) -> int:
     """Resultant of two nonzero integer polynomials, Sylvester sign convention.
 
     Subresultant PRS (Collins); coefficient growth stays proportional to the
     result, which is what makes the degree-35 discriminants here tractable.
+    A budget is checked once per pseudo-remainder: at degree 400 the whole
+    sequence takes seconds.
     """
     f = _trim(list(f))
     g = _trim(list(g))
@@ -94,6 +96,8 @@ def resultant_coeffs(f, g) -> int:
         delta = df - dg
         if df % 2 and dg % 2:
             sign = -sign
+        if budget is not None:
+            budget.check()
         r = _prem(f, g)
         if not r:
             return 0
@@ -112,24 +116,6 @@ def resultant_coeffs(f, g) -> int:
 # an alias kept for bench/tracing.py, which wraps cliques.resultant_fast;
 # nothing in the package calls it
 resultant_fast = resultant_coeffs
-
-
-def resultant_bound(polys) -> int:
-    """An integer at least |Res(f, g)| for every two f, g of the given
-    trimmed coefficient lists.
-
-    Hadamard's inequality on the Sylvester matrix: for degrees m and n it has
-    n rows holding the coefficients of f and m holding those of g, so
-    |Res(f, g)| <= |f|^n |g|^m in the Euclidean norm.  With M_d the largest
-    squared norm among the lists of degree d, the bound is the integer part
-    of the square root of the largest M_m^n M_n^m over the degree pairs.
-    """
-    norms = {}
-    for c in polys:
-        d = len(c) - 1
-        norms[d] = max(norms.get(d, 0), sum(x * x for x in c))
-    return isqrt(max((norms[m] ** n * norms[n] ** m
-                      for m in norms for n in norms), default=0))
 
 
 _FORMS = {}     # (m, d) -> resultant_form(m, d): one derivation per process
@@ -238,7 +224,7 @@ class NormalizedPoly:
     def __repr__(self):
         return f"NormalizedPoly({self.format()})"
 
-    def format(self, var: str = "t") -> str:
+    def format(self) -> str:
         terms = []
         for i in range(self.degree, -1, -1):
             c = self.coeffs[i]
@@ -249,16 +235,16 @@ class NormalizedPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+                body = f"{head}t" if i == 1 else f"{head}t^{i}"
             if not terms:
                 terms.append(body if c > 0 else "-" + body)
             else:
                 terms.append(("+ " if c > 0 else "- ") + body)
         return " ".join(terms) if terms else "0"
 
-    def discriminant(self) -> int:
+    def discriminant(self, budget: Budget | None = None) -> int:
         if self._disc is None:
-            object.__setattr__(self, "_disc", discriminant(self))
+            object.__setattr__(self, "_disc", discriminant(self, budget))
         return self._disc
 
 
@@ -325,11 +311,12 @@ def derivative_coeffs(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
-def discriminant(s: NormalizedPoly) -> int:
+def discriminant(s: NormalizedPoly, budget: Budget | None = None) -> int:
     """(-1)^(k(k-1)/2) Res(s, s') / s(inf); 0 exactly when s is inseparable.
 
     Degrees 2 and 3 use the closed forms b^2 - 4ac and
-    b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd (a the leading coefficient).
+    b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd (a the leading coefficient);
+    above, the budget goes to the PRS.
     """
     k = s.degree
     if k < 1:
@@ -343,7 +330,7 @@ def discriminant(s: NormalizedPoly) -> int:
         d, c, b, a = s.coeffs
         return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                 - 27 * a * a * d * d + 18 * a * b * c * d)
-    r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs))
+    r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs), budget)
     if k % 4 in (2, 3):
         r = -r
     return r // s.coeffs[-1]
@@ -456,14 +443,16 @@ class MembershipReport(Frozen):
         set_key(self, (ok, failures))
 
 
-def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
+def check_membership(s: NormalizedPoly, P: PrimeSet,
+                     budget: Budget | None = None) -> MembershipReport:
     """Test s(0), s(1), s(inf), disc(s) for membership in the smooth monoid.
 
-    Separability is part of the contract: disc = 0 is a failure.
+    Separability is part of the contract: disc = 0 is a failure.  The
+    budget goes to the discriminant's PRS.
     """
     v0, v1, vinf = special_values(s)
     values = (("s0", v0), ("s1", v1), ("sinf", vinf),
-              ("disc", s.discriminant()))
+              ("disc", s.discriminant(budget)))
     failures = tuple(name for name, v in values if not is_smooth(v, P))
     return MembershipReport(not failures, failures)
 
@@ -512,20 +501,23 @@ def _primitive(c):
     return [x // g for x in c]
 
 
-def _poly_gcd(a, b):
-    """gcd of integer polynomials, primitive, by fraction-free remainders."""
+def _poly_gcd(a, b, budget: Budget | None = None):
+    """gcd of integer polynomials, primitive, by fraction-free remainders;
+    a budget is checked once per remainder."""
     a = _trim(list(a))
     b = _trim(list(b))
     while b:
+        if budget is not None:
+            budget.check()
         a, b = b, _prem(a, b)
         if b:
             b = _primitive(b)
     return _primitive(a)
 
 
-def _radical(c):
+def _radical(c, budget: Budget | None = None):
     """Primitive square-free part c / gcd(c, c'): the same roots, each once."""
-    g = _poly_gcd(c, derivative_coeffs(c))
+    g = _poly_gcd(c, derivative_coeffs(c), budget)
     if len(g) > 1:
         c = _poly_divmod_exact(c, g)
     return _primitive(c)
@@ -692,7 +684,7 @@ def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
     c = list(s.coeffs)
     if len(c) == 1:
         return []
-    f = _radical(c)
+    f = _radical(c, budget)
     q = next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
              and len(_gcd_q(f, derivative_coeffs(f), q)) == 1)
     us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q, budget)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
+from .budget import Budget
 from .records import Frozen
 
 
@@ -77,70 +78,14 @@ class PrimeSet(Frozen):
         return p in self.primes
 
 
-class SmoothFactorization(Frozen):
-    """n = sign * prod(p^e) * rough, with rough coprime to the prime set.
-    exponents is ((p, e), ...) with e > 0, aligned with the prime set order."""
-
-    __slots__ = _fields = ("sign", "exponents", "rough")
-
-    def __init__(self, sign, exponents, rough):
-        set_sign, set_exponents, set_rough, set_key = self._setters
-        set_sign(self, sign)
-        set_exponents(self, exponents)
-        set_rough(self, rough)
-        set_key(self, (sign, exponents, rough))
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.rough == 1
-
-    @property
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.exponents:
-            v *= p ** e
-        return v * self.rough
-
-
-def factor_over(n: int, P: PrimeSet) -> SmoothFactorization:
-    """Split a nonzero integer into its P-part and rough cofactor.
-
-    Exact division only; the rough part is returned untouched.  The power
-    of 2 is the count of trailing zero bits.  Any other prime comes off by
-    its powers p, p^2, p^4, ... while they divide, then by a binary descent
-    through the same powers, so an exponent e costs O(log e) big divisions
-    instead of e.
-    """
-    if n == 0:
-        raise ZeroValueError("0 has no factorization over a prime set")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
-    exps = []
-    for p in P:
-        e = 0
-        if p == 2:
-            e = (m & -m).bit_length() - 1
-            m >>= e
-        elif m % p == 0:
-            powers = [p]
-            while m % (sq := powers[-1] * powers[-1]) == 0:
-                powers.append(sq)
-            for i in range(len(powers) - 1, -1, -1):
-                q, r = divmod(m, powers[i])
-                if r == 0:
-                    m = q
-                    e += 1 << i
-        if e:
-            exps.append((p, e))
-    return SmoothFactorization(sign, tuple(exps), m)
-
-
 def is_smooth(n: int, P: PrimeSet) -> bool:
     """True iff n is in the signed smooth monoid (n != 0, no rough part).
 
-    P is stripped off |n| as `factor_over` does it, with no factorization
-    built and no exponent counted: this is the test of every special value,
-    discriminant and graph resultant.
+    The power of 2 is the count of trailing zero bits.  Any other prime p
+    comes off by its powers p, p^2, p^4, ... while they divide, then by a
+    binary descent through the same powers, so an exponent e costs O(log e)
+    big divisions instead of e.  No exponent is counted: this is the test of
+    every special value, discriminant and graph resultant.
     """
     m = abs(n)
     for p in P.primes:
@@ -190,30 +135,54 @@ def decompose_power(n: int, k: int, P: PrimeSet):
     The sign rides on a, x > 0, and each prime of P divides a fewer than k
     times (for k = 2, a is the signed square-free smooth representative).
     Returns None when the rough cofactor of n is not a perfect k-th power.
+    P comes off |n| by the descent of `is_smooth`, here with each exponent
+    counted: the binary descent adds 2^i for each power p^(2^i) it divides
+    out.
     """
     if n == 0:
         raise ZeroValueError("0 has no smooth power decomposition")
     if k not in (2, 3):
         raise ValueError("only k = 2 and k = 3 are supported")
-    f = factor_over(n, P)
-    r = isqrt(f.rough) if k == 2 else _icbrt(f.rough)
-    if r ** k != f.rough:
-        return None
-    a, x = f.sign, r
-    for p, e in f.exponents:
+    m = abs(n)
+    a, x = (1 if n > 0 else -1), 1
+    for p in P.primes:
+        if m == 1:
+            break
+        if p == 2:
+            e = (m & -m).bit_length() - 1
+            m >>= e
+        elif m % p == 0:
+            powers = [p]
+            while m % (sq := powers[-1] * powers[-1]) == 0:
+                powers.append(sq)
+            e = 0
+            for i in range(len(powers) - 1, -1, -1):
+                q, r = divmod(m, powers[i])
+                if not r:
+                    m = q
+                    e += 1 << i
+        else:
+            continue
         a *= p ** (e % k)
         x *= p ** (e // k)
-    return a, x
+    r = isqrt(m) if k == 2 else _icbrt(m)
+    if r ** k != m:
+        return None
+    return a, x * r
 
 
-def smooth_numbers_up_to(P: PrimeSet, H: int,
-                        limit: int | None = None) -> list | None:
+_POLL = 1 << 16     # numbers listed between budget checks
+
+
+def smooth_numbers_up_to(P: PrimeSet, H: int, limit: int | None = None,
+                         budget: Budget | None = None) -> list | None:
     """All positive P-smooth numbers <= H, ascending.
 
     Exponent-vector enumeration (one extension pass per prime); no sieve,
     so H around 1e11 stays cheap for the small prime sets used here.  With
     a limit, None as soon as there are more than limit of them: each pass
-    keeps the numbers of the one before, so the work stops there too.
+    keeps the numbers of the one before, so the work stops there too.  A
+    budget is checked once per pass and once per 2^16 numbers listed.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
@@ -223,14 +192,21 @@ def smooth_numbers_up_to(P: PrimeSet, H: int,
         return None     # 1 is always one of them
     out = [1]
     for p in P:
+        if budget is not None:
+            budget.check()
         nxt = []
+        mark = min(limit, _POLL)   # the next length to stop at
         for s in out:
             v = s
             while v <= H:
                 nxt.append(v)
                 v *= p
-            if len(nxt) > limit:
-                return None
+            if len(nxt) > mark:
+                if len(nxt) > limit:
+                    return None
+                if budget is not None:
+                    budget.check()
+                mark = min(limit, len(nxt) + _POLL)
         out = nxt
     out.sort()
     return out

@@ -115,12 +115,13 @@ class VertexSet(Record):
         return {d: len(v) for d, v in sorted(self.by_degree.items())}
 
 
-def _orbit_closure(polys, P: PrimeSet) -> dict:
+def _orbit_closure(polys, P: PrimeSet, budget: Budget | None = None) -> dict:
     """The union of the S3 orbits of the members polys, keyed by coeffs.
 
     Members have s(0) s(1) != 0, so the action is a group action and a
     member already in the closure brings no new orbit.  A non-member image
-    raises AssertionError, which python -O keeps.
+    raises AssertionError, which python -O keeps.  The budget goes to each
+    image's membership test.
     """
     closed = {}
     for s in polys:
@@ -128,7 +129,7 @@ def _orbit_closure(polys, P: PrimeSet) -> dict:
             for t in s3_orbit(s):
                 closed[t.coeffs] = t
     for t in closed.values():
-        if not check_membership(t, P).ok:
+        if not check_membership(t, P, budget).ok:
             raise AssertionError(f"orbit closure broke membership: {t}")
     return closed
 
@@ -356,7 +357,8 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
     Membership goes first because it is cheap and rejects most bad rows;
     irreducibility of degree 4 and up is decided by factor_small (modular
     factoring with recombination, sound for every size of coefficient).  The
-    budget is checked once per candidate and inside factor_small's loops.
+    budget is checked once per candidate, inside the discriminant's PRS and
+    inside factor_small's loops.
     Returns ({degree: [Vertex]}, IngestReport).
     """
     budget = budget or Budget.from_env()
@@ -374,7 +376,7 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
         if s.degree < 1:
             report.rejected.append((s.coeffs, "constant"))
             continue
-        if not check_membership(s, P).ok:
+        if not check_membership(s, P, budget).ok:
             report.rejected.append((s.coeffs, "membership"))
             continue
         if not is_irreducible(s, budget):
@@ -383,7 +385,7 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
         report.accepted += 1
         accepted.append(s)
     out = {}
-    for t in _orbit_closure(accepted, P).values():
+    for t in _orbit_closure(accepted, P, budget).values():
         out.setdefault(t.degree, []).append(Vertex(t, provenance="ingested"))
     return {d: sorted(vs, key=Vertex.sort_key)
             for d, vs in sorted(out.items())}, report

@@ -162,6 +162,24 @@ def resultant_closed_form(f, g) -> int:
     return resultant_sylvester(f, g)
 
 
+def resultant_bound(polys) -> int:
+    """An integer at least |Res(f, g)| for every two f, g of the given
+    trimmed coefficient lists, from the lists alone.
+
+    Hadamard's inequality on the Sylvester matrix: for degrees m and n it has
+    n rows holding the coefficients of f and m holding those of g, so
+    |Res(f, g)| <= |f|^n |g|^m in the Euclidean norm.  With M_d the largest
+    squared norm among the lists of degree d, the bound is the integer part
+    of the square root of the largest M_m^n M_n^m over the degree pairs.
+    """
+    norms = {}
+    for c in polys:
+        d = len(c) - 1
+        norms[d] = max(norms.get(d, 0), sum(x * x for x in c))
+    return isqrt(max((norms[m] ** n * norms[n] ** m
+                      for m in norms for n in norms), default=0))
+
+
 def smooth_filter_naive(primes, H):
     """All P-smooth numbers in [1, H] by trial division of every integer."""
     out = []

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -28,12 +29,17 @@ from polytab.abc_search import (
 from polytab.budget import Budget, BudgetExceededError
 from polytab.smooth import (
     PrimeSet,
-    factor_over,
     is_smooth,
     smooth_numbers_up_to,
 )
 
-from oracles import INF, abc_brute_force, abc_gcd_pair_search, roots_of_F_fraction
+from oracles import (
+    INF,
+    abc_brute_force,
+    abc_gcd_pair_search,
+    factor_over_division_loop,
+    roots_of_F_fraction,
+)
 
 from math import gcd, isqrt
 
@@ -63,8 +69,8 @@ def test_small_search_matches_brute_force():
                 # outside the search contract, but the pair loop is still exact
                 assert points == [] and not cert.complete
                 smooth = smooth_numbers_up_to(P, H)
-                assert _pair_search(_by_support(smooth, P.primes), smooth,
-                                    P.primes, Budget()) == want
+                assert _pair_search(_by_support(smooth, P.primes, Budget()),
+                                    smooth, P.primes, Budget()) == want
                 continue
             assert {pt.u for pt in points} == want, (P, variant)
 
@@ -85,7 +91,7 @@ def test_point_invariants():
         assert pt.A * pt.B * pt.C < 0
         assert gcd(pt.A, pt.B) == gcd(pt.B, pt.C) == gcd(pt.A, pt.C) == 1
         assert is_smooth(pt.A, P235) and is_smooth(pt.C, P235)
-        b = factor_over(pt.B, P235).rough
+        b = factor_over_division_loop(pt.B, P235)[2]
         assert isqrt(b) ** 2 == b
         assert pt.u == Fraction(-pt.A, pt.C)
 
@@ -140,8 +146,9 @@ class _RefuseAt(Budget):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_budget_stops_running_search(workers):
     # unbudgeted, this search checks its budget about 10^5 times, all but a
-    # few dozen of them (one per residue table) in the candidate loop; a
-    # refusal at the 1000th check must stop it there, however fast it runs
+    # few dozen of them (the set-up's and one per residue table) in the
+    # candidate loop; a refusal at the 1000th check must stop it there,
+    # however fast it runs
     budget = _RefuseAt(1000)
     with pytest.raises(BudgetExceededError):
         search_abc(P235, VARIANT_32I, 10 ** 12, budget=budget,
@@ -190,6 +197,18 @@ def test_many_primes_search_skips_unpayable_sieve_primes():
     assert {pt.u for pt in points} == abc_brute_force(P.primes, "i2i", 100)
 
 
+def test_budget_stops_search_set_up():
+    """Over the 25 primes below 100 the smooth numbers, their prime supports
+    and the sizing of the residue buckets (quadratic in the supports) take
+    tens of seconds before the first candidate: each polls the budget."""
+    P = PrimeSet([p for p in range(2, 100) if _brute_is_prime(p)])
+    assert len(P) == 25
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        search_abc(P, VARIANT_I2I, 10 ** 6, budget=Budget(seconds=0.5))
+    assert time.monotonic() - start < 5
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(primes=st.sampled_from([(2,), (2, 3), (2, 3, 5), (3, 7, 11), (5, 13)]),
        exps=st.lists(st.integers(0, 60), min_size=3, max_size=3),
@@ -235,10 +254,11 @@ def test_cube_candidates_by_support():
     cube, each filed under its prime support."""
     H = 10 ** 5
     for P in (P2, P23, P235, PrimeSet([3, 7])):
-        buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H)
+        buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H,
+                                   Budget())
         flat = [a for xs in buckets.values() for a in xs]
-        assert buckets == _by_support(flat, P.primes)
-        rough = [factor_over(n, P).rough for n in range(1, H + 1)]
+        assert buckets == _by_support(flat, P.primes, Budget())
+        rough = [factor_over_division_loop(n, P)[2] for n in range(1, H + 1)]
         want = [n for n, r in enumerate(rough, 1)
                 if round(r ** (1 / 3)) ** 3 == r]
         assert sorted(flat) == want

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -284,6 +285,29 @@ def test_tabulate_degree8_honours_the_budget(tmp_path):
     )
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert time.monotonic() - t0 < 10
+
+
+def test_vertices_honours_the_budget_in_one_candidate(tmp_path):
+    """One degree-600 candidate line (t^600 + 1 plus terms +-2 t^i) holds
+    the discriminant PRS for half a minute; under a 2 s budget `vertices`
+    exits 3 within seconds, with no traceback, in a fresh process."""
+    rng = random.Random(600)
+    line = [1] + [rng.choice((-2, 0, 2)) for _ in range(599)] + [1]
+    cfile = tmp_path / "c.txt"
+    cfile.write_text(" ".join(map(str, line)) + "\n")
+    env_src = Path(__file__).resolve().parent.parent / "src"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polytab.cli", "vertices", "--primes", "2",
+         "--max-degree", "4", "--candidates", cfile,
+         "--out", tmp_path / "o.json"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin",
+             "POLYTAB_BUDGET_SECS": "2"},
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert "Traceback" not in proc.stderr and "refused" in proc.stderr
+    assert time.monotonic() - t0 < 6
 
 
 def test_one_budget_per_command(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,6 @@ from polytab import cliques
 from polytab.budget import Budget, BudgetExceededError
 from polytab.cliques import (
     Packet,
-    _image,
     _s3_moves,
     _triple_to_matrix,
     build_graph,
@@ -31,7 +30,7 @@ from polytab.poly import (
     from_roots,
     normalize,
     poly_mul,
-    resultant_bound,
+    projective_point,
     s3_orbit,
     s3_transform,
 )
@@ -52,6 +51,7 @@ from oracles import (
     neighbor_counts,
     open_graph,
     pgl2_packets_fraction,
+    resultant_bound,
     resultant_closed_form,
     resultant_sylvester,
     split_graph_counts_naive,
@@ -318,7 +318,7 @@ def test_build_graph_resultants_within_bound(vs23, vs235, monkeypatch):
         coeffs = [v.poly.coeffs for v in vs.all_vertices()]
         bound = resultant_bound(coeffs)
         assert bound.bit_length() == bits
-        assert listed[0] is not None and listed[0][-1] <= bound
+        assert listed[0] == smooth_numbers_up_to(vs.P, bound)
         assert {w for *_, w, _ in rows} == widths
         seen = 0
         for lanes, r, d, k, width, row in rows:
@@ -467,7 +467,7 @@ def test_spread_packs_equal_built_packs():
     coeffs = list(_MIXED) + [_sized(list(_MIXED), 63, k=2),
                              (2 ** 70 + 1, 0, 0, 1)]
     lanes = cliques._Lanes(coeffs, [len(c) - 1 for c in coeffs],
-                           list(range(len(coeffs))), PrimeSet([2, 3]), None,
+                           list(range(len(coeffs))), PrimeSet([2, 3]), 0,
                            Budget())
     bases = []
     for m, d in product(range(1, 5), repeat=2):
@@ -479,6 +479,23 @@ def test_spread_packs_equal_built_packs():
                 lanes._build(m, d, width)
         bases.append(base)
     assert bases.count(64) >= 10 and {128, 192, 256, 320} <= set(bases)
+
+
+def test_lanes_list_the_smooth_numbers_up_to_the_bound():
+    """_Lanes lists the smooth numbers up to the Hadamard bound of the
+    oracle, also when the bound comes from two different degrees: one
+    linear vertex of large norm makes M_1^4 M_4 the largest product."""
+    coeffs = list(_MIXED) + [_sized(list(_MIXED), 100)]
+    norms = {}
+    for c in coeffs:
+        norms[len(c) - 1] = max(norms.get(len(c) - 1, 0),
+                                sum(x * x for x in c))
+    bound = resultant_bound(coeffs)
+    assert bound > isqrt(max(m ** (2 * d) for d, m in norms.items()))
+    P = PrimeSet([2, 3])
+    lanes = cliques._Lanes(coeffs, [len(c) - 1 for c in coeffs],
+                           list(range(len(coeffs))), P, 10 ** 6, Budget())
+    assert lanes.smooth == smooth_numbers_up_to(P, bound)
 
 
 @st.composite
@@ -1184,7 +1201,9 @@ def test_triple_map_matches_mobius_oracle():
         mat = _triple_to_matrix(pair(p), pair(q), pair(r))
         want = triple_to_matrix(p, q, r)
         assert mat_mul(mat, IDENT) == mat_mul(want, IDENT)
-        (got,) = _image(mat, [pair(x)])
+        a, b, c, d = mat
+        x0, x1 = pair(x)
+        got = projective_point(a * x0 + b * x1, c * x0 + d * x1)
         assert unpair(got) == mobius_on_point(want, x)
 
 

@@ -227,9 +227,9 @@ def test_fractal_membership_runs_no_large_prs(monkeypatch):
     degrees = []
     generic = poly.discriminant
 
-    def spy(s):
+    def spy(s, budget=None):
         degrees.append(s.degree)
-        return generic(s)
+        return generic(s, budget)
 
     monkeypatch.setattr(poly, "discriminant", spy)
     fam = fractal_family(4)

@@ -20,7 +20,6 @@ from polytab.poly import (
     poly_mul,
     projective_point,
     rational_roots,
-    resultant_bound,
     resultant_coeffs,
     resultant_form,
     s3_orbit,
@@ -37,6 +36,7 @@ from oracles import (
     S3_MATS,
     partition_of,
     resultant,
+    resultant_bound,
     resultant_closed_form,
     resultant_sylvester,
     s3_compose,

@@ -8,7 +8,6 @@ from polytab.smooth import (
     ZeroValueError,
     _is_prime,
     decompose_power,
-    factor_over,
     is_smooth,
     is_unit_in,
     smooth_numbers_up_to,
@@ -66,58 +65,63 @@ def test_first_good_prime():
     assert first_good_prime(PrimeSet([3, 5])) == 2
 
 
-def test_factor_over_paper_triples():
+def test_decompose_power_paper_triples():
     # (1, 4374, -4375) = (1, 2*3^7, -5^4*7)
-    f = factor_over(-4375, P2357)
-    assert f.sign == -1
-    assert f.exponents == ((5, 4), (7, 1))
-    assert f.rough == 1 and f.is_smooth
-    assert f.value == -4375
-
-    f = factor_over(1, P2)
-    assert f.sign == 1 and f.exponents == () and f.rough == 1
-
+    assert decompose_power(-4375, 2, P2357) == (-7, 25)
+    assert decompose_power(-4375, 3, P2357) == (-35, 5)
+    assert decompose_power(4374, 3, P2357) == (6, 9)
+    assert decompose_power(1, 2, P2) == (1, 1)
     # (1, -25921, 25920) has B = 161^2 rough over {2,3,5}
-    f = factor_over(161 ** 2, P235)
-    assert f.rough == 25921 and not f.is_smooth
+    assert decompose_power(161 ** 2, 2, P235) == (1, 161)
+    assert decompose_power(161 ** 2, 3, P235) is None
 
 
-def test_factor_over_zero():
-    """0 has no factorization and is outside the smooth monoid, over any
+def test_decompose_power_zero():
+    """0 has no decomposition and is outside the smooth monoid, over any
     prime set (the empty one included)."""
     for P in (PrimeSet([]), P2, P235, P2357):
-        with pytest.raises(ZeroValueError):
-            factor_over(0, P)
+        for k in (2, 3):
+            with pytest.raises(ZeroValueError):
+                decompose_power(0, k, P)
         assert not is_smooth(0, P)
     assert is_smooth(-1, PrimeSet([])) and not is_smooth(2, PrimeSet([]))
 
 
-def test_factor_over_roundtrip_random():
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randint(-10 ** 12, 10 ** 12)
-        if n == 0:
-            continue
-        f = factor_over(n, P235)
-        assert f.value == n
-        assert all(f.rough % p for p in P235)
+def _root(n, k):
+    """The integer k-th root of n >= 1: Newton's iteration from above."""
+    r = 1 << n.bit_length() // k + 1
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(primes=st.sets(st.sampled_from((2, 3, 5, 7, 11, 13, 10007)),
                      max_size=5),
        exps=st.lists(st.integers(0, 1500), min_size=7, max_size=7),
-       cofactor=st.integers(1, 10 ** 6), negative=st.booleans())
-def test_factor_over_matches_division_loop(primes, exps, cofactor, negative):
-    # huge exponents of mixed primes, some of them outside P
-    n = cofactor
+       cofactor=st.integers(1, 10 ** 6), power=st.booleans(),
+       negative=st.booleans(), k=st.sampled_from((2, 3)))
+def test_decompose_power_matches_division_loop(primes, exps, cofactor, power,
+                                               negative, k):
+    """decompose_power against the exponents of the one-division-at-a-time
+    oracle: huge exponents of mixed primes, some of them outside P, and a
+    random cofactor, or all of it to the k-th power."""
+    n = cofactor ** k if power else cofactor
     for p, e in zip((2, 3, 5, 7, 11, 13, 10007), exps):
-        n *= p ** e
+        n *= p ** (e * k if power else e)
     n = -n if negative else n
     P = PrimeSet(primes)
-    f = factor_over(n, P)
-    assert (f.sign, f.exponents, f.rough) == factor_over_division_loop(n, P)
-    assert f.value == n
+    sign, exponents, rough = factor_over_division_loop(n, P)
+    want, r = None, _root(rough, k)
+    if r ** k == rough:
+        a, x = sign, r
+        for p, e in exponents:
+            a *= p ** (e % k)
+            x *= p ** (e // k)
+        want = (a, x)
+    assert decompose_power(n, k, P) == want
 
 
 def test_is_unit_in():
@@ -223,10 +227,9 @@ def test_smooth_numbers_2357_1e9_pinned():
 
 
 def test_is_smooth_matches_naive():
-    """is_smooth against the one-division-at-a-time oracle and against
-    factor_over, on random and edge inputs: 0 and +-1, negatives, huge
-    prime powers, a leftover 7 or 2^61 - 1, a prime set without 2, and the
-    empty prime set."""
+    """is_smooth against the one-division-at-a-time oracles, on random and
+    edge inputs: 0 and +-1, negatives, huge prime powers, a leftover 7 or
+    2^61 - 1, a prime set without 2, and the empty prime set."""
     rng = random.Random(5)
     big = 2 ** 5000 * 3 ** 700 * 5 ** 3
     edge = [0, 1, -1, 2, -2, 7, -12, big, -big, 7 * big, -(2 ** 61 - 1) * big,
@@ -236,4 +239,5 @@ def test_is_smooth_matches_naive():
         for P in sets:
             got = is_smooth(n, P)
             assert got == is_smooth_naive(n, P.primes)
-            assert got == (n != 0 and factor_over(n, P).rough == 1)
+            assert got == (n != 0
+                           and factor_over_division_loop(n, P)[2] == 1)

@@ -35,7 +35,7 @@ from polytab.poly import (
     s3_orbit,
     special_values,
 )
-from polytab.smooth import PrimeSet, factor_over, is_smooth
+from polytab.smooth import PrimeSet, is_smooth
 from polytab.vertices import (
     TABLE5_REPRESENTATIVES,
     IngestReport,
@@ -423,7 +423,6 @@ def test_value_types_pickle(vs2, graph2, table2):
         (P2, ("primes",)),
         (points[0], ("variant", "A", "B", "C", "u", "class_datum")),
         (cert, ("primes", "variant", "height_bound", "complete", "citation")),
-        (factor_over(-7 * 360, P23), ("sign", "exponents", "rough")),
         (check_membership(NormalizedPoly((2, 0, 1)), P2), ("ok", "failures")),
         (vs2.value.degree_slice(4)[0], ("poly", "class_datum", "provenance")),
         (cyclo_series(P2, 10), ("P", "kmax", "coeffs")),
@@ -528,6 +527,22 @@ def test_vertex_build_polls_budget_after_searches(search_32i_23):
                          budget=Budget(seconds=1e-9))
     with pytest.raises(BudgetExceededError):
         ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
+
+
+def _degree600_line():
+    """t^600 + 1 plus random terms +-2 t^i: a candidate whose discriminant
+    PRS alone takes half a minute."""
+    rng = random.Random(600)
+    return [1] + [rng.choice((-2, 0, 2)) for _ in range(599)] + [1]
+
+
+def test_ingest_polls_the_budget_inside_the_discriminant():
+    """The membership test of one degree-600 candidate polls the budget once
+    per pseudo-remainder, so a 0.5 s budget stops it within seconds."""
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        ingest_units([_degree600_line()], P2, budget=Budget(seconds=0.5))
+    assert time.monotonic() - start < 5
 
 
 def test_degree2_polls_the_budget(search_i2i_235):
