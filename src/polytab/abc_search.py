@@ -384,10 +384,11 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         return _emptiness_certificate(
             P, variant, H, False, "unsupported: degree-2 parametrization needs 2 in P")
 
-    smooth = smooth_numbers_up_to(P, H, budget=budget)
+    smooth = smooth_numbers_up_to(P, 2 * H if variant == VARIANT_III else H,
+                                  budget=budget)
     if variant == VARIANT_III:
-        us = _search_iii(smooth, set(smooth_numbers_up_to(P, 2 * H,
-                                                          budget=budget)),
+        # a + b is at most 2 H: one list to 2 H, cut at H for a and b
+        us = _search_iii(smooth[:bisect_right(smooth, H)], set(smooth),
                          P.primes, H, budget)
     elif variant == VARIANT_I2I:
         us = _pair_search(_by_support(smooth, P.primes, budget), smooth,

@@ -1,18 +1,21 @@
 """Large-degree constructions: cyclotomic counts, three-point covers, pullbacks.
 
 The generating-function route counts products of distinct cyclotomic
-polynomials indexed by smooth integers; the pullback route composes rational
-maps with critical values among the marked points, which multiplies degrees
-while keeping bad reduction inside the prime set.  A pullback's discriminant
-comes from the identity proved in `pullback` (the cover's pencil
-discriminant, a resultant against s and disc(s)), never from a PRS of the
-pulled-back degree.  Every polynomial emitted here is re-verified by the
-membership predicate before being returned.
+polynomials indexed by smooth integers, as one packed-int product; the
+pullback route composes rational maps with critical values among the marked
+points, which multiplies degrees while keeping bad reduction inside the
+prime set.  A pullback's discriminant comes from the identity proved in
+`_pullback` (the cover's pencil discriminant, a resultant against s and
+disc(s)), and a named product's from its factors' discriminants and
+pairwise resultants (`_product`), never from a PRS of the large degree.
+Every polynomial emitted here is re-verified by the membership predicate
+before being returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .budget import Budget, BudgetExceededError
 from .poly import (
@@ -24,7 +27,6 @@ from .poly import (
     _trim,
     check_membership,
     is_irreducible,
-    normalize,
     poly_mul,
     resultant_coeffs,
     with_discriminant,
@@ -64,7 +66,7 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
 
     Indices run over the smooth integers > 1; phi(i) >= i * prod(1 - 1/p)
     bounds the enumeration.  The budget is checked as the indices are
-    listed and once per factor of the product.
+    listed and once per factor of the product (`_subset_counts`).
     """
     if 2 not in P:
         raise ValueError("the cyclotomic count needs 2 in the prime set")
@@ -84,15 +86,32 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
         phi = _phi_of_smooth(i, P)
         if phi <= kmax:
             degrees.append(phi)
-    degrees.sort()
-    coeffs = [0] * (kmax + 1)
-    coeffs[0] = 1
+    return SeriesCoefficients(P, kmax, _subset_counts(degrees, kmax, budget))
+
+
+def _subset_counts(degrees, kmax: int, budget: Budget) -> tuple:
+    """(c_0, ..., c_kmax), the coefficients of prod(1 + x^d) over degrees,
+    each d >= 1, truncated above x^kmax.
+
+    The product is one int with cells of w = 8 (n // 8 + 1) bits, n the
+    number of factors: coefficient k sits at bit w k, and each factor is
+    one shift, add and mask.  No carry crosses a cell.  For k >= 1, c_k
+    counts nonempty subsets of the n factors, so c_k < 2^n < 2^w, and
+    c_0 = 1.  Every partial product is nonnegative and coefficientwise at
+    most the final one, so every cell stays below 2^w throughout.  The int
+    holds (kmax + 1) w bits: at kmax = 10^5 over {2,3,5}, about 5 MB.  The
+    budget is checked once per factor.
+    """
+    width = len(degrees) // 8 + 1          # the cell in bytes
+    w = 8 * width
+    mask = (1 << w * (kmax + 1)) - 1
+    acc = 1
     for d in degrees:
         budget.check()
-        for k in range(kmax, d - 1, -1):
-            if coeffs[k - d]:
-                coeffs[k] += coeffs[k - d]
-    return SeriesCoefficients(P, kmax, tuple(coeffs))
+        acc = (acc + (acc << w * d)) & mask
+    raw = acc.to_bytes(width * (kmax + 1), "little")
+    return tuple(int.from_bytes(raw[i:i + width], "little")
+                 for i in range(0, len(raw), width))
 
 
 # ---------------------------------------------------------------------------
@@ -197,27 +216,38 @@ def _pencil_discriminant(A, B, m: int) -> list:
     disc_m, the discriminant of a form of degree m, is an integer polynomial
     of degree 2m - 2 in the coefficients, so D has degree <= 2m - 2.  It is
     interpolated from 2m - 1 integers x at which A - x B keeps degree m (at
-    most one x lowers it), where D(x) is the discriminant of A - x B.
+    most one x lowers it), where D(x) = g^(2m-2) disc(p) for A - x B = g p
+    with p normalized.  The Lagrange sum is taken over M, the lcm of the
+    denominators den_i = prod_{j != i} (x_i - x_j) of its basis
+    polynomials: M D = sum_i y_i (M / den_i) prod_{j != i} (x - x_j) in
+    integers, and D has integer coefficients, so the division by M is
+    exact.
     """
     xs, ys = [], []
     x = 0
     while len(xs) < 2 * m - 1:
         c = _pencil_at(A, B, x)
         if len(c) == m + 1:
-            p, scale = normalize(c)
+            p = _primitive(c)
             xs.append(x)
-            ys.append(int(scale) ** (2 * m - 2) * p.discriminant())
+            ys.append((c[-1] // p[-1]) ** (2 * m - 2)
+                      * NormalizedPoly(p).discriminant())
         x = -x if x > 0 else 1 - x   # 0, 1, -1, 2, -2, ...
-    D = [Fraction(0)] * len(xs)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis, den = [1], 1
-        for j, xj in enumerate(xs):
-            if j != i:
-                basis = poly_mul(basis, [-xj, 1])
-                den *= xi - xj
-        for idx, c in enumerate(basis):
-            D[idx] += Fraction(yi * c, den)
-    return _trim([int(c) for c in D])
+    full = [1]                       # prod_j (x - x_j)
+    for xj in xs:
+        full = [0] + full
+        for i in range(len(full) - 1):
+            full[i] -= xj * full[i + 1]
+    dens = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    M = lcm(*dens)
+    D = [0] * len(xs)
+    for xi, yi, den in zip(xs, ys, dens):
+        w = yi * (M // den)
+        q = 0                        # full / (x - xi), from the top
+        for k in range(len(xs), 0, -1):
+            q = full[k] + xi * q
+            D[k - 1] += w * q
+    return _trim([c // M for c in D])
 
 
 def _pencil_resultant(A, B, m: int) -> int:
@@ -391,11 +421,29 @@ def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
 # named extremal polynomials
 
 
-def _product(factors):
+def _product(factors) -> NormalizedPoly:
+    """The product of the normalized factors, each of degree >= 1, carrying
+    its discriminant from the factors instead of a PRS of the product's
+    degree:
+
+        disc(f_1 ... f_r) = prod_i disc(f_i) * prod_{i<j} Res(f_i, f_j)^2.
+
+    Proof: for f of degree n with roots a_i and g of degree m with roots
+    b_j, disc(f) = lc(f)^(2n-2) prod_{i<i'} (a_i - a_i')^2 and
+    Res(f, g) = lc(f)^m lc(g)^n prod_{i,j} (a_i - b_j).  The roots of f g
+    are the a_i and the b_j, and lc(f g) = lc(f) lc(g), so disc(f g)
+    = disc(f) disc(g) Res(f, g)^2; induct on r.  A product of primitive
+    polynomials is primitive (Gauss's lemma), so the product is normalized
+    as it stands.
+    """
     c = [1]
-    for fc in factors:
-        c = poly_mul(c, list(fc))
-    return NormalizedPoly(c)
+    disc = 1
+    for i, f in enumerate(factors):
+        disc *= f.discriminant()
+        for g in factors[:i]:
+            disc *= resultant_coeffs(g.coeffs, f.coeffs) ** 2
+        c = poly_mul(c, f.coeffs)
+    return with_discriminant(NormalizedPoly(c), disc)
 
 
 NAMED_REGISTRY = {
@@ -471,10 +519,11 @@ def verify_named(name: str, budget: Budget | None = None) -> NamedReport:
 
     The factors are pairwise compatible when the product passes the
     membership predicate (the discriminant contains every pairwise resultant
-    squared).  Membership says nothing of how the product splits, so the
-    partition matches only when the listed degrees are the entry's and every
-    listed factor is irreducible.  The budget is polled once per listed
-    factor and passed to its irreducibility test.
+    squared, and `_product` computes it that way).  Membership says nothing
+    of how the product splits, so the partition matches only when the
+    listed degrees are the entry's and every listed factor is irreducible.
+    The budget is polled once per listed factor and passed to its
+    irreducibility test.
     """
     if name not in NAMED_REGISTRY:
         raise KeyError(f"unknown name {name!r}; known: {sorted(NAMED_REGISTRY)}")
@@ -486,7 +535,7 @@ def verify_named(name: str, budget: Budget | None = None) -> NamedReport:
     for f in factors:
         budget.check()
         irreducible.append(is_irreducible(f, budget))
-    poly = _product(entry["factors"])
+    poly = _product(factors)
     rep = check_membership(poly, P)
     disc = poly.discriminant()
     partition = tuple(sorted((f.degree for f in factors), reverse=True))

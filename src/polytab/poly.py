@@ -130,27 +130,36 @@ def resultant_form(m: int, d: int, budget: Budget) -> tuple:
     The Sylvester determinant (d rows of f's coefficients over m rows of
     g's, leading coefficients first, so the sign is resultant_coeffs') is
     expanded column by column (Laplace), with a memo on the set of rows
-    already used, over monomials in both coefficient lists.  Derived on
-    first use: (4, 4) takes a few milliseconds, but each degree costs 12 to
-    18 times the one before ((7, 7) takes seconds), so the budget is checked
-    once per new minor, and a refused derivation leaves nothing cached.
+    already used, over monomials in both coefficient lists.  A monomial is
+    one int with a field of b = max(m, d).bit_length() bits per variable,
+    f_k at field k and g_k at field m + 1 + k, so multiplying by a variable
+    is one add.  No field carries into the next: the determinant is of
+    degree d in the f_k and m in the g_k, so no exponent in any minor
+    exceeds max(m, d) < 2^b.  The fields are read back into tuples once, at
+    the end.
+
+    Derived on first use: (4, 4) takes a few milliseconds, but each degree
+    costs 12 to 18 times the one before ((7, 7) takes seconds), so the
+    budget is checked once per new minor, and a refused derivation leaves
+    nothing cached.
     """
     form = _FORMS.get((m, d))
     if form is not None:
         return form
     n = m + d
-    var = {}                  # (row, column) -> f_k as k, g_k as m + 1 + k
+    b = max(m, d).bit_length()
+    var = {}      # (row, column) -> f_k as 1 << b k, g_k as 1 << b (m + 1 + k)
     for i in range(d):
         for k in range(m + 1):
-            var[i, i + m - k] = k
+            var[i, i + m - k] = 1 << b * k
     for i in range(m):
         for k in range(d + 1):
-            var[d + i, i + d - k] = m + 1 + k
-    memo = {(1 << n) - 1: {(0,) * (n + 2): 1}}
+            var[d + i, i + d - k] = 1 << b * (m + 1 + k)
+    memo = {(1 << n) - 1: {0: 1}}
 
     def minor(used):
         """The minor on the rows outside used and the columns from
-        popcount(used) on, as {exponents: coefficient}."""
+        popcount(used) on, as {monomial: coefficient}."""
         got = memo.get(used)
         if got is None:
             budget.check()
@@ -163,7 +172,7 @@ def resultant_form(m: int, d: int, budget: Budget) -> tuple:
                 v = var.get((i, c))
                 if v is not None:
                     for e, k in minor(used | 1 << i).items():
-                        e = e[:v] + (e[v] + 1,) + e[v + 1:]
+                        e += v
                         got[e] = got.get(e, 0) + sign * k
                 sign = -sign
             memo[used] = got = {e: k for e, k in got.items() if k}
@@ -173,8 +182,10 @@ def resultant_form(m: int, d: int, budget: Budget) -> tuple:
         top = minor(0)
     finally:
         memo.clear()          # minor refers to itself: free the memo now
+    field = (1 << b) - 1
     form = {}
     for e, k in top.items():
+        e = tuple(e >> b * i & field for i in range(n + 2))
         form.setdefault(e[m + 1:], []).append((k, e[:m + 1]))
     form = _FORMS[m, d] = tuple((eb, tuple(terms))
                                 for eb, terms in sorted(form.items()))
@@ -314,9 +325,9 @@ def derivative_coeffs(c):
 def discriminant(s: NormalizedPoly, budget: Budget | None = None) -> int:
     """(-1)^(k(k-1)/2) Res(s, s') / s(inf); 0 exactly when s is inseparable.
 
-    Degrees 2 and 3 use the closed forms b^2 - 4ac and
-    b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd (a the leading coefficient);
-    above, the budget goes to the PRS.
+    Degrees 2 to 4 use the closed forms (a the leading coefficient)
+    b^2 - 4ac, b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd and the 16 terms
+    of the quartic below; above, the budget goes to the PRS.
     """
     k = s.degree
     if k < 1:
@@ -330,6 +341,16 @@ def discriminant(s: NormalizedPoly, budget: Budget | None = None) -> int:
         d, c, b, a = s.coeffs
         return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
                 - 27 * a * a * d * d + 18 * a * b * c * d)
+    if k == 4:
+        e, d, c, b, a = s.coeffs
+        return (256 * a ** 3 * e ** 3 - 192 * a * a * b * d * e * e
+                - 128 * a * a * c * c * e * e + 144 * a * a * c * d * d * e
+                - 27 * a * a * d ** 4 + 144 * a * b * b * c * e * e
+                - 6 * a * b * b * d * d * e - 80 * a * b * c * c * d * e
+                + 18 * a * b * c * d ** 3 + 16 * a * c ** 4 * e
+                - 4 * a * c ** 3 * d * d - 27 * b ** 4 * e * e
+                + 18 * b ** 3 * c * d * e - 4 * b ** 3 * d ** 3
+                - 4 * b * b * c ** 3 * e + b * b * c * c * d * d)
     r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs), budget)
     if k % 4 in (2, 3):
         r = -r

@@ -180,6 +180,45 @@ def resultant_bound(polys) -> int:
                       for m in norms for n in norms), default=0))
 
 
+def resultant_form_tuples(m, d):
+    """resultant_form(m, d) with each monomial an exponent tuple over
+    f_0 ... f_m, g_0 ... g_d: the same Laplace expansion along the columns
+    of the Sylvester matrix, memoized on the set of rows used, but with a
+    tuple rebuilt for every variable multiplied in."""
+    n = m + d
+    var = {}                  # (row, column) -> f_k as k, g_k as m + 1 + k
+    for i in range(d):
+        for k in range(m + 1):
+            var[i, i + m - k] = k
+    for i in range(m):
+        for k in range(d + 1):
+            var[d + i, i + d - k] = m + 1 + k
+    memo = {(1 << n) - 1: {(0,) * (n + 2): 1}}
+
+    def minor(used):
+        got = memo.get(used)
+        if got is None:
+            c = bin(used).count("1")
+            got = {}
+            sign = 1
+            for i in range(n):
+                if used >> i & 1:
+                    continue
+                v = var.get((i, c))
+                if v is not None:
+                    for e, k in minor(used | 1 << i).items():
+                        e = e[:v] + (e[v] + 1,) + e[v + 1:]
+                        got[e] = got.get(e, 0) + sign * k
+                sign = -sign
+            memo[used] = got = {e: k for e, k in got.items() if k}
+        return got
+
+    form = {}
+    for e, k in minor(0).items():
+        form.setdefault(e[m + 1:], []).append((k, e[:m + 1]))
+    return tuple((eb, tuple(terms)) for eb, terms in sorted(form.items()))
+
+
 def smooth_filter_naive(primes, H):
     """All P-smooth numbers in [1, H] by trial division of every integer."""
     out = []
@@ -191,6 +230,21 @@ def smooth_filter_naive(primes, H):
         if m == 1:
             out.append(n)
     return out
+
+
+def brute_force_series(primes, kmax):
+    """(c_0, ..., c_kmax) of prod(1 + x^phi(i)) over the smooth i > 1, by the
+    subset-sum recurrence on a list.  phi(i) >= i / 2^|P|, so the smooth i up
+    to kmax 2^|P| are all the indices with phi(i) <= kmax."""
+    counts = [1] + [0] * kmax
+    for i in smooth_filter_naive(primes, kmax << len(primes))[1:]:
+        phi = i
+        for p in primes:
+            if i % p == 0:
+                phi = phi // p * (p - 1)
+        for k in range(kmax, phi - 1, -1):
+            counts[k] += counts[k - phi]
+    return counts
 
 
 def factor_over_division_loop(n, primes):

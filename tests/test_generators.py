@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,7 +11,9 @@ from polytab.generators import (
     FRACTAL_SEEDS,
     NAMED_REGISTRY,
     RationalCover,
+    _product,
     _pullback,
+    _subset_counts,
     builtin_covers,
     cyclo_series,
     fractal_family,
@@ -29,33 +32,11 @@ from polytab.poly import (
 )
 from polytab.smooth import PrimeSet
 
-from oracles import BAD_REDUCTION
+from oracles import BAD_REDUCTION, brute_force_series
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
 P235 = PrimeSet([2, 3, 5])
-
-
-def brute_force_series(P, kmax):
-    """Subset-sum count over phi values, via explicit subset DP on a list."""
-    from polytab.smooth import smooth_numbers_up_to
-
-    phis = []
-    for i in smooth_numbers_up_to(P, kmax * 4):
-        if i == 1:
-            continue
-        phi = i
-        for p in P:
-            if i % p == 0:
-                phi = phi // p * (p - 1)
-        if phi <= kmax:
-            phis.append(phi)
-    counts = [0] * (kmax + 1)
-    counts[0] = 1
-    for d in phis:
-        for k in range(kmax, d - 1, -1):
-            counts[k] += counts[k - d]
-    return counts
 
 
 def test_series_P2_all_ones():
@@ -66,7 +47,31 @@ def test_series_P2_all_ones():
 def test_series_235_prefix_and_brute_force():
     s = cyclo_series(P235, 60)
     assert s.coeffs[:5] == (1, 1, 3, 3, 7)
-    assert list(s.coeffs) == brute_force_series(P235, 60)
+    assert list(s.coeffs) == brute_force_series(P235.primes, 60)
+
+
+def test_series_matches_brute_force_to_2000():
+    """The packed product against the list recurrence, at kmax 0 and 1 and
+    up to 2000; a series truncated at k is the prefix of one truncated
+    higher."""
+    for primes in ((2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)):
+        want = brute_force_series(primes, 2000)
+        for kmax in (0, 1, 2, 7, 100, 999, 2000):
+            got = cyclo_series(PrimeSet(primes), kmax)
+            assert list(got.coeffs) == want[:kmax + 1], (primes, kmax)
+
+
+def test_series_packing_holds_binomials():
+    """n factors of degree 1 give the binomial coefficients C(n, k), the
+    largest, C(n, n // 2), close to the 2^n bound on a cell: no carry may
+    cross a cell, whether or not the product is truncated.  At n = 70 a
+    cell of n // 8 bytes would be too narrow."""
+    for n in (64, 70, 200):
+        want = tuple(comb(n, k) for k in range(n + 1))
+        assert _subset_counts([1] * n, n, Budget()) == want
+        half = n // 2 + 1
+        assert _subset_counts([1] * n, half, Budget()) == want[:half + 1]
+        assert _subset_counts([1] * n, 2 * n, Budget()) == want + (0,) * n
 
 
 def test_series_prefix_stability():
@@ -319,6 +324,33 @@ def test_verify_named_rejects_a_reducible_factor(monkeypatch):
     assert rep.membership_ok and rep.disc_matches
     assert rep.partition == (2,)
     assert not rep.partition_matches and not rep.ok
+
+
+_FACTOR = st.builds(lambda low, lead: [*low, lead],
+                    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+                    st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(_FACTOR, min_size=1, max_size=6),
+       shared=st.booleans(), root=st.integers(-3, 3))
+def test_product_discriminant_matches_prs(factors, shared, root):
+    """The discriminant _product carries, from the factors' discriminants
+    and pairwise resultants, equals the PRS discriminant of the product;
+    with shared set, the first and the last factor share the root t = root,
+    and both are 0."""
+    polys = [normalize(c)[0] for c in factors]
+    if shared:
+        lin = NormalizedPoly((-root, 1))
+        first = polys[0]
+        polys = polys[:5] + [lin]
+        polys[0] = (lin if first.degree == 4
+                    else NormalizedPoly(poly_mul(first.coeffs, lin.coeffs)))
+    got = _product(polys)
+    want = discriminant(NormalizedPoly(got.coeffs))
+    assert got.discriminant() == want
+    if shared:
+        assert want == 0
 
 
 def test_big23_mirror_in_same_partition():

@@ -38,6 +38,7 @@ from oracles import (
     resultant,
     resultant_bound,
     resultant_closed_form,
+    resultant_form_tuples,
     resultant_sylvester,
     s3_compose,
     s3_inverse,
@@ -228,6 +229,15 @@ def test_resultant_form_matches_resultant_coeffs():
     assert min(seen.values()) >= 100, seen
 
 
+def test_resultant_form_matches_tuple_derivation():
+    """The packed-exponent derivation gives the same forms, term order
+    included, as the tuple derivation of the oracles, for every
+    (m, d) <= (5, 5)."""
+    for m, d in product(range(1, 6), repeat=2):
+        want = resultant_form_tuples(m, d)
+        assert resultant_form(m, d, Budget()) == want, (m, d)
+
+
 def test_resultant_form_matches_sympy():
     """The derived forms against sympy's symbolic resultant, a test-only
     cross-check.  sympy is asked with the higher degree first, where its
@@ -282,7 +292,7 @@ def test_discriminant_basics():
 
 
 def test_discriminant_closed_forms_match_resultant():
-    """The degree-2 and degree-3 closed forms against (-1)^(k(k-1)/2)
+    """The degree-2, -3 and -4 closed forms against (-1)^(k(k-1)/2)
     Res(s, s') / lead by the generic PRS, on random and degenerate input."""
     def by_resultant(c):
         k = len(c) - 1
@@ -292,9 +302,11 @@ def test_discriminant_closed_forms_match_resultant():
     rng = random.Random(11)
     cases = [(-2, 0, 1), (1, 2, 1), (0, 0, 1), (0, 1, 1), (0, 0, 0, 1),
              (0, -1, 0, 1), (1, 3, 3, 1), (0, 1, -2, 1), (2, 0, 0, 3),
-             (-1, 0, 0, 1), (0, 0, 5, 7), (6, -11, 6, 1)]
-    for _ in range(300):
-        k = rng.choice((2, 3))
+             (-1, 0, 0, 1), (0, 0, 5, 7), (6, -11, 6, 1),
+             (0, 0, 0, 0, 1), (1, 0, -2, 0, 1), (1, 4, -6, -4, 1),
+             (-2, 0, 0, 0, 1), (4, -12, 13, -6, 1), (0, 3, -1, 0, 2)]
+    for _ in range(450):
+        k = rng.choice((2, 3, 4))
         bound = rng.choice((3, 10 ** 6, 10 ** 30))
         c = [rng.randint(-bound, bound) for _ in range(k)]
         cases.append((*c, rng.randint(1, bound)))
@@ -304,7 +316,8 @@ def test_discriminant_closed_forms_match_resultant():
         assert s.degree == len(c) - 1
         assert discriminant(s) == by_resultant(s.coeffs)
         seen.add((s.degree, discriminant(s) == 0))
-    assert seen == {(2, True), (2, False), (3, True), (3, False)}
+    assert seen == {(2, True), (2, False), (3, True), (3, False),
+                    (4, True), (4, False)}
 
 
 def test_discriminant_named_polynomials():
