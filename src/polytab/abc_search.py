@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
-from .budget import Budget
+from . import budget
 from .poly import NormalizedPoly, normalize, rational_roots
 from .records import Frozen
 from .smooth import PrimeSet, _is_prime, decompose_power, smooth_numbers_up_to
@@ -194,7 +194,7 @@ def _certify(P, variant, H):
     return False, None
 
 
-def _by_support(xs, primes, budget: Budget) -> dict:
+def _by_support(xs, primes) -> dict:
     """Map each prime-support bitmask (bit i set when primes[i] divides x) to
     the x in xs with that support.  Two numbers are coprime exactly when their
     masks are disjoint, so pair loops over disjoint buckets need no gcd.  The
@@ -211,13 +211,13 @@ def _by_support(xs, primes, budget: Budget) -> dict:
     return out
 
 
-def _search_iii(smooth, sset, primes, H: int, budget: Budget):
+def _search_iii(smooth, sset, primes, H: int):
     """Coprime smooth a, b with a + b in sset give the S3 orbit of -a/b.
 
     a + b is coprime to both, so it needs only the lookup.  Each unordered
     pair is visited once: masks ma < mb, plus (0, 0) for 1 + 1.
     """
-    buckets = _by_support(smooth, primes, budget)
+    buckets = _by_support(smooth, primes)
     us = set()
     for ma, xs in buckets.items():
         partners = [ys for mb, ys in buckets.items() if ma & mb == 0 and ma <= mb]
@@ -264,7 +264,7 @@ def _residue_table(vs, q: int) -> list:
     return [int.from_bytes(rows[t::q], "little") for t in range(q)]
 
 
-def _pair_search(acands, smooth, primes, budget: Budget):
+def _pair_search(acands, smooth, primes):
     """Shared loop for inf-2-inf and 3-2-inf: for coprime a in acands and c in
     smooth, test B = a + c and B = |a - c| for the square-times-smooth shape.
     acands maps prime supports to a values, as _by_support does.  B is coprime
@@ -289,7 +289,7 @@ def _pair_search(acands, smooth, primes, budget: Budget):
     once per table and once per a.
     """
     cbuckets = []
-    for mc, cs in _by_support(smooth, primes, budget).items():
+    for mc, cs in _by_support(smooth, primes).items():
         budget.check()
         na = sum(len(xs) for ma, xs in acands.items() if ma & mc == 0)
         cbuckets.append((mc, cs, len(cs), na))
@@ -334,7 +334,7 @@ def _pair_search(acands, smooth, primes, budget: Budget):
     return us
 
 
-def _cube_candidates(smooth, primes, H: int, budget: Budget) -> dict:
+def _cube_candidates(smooth, primes, H: int) -> dict:
     """All positive a = s x^3 <= H with s smooth and x prime to P, bucketed
     by prime support as _by_support does: the support of a is that of s.
     The budget is checked once per bucket."""
@@ -345,15 +345,14 @@ def _cube_candidates(smooth, primes, H: int, budget: Budget) -> dict:
             cubes.append(x * x * x)
         x += 1
     out = {}
-    for mask, ss in _by_support(smooth, primes, budget).items():
+    for mask, ss in _by_support(smooth, primes).items():
         budget.check()
         out[mask] = [s * x3 for s in ss
                      for x3 in cubes[:bisect_right(cubes, H // s)]]
     return out
 
 
-def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
-               workers: int = 1):
+def search_abc(P: PrimeSet, variant: str, H: int, workers: int = 1):
     """All variant points of height <= H, sorted by (height, u), plus certificate.
 
     inf-inf-inf and inf-2-inf return empty immediately when 2 is outside P:
@@ -374,7 +373,6 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         raise ValueError(f"unknown variant {variant!r}")
     if H < 1:
         raise ValueError("height bound must be >= 1")
-    budget = budget or Budget.from_env()
     budget.require_height(H)
 
     if variant == VARIANT_III and 2 not in P:
@@ -384,18 +382,16 @@ def search_abc(P: PrimeSet, variant: str, H: int, budget: Budget | None = None,
         return _emptiness_certificate(
             P, variant, H, False, "unsupported: degree-2 parametrization needs 2 in P")
 
-    smooth = smooth_numbers_up_to(P, 2 * H if variant == VARIANT_III else H,
-                                  budget=budget)
+    smooth = smooth_numbers_up_to(P, 2 * H if variant == VARIANT_III else H)
     if variant == VARIANT_III:
         # a + b is at most 2 H: one list to 2 H, cut at H for a and b
         us = _search_iii(smooth[:bisect_right(smooth, H)], set(smooth),
-                         P.primes, H, budget)
+                         P.primes, H)
     elif variant == VARIANT_I2I:
-        us = _pair_search(_by_support(smooth, P.primes, budget), smooth,
-                          P.primes, budget)
+        us = _pair_search(_by_support(smooth, P.primes), smooth, P.primes)
     else:
-        us = _pair_search(_cube_candidates(smooth, P.primes, H, budget),
-                          smooth, P.primes, budget)
+        us = _pair_search(_cube_candidates(smooth, P.primes, H), smooth,
+                          P.primes)
 
     points = []
     for u in us:
@@ -428,7 +424,7 @@ def delta_classes(points, P: PrimeSet) -> dict:
     return out
 
 
-def cubic_classes(points, P: PrimeSet, budget: Budget | None = None) -> dict:
+def cubic_classes(points, P: PrimeSet) -> dict:
     """Group the 3-2-inf points over P with irreducible reference cubic.
 
     Each reference cubic is built once; a point whose cubic has a rational
@@ -439,7 +435,6 @@ def cubic_classes(points, P: PrimeSet, budget: Budget | None = None) -> dict:
     The map is keyed by the class representative of minimal (height, u).
     The budget is checked once per row of the pairwise resolvent tests.
     """
-    budget = budget or Budget.from_env()
     pts, dclass = [], []
     for pt in points:
         s = reference_cubic(pt.u)

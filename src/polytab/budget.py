@@ -1,10 +1,19 @@
-"""Wall-clock and problem-size budgets.
+"""Wall-clock and problem-size budgets, held in scope.
 
-Long-running operations take an optional Budget and refuse oversized requests
-up front rather than silently truncating.  The global time allowance can be
-set with the POLYTAB_BUDGET_SECS environment variable.  Only seconds=None (an
-unset or empty variable) means no limit; any other number of seconds counts
-from construction, so 0 or a negative value refuses at the first check().
+No function takes a budget.  `with Budget(seconds):` makes one current for
+the block, as `decimal.localcontext` does a context, and every long loop
+calls `check()`, which polls the innermost budget in scope.  Blocks nest and
+the innermost wins; leaving a block, by an exception too, restores the outer
+one, and a Budget may be entered again.  Outside every block the current
+budget is an unlimited Budget(), so a poll never refuses.  A generator polls
+the budget current when it resumes, so it is consumed inside its block.
+
+Budget.from_env() reads POLYTAB_BUDGET_SECS: unset or empty means no limit,
+and any number of seconds counts from construction, so 0 or a negative value
+refuses at the first check().  The CLI runs each command in one
+`with Budget.from_env():` block.  Oversized requests are refused up front
+(`require_height`) rather than truncated.  The package starts no threads,
+so the scope is one module-level list.
 """
 
 from __future__ import annotations
@@ -36,8 +45,25 @@ class Budget:
             raise BudgetExceededError(
                 f"wall-clock budget ({ENV_BUDGET_SECS}) exhausted")
 
-    def require_height(self, H: int) -> None:
-        if H > MAX_HEIGHT:
-            raise BudgetExceededError(
-                f"height bound {H} exceeds the maximum {MAX_HEIGHT}; "
-                "refusing rather than truncating")
+    def __enter__(self) -> "Budget":
+        _scope.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _scope.pop()
+
+
+_scope = [Budget()]     # the budgets in scope, innermost last
+
+
+def check() -> None:
+    """Poll the innermost budget in scope (its `check` method, so a
+    subclass's is the one called)."""
+    _scope[-1].check()
+
+
+def require_height(H: int) -> None:
+    if H > MAX_HEIGHT:
+        raise BudgetExceededError(
+            f"height bound {H} exceeds the maximum {MAX_HEIGHT}; "
+            "refusing rather than truncating")

@@ -66,10 +66,10 @@ def _parse_height(text: str) -> int:
     return int(v)
 
 
-def cmd_search(args, budget) -> int:
+def cmd_search(args) -> int:
     P = _parse_primes(args.primes)
     H = _parse_height(args.height)
-    points, cert = search_abc(P, args.variant, H, budget=budget)
+    points, cert = search_abc(P, args.variant, H)
     write_points(args.out, points, cert)
     note = "" if cert.complete else " (search-bounded)"
     print(f"{len(points)} points -> {args.out}{note}")
@@ -78,7 +78,7 @@ def cmd_search(args, budget) -> int:
     return EXIT_OK
 
 
-def cmd_vertices(args, budget) -> int:
+def cmd_vertices(args) -> int:
     P = _parse_primes(args.primes)
     points = {}
     for path in args.points:
@@ -90,24 +90,24 @@ def cmd_vertices(args, budget) -> int:
         points[cert.variant] = (pts, cert)
     candidates = parse_candidate_file(args.candidates) if args.candidates else None
     vs = build_vertex_set(P, args.max_degree, points_by_variant=points,
-                          candidates=candidates, budget=budget)
+                          candidates=candidates)
     write_vertex_set(args.out, vs)
     print(f"vertices by degree {vs.counts()} -> {args.out}")
     return EXIT_OK
 
 
-def cmd_tabulate(args, budget) -> int:
-    g = build_graph(read_vertex_set(args.vertices), budget)
+def cmd_tabulate(args) -> int:
+    g = build_graph(read_vertex_set(args.vertices))
     kappa = parse_kappa(args.kappa, max(g.degrees)) if args.kappa else None
     if args.enumerate:
         cliques = enumerate_cliques(g, kappa=kappa, max_size=args.max_size,
-                                    budget=budget, limit=args.limit)
+                                    limit=args.limit)
         count = _write_lines(args.out, (
             "".join(f"({g.vertices[i].poly.format()})" for i in clique)
             or "(1)" for clique in cliques))
         print(f"{count} cliques enumerated", file=sys.stderr)
         return EXIT_OK
-    table = tabulate(g, max_size=args.max_size, kappa=kappa, budget=budget)
+    table = tabulate(g, max_size=args.max_size, kappa=kappa)
     if args.format == "json":
         _write_json(args.out, table.to_json_payload(g.P))
     else:
@@ -117,16 +117,16 @@ def cmd_tabulate(args, budget) -> int:
     return EXIT_OK
 
 
-def cmd_unu(args, budget) -> int:
-    g = build_graph(read_vertex_set(args.vertices), budget)
+def cmd_unu(args) -> int:
+    g = build_graph(read_vertex_set(args.vertices))
     nu = tuple(int(x) for x in args.nu.replace(",", " ").split())
-    print(count_u_nu(g, nu, budget=budget))
+    print(count_u_nu(g, nu))
     return EXIT_OK
 
 
-def cmd_series(args, budget) -> int:
+def cmd_series(args) -> int:
     P = _parse_primes(args.primes)
-    series = cyclo_series(P, args.kmax, budget)
+    series = cyclo_series(P, args.kmax)
     _write_json(args.out, {
         "schema": "polytab.series/1",
         "primes": list(P.primes),
@@ -138,7 +138,7 @@ def cmd_series(args, budget) -> int:
     return EXIT_OK
 
 
-def cmd_pullback(args, budget) -> int:
+def cmd_pullback(args) -> int:
     P = _parse_primes(args.primes)
     covers = builtin_covers()
     if args.cover not in covers:
@@ -147,7 +147,7 @@ def cmd_pullback(args, budget) -> int:
     cover = covers[args.cover]
     validate_cover(cover, P)
     s, _ = normalize([int(x) for x in args.poly.replace(",", " ").split()])
-    out = pullback(cover, s, P, budget)
+    out = pullback(cover, s, P)
     _write_json(args.out, {
         "schema": "polytab.poly/1",
         "primes": list(P.primes),
@@ -159,8 +159,8 @@ def cmd_pullback(args, budget) -> int:
     return EXIT_OK
 
 
-def cmd_fractal(args, budget) -> int:
-    fam = fractal_family(args.imax, budget)
+def cmd_fractal(args) -> int:
+    fam = fractal_family(args.imax)
     _write_json(args.out, {
         "schema": "polytab.fractal/1",
         "imax": args.imax,
@@ -174,8 +174,8 @@ def cmd_fractal(args, budget) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, budget) -> int:
-    rep = verify_named(args.name, budget)
+def cmd_verify(args) -> int:
+    rep = verify_named(args.name)
     status = "PASS" if rep.ok else "FAIL"
     print(f"{args.name}: {status} (degree {rep.poly.degree}, "
           f"membership {rep.membership_ok}, disc match {rep.disc_matches}, "
@@ -237,7 +237,7 @@ SEED_TABLES = (
 SEED_TABLE_NAMES = tuple(row[0] for row in SEED_TABLES)
 
 
-def cmd_seed_tables(args, budget) -> int:
+def cmd_seed_tables(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     wanted = set(args.only.split(",")) if args.only else set(SEED_TABLE_NAMES)
@@ -250,10 +250,9 @@ def cmd_seed_tables(args, budget) -> int:
             continue
         P = PrimeSet(primes)
         if name == "series":
-            table = cyclo_series(P, degree, budget)
+            table = cyclo_series(P, degree)
         else:
-            vs = build_vertex_set(P, degree, budget=budget)
-            table = tabulate(build_graph(vs, budget), budget=budget)
+            table = tabulate(build_graph(build_vertex_set(P, degree)))
         _write_lines(outdir / filename, grid(table))
         print(f"wrote {outdir / filename}")
     return EXIT_OK
@@ -335,7 +334,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # one clock per command: every stage it runs polls this budget
-        return args.func(args, Budget.from_env())
+        with Budget.from_env():
+            return args.func(args)
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

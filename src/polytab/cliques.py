@@ -42,7 +42,8 @@ from itertools import (accumulate, combinations, compress, islice, product,
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
-from .budget import Budget, BudgetExceededError
+from . import budget
+from .budget import BudgetExceededError
 from .poly import (
     MARKED,
     _one_minus,
@@ -83,7 +84,7 @@ class CompatGraph(Record):
         return sum(m.bit_count() for m in self.adj) // 2
 
 
-def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
+def build_graph(vs: VertexSet) -> CompatGraph:
     """Adjacency by resultant smoothness over the set's primes P, one
     resultant per S3 orbit of vertex pairs, read off packed rows of
     resultants.
@@ -107,7 +108,8 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     for the sigma taking the representative r of x's orbit to x; a pair
     with an open vertex is met in that vertex's row.  On a set with no
     closed vertex this is the plain pairwise loop.  The budget is checked
-    once per representative, and inside each `resultant_form` derivation.
+    once per representative, inside each `resultant_form` derivation and
+    while the smooth numbers are listed.
     The images are kept on the graph: on the closed vertices the six maps
     are automorphisms that keep the vertex degree, which `tabulate` uses to
     count one head per class of cliques.
@@ -156,7 +158,6 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
     lemmas hold for any coefficients.
     """
     P = vs.P
-    budget = budget or Budget.from_env()
     verts = vs.all_vertices()
     coeffs = [v.poly.coeffs for v in verts]
     degrees = [v.poly.degree for v in verts]
@@ -188,7 +189,7 @@ def build_graph(vs: VertexSet, budget: Budget | None = None) -> CompatGraph:
             placed.update(orbit)
             order.extend(orbit)
     rows = _Lanes(coeffs, degrees, order, P,
-                  sum(n - 1 - at for at, _ in heads), budget)
+                  sum(n - 1 - at for at, _ in heads))
     adj = [0] * n
     for at, r in heads:
         budget.check()
@@ -229,8 +230,8 @@ class _Lanes:
     up to the bound B are listed unless there are more than limit of them;
     smooth is then None."""
 
-    def __init__(self, coeffs, degrees, order, P, limit, budget):
-        self.coeffs, self.P, self.budget = coeffs, P, budget
+    def __init__(self, coeffs, degrees, order, P, limit):
+        self.coeffs, self.P = coeffs, P
         self.norms = [sum(x * x for x in c) for c in coeffs]
         self.classes = {}     # degree -> (positions in order, vertices)
         for at, j in enumerate(order):
@@ -269,7 +270,7 @@ class _Lanes:
         members = self.classes[d][1]
         cols = list(zip(*[self.coeffs[j] for j in members]))
         packs = []
-        for eb, _ in resultant_form(m, d, self.budget):
+        for eb, _ in resultant_form(m, d):
             vals = None       # the monomial's values, as one lazy map
             for col, e in zip(cols, eb):
                 if e:
@@ -314,8 +315,7 @@ class _Lanes:
         packs = self._packs(m, d, width)
         cut = width * k
         row, total = 0, 0
-        for (_, terms), pack in zip(resultant_form(m, d, self.budget),
-                                    packs):
+        for (_, terms), pack in zip(resultant_form(m, d), packs):
             c = 0
             for x, ea in terms:
                 c += x * prod(map(pow, f, ea))
@@ -690,8 +690,7 @@ def _heads(g: CompatGraph, max_size: int | None, kappa: tuple | None):
 
 
 def tabulate(g: CompatGraph, max_size: int | None = None,
-             kappa: tuple | None = None, workers: int = 1,
-             budget: Budget | None = None) -> PartitionTable:
+             kappa: tuple | None = None, workers: int = 1) -> PartitionTable:
     """Count cliques of the graph grouped by factorization partition.
 
     Heads.  The kept vertices fall into orbits: the orbits of the
@@ -744,7 +743,6 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
     checked once per counted head (W).  workers is accepted and ignored:
     the serial memo beats a pool.
     """
-    budget = budget or Budget.from_env()
     cap, target, full, before, degmask, colours, heads = _heads(g, max_size,
                                                                 kappa)
     f = len(degmask)
@@ -787,7 +785,6 @@ def tabulate(g: CompatGraph, max_size: int | None = None,
 
 def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
                       max_size: int | None = None,
-                      budget: Budget | None = None,
                       limit: int | None = None):
     """Yield cliques as tuples of vertex indices (ascending), each once.
 
@@ -800,10 +797,10 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     kappa, only cliques of exactly that partition are yielded: the walk
     takes no more members of a degree than the cell has, and enters no
     candidate set that holds fewer vertices of some degree than the clique
-    still needs.  The budget is checked once per head; a stream that would
-    pass limit cliques is refused with BudgetExceededError.
+    still needs.  The budget is checked once per head, the one current when
+    the stream resumes; a stream that would pass limit cliques is refused
+    with BudgetExceededError.
     """
-    budget = budget or Budget.from_env()
     cap, target, _, before, degmask, _, heads = _heads(g, max_size, kappa)
     degrees, images, f = g.degrees, g.images, len(degmask)
     every = target is None        # yield every clique under the cap
@@ -875,8 +872,7 @@ def _ordered_partition_count(kappa_expts: tuple, nu_blocks: tuple) -> int:
                if sum((d + 1) * t for d, t in enumerate(take)) == nu_blocks[0])
 
 
-def count_u_nu(g: CompatGraph, nu: tuple, workers: int = 1,
-               budget: Budget | None = None) -> int:
+def count_u_nu(g: CompatGraph, nu: tuple, workers: int = 1) -> int:
     """Number of tuples of monic polynomials with prescribed degrees whose
     product times t(t-1) has unit discriminant.
 
@@ -890,7 +886,7 @@ def count_u_nu(g: CompatGraph, nu: tuple, workers: int = 1,
     blocks = nu[:-3]
     if not blocks:
         return 1  # only the empty tuple
-    table = tabulate(g, max_size=sum(blocks), workers=workers, budget=budget)
+    table = tabulate(g, max_size=sum(blocks), workers=workers)
     total = 0
     for expts, cnt in table.counts.items():
         if sum((d + 1) * e for d, e in enumerate(expts)) == sum(blocks):
@@ -1020,7 +1016,7 @@ def _split_pairs(s):
     return rr
 
 
-def pgl2_packets(polys, roots=None, budget: Budget | None = None):
+def pgl2_packets(polys, roots=None):
     """Group fully split polynomials into fractional-linear packets.
 
     Each polynomial's root set together with the marked points 0, 1, inf is
@@ -1064,7 +1060,6 @@ def pgl2_packets(polys, roots=None, budget: Budget | None = None):
     multiply to (a+3)(a+2)(a+1), and a failed mass identity raise
     AssertionError, by an explicit raise that python -O keeps.
     """
-    budget = budget or Budget.from_env()
     polys = list(polys)
     if not polys:
         raise ValueError("no polynomials to group into packets")

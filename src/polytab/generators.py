@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .budget import Budget, BudgetExceededError
+from . import budget
+from .budget import BudgetExceededError
 from .poly import (
     MARKED,
     NormalizedPoly,
@@ -60,7 +61,7 @@ def _phi_of_smooth(i: int, P: PrimeSet) -> int:
     return phi
 
 
-def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> SeriesCoefficients:
+def cyclo_series(P: PrimeSet, kmax: int) -> SeriesCoefficients:
     """Counts of degree-k products of distinct cyclotomic polynomials with
     smooth index, as the truncated product of (1 + x^phi(i)).
 
@@ -72,7 +73,6 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
         raise ValueError("the cyclotomic count needs 2 in the prime set")
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    budget = budget or Budget.from_env()
     scale_num = 1
     scale_den = 1
     for p in P:
@@ -80,16 +80,16 @@ def cyclo_series(P: PrimeSet, kmax: int, budget: Budget | None = None) -> Series
         scale_den *= p - 1
     bound = kmax * scale_num // scale_den + 1
     degrees = []
-    for i in smooth_numbers_up_to(P, bound, budget=budget):
+    for i in smooth_numbers_up_to(P, bound):
         if i == 1:
             continue
         phi = _phi_of_smooth(i, P)
         if phi <= kmax:
             degrees.append(phi)
-    return SeriesCoefficients(P, kmax, _subset_counts(degrees, kmax, budget))
+    return SeriesCoefficients(P, kmax, _subset_counts(degrees, kmax))
 
 
-def _subset_counts(degrees, kmax: int, budget: Budget) -> tuple:
+def _subset_counts(degrees, kmax: int) -> tuple:
     """(c_0, ..., c_kmax), the coefficients of prod(1 + x^d) over degrees,
     each d >= 1, truncated above x^kmax.
 
@@ -168,8 +168,8 @@ def validate_cover(cover: RationalCover, P: PrimeSet) -> None:
     one_fiber = _primitive(one_fiber)
     fiberinf = g.coeffs
     points = 1  # the point at infinity always lies in exactly one fiber
-    for fib in (fiber0, one_fiber, fiberinf):
-        rad = _radical(fib)
+    rads = [_radical(fib) for fib in (fiber0, one_fiber, fiberinf)]
+    for rad in rads:
         points += len(rad) - 1
         d = _disc_or_none(rad)
         if d is not None and not is_smooth(d, P):
@@ -177,7 +177,7 @@ def validate_cover(cover: RationalCover, P: PrimeSet) -> None:
     if points != m + 2:
         raise CoverValidationError(
             f"critical values escape the marked points ({points} != {m + 2})")
-    r0, r1, rinf = (_radical(x) for x in (fiber0, one_fiber, fiberinf))
+    r0, r1, rinf = rads
     for a, b in ((r0, r1), (r0, rinf), (r1, rinf)):
         r = resultant_coeffs(a, b)
         if r == 0 or not is_smooth(r, P):
@@ -260,13 +260,13 @@ def _pencil_resultant(A, B, m: int) -> int:
     return abs(r)
 
 
-def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
-             budget: Budget | None = None) -> NormalizedPoly:
+def pullback(cover: RationalCover, s: NormalizedPoly,
+             P: PrimeSet) -> NormalizedPoly:
     """Normalized s(F(t)) * denom(t)^deg(s), which must pass the membership
     predicate over P; a failure means the cover is not a valid three-point
     cover for P.  The construction is `_pullback`.
     """
-    out = _pullback(cover, s, budget or Budget.from_env())
+    out = _pullback(cover, s)
     rep = check_membership(out, P)
     if not rep.ok:
         raise CoverValidationError(
@@ -274,13 +274,13 @@ def pullback(cover: RationalCover, s: NormalizedPoly, P: PrimeSet,
     return out
 
 
-def _pullback(cover: RationalCover, s: NormalizedPoly,
-              budget: Budget) -> NormalizedPoly:
+def _pullback(cover: RationalCover, s: NormalizedPoly) -> NormalizedPoly:
     """Normalized s(F(t)) * denom(t)^deg(s); degree multiplies exactly.
 
     The output carries its discriminant, computed from the cover and s by
     the identity below instead of a PRS of degree deg(s) * deg(F).  The
-    budget is polled once per coefficient of s.
+    budget is polled once per coefficient of s, and inside the resultants
+    and the discriminant of s that the identity takes.
 
     Identity.  Write F = A/B with integer A = a * numer and B = b * denom
     (scalar = a/b), m = deg F = max(deg A, deg B), k = deg s, and
@@ -384,7 +384,7 @@ FRACTAL_SEEDS = {
 }
 
 
-def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
+def fractal_family(i_max: int) -> dict:
     """The iterated-preimage polynomials s_{i,j} for i <= i_max, j in {-1,0,1}.
 
     s_{1,j} are the seeds above; s_{i+1,j} pulls s_{i,j} back through the
@@ -397,7 +397,6 @@ def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    budget = budget or Budget.from_env()
     if i_max > 6:
         raise BudgetExceededError(
             "i > 6 is out of budget: constructing the degree-8192 pullbacks "
@@ -413,7 +412,7 @@ def fractal_family(i_max: int, budget: Budget | None = None) -> dict:
     for i in range(1, i_max):
         for j in FRACTAL_SEEDS:
             budget.check()
-            out[(i + 1, j)] = pullback(cover, out[(i, j)], P2, budget=budget)
+            out[(i + 1, j)] = pullback(cover, out[(i, j)], P2)
     return out
 
 
@@ -514,7 +513,7 @@ class NamedReport(Frozen):
         return self.membership_ok and self.disc_matches and self.partition_matches
 
 
-def verify_named(name: str, budget: Budget | None = None) -> NamedReport:
+def verify_named(name: str) -> NamedReport:
     """Rebuild a registry polynomial from its factors and check everything.
 
     The factors are pairwise compatible when the product passes the
@@ -522,19 +521,18 @@ def verify_named(name: str, budget: Budget | None = None) -> NamedReport:
     squared, and `_product` computes it that way).  Membership says nothing
     of how the product splits, so the partition matches only when the
     listed degrees are the entry's and every listed factor is irreducible.
-    The budget is polled once per listed factor and passed to its
+    The budget is polled once per listed factor, and inside its
     irreducibility test.
     """
     if name not in NAMED_REGISTRY:
         raise KeyError(f"unknown name {name!r}; known: {sorted(NAMED_REGISTRY)}")
-    budget = budget or Budget.from_env()
     entry = NAMED_REGISTRY[name]
     P = PrimeSet(entry["primes"])
     factors = [NormalizedPoly(fc) for fc in entry["factors"]]
     irreducible = []
     for f in factors:
         budget.check()
-        irreducible.append(is_irreducible(f, budget))
+        irreducible.append(is_irreducible(f))
     poly = _product(factors)
     rep = check_membership(poly, P)
     disc = poly.discriminant()

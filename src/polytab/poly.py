@@ -17,7 +17,7 @@ from functools import cmp_to_key, reduce
 from itertools import combinations, count
 from math import gcd, isqrt
 
-from .budget import Budget
+from . import budget
 from .records import Frozen
 from .smooth import PrimeSet, ZeroValueError, _is_prime, is_smooth
 
@@ -65,12 +65,12 @@ def _prem(a: list, b: list):
     return _trim(a)
 
 
-def resultant_coeffs(f, g, budget: Budget | None = None) -> int:
+def resultant_coeffs(f, g) -> int:
     """Resultant of two nonzero integer polynomials, Sylvester sign convention.
 
     Subresultant PRS (Collins); coefficient growth stays proportional to the
     result, which is what makes the degree-35 discriminants here tractable.
-    A budget is checked once per pseudo-remainder: at degree 400 the whole
+    The budget is checked once per pseudo-remainder: at degree 400 the whole
     sequence takes seconds.
     """
     f = _trim(list(f))
@@ -96,8 +96,7 @@ def resultant_coeffs(f, g, budget: Budget | None = None) -> int:
         delta = df - dg
         if df % 2 and dg % 2:
             sign = -sign
-        if budget is not None:
-            budget.check()
+        budget.check()
         r = _prem(f, g)
         if not r:
             return 0
@@ -121,7 +120,7 @@ resultant_fast = resultant_coeffs
 _FORMS = {}     # (m, d) -> resultant_form(m, d): one derivation per process
 
 
-def resultant_form(m: int, d: int, budget: Budget) -> tuple:
+def resultant_form(m: int, d: int) -> tuple:
     """Res(f, g) for deg f = m >= 1 and deg g = d >= 1 as a form of degree m
     in the coefficients of g: a tuple of (eb, terms), one per monomial
     g_0^eb_0 ... g_d^eb_d, whose coefficient is the sum of k f^ea over the
@@ -253,9 +252,9 @@ class NormalizedPoly:
                 terms.append(("+ " if c > 0 else "- ") + body)
         return " ".join(terms) if terms else "0"
 
-    def discriminant(self, budget: Budget | None = None) -> int:
+    def discriminant(self) -> int:
         if self._disc is None:
-            object.__setattr__(self, "_disc", discriminant(self, budget))
+            object.__setattr__(self, "_disc", discriminant(self))
         return self._disc
 
 
@@ -322,12 +321,12 @@ def derivative_coeffs(c):
     return [i * c[i] for i in range(1, len(c))]
 
 
-def discriminant(s: NormalizedPoly, budget: Budget | None = None) -> int:
+def discriminant(s: NormalizedPoly) -> int:
     """(-1)^(k(k-1)/2) Res(s, s') / s(inf); 0 exactly when s is inseparable.
 
     Degrees 2 to 4 use the closed forms (a the leading coefficient)
     b^2 - 4ac, b^2c^2 - 4ac^3 - 4b^3d - 27a^2d^2 + 18abcd and the 16 terms
-    of the quartic below; above, the budget goes to the PRS.
+    of the quartic below; above, the PRS, which polls the budget.
     """
     k = s.degree
     if k < 1:
@@ -351,7 +350,7 @@ def discriminant(s: NormalizedPoly, budget: Budget | None = None) -> int:
                 - 4 * a * c ** 3 * d * d - 27 * b ** 4 * e * e
                 + 18 * b ** 3 * c * d * e - 4 * b ** 3 * d ** 3
                 - 4 * b * b * c ** 3 * e + b * b * c * c * d * d)
-    r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs), budget)
+    r = resultant_coeffs(s.coeffs, derivative_coeffs(s.coeffs))
     if k % 4 in (2, 3):
         r = -r
     return r // s.coeffs[-1]
@@ -464,16 +463,14 @@ class MembershipReport(Frozen):
         set_key(self, (ok, failures))
 
 
-def check_membership(s: NormalizedPoly, P: PrimeSet,
-                     budget: Budget | None = None) -> MembershipReport:
+def check_membership(s: NormalizedPoly, P: PrimeSet) -> MembershipReport:
     """Test s(0), s(1), s(inf), disc(s) for membership in the smooth monoid.
 
-    Separability is part of the contract: disc = 0 is a failure.  The
-    budget goes to the discriminant's PRS.
+    Separability is part of the contract: disc = 0 is a failure.
     """
     v0, v1, vinf = special_values(s)
     values = (("s0", v0), ("s1", v1), ("sinf", vinf),
-              ("disc", s.discriminant(budget)))
+              ("disc", s.discriminant()))
     failures = tuple(name for name, v in values if not is_smooth(v, P))
     return MembershipReport(not failures, failures)
 
@@ -522,23 +519,22 @@ def _primitive(c):
     return [x // g for x in c]
 
 
-def _poly_gcd(a, b, budget: Budget | None = None):
+def _poly_gcd(a, b):
     """gcd of integer polynomials, primitive, by fraction-free remainders;
-    a budget is checked once per remainder."""
+    the budget is checked once per remainder."""
     a = _trim(list(a))
     b = _trim(list(b))
     while b:
-        if budget is not None:
-            budget.check()
+        budget.check()
         a, b = b, _prem(a, b)
         if b:
             b = _primitive(b)
     return _primitive(a)
 
 
-def _radical(c, budget: Budget | None = None):
+def _radical(c):
     """Primitive square-free part c / gcd(c, c'): the same roots, each once."""
-    g = _poly_gcd(c, derivative_coeffs(c), budget)
+    g = _poly_gcd(c, derivative_coeffs(c))
     if len(g) > 1:
         c = _poly_divmod_exact(c, g)
     return _primitive(c)
@@ -635,7 +631,7 @@ def _gcd_q(a, b, q):
     return [x * inv % q for x in a]
 
 
-def _factor_mod(f, q, budget: Budget):
+def _factor_mod(f, q):
     """The monic irreducible factors of the monic f, square-free modulo the
     odd prime q.  Distinct degrees: with the factors of degree below d
     divided out, gcd(f, t^(q^d) - t) is the product of those of degree d.
@@ -685,7 +681,7 @@ def _hensel_lift(f, us, q, bound):
     return lifted, m
 
 
-def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
+def factor_small(s: NormalizedPoly) -> list:
     """Irreducible factorization over Q, with multiplicity: the normalized
     factors of s, sorted, whose product is s.
 
@@ -701,14 +697,13 @@ def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
     a smaller subset).  Multiplicities come from exact division of s.  The
     budget is polled in the splitting loops and once per subset.
     """
-    budget = budget or Budget.from_env()
     c = list(s.coeffs)
     if len(c) == 1:
         return []
-    f = _radical(c, budget)
+    f = _radical(c)
     q = next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
              and len(_gcd_q(f, derivative_coeffs(f), q)) == 1)
-    us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q, budget)
+    us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q)
     if len(us) > 1:
         bound = (2 * f[-1] << len(f) - 1) * (isqrt(sum(x * x for x in f)) + 1)
         us, m = _hensel_lift(f, us, q, bound)
@@ -733,9 +728,9 @@ def factor_small(s: NormalizedPoly, budget: Budget | None = None) -> list:
     return sorted(out, key=lambda f: f.sort_key())
 
 
-def is_irreducible(s: NormalizedPoly, budget: Budget | None = None) -> bool:
+def is_irreducible(s: NormalizedPoly) -> bool:
     """Whether s is irreducible over Q: the discriminant decides degree 2,
-    the rational roots degree 3, and factor_small, under the budget, above."""
+    the rational roots degree 3, and factor_small above."""
     if s.degree == 1:
         return True
     if s.degree == 2:
@@ -744,4 +739,4 @@ def is_irreducible(s: NormalizedPoly, budget: Budget | None = None) -> bool:
         return d < 0 or r * r != d
     if s.degree == 3:
         return not rational_roots(s.coeffs)
-    return len(factor_small(s, budget)) == 1
+    return len(factor_small(s)) == 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .budget import Budget
+from . import budget
 from .records import Frozen
 
 
@@ -174,14 +174,14 @@ def decompose_power(n: int, k: int, P: PrimeSet):
 _POLL = 1 << 16     # numbers listed between budget checks
 
 
-def smooth_numbers_up_to(P: PrimeSet, H: int, limit: int | None = None,
-                         budget: Budget | None = None) -> list | None:
+def smooth_numbers_up_to(P: PrimeSet, H: int,
+                         limit: int | None = None) -> list | None:
     """All positive P-smooth numbers <= H, ascending.
 
     Exponent-vector enumeration (one extension pass per prime); no sieve,
     so H around 1e11 stays cheap for the small prime sets used here.  With
     a limit, None as soon as there are more than limit of them: each pass
-    keeps the numbers of the one before, so the work stops there too.  A
+    keeps the numbers of the one before, so the work stops there too.  The
     budget is checked once per pass and once per 2^16 numbers listed.
     """
     if H < 1:
@@ -192,8 +192,7 @@ def smooth_numbers_up_to(P: PrimeSet, H: int, limit: int | None = None,
         return None     # 1 is always one of them
     out = [1]
     for p in P:
-        if budget is not None:
-            budget.check()
+        budget.check()
         nxt = []
         mark = min(limit, _POLL)   # the next length to stop at
         for s in out:
@@ -204,8 +203,7 @@ def smooth_numbers_up_to(P: PrimeSet, H: int, limit: int | None = None,
             if len(nxt) > mark:
                 if len(nxt) > limit:
                     return None
-                if budget is not None:
-                    budget.check()
+                budget.check()
                 mark = min(limit, len(nxt) + _POLL)
         out = nxt
     out.sort()

@@ -40,7 +40,7 @@ from .abc_search import (
     roots_of_F,
     search_abc,
 )
-from .budget import Budget
+from . import budget
 from .poly import (
     NormalizedPoly,
     _primitive,
@@ -115,13 +115,12 @@ class VertexSet(Record):
         return {d: len(v) for d, v in sorted(self.by_degree.items())}
 
 
-def _orbit_closure(polys, P: PrimeSet, budget: Budget | None = None) -> dict:
+def _orbit_closure(polys, P: PrimeSet) -> dict:
     """The union of the S3 orbits of the members polys, keyed by coeffs.
 
     Members have s(0) s(1) != 0, so the action is a group action and a
     member already in the closure brings no new orbit.  A non-member image
-    raises AssertionError, which python -O keeps.  The budget goes to each
-    image's membership test.
+    raises AssertionError, which python -O keeps.
     """
     closed = {}
     for s in polys:
@@ -129,7 +128,7 @@ def _orbit_closure(polys, P: PrimeSet, budget: Budget | None = None) -> dict:
             for t in s3_orbit(s):
                 closed[t.coeffs] = t
     for t in closed.values():
-        if not check_membership(t, P, budget).ok:
+        if not check_membership(t, P).ok:
             raise AssertionError(f"orbit closure broke membership: {t}")
     return closed
 
@@ -177,7 +176,7 @@ def build_degree1(points, P: PrimeSet):
 # degree 2
 
 
-def build_degree2(P: PrimeSet, points, budget: Budget | None = None):
+def build_degree2(P: PrimeSet, points):
     """All degree-2 members: (irreducible vertices, split polynomials, stats).
 
     Split polynomials are the products of two linear members (square
@@ -195,7 +194,6 @@ def build_degree2(P: PrimeSet, points, budget: Budget | None = None):
     w0 + (w1 - w0 - winf) t + winf t^2 is cleared by lcm(b, d, den winf).
     The budget is polled once per w0.
     """
-    budget = budget or Budget.from_env()
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
     _require_members(points, VARIANT_I2I, P)
@@ -279,7 +277,7 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
     candidate s^{m,n}.  Members (check_membership also fails a zero
     discriminant) are closed under the marked-point action, which adds the
     j = 0 members and the swapped pairs, and labelled "cubic:<rep>".  stats
-    counts candidates and rejected ones.
+    counts candidates and rejected ones.  The budget is polled once per j.
 
     No root is listed twice, so m != n and s^{m,n} has degree 3.  The k of
     the list are distinct, as `_require_members` refuses a repeated point.
@@ -303,6 +301,7 @@ def build_degree3(P: PrimeSet, classes: dict, stats: dict | None = None):
         js = sorted(pt.u for pt in members)
         accepted = []
         for j in js:
+            budget.check()
             a, b = j.numerator, j.denominator
             roots = [m for k in [0] + js for m in roots_of_F(j, k)]
             for m, n in combinations(roots, 2):
@@ -349,7 +348,7 @@ class IngestReport(Record):
         self.rejected = [] if rejected is None else rejected
 
 
-def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
+def ingest_units(candidates, P: PrimeSet):
     """Verify candidate polynomials and expand them into full vertex orbits.
 
     Every candidate is re-checked for membership and then irreducibility, so
@@ -361,7 +360,6 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
     inside factor_small's loops.
     Returns ({degree: [Vertex]}, IngestReport).
     """
-    budget = budget or Budget.from_env()
     report = IngestReport()
     accepted = []
     for cand in candidates:
@@ -376,16 +374,16 @@ def ingest_units(candidates, P: PrimeSet, budget: Budget | None = None):
         if s.degree < 1:
             report.rejected.append((s.coeffs, "constant"))
             continue
-        if not check_membership(s, P, budget).ok:
+        if not check_membership(s, P).ok:
             report.rejected.append((s.coeffs, "membership"))
             continue
-        if not is_irreducible(s, budget):
+        if not is_irreducible(s):
             report.rejected.append((s.coeffs, "reducible"))
             continue
         report.accepted += 1
         accepted.append(s)
     out = {}
-    for t in _orbit_closure(accepted, P, budget).values():
+    for t in _orbit_closure(accepted, P).values():
         out.setdefault(t.degree, []).append(Vertex(t, provenance="ingested"))
     return {d: sorted(vs, key=Vertex.sort_key)
             for d, vs in sorted(out.items())}, report
@@ -417,8 +415,7 @@ DEFAULT_HEIGHTS = {
 
 def build_vertex_set(P: PrimeSet, max_degree: int,
                      points_by_variant: dict | None = None,
-                     candidates=None,
-                     budget: Budget | None = None) -> VertexSet:
+                     candidates=None) -> VertexSet:
     """Run the per-degree builders up to max_degree and assemble a VertexSet.
 
     points_by_variant may supply pre-searched point lists (as read back from
@@ -427,14 +424,13 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     labels they carry.  Degrees >= 4 are filled from ingestion candidates
     when provided.
     """
-    budget = budget or Budget.from_env()
     points_by_variant = dict(points_by_variant or {})
 
     def get_points(variant):
         """The points of variant and the certificate of their degree."""
         if variant not in points_by_variant:
             points_by_variant[variant] = search_abc(
-                P, variant, DEFAULT_HEIGHTS[variant], budget=budget)
+                P, variant, DEFAULT_HEIGHTS[variant])
         pts, cert = points_by_variant[variant]
         return pts, "complete" if cert.complete else "search-bounded"
 
@@ -445,7 +441,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
     if max_degree >= 2:
         if 2 in P:
             pts, status = get_points(VARIANT_I2I)
-            verts, vs.split_degree2, _ = build_degree2(P, pts, budget=budget)
+            verts, vs.split_degree2, _ = build_degree2(P, pts)
             vs.add_degree(2, verts, status)
         else:
             vs.add_degree(2, [], "unsupported: 2 not in prime set")
@@ -453,12 +449,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
         if 2 in P and 3 in P:
             pts, status = get_points(VARIANT_32I)
             _require_members(pts, VARIANT_32I, P)  # before cubic_classes
-            verts = []
-            # one class at a time, so the budget is checked between classes
-            for rep, members in cubic_classes(pts, P, budget=budget).items():
-                budget.check()
-                verts += build_degree3(P, {rep: members})
-            vs.add_degree(3, verts, status)
+            vs.add_degree(3, build_degree3(P, cubic_classes(pts, P)), status)
         else:
             vs.add_degree(3, [], "unsupported: needs 2 and 3 in prime set")
     if max_degree >= 4:
@@ -466,7 +457,7 @@ def build_vertex_set(P: PrimeSet, max_degree: int,
             candidates = [c for d, cs in TABLE5_REPRESENTATIVES.items()
                           for c in cs if d >= 4]
         if candidates:
-            ingested, _ = ingest_units(candidates, P, budget=budget)
+            ingested, _ = ingest_units(candidates, P)
             for d, verts in ingested.items():
                 if 4 <= d <= max_degree:
                     vs.add_degree(d, verts, "conditional (ingested)")

@@ -69,8 +69,8 @@ def test_small_search_matches_brute_force():
                 # outside the search contract, but the pair loop is still exact
                 assert points == [] and not cert.complete
                 smooth = smooth_numbers_up_to(P, H)
-                assert _pair_search(_by_support(smooth, P.primes, Budget()),
-                                    smooth, P.primes, Budget()) == want
+                assert _pair_search(_by_support(smooth, P.primes),
+                                    smooth, P.primes) == want
                 continue
             assert {pt.u for pt in points} == want, (P, variant)
 
@@ -126,8 +126,8 @@ def test_variant_nesting():
 def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         search_abc(P23, VARIANT_III, 10 ** 13)
-    with pytest.raises(BudgetExceededError):
-        search_abc(P235, VARIANT_I2I, 10 ** 6, budget=Budget(seconds=1e-9))
+    with pytest.raises(BudgetExceededError), Budget(seconds=1e-9):
+        search_abc(P235, VARIANT_I2I, 10 ** 6)
 
 
 class _RefuseAt(Budget):
@@ -150,9 +150,8 @@ def test_budget_stops_running_search(workers):
     # candidate loop; a refusal at the 1000th check must stop it there,
     # however fast it runs
     budget = _RefuseAt(1000)
-    with pytest.raises(BudgetExceededError):
-        search_abc(P235, VARIANT_32I, 10 ** 12, budget=budget,
-                   workers=workers)
+    with pytest.raises(BudgetExceededError), budget:
+        search_abc(P235, VARIANT_32I, 10 ** 12, workers=workers)
     assert budget.checks == 1000
 
 
@@ -193,7 +192,8 @@ def test_many_primes_search_skips_unpayable_sieve_primes():
     Over the first 14 primes the fourth one is 9,257,329, and scanning up to
     it takes seconds; the search at H = 100 takes milliseconds."""
     P = PrimeSet([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
-    points, _ = search_abc(P, VARIANT_I2I, 100, budget=Budget(seconds=2))
+    with Budget(seconds=2):
+        points, _ = search_abc(P, VARIANT_I2I, 100)
     assert {pt.u for pt in points} == abc_brute_force(P.primes, "i2i", 100)
 
 
@@ -204,8 +204,8 @@ def test_budget_stops_search_set_up():
     P = PrimeSet([p for p in range(2, 100) if _brute_is_prime(p)])
     assert len(P) == 25
     start = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        search_abc(P, VARIANT_I2I, 10 ** 6, budget=Budget(seconds=0.5))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0.5):
+        search_abc(P, VARIANT_I2I, 10 ** 6)
     assert time.monotonic() - start < 5
 
 
@@ -254,10 +254,9 @@ def test_cube_candidates_by_support():
     cube, each filed under its prime support."""
     H = 10 ** 5
     for P in (P2, P23, P235, PrimeSet([3, 7])):
-        buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H,
-                                   Budget())
+        buckets = _cube_candidates(smooth_numbers_up_to(P, H), P.primes, H)
         flat = [a for xs in buckets.values() for a in xs]
-        assert buckets == _by_support(flat, P.primes, Budget())
+        assert buckets == _by_support(flat, P.primes)
         rough = [factor_over_division_loop(n, P)[2] for n in range(1, H + 1)]
         want = [n for n, r in enumerate(rough, 1)
                 if round(r ** (1 / 3)) ** 3 == r]

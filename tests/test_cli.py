@@ -58,7 +58,7 @@ def test_search_non_finite_height_exit_2(tmp_path):
 def test_memory_error_is_a_refusal(monkeypatch, capsys):
     """Running out of memory (here simulated) exits 3, not with a
     traceback."""
-    def exhausted(P, kmax, budget):
+    def exhausted(P, kmax):
         raise MemoryError
 
     monkeypatch.setattr("polytab.cli.cyclo_series", exhausted)
@@ -308,6 +308,27 @@ def test_vertices_honours_the_budget_in_one_candidate(tmp_path):
     assert proc.returncode == EXIT_BUDGET, proc.stderr
     assert "Traceback" not in proc.stderr and "refused" in proc.stderr
     assert time.monotonic() - t0 < 6
+
+
+def test_pullback_honours_the_budget_in_the_discriminant():
+    """The pullback of a degree-400 line (t^400 + 1 plus terms +-2 t^i)
+    through t^2 takes the discriminant PRS of the line, seconds long, for
+    its identity; under a 1 s budget `pullback` exits 3 within seconds, in
+    a fresh process, where it would otherwise fail membership (exit 2)."""
+    rng = random.Random(400)
+    line = [1] + [rng.choice((-2, 0, 2)) for _ in range(399)] + [1]
+    env_src = Path(__file__).resolve().parent.parent / "src"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polytab.cli", "pullback", "--cover", "power:2",
+         "--poly=" + ",".join(map(str, line)), "--primes", "2"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin",
+             "POLYTAB_BUDGET_SECS": "1"},
+    )
+    assert proc.returncode == EXIT_BUDGET, proc.stderr
+    assert "Traceback" not in proc.stderr and "refused" in proc.stderr
+    assert time.monotonic() - t0 < 3
 
 
 def test_one_budget_per_command(tmp_path, monkeypatch, capsys):

@@ -68,10 +68,10 @@ def test_series_packing_holds_binomials():
     cell of n // 8 bytes would be too narrow."""
     for n in (64, 70, 200):
         want = tuple(comb(n, k) for k in range(n + 1))
-        assert _subset_counts([1] * n, n, Budget()) == want
+        assert _subset_counts([1] * n, n) == want
         half = n // 2 + 1
-        assert _subset_counts([1] * n, half, Budget()) == want[:half + 1]
-        assert _subset_counts([1] * n, 2 * n, Budget()) == want + (0,) * n
+        assert _subset_counts([1] * n, half) == want[:half + 1]
+        assert _subset_counts([1] * n, 2 * n) == want + (0,) * n
 
 
 def test_series_prefix_stability():
@@ -171,7 +171,7 @@ def test_pullback_discriminant_matches_prs(name, low, lead):
     cover = builtin_covers()[name]
     s = normalize(low + [lead])[0]
     try:
-        h = _pullback(cover, s, Budget())
+        h = _pullback(cover, s)
     except CoverValidationError:
         assume(False)
     assert h.degree == cover.degree * s.degree
@@ -193,7 +193,7 @@ def test_pullback_discriminant_identity_any_map(numer, denom, a, b, low, lead):
     cover = RationalCover("any", f, g, Fraction(a, b))
     s = normalize(low + [lead])[0]
     try:
-        h = _pullback(cover, s, Budget())
+        h = _pullback(cover, s)
     except CoverValidationError:
         assume(False)
     assert h._disc == _prs_disc(h)
@@ -206,12 +206,12 @@ def test_pullback_identity_check_raises(monkeypatch):
     cover = RationalCover("2t^2", NormalizedPoly((0, 0, 1)),
                           NormalizedPoly((1,)), Fraction(2))
     s = NormalizedPoly((-2, 1))
-    assert _pullback(cover, s, Budget()).coeffs == (-1, 0, 1)
+    assert _pullback(cover, s).coeffs == (-1, 0, 1)
     real = generators._pencil_discriminant
     monkeypatch.setattr(generators, "_pencil_discriminant",
                         lambda A, B, m: [x + 1 for x in real(A, B, m)])
     with pytest.raises(AssertionError, match="identity"):
-        _pullback(cover, s, Budget())
+        _pullback(cover, s)
 
 
 def test_fractal_seed_check_raises(monkeypatch):
@@ -232,9 +232,9 @@ def test_fractal_membership_runs_no_large_prs(monkeypatch):
     degrees = []
     generic = poly.discriminant
 
-    def spy(s, budget=None):
+    def spy(s):
         degrees.append(s.degree)
-        return generic(s, budget)
+        return generic(s)
 
     monkeypatch.setattr(poly, "discriminant", spy)
     fam = fractal_family(4)
@@ -259,16 +259,20 @@ class _CountingBudget(Budget):
 
 def test_pullback_polls_budget_per_term():
     cover = builtin_covers()["quartic-fractal"]
-    budget = _CountingBudget()
-    pullback(cover, FRACTAL_SEEDS[0], P2, budget=budget)
-    assert budget.calls == 2
-    budget = _CountingBudget()
-    fractal_family(3, budget=budget)
-    # one check per pullback, plus one per coefficient below the top
-    assert budget.calls == 6 + 3 * 2 + 3 * 8
+    # one check per coefficient of s below the top, and one per
+    # pseudo-remainder of the identity's resultants: Res(A, B) (degrees 4
+    # and 2) takes one, and Res(s, D) (deg D = 4) two for a seed and four
+    # for a degree-8 s
+    with _CountingBudget() as budget:
+        pullback(cover, FRACTAL_SEEDS[0], P2)
+    assert budget.calls == 2 + 1 + 2
+    with _CountingBudget() as budget:
+        fractal_family(3)
+    # plus one check per pullback
+    assert budget.calls == 6 + 3 * 2 + 3 * 8 + 6 * 1 + 3 * 2 + 3 * 4
     t0 = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        fractal_family(6, budget=Budget(seconds=0.1))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0.1):
+        fractal_family(6)
     assert time.monotonic() - t0 < 0.5
 
 

@@ -207,7 +207,7 @@ def test_resultant_form_matches_resultant_coeffs():
 
     seen = {"zero": 0, "negative": 0, "shared": 0}
     for m, d in product(range(1, 5), repeat=2):
-        form = resultant_form(m, d, Budget())
+        form = resultant_form(m, d)
         assert len(form) == comb(m + d, m)
         for eb, terms in form:
             assert len(eb) == d + 1 and sum(eb) == m
@@ -235,7 +235,7 @@ def test_resultant_form_matches_tuple_derivation():
     (m, d) <= (5, 5)."""
     for m, d in product(range(1, 6), repeat=2):
         want = resultant_form_tuples(m, d)
-        assert resultant_form(m, d, Budget()) == want, (m, d)
+        assert resultant_form(m, d) == want, (m, d)
 
 
 def test_resultant_form_matches_sympy():
@@ -252,7 +252,7 @@ def test_resultant_form_matches_sympy():
         g = sum(x * t ** i for i, x in enumerate(b))
         want = (sympy.resultant(f, g, t) if m >= d
                 else (-1) ** (m * d) * sympy.resultant(g, f, t))
-        got = _form_value(resultant_form(m, d, Budget()), a, b)
+        got = _form_value(resultant_form(m, d), a, b)
         assert sympy.Poly(got, *a, *b) == sympy.Poly(want, *a, *b), (m, d)
 
 
@@ -262,13 +262,14 @@ def test_resultant_form_derivation_polls_the_budget():
     refused, and a refused derivation leaves nothing cached."""
     assert (7, 7) not in poly._FORMS
     t0 = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        resultant_form(7, 7, Budget(seconds=0.2))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0.2):
+        resultant_form(7, 7)
     assert time.monotonic() - t0 < 2
     assert (7, 7) not in poly._FORMS
     # one derivation per (m, d): a cached form ignores the budget
-    form = resultant_form(2, 2, Budget())
-    assert resultant_form(2, 2, Budget(seconds=0)) is form
+    form = resultant_form(2, 2)
+    with Budget(seconds=0):
+        assert resultant_form(2, 2) is form
 
 
 def test_resultant_antisymmetry_and_multiplicativity():
@@ -650,8 +651,9 @@ def test_factor_small_answers_within_budget():
     # division cannot factor, t^10 + 1 by its degree
     for s in (NP(123200, 0, 0, 0, 1), NP(1000003 * 1000033, 0, 0, 0, 1),
               NP(1, *[0] * 9, 1)):
-        assert sorted(f.coeffs for f in factor_small(s, Budget(seconds=5))) \
-            == sympy_factorization(s), s
+        with Budget(seconds=5):
+            got = sorted(f.coeffs for f in factor_small(s))
+        assert got == sympy_factorization(s), s
 
 
 def test_factor_small_polls_the_budget():
@@ -659,8 +661,8 @@ def test_factor_small_polls_the_budget():
     # must be split and recombined, and both loops poll the budget
     s = NP(1, 0, -10, 0, 1)
     assert factor_small(s) == [s]
-    with pytest.raises(BudgetExceededError):
-        factor_small(s, Budget(seconds=0))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0):
+        factor_small(s)
 
 
 def test_check_membership():

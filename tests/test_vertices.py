@@ -518,15 +518,14 @@ def test_vertex_set_roundtrip_split_degree2(tmp_path, vs235):
 
 def test_vertex_build_polls_budget_after_searches(search_32i_23):
     """With every point set given, no search polls the budget; the cubic
-    classes and the per-class degree-3 builds must."""
+    classes and the degree-3 build must."""
     points = {VARIANT_III: search_abc(P23, VARIANT_III, 10 ** 3),
               VARIANT_I2I: search_abc(P23, VARIANT_I2I, 10 ** 3),
               VARIANT_32I: search_32i_23.value}
-    with pytest.raises(BudgetExceededError):
-        build_vertex_set(P23, 3, points_by_variant=points,
-                         budget=Budget(seconds=1e-9))
-    with pytest.raises(BudgetExceededError):
-        ingest_units(TABLE5_REPRESENTATIVES[4], P2, budget=Budget(seconds=1e-9))
+    with pytest.raises(BudgetExceededError), Budget(seconds=1e-9):
+        build_vertex_set(P23, 3, points_by_variant=points)
+    with pytest.raises(BudgetExceededError), Budget(seconds=1e-9):
+        ingest_units(TABLE5_REPRESENTATIVES[4], P2)
 
 
 def _degree600_line():
@@ -540,16 +539,16 @@ def test_ingest_polls_the_budget_inside_the_discriminant():
     """The membership test of one degree-600 candidate polls the budget once
     per pseudo-remainder, so a 0.5 s budget stops it within seconds."""
     start = time.monotonic()
-    with pytest.raises(BudgetExceededError):
-        ingest_units([_degree600_line()], P2, budget=Budget(seconds=0.5))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0.5):
+        ingest_units([_degree600_line()], P2)
     assert time.monotonic() - start < 5
 
 
 def test_degree2_polls_the_budget(search_i2i_235):
     """build_degree2 polls its budget once per w0, so a spent budget stops
     it."""
-    with pytest.raises(BudgetExceededError):
-        build_degree2(P235, search_i2i_235.value[0], budget=Budget(seconds=0))
+    with pytest.raises(BudgetExceededError), Budget(seconds=0):
+        build_degree2(P235, search_i2i_235.value[0])
 
 
 class _ChecksLeft(Budget):
@@ -571,15 +570,15 @@ def test_ingest_budget_stops_irreducibility_scan():
     # well within the budget, and the budget reaches inside the check.
     P = PrimeSet([2, 3, 5, 7, 11, 13])
     start = time.monotonic()
-    got, report = ingest_units([(123200, 0, 0, 0, 1)], P,
-                               budget=Budget(seconds=5))
+    with Budget(seconds=5):
+        got, report = ingest_units([(123200, 0, 0, 0, 1)], P)
     assert time.monotonic() - start < 5
     assert report.accepted == 1 and not report.rejected
     assert NormalizedPoly((123200, 0, 0, 0, 1)) in {
         v.poly for v in got[4]}
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError), _ChecksLeft(1):
         # one check per candidate, then the next one is inside factor_small
-        ingest_units([(123200, 0, 0, 0, 1)], P, budget=_ChecksLeft(1))
+        ingest_units([(123200, 0, 0, 0, 1)], P)
 
 
 def test_parse_candidate_file(tmp_path):
