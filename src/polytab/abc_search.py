@@ -430,39 +430,31 @@ def cubic_classes(points, P: PrimeSet) -> dict:
     Each reference cubic is built once; a point whose cubic has a rational
     root is left out.  For j = -A/C the discriminant is 16 3^9 A^2 B C / g^4,
     g the cubic's content, so its square class is read off the P-exponents.
-    Isomorphic cubic fields share that class, so only same-class pairs get
-    the resolvent test: j ~ k when F(j,k,y) has a root in Q union {inf}.
-    The map is keyed by the class representative of minimal (height, u).
-    The budget is checked once per row of the pairwise resolvent tests.
+    j ~ k when F(j,k,y) has a root in Q union {inf}, that is when the two
+    cubics define isomorphic fields, and isomorphic fields share that class.
+
+    Lemma: ~ is an equivalence relation, so whether a point is related to a
+    class is decided by any one member.  The points are taken in (height,
+    u) order, and each is tested against the first member of every class
+    of its square class so far: it joins the first class it is related to,
+    or starts a new one.  That first member is the class's representative
+    of minimal (height, u), which keys the map, and the members come in
+    order.  The budget is checked once per point.
     """
-    pts, dclass = [], []
-    for pt in points:
-        s = reference_cubic(pt.u)
-        if not rational_roots(s.coeffs):
-            pts.append(pt)
-            dclass.append(_square_class(s.discriminant(), P))
-    parent = list(range(len(pts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(pts)):
+    out, by_square = {}, {}
+    for pt in sorted(points, key=AbcPoint.sort_key):
         budget.check()
-        for k in range(i + 1, len(pts)):
-            if dclass[i] == dclass[k] and find(i) != find(k) \
-                    and has_rational_root_F(pts[i].u, pts[k].u):
-                parent[find(i)] = find(k)
-    groups = {}
-    for i, pt in enumerate(pts):
-        groups.setdefault(find(i), []).append(pt)
-    out = {}
-    for members in groups.values():
-        members.sort(key=AbcPoint.sort_key)
-        rep = members[0].u
-        out[f"{rep.numerator}/{rep.denominator}"] = members
+        s = reference_cubic(pt.u)
+        if rational_roots(s.coeffs):
+            continue
+        same = by_square.setdefault(_square_class(s.discriminant(), P), [])
+        for members in same:
+            if has_rational_root_F(pt.u, members[0].u):
+                members.append(pt)
+                break
+        else:
+            same.append([pt])
+            out[f"{pt.u.numerator}/{pt.u.denominator}"] = same[-1]
     return out
 
 

@@ -10,7 +10,9 @@ the budget current when it resumes, so it is consumed inside its block.
 
 Budget.from_env() reads POLYTAB_BUDGET_SECS: unset or empty means no limit,
 and any number of seconds counts from construction, so 0 or a negative value
-refuses at the first check().  The CLI runs each command in one
+refuses at the first check(), and inf means no limit.  NaN seconds are a
+ValueError, as is anything else that is not a number, so the CLI exits 2
+rather than run unlimited.  The CLI runs each command in one
 `with Budget.from_env():` block.  Oversized requests are refused up front
 (`require_height`) rather than truncated.  The package starts no threads,
 so the scope is one module-level list.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import os
 import time
+from math import isnan
 
 ENV_BUDGET_SECS = "POLYTAB_BUDGET_SECS"
 
@@ -32,6 +35,8 @@ class BudgetExceededError(RuntimeError):
 
 class Budget:
     def __init__(self, seconds: float | None = None):
+        if seconds is not None and isnan(seconds):
+            raise ValueError(f"budget of {seconds} seconds is not a number")
         self.deadline = (None if seconds is None
                          else time.monotonic() + seconds)
 

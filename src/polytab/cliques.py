@@ -801,6 +801,8 @@ def enumerate_cliques(g: CompatGraph, kappa: tuple | None = None,
     the stream resumes; a stream that would pass limit cliques is refused
     with BudgetExceededError.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"negative limit {limit}")
     cap, target, _, before, degmask, _, heads = _heads(g, max_size, kappa)
     degrees, images, f = g.degrees, g.images, len(degmask)
     every = target is None        # yield every clique under the cap

@@ -195,10 +195,13 @@ def resultant_form(m: int, d: int) -> tuple:
 # normalized polynomials
 
 
-class NormalizedPoly:
-    """Primitive integer polynomial with positive leading coefficient."""
+class NormalizedPoly(Frozen):
+    """Primitive integer polynomial with positive leading coefficient: a
+    frozen record keyed by its coeffs, whose extra slot `_disc` caches the
+    discriminant (set through the slot's setter alone)."""
 
     __slots__ = ("coeffs", "_disc")
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs):
         coeffs = tuple(map(int, coeffs))
@@ -206,27 +209,17 @@ class NormalizedPoly:
             raise ValueError("leading coefficient must be positive")
         if gcd(*coeffs) != 1:
             raise ValueError("content must be 1")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_disc", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NormalizedPoly is immutable")
-
-    def __reduce__(self):
-        return (NormalizedPoly, (self.coeffs,))
+        set_coeffs, set_key = self._setters
+        set_coeffs(self, coeffs)
+        set_key(self, coeffs)
+        _set_disc(self, None)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other):
-        return isinstance(other, NormalizedPoly) and self.coeffs == other.coeffs
-
     def __lt__(self, other):
         return self.sort_key() < other.sort_key()
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def sort_key(self):
         return (self.degree, self.coeffs)
@@ -254,8 +247,11 @@ class NormalizedPoly:
 
     def discriminant(self) -> int:
         if self._disc is None:
-            object.__setattr__(self, "_disc", discriminant(self))
+            _set_disc(self, discriminant(self))
         return self._disc
+
+
+_set_disc = NormalizedPoly._disc.__set__
 
 
 def normalize(coeffs):
@@ -360,7 +356,7 @@ def with_discriminant(s: NormalizedPoly, disc: int) -> NormalizedPoly:
     """s with its discriminant cache set to disc, which the caller has proved
     equal to discriminant(s); s.discriminant() then returns it without the
     PRS.  Returns s."""
-    object.__setattr__(s, "_disc", disc)
+    _set_disc(s, disc)
     return s
 
 
@@ -545,28 +541,22 @@ def _root_candidates(c):
     with n/d a rational root in lowest terms.
 
     With c(0) != 0 and r the square-free part of c, a root n/d in lowest terms
-    has n | r(0) and d | lead(r), and d is a unit modulo every prime q not
-    dividing lead(r).  Modulo such a q the root reduces to a root of r; no
-    root mod q proves there is none.  If every root mod q is simple (r' != 0
-    there, which fails only for the finitely many q dividing disc(r), since r
-    is square-free), each lifts by Newton's iteration to a unique root a
-    modulo q^(2^i) = m > 2 lead(r) |r(0)|.  Then lead(r) (t - a) is
-    (lead(r)/d) (d t - n) modulo m, whose coefficients are below m/2 in
-    size: read in the symmetric range, its primitive part is d t - n.
-    Non-roots may slip in; the caller's exact division rejects them.
+    has n | r(0) and d | lead(r), and d is a unit modulo q = _good_prime(r),
+    which does not divide lead(r).  Modulo q the root reduces to a root of
+    r; no root mod q proves there is none.  r is square-free modulo q, so
+    every root mod q is simple (r' != 0 there) and lifts by Newton's
+    iteration to a unique root a modulo q^(2^i) = m > 2 lead(r) |r(0)|.
+    Then lead(r) (t - a) is (lead(r)/d) (d t - n) modulo m, whose
+    coefficients are below m/2 in size: read in the symmetric range, its
+    primitive part is d t - n.  Non-roots may slip in; the caller's exact
+    division rejects them.
     """
     r = _radical(c)
     dr = derivative_coeffs(r)
     limit = 2 * r[-1] * abs(r[0])
-    q = 1
-    while True:
-        q += 1
-        if r[-1] % q == 0 or not _is_prime(q):
-            continue
-        rq = [x % q for x in r]
-        roots = [x for x in range(q) if poly_eval(rq, x) % q == 0]
-        if all(poly_eval(dr, x) % q for x in roots):
-            break
+    q = _good_prime(r)
+    rq = [x % q for x in r]
+    roots = [x for x in range(q) if poly_eval(rq, x) % q == 0]
     cand = []
     for a in roots:
         m = q
@@ -631,6 +621,16 @@ def _gcd_q(a, b, q):
     return [x * inv % q for x in a]
 
 
+def _good_prime(f):
+    """The least odd prime q that does not divide lead(f) and modulo which
+    the square-free f stays square-free: gcd(f, f') = 1 in F_q[t].  Only
+    the finitely many q dividing lead(f) disc(f) fail, so q is small and
+    _is_prime exact on it."""
+    df = derivative_coeffs(f)
+    return next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
+                and len(_gcd_q(f, df, q)) == 1)
+
+
 def _factor_mod(f, q):
     """The monic irreducible factors of the monic f, square-free modulo the
     odd prime q.  Distinct degrees: with the factors of degree below d
@@ -686,9 +686,8 @@ def factor_small(s: NormalizedPoly) -> list:
     factors of s, sorted, whose product is s.
 
     Zassenhaus's route, sound for every degree and size of coefficient: the
-    square-free part f of s is factored modulo q, the least odd prime not
-    dividing lead(f) that keeps f square-free (small, so _is_prime is exact
-    on it), and the factors are lifted modulo m = q^k > 2 lead(f) 2^n |f|_2
+    square-free part f of s is factored modulo q = _good_prime(f), and the
+    factors are lifted modulo m = q^k > 2 lead(f) 2^n |f|_2
     (n = deg f).  A factor g of f over Z has |g|_inf <= 2^n |f|_2
     (Mignotte) and lead(g) | lead(f), so lead(f) g / lead(g) is lead(f)
     times the product of the lifted factors of g in the symmetric range.
@@ -701,8 +700,7 @@ def factor_small(s: NormalizedPoly) -> list:
     if len(c) == 1:
         return []
     f = _radical(c)
-    q = next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
-             and len(_gcd_q(f, derivative_coeffs(f), q)) == 1)
+    q = _good_prime(f)
     us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q)
     if len(us) > 1:
         bound = (2 * f[-1] << len(f) - 1) * (isqrt(sum(x * x for x in f)) + 1)

@@ -7,9 +7,17 @@ searches via brute-force double loops.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
-from polytab.abc_search import VARIANT_I2I, delta_classes
+from polytab.abc_search import (
+    VARIANT_I2I,
+    AbcPoint,
+    _square_class,
+    delta_classes,
+    has_rational_root_F,
+    reference_cubic,
+)
 from polytab.cliques import CompatGraph, Packet, _group_label
 from polytab.poly import (
     S3_ELEMENTS,
@@ -759,6 +767,32 @@ def s3_transform_mobius(s, g):
     return normalize(substitute_mobius(s.coeffs, S3_MATS[s3_inverse(g)]))[0]
 
 
+def _square_divides_mod(g, f, q):
+    """Whether g^2 divides f in F_q[t], g monic: long division of f by g^2."""
+    g2 = poly_mul(g, g)
+    m = len(g2) - 1
+    r = [x % q for x in f]
+    for top in range(len(r) - 1, m - 1, -1):
+        x = r[top]
+        for i, c in enumerate(g2):
+            r[top - m + i] = (r[top - m + i] - x * c) % q
+    return not any(r)
+
+
+def good_prime_naive(f):
+    """The least odd prime q, by trial division, that does not divide lead(f)
+    and modulo which no g^2 divides f, every monic g of positive degree up
+    to deg(f) / 2 over F_q tried."""
+    q = 3
+    while True:
+        if all(q % p for p in range(3, q, 2)) and f[-1] % q and not any(
+                _square_divides_mod(list(c) + [1], f, q)
+                for d in range(1, (len(f) - 1) // 2 + 1)
+                for c in product(range(q), repeat=d)):
+            return q
+        q += 2
+
+
 def partition_of(s):
     """Degrees of the irreducible factors of s, sorted descending."""
     return tuple(sorted((f.degree for f in factor_small(s)), reverse=True))
@@ -829,6 +863,41 @@ def roots_of_F_fraction(j, k):
     if coeffs[-1] == 0:
         roots.append(INF)
     return roots
+
+
+def cubic_classes_pairwise(points, P):
+    """abc_search.cubic_classes by a union-find over every pair of points
+    with irreducible reference cubic in the same discriminant square class:
+    j ~ k when F(j,k,y) has a root in Q union {inf}, merged transitively.
+    Keyed by the member of minimal (height, u), members sorted."""
+    pts, dclass = [], []
+    for pt in points:
+        s = reference_cubic(pt.u)
+        if not rational_roots(s.coeffs):
+            pts.append(pt)
+            dclass.append(_square_class(s.discriminant(), P))
+    parent = list(range(len(pts)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(pts)):
+        for k in range(i + 1, len(pts)):
+            if dclass[i] == dclass[k] and find(i) != find(k) \
+                    and has_rational_root_F(pts[i].u, pts[k].u):
+                parent[find(i)] = find(k)
+    groups = {}
+    for i, pt in enumerate(pts):
+        groups.setdefault(find(i), []).append(pt)
+    out = {}
+    for members in groups.values():
+        members.sort(key=AbcPoint.sort_key)
+        rep = members[0].u
+        out[f"{rep.numerator}/{rep.denominator}"] = members
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from polytab.abc_search import (
     canonical_triple,
     cubic_classes,
     delta_classes,
+    has_rational_root_F,
     read_points,
     reference_cubic,
     reference_cubic_partition,
@@ -37,6 +38,7 @@ from oracles import (
     INF,
     abc_brute_force,
     abc_gcd_pair_search,
+    cubic_classes_pairwise,
     factor_over_division_loop,
     roots_of_F_fraction,
 )
@@ -391,6 +393,32 @@ def test_32i_points_carry_reference_partitions(search_32i_23):
     for pt in points:
         assert pt.class_datum == \
             "".join(map(str, reference_cubic_partition(pt.u)))
+
+
+@pytest.mark.parametrize("fixture, P, tests", [("search_32i_23", P23, 54),
+                                                ("search_32i_235", P235, 596)],
+                         ids=["23", "235"])
+def test_cubic_classes_match_the_pairwise_union_find(request, monkeypatch,
+                                                     fixture, P, tests):
+    """The classes by representative are those of the union-find over every
+    same-square-class pair, keys and members in the same order, whatever the
+    order of the points given.  Each point is tested only against class
+    representatives: 54 resolvent tests over {2,3} at 1e11 and 596 over
+    {2,3,5} at 1e9, where the pairs took 90 and 3,075."""
+    points, _ = request.getfixturevalue(fixture).value
+    against = []
+
+    def recorded(j, k):
+        against.append(k)
+        return has_rational_root_F(j, k)
+
+    monkeypatch.setattr(abc_search, "has_rational_root_F", recorded)
+    classes = cubic_classes(points, P)
+    assert list(classes.items()) == \
+        list(cubic_classes_pairwise(points, P).items())
+    assert len(against) == tests
+    assert set(against) <= {Fraction(rep) for rep in classes}
+    assert cubic_classes(points[::-1], P) == classes
 
 
 def test_cubic_class_relation_symmetric_transitive():

@@ -27,6 +27,18 @@ def test_env_budget(monkeypatch):
         budget.check()
 
 
+def test_nan_budget_is_refused(monkeypatch):
+    """NaN seconds would give a deadline no clock reaches, so they are a
+    ValueError; inf is no limit."""
+    with pytest.raises(ValueError, match="not a number"):
+        Budget(float("nan"))
+    monkeypatch.setenv(ENV_BUDGET_SECS, "nan")
+    with pytest.raises(ValueError, match="not a number"):
+        Budget.from_env()
+    monkeypatch.setenv(ENV_BUDGET_SECS, "inf")
+    Budget.from_env().check()
+
+
 class _Counting(Budget):
     """A budget that counts its polls and then checks its clock."""
 

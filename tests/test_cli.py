@@ -172,7 +172,8 @@ def test_tabulate_rejects_negative_sizes(tmp_path, capsys):
     run(["vertices", "--primes", "2", "--max-degree", "2", "--out", vfile])
     capsys.readouterr()
     for extra in (["--max-size", "-1"], ["--kappa", "1^-1 2"],
-                  ["--enumerate", "--max-size", "-1"]):
+                  ["--enumerate", "--max-size", "-1"],
+                  ["--enumerate", "--limit", "-1"]):
         assert run(["tabulate", "--vertices", vfile, *extra]) \
             == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -377,6 +378,20 @@ def test_zero_budget_refuses_every_command(tmp_path, monkeypatch, capsys):
     for argv in _one_of_each_command(tmp_path, vfile):
         assert run(argv) == EXIT_BUDGET, argv
         assert "refused" in capsys.readouterr().err, argv
+
+
+def test_nan_budget_is_a_usage_error_for_every_command(tmp_path, monkeypatch,
+                                                      capsys):
+    """POLYTAB_BUDGET_SECS=nan is malformed, not unlimited: every subcommand
+    exits 2 with an error before it starts."""
+    vfile = tmp_path / "v2.json"
+    run(["vertices", "--primes", "2", "--max-degree", "2", "--out", vfile])
+    capsys.readouterr()
+    monkeypatch.setenv("POLYTAB_BUDGET_SECS", "nan")
+    for argv in _one_of_each_command(tmp_path, vfile):
+        assert run(argv) == EXIT_VALIDATION, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and not captured.out, argv
 
 
 SEED_SUMS = Path(__file__).resolve().parent / "seed_tables.sha256"

@@ -92,6 +92,8 @@ def test_negative_caps_and_parts_rejected(graph2):
     with pytest.raises(ValueError, match="negative"):
         list(enumerate_cliques(g, max_size=-1))
     with pytest.raises(ValueError, match="negative"):
+        list(enumerate_cliques(g, limit=-1))
+    with pytest.raises(ValueError, match="negative"):
         count_u_nu(g, (-1, 1, 1, 1))
     assert tabulate(g, max_size=0).counts == {(0, 0, 0, 0): 1}
 

@@ -34,6 +34,7 @@ from polytab.vertices import TABLE5_REPRESENTATIVES
 
 from oracles import (
     S3_MATS,
+    good_prime_naive,
     partition_of,
     resultant,
     resultant_bound,
@@ -532,8 +533,31 @@ def test_rational_roots():
     big = Fraction(10 ** 200 + 7, 10 ** 199 + 3)
     assert rational_roots(poly_mul(from_roots([big, -1]).coeffs, (-2, 0, 1))) \
         == [(-1, 1), (big.numerator, big.denominator)]
-    # t^2 + t + 1 has no root mod 2
+    # t^2 + t + 1 is (t - 1)^2 mod 3 and has no root mod 5, the good prime
     assert rational_roots((1, 1, 1)) == []
+
+
+def test_good_prime_matches_brute_force():
+    """_good_prime(f) is the least odd prime that does not divide lead(f)
+    and modulo which no square of a monic polynomial divides f, on random
+    square-free polynomials and on products of linear factors whose roots
+    collide modulo 3 and 5; rational_roots and factor_small, which both lift
+    from that prime, stay exact on the latter."""
+    rng = random.Random(34)
+    polys = []
+    while len(polys) < 150:
+        c = [rng.randint(-20, 20) for _ in range(rng.randint(2, 6))]
+        if c[-1] and discriminant(s := normalize(c)[0]):
+            polys.append(s)
+    for roots in (range(-3, 4), range(7), [1, 211, 421]):
+        s = from_roots(roots)
+        polys.append(s)
+        assert rational_roots(s.coeffs) == [(r, 1) for r in sorted(roots)]
+        assert [f.coeffs for f in factor_small(s)] \
+            == sorted((-r, 1) for r in roots)
+    got = [poly._good_prime(list(s.coeffs)) for s in polys]
+    assert got == [good_prime_naive(s.coeffs) for s in polys]
+    assert got[-3:] == [7, 7, 11] and {3, 5} <= set(got)
 
 
 # irreducible over Q: negative-discriminant quadratics, Eisenstein at 2

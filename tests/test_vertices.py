@@ -420,6 +420,7 @@ def test_value_types_pickle(vs2, graph2, table2):
     assert back == s and back.discriminant() == -4
     linear = [v.poly for v in graph2.value.vertices if v.degree == 1]
     frozen = [
+        (NormalizedPoly((2, -2, 1)), ("coeffs",)),
         (P2, ("primes",)),
         (points[0], ("variant", "A", "B", "C", "u", "class_datum")),
         (cert, ("primes", "variant", "height_bound", "complete", "citation")),
