@@ -43,7 +43,6 @@ from .cliques import (
     count_u_nu,
     enumerate_cliques,
     pgl2_packets,
-    reduction_bound,
     tabulate,
 )
 from .generators import (

@@ -32,7 +32,7 @@ from math import isqrt
 
 from . import budget
 from .poly import NormalizedPoly, normalize, rational_roots
-from .records import Frozen
+from .records import Frozen, set_key
 from .smooth import PrimeSet, _is_prime, decompose_power, smooth_numbers_up_to
 
 VARIANT_III = "inf-inf-inf"
@@ -65,17 +65,10 @@ class AbcPoint(Frozen):
     for inf-2-inf, the reference-cubic partition "3", "21" or "111" for
     3-2-inf (a label the vertex stage never reads), None for inf-inf-inf."""
 
-    __slots__ = _fields = ("variant", "A", "B", "C", "u", "class_datum")
+    __slots__ = ()
+    _fields = ("variant", "A", "B", "C", "u", "class_datum")
 
     def __init__(self, variant, A, B, C, u, class_datum=None):
-        (set_variant, set_A, set_B, set_C, set_u, set_datum,
-         set_key) = self._setters
-        set_variant(self, variant)
-        set_A(self, A)
-        set_B(self, B)
-        set_C(self, C)
-        set_u(self, u)
-        set_datum(self, class_datum)
         set_key(self, (variant, A, B, C, u, class_datum))
 
     @property
@@ -87,17 +80,10 @@ class AbcPoint(Frozen):
 
 
 class SearchCertificate(Frozen):
-    __slots__ = _fields = ("primes", "variant", "height_bound", "complete",
-                           "citation")
+    __slots__ = ()
+    _fields = ("primes", "variant", "height_bound", "complete", "citation")
 
     def __init__(self, primes, variant, height_bound, complete, citation=None):
-        (set_primes, set_variant, set_bound, set_complete, set_citation,
-         set_key) = self._setters
-        set_primes(self, primes)
-        set_variant(self, variant)
-        set_bound(self, height_bound)
-        set_complete(self, complete)
-        set_citation(self, citation)
         set_key(self, (primes, variant, height_bound, complete, citation))
 
 

@@ -32,7 +32,7 @@ from .poly import (
     resultant_coeffs,
     with_discriminant,
 )
-from .records import Frozen
+from .records import Frozen, set_key
 from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
 
 
@@ -43,13 +43,10 @@ from .smooth import PrimeSet, is_smooth, is_unit_in, smooth_numbers_up_to
 class SeriesCoefficients(Frozen):
     """coeffs is (c_0, ..., c_kmax)."""
 
-    __slots__ = _fields = ("P", "kmax", "coeffs")
+    __slots__ = ()
+    _fields = ("P", "kmax", "coeffs")
 
     def __init__(self, P, kmax, coeffs):
-        set_P, set_kmax, set_coeffs, set_key = self._setters
-        set_P(self, P)
-        set_kmax(self, kmax)
-        set_coeffs(self, coeffs)
         set_key(self, (P, kmax, coeffs))
 
 
@@ -121,14 +118,10 @@ def _subset_counts(degrees, kmax: int) -> tuple:
 class RationalCover(Frozen):
     """F(t) = scalar * numer(t) / denom(t), a self-map of the projective line."""
 
-    __slots__ = _fields = ("name", "numer", "denom", "scalar")
+    __slots__ = ()
+    _fields = ("name", "numer", "denom", "scalar")
 
     def __init__(self, name, numer, denom, scalar):
-        set_name, set_numer, set_denom, set_scalar, set_key = self._setters
-        set_name(self, name)
-        set_numer(self, numer)
-        set_denom(self, denom)
-        set_scalar(self, scalar)
         set_key(self, (name, numer, denom, scalar))
 
     @property
@@ -180,7 +173,7 @@ def validate_cover(cover: RationalCover, P: PrimeSet) -> None:
     r0, r1, rinf = rads
     for a, b in ((r0, r1), (r0, rinf), (r1, rinf)):
         r = resultant_coeffs(a, b)
-        if r == 0 or not is_smooth(r, P):
+        if not is_smooth(r, P):
             raise CoverValidationError("fibers meet or separate non-smoothly")
 
 
@@ -324,10 +317,10 @@ def _pullback(cover: RationalCover, s: NormalizedPoly) -> NormalizedPoly:
             for idx, x in enumerate(bpow):
                 if x:
                     H[idx] += si * x
-    coeffs = _primitive(_trim(H))
-    out = NormalizedPoly(coeffs)
-    if out.degree != m * k:
-        raise CoverValidationError(f"pullback degree {out.degree} != {m * k}")
+    H = _trim(H)
+    if len(H) - 1 != m * k:
+        raise CoverValidationError(f"pullback degree {len(H) - 1} != {m * k}")
+    out = NormalizedPoly(_primitive(H))
     if k:
         D = _pencil_discriminant(A, B, m)
         disc_H = 0
@@ -336,7 +329,7 @@ def _pullback(cover: RationalCover, s: NormalizedPoly) -> NormalizedPoly:
                       * resultant_coeffs(s.coeffs, D)
                       * _pencil_resultant(A, B, m) ** (k * (k - 1))
                       * s.discriminant() ** m)
-        c = H[-1] // coeffs[-1]
+        c = H[-1] // out.coeffs[-1]
         disc, rem = divmod(disc_H, c ** (2 * m * k - 2))
         if rem:
             raise AssertionError("pullback discriminant identity violated")
@@ -491,20 +484,12 @@ NAMED_REGISTRY = {
 
 
 class NamedReport(Frozen):
-    __slots__ = _fields = ("name", "poly", "membership_ok", "disc",
-                           "disc_matches", "partition", "partition_matches")
+    __slots__ = ()
+    _fields = ("name", "poly", "membership_ok", "disc", "disc_matches",
+               "partition", "partition_matches")
 
     def __init__(self, name, poly, membership_ok, disc, disc_matches,
                  partition, partition_matches):
-        (set_name, set_poly, set_ok, set_disc, set_disc_matches,
-         set_partition, set_partition_matches, set_key) = self._setters
-        set_name(self, name)
-        set_poly(self, poly)
-        set_ok(self, membership_ok)
-        set_disc(self, disc)
-        set_disc_matches(self, disc_matches)
-        set_partition(self, partition)
-        set_partition_matches(self, partition_matches)
         set_key(self, (name, poly, membership_ok, disc, disc_matches,
                        partition, partition_matches))
 

@@ -18,7 +18,7 @@ from itertools import combinations, count
 from math import gcd, isqrt
 
 from . import budget
-from .records import Frozen
+from .records import Frozen, set_key
 from .smooth import PrimeSet, ZeroValueError, _is_prime, is_smooth
 
 
@@ -200,7 +200,7 @@ class NormalizedPoly(Frozen):
     frozen record keyed by its coeffs, whose extra slot `_disc` caches the
     discriminant (set through the slot's setter alone)."""
 
-    __slots__ = ("coeffs", "_disc")
+    __slots__ = ("_disc",)
     _fields = ("coeffs",)
 
     def __init__(self, coeffs):
@@ -209,8 +209,6 @@ class NormalizedPoly(Frozen):
             raise ValueError("leading coefficient must be positive")
         if gcd(*coeffs) != 1:
             raise ValueError("content must be 1")
-        set_coeffs, set_key = self._setters
-        set_coeffs(self, coeffs)
         set_key(self, coeffs)
         _set_disc(self, None)
 
@@ -450,12 +448,10 @@ def s3_orbit(s: NormalizedPoly) -> frozenset:
 class MembershipReport(Frozen):
     """ok, and failures: the names of the values outside the monoid."""
 
-    __slots__ = _fields = ("ok", "failures")
+    __slots__ = ()
+    _fields = ("ok", "failures")
 
     def __init__(self, ok, failures):
-        set_ok, set_failures, set_key = self._setters
-        set_ok(self, ok)
-        set_failures(self, failures)
         set_key(self, (ok, failures))
 
 

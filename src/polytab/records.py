@@ -27,13 +27,13 @@ class Record:
 
 class Frozen:
     """An immutable record.  A subclass names its fields in `_fields`, in
-    constructor order, and holds them in `__slots__`.
+    constructor order, and declares `__slots__ = ()`.
 
-    `__init__` stores each field and then `_key`, the tuple of all fields
-    (or, for a one-field record, the field itself), through `_setters`: the
-    slots' own setters in that order, which skip `__setattr__` and the name
-    lookup of `object.__setattr__`.  == and the hash read `_key` alone, so
-    they build no tuple.
+    The one slot is `_key`: the tuple of all fields, or, for a one-field
+    record, the field itself.  `__init__` stores it once, with `set_key`,
+    which skips `__setattr__`.  Each field is a read-only view of `_key`:
+    the slot itself for a one-field record, else a property reading its
+    index.  == and the hash read `_key` alone, so they build no tuple.
     """
 
     __slots__ = ("_key",)
@@ -41,8 +41,11 @@ class Frozen:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._setters = tuple(getattr(cls, name).__set__
-                             for name in cls._fields + ("_key",))
+        if len(cls._fields) == 1:
+            setattr(cls, cls._fields[0], Frozen._key)
+        else:
+            for i, name in enumerate(cls._fields):
+                setattr(cls, name, property(lambda self, i=i: self._key[i]))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")
@@ -66,3 +69,6 @@ class Frozen:
     def __repr__(self):
         return "%s(%s)" % (self.__class__.__name__, ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+
+set_key = Frozen._key.__set__

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import budget
-from .records import Frozen
+from .records import Frozen, set_key
 
 
 class ZeroValueError(ValueError):
@@ -57,15 +57,14 @@ class PrimeSet(Frozen):
     primes in increasing order.
     """
 
-    __slots__ = _fields = ("primes",)
+    __slots__ = ()
+    _fields = ("primes",)
 
     def __init__(self, primes):
         ps = tuple(sorted(set(int(p) for p in primes)))
         for p in ps:
             if not _is_prime(p):
                 raise ValueError(f"not a prime: {p}")
-        set_primes, set_key = self._setters
-        set_primes(self, ps)
         set_key(self, ps)
 
     def __iter__(self):

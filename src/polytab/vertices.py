@@ -49,7 +49,7 @@ from .poly import (
     normalize,
     s3_orbit,
 )
-from .records import Frozen, Record
+from .records import Frozen, Record, set_key
 from .smooth import PrimeSet, decompose_power, is_smooth
 
 VERTEX_SCHEMA = "polytab.vertices/1"
@@ -63,13 +63,10 @@ __all__ = [
 
 
 class Vertex(Frozen):
-    __slots__ = _fields = ("poly", "class_datum", "provenance")
+    __slots__ = ()
+    _fields = ("poly", "class_datum", "provenance")
 
     def __init__(self, poly, class_datum=None, provenance="built"):
-        set_poly, set_datum, set_provenance, set_key = self._setters
-        set_poly(self, poly)
-        set_datum(self, class_datum)
-        set_provenance(self, provenance)
         set_key(self, (poly, class_datum, provenance))
 
     @property
@@ -193,6 +190,11 @@ def build_degree2(P: PrimeSet, points):
     reduced by one gcd and looked up among the pairs.  The quadratic
     w0 + (w1 - w0 - winf) t + winf t^2 is cleared by lcm(b, d, den winf).
     The budget is polled once per w0.
+
+    Every triple gives a separable quadratic.  winf != 0 is checked, so the
+    t^2 coefficient is nonzero and the degree is 2.  winf solves the triple
+    relation, so the discriminant is -4 w0 w1 winf L^2, which is nonzero:
+    every w is a nonzero point coordinate or the sentinel 1.
     """
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
@@ -200,7 +202,7 @@ def build_degree2(P: PrimeSet, points):
     classes = delta_classes(points, P)
     irreducible = {}
     split = {}
-    stats = {"triples": 0, "discarded": 0}
+    stats = {"triples": 0}
     for delta, members in sorted(classes.items()):
         ws = [(1, 1)] + [(u.numerator, u.denominator)
                          for u in sorted(pt.u for pt in members)]
@@ -225,9 +227,6 @@ def build_degree2(P: PrimeSet, points):
                     L = lcm(b, d, f)
                     x, z = a * (L // b), e * (L // f)
                     s = NormalizedPoly(_primitive([x, c * (L // d) - x - z, z]))
-                    if s.degree != 2 or s.discriminant() == 0:
-                        stats["discarded"] += 1
-                        continue
                     if not check_membership(s, P).ok:
                         raise ValueError(
                             f"triple ({a}/{b},{c}/{d},{e}/{f}) produced "

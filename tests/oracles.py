@@ -806,6 +806,31 @@ def first_good_prime(P):
     return p
 
 
+def _moebius(n: int) -> int:
+    out = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    if n > 1:
+        out = -out
+    return out
+
+
+def reduction_bound(p: int, f: int) -> int:
+    """Packing bound N(p, f): projective points of degree <= f, minus 3."""
+    if f < 1:
+        raise ValueError("f must be >= 1")
+    total = 1  # the point at infinity
+    for d in range(1, f + 1):
+        total += sum(_moebius(d // e) * p ** e for e in range(1, d + 1) if d % e == 0)
+    return total - 3
+
+
 # ---------------------------------------------------------------------------
 # The degree-3 hot path in Fractions, with INF for the point at infinity.
 

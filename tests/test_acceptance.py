@@ -27,7 +27,6 @@ from polytab.cliques import (
     count_u_nu,
     enumerate_cliques,
     pgl2_packets,
-    reduction_bound,
     tabulate,
 )
 from polytab.generators import (
@@ -53,7 +52,13 @@ from polytab.poly import (
 )
 from polytab.smooth import PrimeSet, is_smooth
 
-from oracles import candidate_grid, first_good_prime, poly_height, s3_compose
+from oracles import (
+    candidate_grid,
+    first_good_prime,
+    poly_height,
+    reduction_bound,
+    s3_compose,
+)
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])

@@ -563,6 +563,22 @@ def test_non_member_points_exit_2(tmp_path):
             == EXIT_VALIDATION, variant
 
 
+def test_point_with_wrong_triple_exit_2(tmp_path, capsys):
+    """A point whose (A, B, C) is not the triple of its u is refused: the
+    triple of u = 1/3 is (1, 2, -3), not (2, 1, -3)."""
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({
+        **VALID_POINTS, "primes": [2, 3],
+        "points": [{"A": "2", "B": "1", "C": "-3", "u": "1/3",
+                    "class": None}],
+    }))
+    capsys.readouterr()
+    assert run(["vertices", "--primes", "2,3", "--max-degree", "1",
+                "--points", path, "--out", tmp_path / "v.json"]) \
+        == EXIT_VALIDATION
+    assert "is not the triple of u = 1/3" in capsys.readouterr().err
+
+
 def test_repeated_points_exit_2(tmp_path, capsys):
     """A point file that lists its points twice is refused with exit 2 and
     an error line.  A repeated 3-2-inf point used to list roots of F twice

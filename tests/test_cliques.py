@@ -21,7 +21,6 @@ from polytab.cliques import (
     parse_kappa,
     partition_label,
     pgl2_packets,
-    reduction_bound,
     tabulate,
 )
 from polytab.poly import (
@@ -51,6 +50,7 @@ from oracles import (
     neighbor_counts,
     open_graph,
     pgl2_packets_fraction,
+    reduction_bound,
     resultant_bound,
     resultant_closed_form,
     resultant_sylvester,
@@ -1255,6 +1255,8 @@ def test_packets_reject_malformed_input(graph2):
     roots = [[Fraction(-s.coeffs[0], s.coeffs[1])] for s in polys]
     with pytest.raises(ValueError, match="no polynomials"):
         pgl2_packets([])
+    with pytest.raises(ValueError, match="duplicate"):
+        pgl2_packets(polys + polys[:1])
     with pytest.raises(ValueError, match="root lists for"):
         pgl2_packets(polys, roots=roots[:-1])
     with pytest.raises(ValueError, match="same number of roots"):

@@ -112,6 +112,32 @@ def test_cover_validation_rejects_junk():
                          Fraction(1))
     with pytest.raises(CoverValidationError, match="escapes"):
         validate_cover(bad3, P2)
+    # one junk cover per later refusal, each reaching it
+    covers = builtin_covers()
+    junk = [
+        # (t^2 - t) / t
+        (RationalCover("shared", NormalizedPoly((0, -1, 1)),
+                       NormalizedPoly((0, 1)), Fraction(1)), P2,
+         "share a factor"),
+        (RationalCover("scalar", covers["power:2"].numer,
+                       covers["power:2"].denom, Fraction(3)), P2,
+         "scalar is not a unit"),
+        (RationalCover("one", NormalizedPoly((1,)), NormalizedPoly((1,)),
+                       Fraction(1)), P2, "constant 1"),
+        # disc(t^3 - 1) = -27
+        (covers["power:3"], P2, "bad reduction"),
+        # t(t + 1)/2: 5 fiber points against m + 2 = 4
+        (RationalCover("critical", NormalizedPoly((0, 1, 1)),
+                       NormalizedPoly((1,)), Fraction(1, 2)), P23,
+         "critical values escape"),
+        # t^2 / (t - 2)^2
+        (RationalCover("separate", NormalizedPoly((0, 0, 1)),
+                       NormalizedPoly((4, -4, 1)), Fraction(1)), PrimeSet([3]),
+         "separate non-smoothly"),
+    ]
+    for cover, P, message in junk:
+        with pytest.raises(CoverValidationError, match=message):
+            validate_cover(cover, P)
 
 
 def test_pullback_identity_and_s3():
@@ -185,6 +211,8 @@ _SHORT = st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(any)
 @given(numer=_SHORT, denom=_SHORT, a=st.integers(-6, 6).filter(bool),
        b=st.integers(1, 6), low=st.lists(st.integers(-9, 9), min_size=1,
                                          max_size=4), lead=st.integers(1, 9))
+# a constant map at a root of s: H = -4 (t + 1) + 4 (t + 1) = 0
+@example(numer=[1, 1], denom=[1, 1], a=-4, b=1, low=[8], lead=2)
 def test_pullback_discriminant_identity_any_map(numer, denom, a, b, low, lead):
     # the identity needs no three-point structure: any F = (a/b) f/g, with
     # leading coefficients that are not units and either degree on top
