@@ -27,6 +27,9 @@ from math import isnan
 ENV_BUDGET_SECS = "POLYTAB_BUDGET_SECS"
 
 MAX_HEIGHT = 10 ** 12
+# bits in one packed cyclotomic series (`generators._subset_counts`): 32 MiB
+# per int, of which the product keeps a few alive at once
+MAX_SERIES_BITS = 2 ** 28
 
 
 class BudgetExceededError(RuntimeError):

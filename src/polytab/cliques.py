@@ -955,18 +955,23 @@ def _perm_order(move) -> int:
 
 
 def _group_label(orders) -> str:
-    """The name of a finite subgroup of PGL2(Q) from its element orders."""
+    """The name of a finite subgroup of PGL2(Q) from its element orders.
+
+    Lemma: such a subgroup is cyclic, of order 1, 2, 3, 4 or 6, or dihedral,
+    of order 4, 6, 8 or 12.  A cyclic group has an element of its own order,
+    and a dihedral group of order 2n one of order n and none larger.  So
+    either the largest element order is the order (cyclic), or the order is
+    twice it (dihedral: V, S3, D4 or D6).
+    """
     order = len(orders)
     maxord = max(orders)
     if maxord == order:
         return f"C{order}"
-    if order == 2 * maxord:
-        if maxord == 2:
-            return "V"
-        if maxord == 3:
-            return "S3"
-        return f"D{maxord}"
-    return f"order{order}"
+    if maxord == 2:
+        return "V"
+    if maxord == 3:
+        return "S3"
+    return f"D{maxord}"
 
 
 _LEAVES = ("packet image leaves the input set; input is not closed under the "

@@ -18,13 +18,13 @@ from fractions import Fraction
 from math import lcm, prod
 
 from . import budget
-from .budget import BudgetExceededError
+from .budget import MAX_SERIES_BITS, BudgetExceededError
 from .poly import (
     MARKED,
     NormalizedPoly,
     _poly_gcd,
     _primitive,
-    _radical,
+    _squarefree,
     _trim,
     check_membership,
     is_irreducible,
@@ -96,11 +96,16 @@ def _subset_counts(degrees, kmax: int) -> tuple:
     counts nonempty subsets of the n factors, so c_k < 2^n < 2^w, and
     c_0 = 1.  Every partial product is nonnegative and coefficientwise at
     most the final one, so every cell stays below 2^w throughout.  The int
-    holds (kmax + 1) w bits: at kmax = 10^5 over {2,3,5}, about 5 MB.  The
-    budget is checked once per factor.
+    holds (kmax + 1) w bits: at kmax = 10^5 over {2,3,5}, about 5 MB.  A
+    product of more than MAX_SERIES_BITS bits is refused before anything is
+    allocated.  The budget is checked once per factor.
     """
     width = len(degrees) // 8 + 1          # the cell in bytes
     w = 8 * width
+    if w * (kmax + 1) > MAX_SERIES_BITS:
+        raise BudgetExceededError(
+            f"a series to x^{kmax} over {len(degrees)} factors packs "
+            f"{w * (kmax + 1)} bits, above the maximum {MAX_SERIES_BITS}")
     mask = (1 << w * (kmax + 1)) - 1
     acc = 1
     for d in degrees:
@@ -161,7 +166,7 @@ def validate_cover(cover: RationalCover, P: PrimeSet) -> None:
     one_fiber = _primitive(one_fiber)
     fiberinf = g.coeffs
     points = 1  # the point at infinity always lies in exactly one fiber
-    rads = [_radical(fib) for fib in (fiber0, one_fiber, fiberinf)]
+    rads = [_squarefree(fib)[0] for fib in (fiber0, one_fiber, fiberinf)]
     for rad in rads:
         points += len(rad) - 1
         d = _disc_or_none(rad)

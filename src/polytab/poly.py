@@ -6,7 +6,11 @@ coefficient.  There are two resultants, both exact and with the sign of the
 Sylvester determinant, so that e.g. disc(t^2 - 2) = 8: `resultant_coeffs`,
 the subresultant pseudo-remainder sequence, for one pair, and
 `resultant_form`, the resultant of two degrees as a polynomial in the
-coefficients, for evaluating one polynomial against many.
+coefficients, for evaluating one polynomial against many.  Rational roots
+and factors over Q both work modulo one good prime per polynomial, found by
+`_squarefree`: a small prime modulo which the polynomial is square-free
+proves it square-free over Z, so the integer gcd with the derivative runs
+only when no such prime turns up.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import gcd, isqrt
 
 from . import budget
@@ -524,33 +528,25 @@ def _poly_gcd(a, b):
     return _primitive(a)
 
 
-def _radical(c):
-    """Primitive square-free part c / gcd(c, c'): the same roots, each once."""
-    g = _poly_gcd(c, derivative_coeffs(c))
-    if len(g) > 1:
-        c = _poly_divmod_exact(c, g)
-    return _primitive(c)
-
-
 def _root_candidates(c):
     """Linear factors [-n, d] of the primitive c, among them every d t - n
     with n/d a rational root in lowest terms.
 
-    With c(0) != 0 and r the square-free part of c, a root n/d in lowest terms
-    has n | r(0) and d | lead(r), and d is a unit modulo q = _good_prime(r),
-    which does not divide lead(r).  Modulo q the root reduces to a root of
-    r; no root mod q proves there is none.  r is square-free modulo q, so
-    every root mod q is simple (r' != 0 there) and lifts by Newton's
-    iteration to a unique root a modulo q^(2^i) = m > 2 lead(r) |r(0)|.
-    Then lead(r) (t - a) is (lead(r)/d) (d t - n) modulo m, whose
-    coefficients are below m/2 in size: read in the symmetric range, its
-    primitive part is d t - n.  Non-roots may slip in; the caller's exact
-    division rejects them.
+    With c(0) != 0 and (r, q) = _squarefree(c) (r is c itself whenever a
+    small prime certifies c square-free), a root n/d in lowest terms has
+    n | r(0) and d | lead(r), and d is a unit modulo the good prime q, which
+    does not divide lead(r).  Modulo q the root reduces to a root of r; no
+    root mod q proves there is none.  r is square-free modulo q, so every
+    root mod q is simple (r' != 0 there) and lifts by Newton's iteration to
+    a unique root a modulo q^(2^i) = m > 2 lead(r) |r(0)|.  Then
+    lead(r) (t - a) is (lead(r)/d) (d t - n) modulo m, whose coefficients
+    are below m/2 in size: read in the symmetric range, its primitive part
+    is d t - n.  Non-roots may slip in; the caller's exact division rejects
+    them.
     """
-    r = _radical(c)
+    r, q = _squarefree(c)
     dr = derivative_coeffs(r)
     limit = 2 * r[-1] * abs(r[0])
-    q = _good_prime(r)
     rq = [x % q for x in r]
     roots = [x for x in range(q) if poly_eval(rq, x) % q == 0]
     cand = []
@@ -617,14 +613,34 @@ def _gcd_q(a, b, q):
     return [x * inv % q for x in a]
 
 
-def _good_prime(f):
-    """The least odd prime q that does not divide lead(f) and modulo which
-    the square-free f stays square-free: gcd(f, f') = 1 in F_q[t].  Only
-    the finitely many q dividing lead(f) disc(f) fail, so q is small and
-    _is_prime exact on it."""
-    df = derivative_coeffs(f)
-    return next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
-                and len(_gcd_q(f, df, q)) == 1)
+_CERTIFY_TRIES = 8      # primes tried on c itself before the integer gcd
+
+
+def _squarefree(c):
+    """(f, q): the primitive square-free part f = c / gcd(c, c') of the
+    primitive c with positive lead, and its good prime q, the least odd
+    prime that does not divide lead(f) and modulo which f stays square-free:
+    gcd(f, f') = 1 in F_q[t].
+
+    Lemma: let q not divide lead(c).  If g^2 divides c over Z with
+    deg g >= 1, then q does not divide lead(g), and g mod q divides
+    gcd(c, c') mod q.  So gcd(c, c') = 1 in F_q[t] proves c square-free,
+    and then f = c.  The eligible odd primes are tried in increasing order,
+    the first _CERTIFY_TRIES of them on c itself, so the first that
+    certifies c is the least good prime of f = c.  Only if none does is the
+    integer gcd run (a PRS, which polls the budget), and the search goes on
+    over f without a bound: only the q dividing lead(f) disc(f) fail, so q
+    is small and _is_prime exact on it.  The bound decides only when the
+    PRS runs, never the result.
+    """
+    f = c
+    for tries in (_CERTIFY_TRIES, None):
+        df = derivative_coeffs(f)
+        eligible = (q for q in count(3, 2) if _is_prime(q) and f[-1] % q)
+        for q in islice(eligible, tries):
+            if len(_gcd_q(f, df, q)) == 1:
+                return f, q
+        f = _primitive(_poly_divmod_exact(c, _poly_gcd(c, df)))
 
 
 def _factor_mod(f, q):
@@ -681,8 +697,9 @@ def factor_small(s: NormalizedPoly) -> list:
     """Irreducible factorization over Q, with multiplicity: the normalized
     factors of s, sorted, whose product is s.
 
-    Zassenhaus's route, sound for every degree and size of coefficient: the
-    square-free part f of s is factored modulo q = _good_prime(f), and the
+    Zassenhaus's route, sound for every degree and size of coefficient: with
+    (f, q) = _squarefree(s), the square-free part f of s (s itself when a
+    small prime certifies it) is factored modulo its good prime q, and the
     factors are lifted modulo m = q^k > 2 lead(f) 2^n |f|_2
     (n = deg f).  A factor g of f over Z has |g|_inf <= 2^n |f|_2
     (Mignotte) and lead(g) | lead(f), so lead(f) g / lead(g) is lead(f)
@@ -695,8 +712,7 @@ def factor_small(s: NormalizedPoly) -> list:
     c = list(s.coeffs)
     if len(c) == 1:
         return []
-    f = _radical(c)
-    q = _good_prime(f)
+    f, q = _squarefree(c)
     us = _factor_mod([x * pow(f[-1], -1, q) % q for x in f], q)
     if len(us) > 1:
         bound = (2 * f[-1] << len(f) - 1) * (isqrt(sum(x * x for x in f)) + 1)

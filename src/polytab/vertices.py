@@ -182,19 +182,25 @@ def build_degree2(P: PrimeSet, points):
 
     The class members and the sentinel 1 are primitive pairs, w = n/d with
     d > 0.  For w0 = a/b and w1 = c/d the root of the triple relation is
-    R/(b d) with R^2 = a (b - a) c (d - c), so the class is closed only if
-    that product is a square, and then
+    R/(b d) with R^2 = a (b - a) c (d - c), and
 
         winf = (a d + c b - 2 a c +- 2 R) / (b d),
 
     reduced by one gcd and looked up among the pairs.  The quadratic
-    w0 + (w1 - w0 - winf) t + winf t^2 is cleared by lcm(b, d, den winf).
+    w0 + (w1 - w0 - winf) t + winf t^2 is cleared by L = lcm(b, d, den winf).
     The budget is polled once per w0.
 
-    Every triple gives a separable quadratic.  winf != 0 is checked, so the
-    t^2 coefficient is nonzero and the degree is 2.  winf solves the triple
-    relation, so the discriminant is -4 w0 w1 winf L^2, which is nonzero:
-    every w is a nonzero point coordinate or the sentinel 1.
+    Lemma: every triple gives a member, so none is tested.  The points have
+    passed `_require_members`, so for each point u = a/b, a = -+A and
+    b = +-C are P-smooth, and a (b - a) = A B = delta y^2, delta its class.
+    Two points of one class give the square delta^2 y^2 y'^2, and the
+    sentinel gives 0, so R = isqrt(...) is exact.  winf != 0 is checked, so
+    the t^2 coefficient is nonzero and the degree is 2.  The values at 0, 1
+    and inf are a L/b, c L/d and e L/f, each divided by the content: nonzero
+    and P-smooth, because every w is a point coordinate or the sentinel 1.
+    winf solves the triple relation, so the discriminant is
+    -4 w0 w1 winf L^2 over the content squared: a nonzero integer whose
+    primes divide 2 a c e L, all in P.
     """
     if 2 not in P:
         raise ValueError("degree-2 parametrization requires 2 in P")
@@ -211,12 +217,7 @@ def build_degree2(P: PrimeSet, points):
             budget.check()
             ab = a * (b - a)
             for c, d in ws:
-                sq = ab * c * (d - c)
-                R = isqrt(sq) if sq >= 0 else -1
-                if R * R != sq:
-                    raise ValueError(
-                        f"class {delta} is not closed under the triple "
-                        f"relation over {P}: a point is not a member")
+                R = isqrt(ab * c * (d - c))
                 base, bd = a * d + c * b - 2 * a * c, b * d
                 for e in {base + 2 * R, base - 2 * R}:
                     g = gcd(e, bd)
@@ -227,10 +228,6 @@ def build_degree2(P: PrimeSet, points):
                     L = lcm(b, d, f)
                     x, z = a * (L // b), e * (L // f)
                     s = NormalizedPoly(_primitive([x, c * (L // d) - x - z, z]))
-                    if not check_membership(s, P).ok:
-                        raise ValueError(
-                            f"triple ({a}/{b},{c}/{d},{e}/{f}) produced "
-                            f"non-member {s} over {P}")
                     if is_irreducible(s):
                         irreducible[s.coeffs] = Vertex(s, class_datum=delta)
                     else:

@@ -18,6 +18,24 @@ from polytab.smooth import PrimeSet  # noqa: E402
 from polytab.vertices import build_vertex_set  # noqa: E402
 
 
+# Hypothesis adds to its example pool the literals of every local module
+# imported so far, so a derandomized property test would draw examples that
+# depend on which modules the tests before it imported and on every literal
+# in src/ and tests/.  With the pool empty, each draws the same examples in
+# every run; explicit @example cases keep the boundary values the tests need.
+# The hook is private, so a Hypothesis without it leaves NO_LOCAL_CONSTANTS
+# None and fails test_hypothesis_draws_no_local_constants, not the suite.
+try:
+    from hypothesis.internal.conjecture import providers
+    from hypothesis.internal.constants_ast import Constants
+
+    providers._get_local_constants          # AttributeError if it moved
+    NO_LOCAL_CONSTANTS = Constants()
+    providers._get_local_constants = lambda: NO_LOCAL_CONSTANTS
+except (ImportError, AttributeError):
+    NO_LOCAL_CONSTANTS = None
+
+
 class Timed:
     """A computed artifact together with how long it took to build."""
 

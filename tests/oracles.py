@@ -7,7 +7,7 @@ searches via brute-force double loops.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, isqrt
 
 from polytab.abc_search import (
@@ -22,8 +22,12 @@ from polytab.cliques import CompatGraph, Packet, _group_label
 from polytab.poly import (
     S3_ELEMENTS,
     NormalizedPoly,
+    _gcd_q,
+    _poly_divmod_exact,
+    _poly_gcd,
     _primitive,
     check_membership,
+    derivative_coeffs,
     factor_small,
     normalize,
     poly_mul,
@@ -31,7 +35,7 @@ from polytab.poly import (
     resultant_coeffs,
     special_values,
 )
-from polytab.smooth import ZeroValueError
+from polytab.smooth import ZeroValueError, _is_prime
 from polytab.vertices import Vertex, _require_members, _smn_coeffs, roots_of_F
 
 # the point at infinity of the Fraction oracles below; the package writes
@@ -791,6 +795,24 @@ def good_prime_naive(f):
                 for c in product(range(q), repeat=d)):
             return q
         q += 2
+
+
+def _radical(c):
+    """Primitive square-free part c / gcd(c, c') by the integer gcd alone:
+    the same roots, each once."""
+    g = _poly_gcd(c, derivative_coeffs(c))
+    if len(g) > 1:
+        c = _poly_divmod_exact(c, g)
+    return _primitive(c)
+
+
+def _good_prime(f):
+    """The least odd prime q that does not divide lead(f) and modulo which
+    the square-free f stays square-free, one F_q gcd of f and f' per prime
+    tried; with _radical, the reference for `poly._squarefree`."""
+    df = derivative_coeffs(f)
+    return next(q for q in count(3, 2) if _is_prime(q) and f[-1] % q
+                and len(_gcd_q(f, df, q)) == 1)
 
 
 def partition_of(s):

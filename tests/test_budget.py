@@ -4,7 +4,7 @@ from polytab import budget
 from polytab.budget import ENV_BUDGET_SECS, Budget, BudgetExceededError
 from polytab.cliques import enumerate_cliques
 from polytab.generators import cyclo_series
-from polytab.smooth import PrimeSet
+from polytab.smooth import PrimeSet, smooth_numbers_up_to
 
 
 @pytest.mark.parametrize("seconds", [0, -5])
@@ -126,3 +126,16 @@ def test_a_stream_polls_the_budget_current_when_it_resumes(graph2):
     with Budget(seconds=0):
         assert next(stream) == ()
     assert sum(1 for _ in stream) == 1509
+
+
+def test_smooth_enumeration_polls_inside_a_long_pass():
+    """A pass that lists more than 2^16 numbers polls the budget inside it,
+    not only once per prime: the last of the ten passes over the primes
+    below 30 up to 1e8 lists 88,415 numbers."""
+    P = PrimeSet([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])
+    counting = _Counting()
+    with counting:
+        assert len(smooth_numbers_up_to(P, 10 ** 8)) == 88415
+    assert counting.calls > len(P.primes)
+    with pytest.raises(BudgetExceededError), Budget(seconds=0):
+        smooth_numbers_up_to(P, 10 ** 8)

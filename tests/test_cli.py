@@ -66,6 +66,17 @@ def test_memory_error_is_a_refusal(monkeypatch, capsys):
     assert "out of memory" in capsys.readouterr().err
 
 
+def test_oversized_series_is_refused_before_it_is_allocated(capsys):
+    """Over {2,3} to x^3000000 the packed series would hold 185 factors in
+    192-bit cells, about twice MAX_SERIES_BITS: refused at once, with no
+    product started."""
+    t0 = time.monotonic()
+    assert run(["series", "--primes", "2,3", "--kmax", "3000000"]) \
+        == EXIT_BUDGET
+    assert time.monotonic() - t0 < 1
+    assert "above the maximum" in capsys.readouterr().err
+
+
 def test_vertices_pipeline(tmp_path, capsys):
     pts = tmp_path / "i2i.json"
     assert run(["search", "--primes", "2", "--variant", "inf-2-inf",

@@ -3,9 +3,10 @@ import time
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polytab.poly import (
     MARKED,
@@ -34,6 +35,8 @@ from polytab.vertices import TABLE5_REPRESENTATIVES
 
 from oracles import (
     S3_MATS,
+    _good_prime,
+    _radical,
     good_prime_naive,
     partition_of,
     resultant,
@@ -538,11 +541,12 @@ def test_rational_roots():
 
 
 def test_good_prime_matches_brute_force():
-    """_good_prime(f) is the least odd prime that does not divide lead(f)
-    and modulo which no square of a monic polynomial divides f, on random
-    square-free polynomials and on products of linear factors whose roots
-    collide modulo 3 and 5; rational_roots and factor_small, which both lift
-    from that prime, stay exact on the latter."""
+    """On random square-free polynomials c and on products of linear factors
+    whose roots collide modulo 3 and 5, _squarefree(c) is (c, q), equal to
+    the reference pair (_radical(c), _good_prime(_radical(c))), and q is the
+    least odd prime that does not divide lead(c) and modulo which no square
+    of a monic polynomial divides c; rational_roots and factor_small, which
+    both lift from q, stay exact on the latter."""
     rng = random.Random(34)
     polys = []
     while len(polys) < 150:
@@ -555,9 +559,43 @@ def test_good_prime_matches_brute_force():
         assert rational_roots(s.coeffs) == [(r, 1) for r in sorted(roots)]
         assert [f.coeffs for f in factor_small(s)] \
             == sorted((-r, 1) for r in roots)
-    got = [poly._good_prime(list(s.coeffs)) for s in polys]
-    assert got == [good_prime_naive(s.coeffs) for s in polys]
-    assert got[-3:] == [7, 7, 11] and {3, 5} <= set(got)
+    cs = [list(s.coeffs) for s in polys]
+    got = [poly._squarefree(c) for c in cs]
+    assert got == [(_radical(c), _good_prime(_radical(c))) for c in cs]
+    assert [f for f, _ in got] == cs
+    primes = [q for _, q in got]
+    assert primes == [good_prime_naive(c) for c in cs]
+    assert primes[-3:] == [7, 7, 11] and {3, 5} <= set(primes)
+
+
+# (coefficients below the lead, lead, multiplicity) of one factor
+_FACTORS = st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=1,
+                                       max_size=3),
+                              st.integers(1, 9), st.integers(1, 2)),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_FACTORS)
+@example([([1, 1], 1, 1), ([-1], 2, 2)])    # (t^2 + t + 1) (2t - 1)^2
+def test_squarefree_matches_the_reference(factors):
+    """_squarefree(c) is (_radical(c), _good_prime(_radical(c))) on products
+    of random factors, some repeated.  No prime certifies a c that is not
+    square-free, so there the integer gcd (the fallback) must have run, and
+    a repeated factor always makes c so."""
+    c = [1]
+    for low, lead, k in factors:
+        for _ in range(k):
+            c = poly_mul(c, low + [lead])
+    c = poly._primitive(c)
+    want = _radical(c)
+    with mock.patch.object(poly, "_poly_gcd", wraps=poly._poly_gcd) as gcd:
+        got = poly._squarefree(c)
+    assert got == (want, _good_prime(want))
+    if len(want) < len(c):
+        assert gcd.call_count == 1
+    if any(k > 1 for _, _, k in factors):
+        assert len(want) < len(c)
 
 
 # irreducible over Q: negative-discriminant quadratics, Eisenstein at 2

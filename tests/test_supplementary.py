@@ -1,20 +1,49 @@
 """Cross-cutting checks: per-class table resolution, the
-degree-3 discriminant closed form, and worker determinism of the searches."""
+degree-3 discriminant closed form, worker determinism of the searches, and
+the argument refusals of every layer."""
 
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from polytab.abc_search import VARIANT_32I, VARIANT_I2I, VARIANT_III, search_abc
-from polytab.poly import NormalizedPoly, _primitive
-from polytab.smooth import PrimeSet
+from polytab.abc_search import (
+    VARIANT_32I,
+    VARIANT_I2I,
+    VARIANT_III,
+    delta_classes,
+    roots_of_F,
+    search_abc,
+)
+from polytab.generators import cyclo_series, fractal_family
+from polytab.poly import (
+    NormalizedPoly,
+    _primitive,
+    discriminant,
+    rational_roots,
+    resultant_coeffs,
+)
+from polytab.smooth import (
+    PrimeSet,
+    ZeroValueError,
+    decompose_power,
+    smooth_numbers_up_to,
+)
 from polytab.cli import main as cli_main
-from polytab.vertices import _smn_coeffs
+from polytab.vertices import (
+    _require_members,
+    _smn_coeffs,
+    build_degree2,
+    build_degree3,
+)
 
 from oracles import candidate_grid, squarefree_class
+from conftest import NO_LOCAL_CONSTANTS
 
 P2 = PrimeSet([2])
 P23 = PrimeSet([2, 3])
@@ -22,8 +51,6 @@ P235 = PrimeSet([2, 3, 5])
 
 
 def test_delta_class_sizes_235(search_i2i_235):
-    from polytab.abc_search import delta_classes
-
     points, _ = search_i2i_235.value
     sizes = {d: len(v) for d, v in delta_classes(points, P235).items()}
     want = {-30: 3, -15: 6, -10: 24, -6: 25, -5: 11, -3: 8, -2: 6, -1: 49,
@@ -177,3 +204,84 @@ def test_seed_tables_subset(tmp_path, capsys):
     assert series.splitlines()[1001] == "1000,3361607445659519"
     assert cli_main(["seed-tables", "--out-dir", str(tmp_path),
                      "--only", "nope"]) == 2
+
+
+def _iii_points():
+    return search_abc(P2, VARIANT_III, 100)[0]
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: search_abc(P2, "2-2-2", 100), ValueError, "unknown variant"),
+    (lambda: search_abc(P2, VARIANT_III, 0), ValueError,
+     "height bound must be >= 1"),
+    (lambda: roots_of_F(Fraction(0), Fraction(2)), ValueError,
+     "j must avoid 0 and 1"),
+    (lambda: roots_of_F(Fraction(1), Fraction(2)), ValueError,
+     "j must avoid 0 and 1"),
+    (lambda: delta_classes(_iii_points(), P2), ValueError,
+     "expects inf-2-inf points"),
+    (lambda: cyclo_series(P2, -1), ValueError, "kmax must be >= 0"),
+    (lambda: fractal_family(0), ValueError, "i_max must be >= 1"),
+    (lambda: NormalizedPoly((2, 4)), ValueError, "content must be 1"),
+    (lambda: discriminant(NormalizedPoly((1,))), ValueError,
+     "degree must be >= 1"),
+    (lambda: resultant_coeffs((0, 0), (1, 1)), ZeroValueError,
+     "resultant of the zero polynomial"),
+    (lambda: rational_roots((0,)), ZeroValueError, "zero polynomial"),
+    (lambda: decompose_power(16, 4, P2), ValueError,
+     "only k = 2 and k = 3"),
+    (lambda: smooth_numbers_up_to(P2, 0), ValueError, "H must be >= 1"),
+    (lambda: _require_members(_iii_points(), VARIANT_I2I, P2), ValueError,
+     "expected inf-2-inf points, got inf-inf-inf"),
+    (lambda: build_degree2(PrimeSet([3, 5]), []), ValueError,
+     "requires 2 in P"),
+    (lambda: build_degree3(P2, {}), ValueError, "requires 2 and 3 in P"),
+])
+def test_invalid_arguments_are_refused(call, error, match):
+    """Each layer refuses an argument outside its contract with its own
+    message, rather than computing from it."""
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_hypothesis_draws_no_local_constants():
+    """conftest.py empties Hypothesis's pool of the literals of local
+    modules; if the private hook it replaces moves, this fails, as the pool
+    would then hold polytab's literals again."""
+    from hypothesis.internal.conjecture import providers
+
+    assert NO_LOCAL_CONSTANTS is not None, "Hypothesis's hook has moved"
+    assert providers._get_local_constants() is NO_LOCAL_CONSTANTS
+    assert len(providers.HypothesisProvider(None)._local_constants) == 0
+
+
+_DRAWS = """
+import sys
+sys.path[:0] = {paths!r}
+import conftest
+{imports}
+from hypothesis import given, settings, strategies as st
+seen = []
+
+@settings(max_examples=150, derandomize=True, database=None)
+@given(st.integers(-10 ** 6, 10 ** 6))
+def draw(x):
+    seen.append(x)
+
+draw()
+print(hash(tuple(seen)))
+"""
+
+
+def test_derandomized_draws_do_not_depend_on_imports(tmp_path):
+    """One derandomized property test draws the same examples whether or
+    not another local module was imported before it."""
+    tests = str(Path(__file__).resolve().parent)
+    paths = [tests, str(Path(tests).parent / "src")]
+    out = []
+    for imports in ("", "import oracles"):
+        script = _DRAWS.format(paths=paths, imports=imports)
+        out.append(subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, check=True,
+            capture_output=True, text=True).stdout)
+    assert out[0] == out[1] != ""

@@ -136,6 +136,32 @@ def test_degree2_matches_fraction_oracle(primes, search_i2i_235):
     assert stats["triples"] >= len(verts) > 0
 
 
+@pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), (2, 3, 5, 7)])
+def test_degree2_members_by_lemma(primes, monkeypatch, search_i2i_235,
+                                  search_i2i_2357):
+    """build_degree2 tests no quadratic for membership, as its lemma proves
+    every triple's quadratic a member; each vertex and split polynomial it
+    returns passes check_membership all the same."""
+    P = PrimeSet(primes)
+    searched = {(2, 3, 5): search_i2i_235, (2, 3, 5, 7): search_i2i_2357}
+    points = (searched[primes].value[0] if primes in searched
+              else search_abc(P, VARIANT_I2I, 10 ** 9)[0])
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(vertices, "check_membership",
+                  lambda *args: calls.append(args))
+        verts, split, stats = build_degree2(P, points)
+    assert not calls and stats["triples"] >= len(verts) > 0
+    for s in [v.poly for v in verts] + split:
+        assert check_membership(s, P).ok, s
+
+
+def test_degree2_unsupported_without_2():
+    vs = build_vertex_set(PrimeSet([3, 5]), 2)
+    assert vs.certificates[2] == "unsupported: 2 not in prime set"
+    assert vs.counts() == {1: 0, 2: 0}
+
+
 def test_degree2_height_3125_orbits(vs235):
     vs = vs235.value
     allp = [v.poly for v in vs.degree_slice(2)] + list(vs.split_degree2)
