@@ -151,9 +151,14 @@ def roots_of_F(j: Fraction, k: Fraction) -> list:
 
     The finite roots come first, ascending; inf = (1, 0) is a root when the
     y^6 coefficient vanishes.  Requires j outside {0, 1}.
+
+    For k = 0 and j = a/b, b^4 F(j,0,y) = -a (a y^2 - 2b y + b)^3, whose
+    y^6 coefficient -a^4 is nonzero: the roots are those of the quadratic.
     """
     if j in (0, 1):
         raise ValueError("j must avoid 0 and 1")
+    if k == 0:
+        return rational_roots([j.denominator, -2 * j.denominator, j.numerator])
     coeffs = f_resolvent_coeffs(j, k)
     roots = rational_roots(coeffs)
     if coeffs[-1] == 0:

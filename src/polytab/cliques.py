@@ -48,6 +48,7 @@ from .poly import (
     MARKED,
     _one_minus,
     projective_point,
+    # not called: bench/tracing.py PATCHES wraps cliques.rational_roots
     rational_roots,
     # not called: bench/tracing.py PATCHES wraps cliques.resultant_fast
     resultant_fast,
@@ -985,25 +986,16 @@ class Packet(Record):
         self.stabilizer_label = stabilizer_label
 
 
-def _split_pairs(s):
-    """The roots of s as primitive pairs; s must split into distinct linear
-    factors."""
-    rr = rational_roots(s.coeffs)
-    if len(rr) != s.degree:
-        raise ValueError(f"{s} does not split into distinct linear factors")
-    return rr
-
-
-def pgl2_packets(polys, roots=None):
+def pgl2_packets(polys, roots):
     """Group fully split polynomials into fractional-linear packets.
 
     Each polynomial's root set together with the marked points 0, 1, inf is
     carried around the projective line by the maps sending ordered triples of
     the set to (0, 1, inf); polynomials landing on each other join a packet.
-    Points are primitive integer pairs (n, d), inf = (1, 0), as
-    `rational_roots` returns them.  roots, when given, lists each
-    polynomial's roots (ints or Fractions) in the same order as polys; they
-    are converted to pairs one polynomial at a time.  Returns (packets, mass)
+    The order of polys fixes the positions that `Packet.members` holds, and
+    roots lists each polynomial's roots (ints or Fractions) in that order.
+    Points are primitive integer pairs (n, d), inf = (1, 0); the roots are
+    converted to pairs one polynomial at a time.  Returns (packets, mass)
     where mass = sum of 1/|stabilizer| and must equal
     len(polys) / ((a+3)(a+2)(a+1)) with a the root count.
 
@@ -1030,10 +1022,9 @@ def pgl2_packets(polys, roots=None):
     stabilizer element has the order of the permutation it induces on the
     a + 3 point ids of the key, and the stabilizer is labelled from those.
 
-    Malformed input raises ValueError: no polynomials, a polynomial that
-    does not split into distinct linear factors (roots=None), a root list
-    count that differs from len(polys), root counts that differ, a repeated
-    root, a root at a marked point, or a repeated polynomial.  An image that is
+    Malformed input raises ValueError: no polynomials, a root list count
+    that differs from len(polys), root counts that differ, a repeated root,
+    a root at a marked point, or a repeated polynomial.  An image that is
     not an input (`_LEAVES`), an orbit and stabilizer whose sizes do not
     multiply to (a+3)(a+2)(a+1), and a failed mass identity raise
     AssertionError, by an explicit raise that python -O keeps.
@@ -1041,15 +1032,11 @@ def pgl2_packets(polys, roots=None):
     polys = list(polys)
     if not polys:
         raise ValueError("no polynomials to group into packets")
-    if roots is None:
-        a = polys[0].degree
-        roots = map(_split_pairs, polys)
-    else:
-        if len(roots) != len(polys):
-            raise ValueError(f"{len(roots)} root lists for {len(polys)} "
-                             "polynomials")
-        a = len(roots[0])
-        roots = ([r.as_integer_ratio() for r in rr] for rr in roots)
+    if len(roots) != len(polys):
+        raise ValueError(f"{len(roots)} root lists for {len(polys)} "
+                         "polynomials")
+    a = len(roots[0])
+    roots = ([r.as_integer_ratio() for r in rr] for rr in roots)
     ids = {x: i for i, x in enumerate(MARKED)}     # point -> id
     index = {}                                      # key -> position in polys
     for i, rr in enumerate(roots):

@@ -220,9 +220,6 @@ class NormalizedPoly(Frozen):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
     def sort_key(self):
         return (self.degree, self.coeffs)
 

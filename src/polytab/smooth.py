@@ -114,18 +114,22 @@ def is_unit_in(q, P: PrimeSet) -> bool:
 
 
 def _icbrt(n: int) -> int:
-    """Integer cube root of n >= 0 (floor)."""
+    """Integer cube root of n >= 0 (floor), by Newton's step from above.
+
+    Let s = floor(cbrt n) and L the bit length of n.  The start
+    r = 2^ceil(L/3) exceeds cbrt n, as n < 2^L.  A step gives
+    floor((2r + floor(n/r^2))/3) = floor((2r + n/r^2)/3) >= s, by AM-GM on
+    r, r and n/r^2, so r >= s throughout.  While r > s, r^3 > n, so
+    n/r^2 < r and the step lowers r strictly.  So the loop stops at r = s.
+    """
     if n < 2:
         return n
     r = 1 << ((n.bit_length() + 2) // 3)
     while True:
         nr = (2 * r + n // (r * r)) // 3
         if nr >= r:
-            break
+            return r
         r = nr
-    while r * r * r > n:
-        r -= 1
-    return r
 
 
 def decompose_power(n: int, k: int, P: PrimeSet):

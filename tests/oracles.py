@@ -283,6 +283,19 @@ def is_smooth_naive(n, primes):
     return m == 1
 
 
+def icbrt_bisect(n: int) -> int:
+    """floor(cbrt n) for n >= 0, by bisection on [0, 2^(floor(L/3) + 1)),
+    L the bit length of n."""
+    lo, hi = 0, 1 << (n.bit_length() // 3 + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def squarefree_part(n: int) -> int:
     """The unique square-free d with n = d * y^2, sign carried by d, by trial
     division up to the square root of what is left."""
@@ -612,6 +625,17 @@ def pgl2_packets_fraction(polys, roots):
         packets.append(Packet(sorted(orbit), len(stab), _group_label(stab)))
     mass = sum(Fraction(1, p.stabilizer_order) for p in packets)
     return packets, mass
+
+
+def split_roots(polys):
+    """Each split polynomial's roots as Fractions, from `rational_roots`:
+    the root lists that `cliques.pgl2_packets` takes."""
+    out = []
+    for s in polys:
+        rr = [Fraction(n, d) for n, d in rational_roots(s.coeffs)]
+        assert len(rr) == s.degree, f"{s} does not split into distinct roots"
+        out.append(rr)
+    return out
 
 
 def neighbor_counts(g, idx):

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polytab import abc_search
 from polytab.abc_search import (
@@ -19,6 +19,7 @@ from polytab.abc_search import (
     canonical_triple,
     cubic_classes,
     delta_classes,
+    f_resolvent_coeffs,
     has_rational_root_F,
     read_points,
     reference_cubic,
@@ -28,6 +29,7 @@ from polytab.abc_search import (
     write_points,
 )
 from polytab.budget import Budget, BudgetExceededError
+from polytab.poly import rational_roots
 from polytab.smooth import (
     PrimeSet,
     is_smooth,
@@ -319,9 +321,29 @@ def test_roots_of_F_match_fraction_oracle():
     assert min(seen.values()) >= 100, seen
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(num=st.integers(-10 ** 12, 10 ** 12), den=st.integers(1, 10 ** 12),
+       split=st.booleans())
+@example(num=1, den=2, split=True)
+def test_roots_of_F_at_k_zero_match_the_resolvent(num, den, split):
+    """roots_of_F(j, 0) solves the quadratic j y^2 - 2y + 1, of which
+    F(j, 0, y) is -j times the cube: the same list as the generic path on
+    the degree-6 resolvent, and never inf.  With split, j = 1 - s^2, so the
+    quadratic has the two roots (1 +- s)/j."""
+    s = Fraction(num, den)
+    j = 1 - s * s if split else s
+    assume(j not in (0, 1))
+    coeffs = f_resolvent_coeffs(j, 0)
+    assert coeffs[-1] != 0
+    got = roots_of_F(j, 0)
+    assert got == rational_roots(coeffs)
+    if split:
+        assert sorted(Fraction(*r) for r in got) == sorted([(1 - s) / j,
+                                                            (1 + s) / j])
+
+
 def test_roots_of_F_full_multiplicity_over_Qbar():
     # disc_y never vanishes for j,k outside {0,1}: six roots with multiplicity
-    from polytab.abc_search import f_resolvent_coeffs
     for j, k in [(Fraction(4, 3), Fraction(4)), (Fraction(-24), Fraction(7, 5)),
                  (Fraction(5), Fraction(5)), (Fraction(2, 7), Fraction(-3))]:
         coeffs = f_resolvent_coeffs(j, k)
@@ -335,11 +357,6 @@ def test_roots_of_F_on_the_23_classes(search_32i_23):
     degree-3 build takes them), roots_of_F is the list of rational_roots of
     the integer resolvent, ascending primitive pairs, with (1, 0) appended
     when the y^6 coefficient vanishes; each pair is a root of the form."""
-    from math import gcd
-
-    from polytab.abc_search import f_resolvent_coeffs
-    from polytab.poly import rational_roots
-
     points, _ = search_32i_23.value
     classes = cubic_classes([pt for pt in points if pt.class_datum == "3"],
                             P23)

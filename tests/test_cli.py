@@ -44,8 +44,10 @@ def test_search_budget_refusal(tmp_path):
 
 
 def test_search_bad_primes(tmp_path):
-    assert run(["search", "--primes", "4", "--variant", "inf-inf-inf",
-                "--height", "10", "--out", tmp_path / "x.json"]) == EXIT_VALIDATION
+    for primes in ("4", "1,2"):
+        assert run(["search", "--primes", primes, "--variant", "inf-inf-inf",
+                    "--height", "10", "--out", tmp_path / "x.json"]) \
+            == EXIT_VALIDATION, primes
 
 
 def test_search_non_finite_height_exit_2(tmp_path):

@@ -55,6 +55,7 @@ from oracles import (
     resultant_closed_form,
     resultant_sylvester,
     split_graph_counts_naive,
+    split_roots,
     triple_to_matrix,
 )
 
@@ -1088,7 +1089,7 @@ def test_ordered_partition_count_against_dealing_items():
 
 def test_packets_linear_P2(graph2):
     polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
-    packets, mass = pgl2_packets(polys)
+    packets, mass = pgl2_packets(polys, roots=split_roots(polys))
     assert len(packets) == 1
     assert packets[0].stabilizer_order == 8
     assert packets[0].stabilizer_label == "D4"
@@ -1241,33 +1242,21 @@ def test_s3_images_match_mobius_oracle():
         assert got == want
 
 
-def test_packets_roots_none_matches_given_roots(graph235):
-    polys, roots = _split_cliques(graph235.value, 4)
-    assert len(polys) == 3570
-    with_roots = pgl2_packets(polys, roots=roots)
-    without = pgl2_packets(polys)
-    assert _packet_rows(without[0]) == _packet_rows(with_roots[0])
-    assert without[1] == with_roots[1]
-
-
 def test_packets_reject_malformed_input(graph2):
     polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
     roots = [[Fraction(-s.coeffs[0], s.coeffs[1])] for s in polys]
     with pytest.raises(ValueError, match="no polynomials"):
-        pgl2_packets([])
+        pgl2_packets([], roots=[])
     with pytest.raises(ValueError, match="duplicate"):
-        pgl2_packets(polys + polys[:1])
+        pgl2_packets(polys + polys[:1], roots=roots + roots[:1])
     with pytest.raises(ValueError, match="root lists for"):
         pgl2_packets(polys, roots=roots[:-1])
     with pytest.raises(ValueError, match="same number of roots"):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(3), Fraction(4)]])
     with pytest.raises(ValueError, match="marked points"):
         pgl2_packets(polys, roots=roots[:-1] + [[Fraction(1)]])
-    # a repeated root: rational_roots lists it once, so it falls short of
-    # the degree; given roots repeat it
+    # a repeated root
     double = from_roots([Fraction(2), Fraction(2), Fraction(3)])
-    with pytest.raises(ValueError, match="distinct linear factors"):
-        pgl2_packets([double])
     with pytest.raises(ValueError, match="separable"):
         pgl2_packets([double], roots=[[2, 2, 3]])
 
@@ -1287,8 +1276,9 @@ def test_packets_input_that_leaves_the_set_raises(graph2, graph23):
 
 def test_packets_refuse_an_exhausted_budget(graph2):
     polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
+    roots = split_roots(polys)
     with pytest.raises(BudgetExceededError), Budget(seconds=0):
-        pgl2_packets(polys)
+        pgl2_packets(polys, roots=roots)
 
 
 def test_packets_mass_check_is_not_an_assert(graph2, monkeypatch):
@@ -1301,4 +1291,4 @@ def test_packets_mass_check_is_not_an_assert(graph2, monkeypatch):
     monkeypatch.setattr(cliques, "Packet", Miscounted)
     polys = [v.poly for v in graph2.value.vertices if v.degree == 1]
     with pytest.raises(AssertionError, match="packet mass"):
-        pgl2_packets(polys)
+        pgl2_packets(polys, roots=split_roots(polys))

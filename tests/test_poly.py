@@ -1,8 +1,11 @@
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -449,6 +452,22 @@ def test_factor_small_examples():
 
     s, _ = normalize([-27, -27])  # S(1,t) = -27(1+t)
     assert factor_small(s) == [NP(1, 1)]
+
+
+def test_factor_small_of_a_constant_is_empty():
+    """The constant 1 is the empty product.  Without factor_small's guard on
+    constants its multiplicity loop would divide by [1] forever, and that
+    loop does not poll the budget, so the call runs in a fresh process
+    under a timeout."""
+    env_src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from polytab.poly import NormalizedPoly, "
+         "factor_small; print(factor_small(NormalizedPoly((1,))))"],
+        capture_output=True, text=True, timeout=30,
+        env={"PYTHONPATH": str(env_src), "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_factor_small_quartics():

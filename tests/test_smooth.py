@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from polytab.smooth import (
     PrimeSet,
     ZeroValueError,
+    _icbrt,
     _is_prime,
     decompose_power,
     is_smooth,
@@ -16,6 +17,7 @@ from polytab.smooth import (
 from oracles import (
     factor_over_division_loop,
     first_good_prime,
+    icbrt_bisect,
     is_smooth_naive,
     smooth_count_exponent_loops,
     smooth_filter_naive,
@@ -36,6 +38,9 @@ def test_primeset_validation():
         PrimeSet([4])
     with pytest.raises(ValueError):
         PrimeSet([2, 9])
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match="not a prime"):
+            PrimeSet([p])
     assert PrimeSet([5, 3, 2]).primes == (2, 3, 5)
     assert PrimeSet([]).primes == ()
     # a prime set read from a file may name a huge prime: no trial division
@@ -63,6 +68,19 @@ def test_first_good_prime():
     assert first_good_prime(P2357) == 11
     assert first_good_prime(PrimeSet([])) == 2
     assert first_good_prime(PrimeSet([3, 5])) == 2
+
+
+def test_icbrt_matches_bisection():
+    """Newton's loop from 2^ceil(L/3) stops at floor(cbrt n) with no
+    correction after it: every n < 2^20, and x^3 - 1, x^3 and x^3 + 1 for
+    random x of up to 2000 bits."""
+    assert list(map(_icbrt, range(1 << 20))) == \
+        list(map(icbrt_bisect, range(1 << 20)))
+    rng = random.Random(38)
+    for _ in range(100):
+        x = rng.getrandbits(rng.randint(1, 2000)) | 1
+        for n, want in ((x ** 3 - 1, x - 1), (x ** 3, x), (x ** 3 + 1, x)):
+            assert _icbrt(n) == icbrt_bisect(n) == want
 
 
 def test_decompose_power_paper_triples():

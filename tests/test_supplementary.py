@@ -1,7 +1,9 @@
 """Cross-cutting checks: per-class table resolution, the
-degree-3 discriminant closed form, worker determinism of the searches, and
-the argument refusals of every layer."""
+degree-3 discriminant closed form, worker determinism of the searches, the
+argument refusals of every layer, and the names the bench's tracer wraps."""
 
+import importlib
+import importlib.util
 import json
 import random
 import subprocess
@@ -242,6 +244,29 @@ def test_invalid_arguments_are_refused(call, error, match):
     message, rather than computing from it."""
     with pytest.raises(error, match=match):
         call()
+
+
+def test_bench_hooks_name_shared_objects():
+    """bench/tracing.py wraps each PATCHES attribute in every module listed
+    with it, and refuses a traced run unless they all hold the same object;
+    it calls build_degree3 with a stats dict and reads two counters from
+    it.  Some of those names are imports that src never calls, kept for the
+    tracer alone (cliques.rational_roots, cliques.resultant_fast), so
+    deleting one must fail here.  tracing.py imports only the stdlib at
+    module level: it is loaded from its file, not installed."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, attr, modnames, _ in tracing.PATCHES:
+        mods = [importlib.import_module("polytab." + m) for m in modnames]
+        missing = [m.__name__ for m in mods if not hasattr(m, attr)]
+        assert not missing, f"{attr} missing from {missing}"
+        assert all(getattr(m, attr) is getattr(mods[0], attr)
+                   for m in mods), (attr, modnames)
+    stats = {}
+    assert build_degree3(P23, {}, stats) == []
+    assert stats == {"candidates": 0, "rejected": 0}
 
 
 def test_hypothesis_draws_no_local_constants():

@@ -61,6 +61,7 @@ from oracles import (
     poly_height,
     recovered_w_triple,
     smn_coeffs_fraction,
+    split_roots,
     squarefree_class,
     squarefree_part,
 )
@@ -466,7 +467,7 @@ def test_value_types_pickle(vs2, graph2, table2):
         (ingest_units([(2, 0, 1)], P2)[1], ("accepted", "rejected")),
         (graph2.value, ("vertices", "degrees", "adj", "P", "images")),
         (table2.value, ("f", "counts")),
-        (pgl2_packets(linear)[0][0],
+        (pgl2_packets(linear, roots=split_roots(linear))[0][0],
          ("members", "stabilizer_order", "stabilizer_label")),
     ]
     for group, is_frozen in ((frozen, True), (mutable, False)):
